@@ -10,7 +10,7 @@ end-to-end metrics of BENCHMARK.json; with `--trace 1` the run measures an
 untraced and a traced half and reports the per-layer metrics. The lines
 before it give every metric by its workload name with unit and sample count,
 the generated-input properties, the environment, and (traced) the hook
-coverage. `--out PATH` also writes all of it as one JSON file.
+coverage; a hook that is unattached or silent counts as a failed check.
 
 The benchmark imports the checkout's own `src/` and nothing installed; it
 exits with status 2 when the checkout has no `src/secpatch`.
@@ -41,7 +41,6 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out", default=None, help="also write the full result record here")
     return parser.parse_args(argv)
 
 
@@ -94,37 +93,48 @@ def environment(threads_requested: int) -> dict:
 
 
 def summarize(result: dict, trace: bool) -> tuple[dict, list[str]]:
-    """Contract metrics plus report lines naming each metric by its workload name."""
+    """Contract metrics plus report lines naming each metric by its workload name.
+
+    A metric whose phase recorded nothing (its first operation failed) is left
+    out, so the result line still carries the ledger's failures.
+    """
     import spans
     import workloads
     plain = result["plain"]
+
+    def median(values):
+        return statistics.median(values) if values else None
+
+    def pct(values, q):
+        return workloads.percentile(values, q) * 1e3 if values else None
+
     values = {
-        "setup_s": (statistics.median(result["setup_s"]), "s",
-                    f"median of {len(result['setup_s'])} set-ups"),
-        "samples_per_s": (statistics.median(plain.bulk_samples_per_s), "samples/s",
-                          f"median of {len(plain.bulk_samples_per_s)}"),
-        "bulk_s": (statistics.median(plain.bulk_s), "s", f"median of {len(plain.bulk_s)}"),
-        "call_ms_p50": (workloads.percentile(plain.call_s, 50) * 1e3, "ms",
-                        f"n={len(plain.call_s)}"),
-        "call_ms_p90": (workloads.percentile(plain.call_s, 90) * 1e3, "ms",
-                        f"n={len(plain.call_s)}"),
+        "setup_s": (median(result["setup_s"]), "s", f"median of {len(result['setup_s'])} set-ups"),
+        "samples_per_s": (sum(plain.bulk_samples) / sum(plain.bulk_s) if plain.bulk_s else None,
+                          "samples/s", f"{sum(plain.bulk_samples)} samples in {len(plain.bulk_s)}"),
+        "bulk_s": (median(plain.bulk_s), "s", f"median of {len(plain.bulk_s)}"),
+        "call_ms_p50": (pct(plain.call_s, 50), "ms", f"n={len(plain.call_s)}"),
+        "call_ms_p90": (pct(plain.call_s, 90), "ms", f"n={len(plain.call_s)}"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB",
                         "whole process"),
     }
+    values = {name: v for name, v in values.items() if v[0] is not None}
     lines = [f"  {name:<22} {v:14.6f} {unit:<10} ({note})"
              for name, (v, unit, note) in values.items() if name != "bulk_s"]
     for alias, (source, unit, what) in result["aliases"].items():
-        v, _, note = values[source]
-        lines.append(f"  {alias:<22} {v:14.6f} {unit:<10} ({note} {what})")
+        if source in values:
+            v, _, note = values[source]
+            lines.append(f"  {alias:<22} {v:14.6f} {unit:<10} ({note} {what})")
     metrics = {name: {"value": v, "unit": unit} for name, (v, unit, _) in values.items()
                if name != "bulk_s"}
     if trace:
         traced = result["traced"]
         layers = traced.tracer.layer_metrics()
-        layers["trace_overhead_frac"] = (statistics.median(traced.call_s)
-                                         / statistics.median(plain.call_s) - 1.0)
+        if traced.call_s and plain.call_s:
+            layers["trace_overhead_frac"] = (statistics.median(traced.call_s)
+                                             / statistics.median(plain.call_s) - 1.0)
         metrics = {name: {"value": layers[name], "unit": unit}
-                   for name, unit in spans.PER_LAYER.items()}
+                   for name, unit in spans.PER_LAYER.items() if name in layers}
     return metrics, lines
 
 
@@ -155,32 +165,27 @@ def main(argv=None) -> int:
         shutil.rmtree(work, ignore_errors=True)
         with contextlib.suppress(OSError):  # still in use by a concurrent run
             os.rmdir(WORK_DIR)
-    metrics, lines = summarize(result, ctx.trace)
     ledger = ctx.ledger
+    coverage = None
+    if ctx.trace:
+        coverage = result["traced"].tracer.coverage(args.workload)
+        ledger.check("trace hook coverage", not coverage["flags"], "; ".join(coverage["flags"]))
+    metrics, lines = summarize(result, ctx.trace)
     env = environment(threads)
-    record = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-              "trace": args.trace, "environment": env, "inputs": result["inputs"],
-              "error_rate": len(ledger.failures) / ledger.attempted,
-              "failures": ledger.failures, "metrics": metrics}
 
     print(f"perfbench {args.workload} seed={args.seed} seconds={args.seconds:g} "
           f"trace={args.trace}")
     print("\n".join(lines))
-    print(f"  {'error_rate':<22} {record['error_rate']:14.6f} {'ratio':<10} "
+    print(f"  {'error_rate':<22} {len(ledger.failures) / ledger.attempted:14.6f} {'ratio':<10} "
           f"({len(ledger.failures)} failed of {ledger.attempted} operations and checks)")
     for failure in ledger.failures:
         print(f"  FAILED {failure}")
     print("inputs " + json.dumps(result["inputs"], sort_keys=True))
     print("environment " + json.dumps(env, sort_keys=True))
-    if ctx.trace:
-        record["coverage"] = result["traced"].tracer.coverage(args.workload)
+    if coverage is not None:
         for name, value in metrics.items():
             print(f"  {name:<36} {value['value']:16.6f} {value['unit']}")
-        print("coverage " + json.dumps(record["coverage"], sort_keys=True))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        print("coverage " + json.dumps(coverage, sort_keys=True))
     print(json.dumps({"correct": not ledger.failures, "attempted": ledger.attempted,
                       "failed": len(ledger.failures), "metrics": metrics}))
     return 0

@@ -3,7 +3,7 @@
 Every workload reports the same end-to-end metrics so that runs compare
 metric by metric:
 
-  samples_per_s   throughput of the workload's bulk operation
+  samples_per_s   throughput of the workload's bulk operation: samples over seconds, summed
   call_ms_p50/p90 latency of its repeated call, closed loop, one client
 
 paper-train: bulk = train() at the paper defaults; call = one train() call (one epoch).
@@ -81,7 +81,7 @@ class Phase:
     """Timings from one timed phase; `tracer` is set when the phase ran traced."""
 
     bulk_s: list = dataclasses.field(default_factory=list)
-    bulk_samples_per_s: list = dataclasses.field(default_factory=list)
+    bulk_samples: list = dataclasses.field(default_factory=list)
     call_s: list = dataclasses.field(default_factory=list)
     tracer: Tracer | None = None
 
@@ -166,10 +166,10 @@ def init_triplet_ratio(samples, state, backends, margin: float) -> float:
     return active / mined if mined else 0.0
 
 
-def fixed_split(seed: int, hp_seed: int, **corpus) -> DatasetSplit:
-    """16 training and 4 validation samples, each part with its own full length ladder."""
+def fixed_split(seed: int, hp_seed: int, n_train: int = 16, **corpus) -> DatasetSplit:
+    """n_train training and 4 validation samples, each part with its own full length ladder."""
     return DatasetSplit(
-        train=tuple(gen.make_corpus(seed, 16, prefix="train", **corpus)),
+        train=tuple(gen.make_corpus(seed, n_train, prefix="train", **corpus)),
         validation=tuple(gen.make_corpus(seed + 1, 4, prefix="val", **corpus)),
         test=(), seed=hp_seed)
 
@@ -178,11 +178,12 @@ def fixed_split(seed: int, hp_seed: int, **corpus) -> DatasetSplit:
 # paper-train: library train() at the paper defaults on a ragged generated corpus
 
 TRAIN_VOCAB = 4000  # identifiers shared by both classes
+TRAIN_SAMPLES = 32  # two batches of 16 per call, so each call spans the machine's speed swings
 
 
 def paper_train(ctx: Context) -> dict:
     hp = dataclasses.replace(default_hyperparams(), epochs=1, seed=ctx.seed)
-    split = fixed_split(ctx.seed, hp.seed, vocab_size=TRAIN_VOCAB)
+    split = fixed_split(ctx.seed, hp.seed, TRAIN_SAMPLES, vocab_size=TRAIN_VOCAB)
     props = gen.input_properties(split.train + split.validation, HashTokenizer(),
                                  hp.max_tokens, ROW_CACHE_ENTRIES)
     props["identifier_vocabulary"] = TRAIN_VOCAB
@@ -193,7 +194,7 @@ def paper_train(ctx: Context) -> dict:
         T.encode_samples(split.train + split.validation, backends, hp)
         return backends, state
 
-    setup_s, (backends, state) = timed_setup(setup)
+    setup_s, (backends, state) = timed_setup(setup, repeats=15)
     props["active_triplet_ratio_at_init"] = init_triplet_ratio(split.train, state, backends,
                                                                hp.margin)
     ctx.ledger.check("paper-train: SBCL triplets active at initialisation",
@@ -213,7 +214,7 @@ def paper_train(ctx: Context) -> dict:
             state, records = result
             out.call_s.append(seconds)
             out.bulk_s.append(seconds)
-            out.bulk_samples_per_s.append(len(split.train) * hp.epochs / seconds)
+            out.bulk_samples.append(len(split.train) * hp.epochs)
             finite_records(ctx.ledger, records, "paper-train")
             shutil.rmtree(ckpt_dir)  # keep disk use flat; each call writes a fresh 18.9 MB file
         return out
@@ -272,7 +273,7 @@ def paper_score(ctx: Context) -> dict:
             if results is None:
                 break
             out.bulk_s.append(seconds)
-            out.bulk_samples_per_s.append(len(batch) / seconds)
+            out.bulk_samples.append(len(batch))
             probs_ok(ctx.ledger, results, "paper-score batch")
             for sample in block:
                 seconds, results = ctx.ledger.call("predict one", lambda: T.predict(
@@ -354,7 +355,8 @@ def tested_cli(ctx: Context) -> dict:
         for command in ("ingest", "explain"):
             run_cli(ctx.ledger, command, ["--config", config, command])
 
-    setup_s, _ = timed_setup(setup, repeats=9, reset=lambda: empty_dir(cfg.explainer.cache_dir))
+    # one set-up is ~12 ms of file and JSON work, so many repetitions steady its median
+    setup_s, _ = timed_setup(setup, repeats=41, reset=lambda: empty_dir(cfg.explainer.cache_dir))
     samples = load_dataset(dataset)
     split = split_dataset(samples, cfg.ratios, cfg.hp.seed)
     props = gen.input_properties(samples, HashTokenizer(), cfg.hp.max_tokens, ROW_CACHE_ENTRIES)
@@ -373,7 +375,7 @@ def tested_cli(ctx: Context) -> dict:
             if record is None:
                 return out
             out.bulk_s.append(seconds)
-            out.bulk_samples_per_s.append(len(split.train) * record["epochs"] / seconds)
+            out.bulk_samples.append(len(split.train) * record["epochs"])
             final = record["checkpoint"]
             with open(record["run_log"], "rb") as fh:
                 log = fh.read()
