@@ -19,15 +19,15 @@ from .explain import (CacheCorrupt, ExplainerConfig, ServiceUnavailable, explain
                       explanation_prompt, instruction_text, stub_explanation)
 from .fusion import (AttentionParams, CrossAttentionParams, FeedForwardParams, PTFormerState,
                      cross_attention, fuse, init_pt_former, load_pt_former, named_parameters,
-                     pooled_concat, pt_former_gradients, save_pt_former, self_attention)
+                     pooled_concat, save_pt_former, self_attention)
 from .metrics import (MetricsReport, PCAResult, SingleClassError, auc_score, compute_metrics,
                       export_pca_csv, pca_project)
 from .seeding import derive_seed, substream
 from .synthetic import make_synthetic_samples
 from .train import (ClassifierParams, DivergenceDetected, PipelineBackends, TrainOptions,
-                    TrainState, bce_loss, blend_losses, combined_loss, encode_sample,
-                    fused_embeddings, hashed_backends, init_train_state, load_checkpoint,
-                    predict, predict_probability, save_checkpoint, train)
+                    TrainState, bce_loss, encode_sample, fused_embeddings, hashed_backends,
+                    head_probability, init_train_state, load_checkpoint, predict,
+                    save_checkpoint, train)
 from .types import (EmbeddingMatrix, FusedEmbedding, HyperParams, Label, LengthMismatch,
                     Modality, PatchSample, TokenSequence, default_hyperparams)
 

@@ -62,13 +62,12 @@ def mine_triplets(batch, labels, rng=None, anchor_mode: str = "all") -> list[Tri
         raise LengthMismatch(f"{len(batch)} embeddings vs {len(labels)} labels")
 
     mask = _security_mask(labels)
-    security = [i for i in range(len(batch)) if mask[i]]
-    non_security = [i for i in range(len(batch)) if not mask[i]]
+    security = np.flatnonzero(mask)
     if len(security) < 2:
         raise InsufficientClassMembers(
             Label.SECURITY.value,
             f"need >= 2 security samples to mine triplets, got {len(security)}")
-    if not non_security:
+    if mask.all():
         raise InsufficientClassMembers(
             Label.NON_SECURITY.value, "need >= 1 non-security sample to mine triplets")
 
@@ -81,22 +80,14 @@ def mine_triplets(batch, labels, rng=None, anchor_mode: str = "all") -> list[Tri
     else:
         if rng is None:
             raise ValueError("anchor_mode='random_one' requires an rng")
-        anchors = [security[int(rng.integers(len(security)))]]
+        anchors = security[[int(rng.integers(len(security)))]]
 
-    triplets = []
-    for a in anchors:
-        positive = None
-        for i in security:
-            if i == a:
-                continue
-            if positive is None or distances[a, i] > distances[a, positive]:
-                positive = i
-        negative = None
-        for j in non_security:
-            if negative is None or distances[a, j] < distances[a, negative]:
-                negative = j
-        triplets.append(Triplet(a, positive, negative))
-    return triplets
+    # argmax/argmin return the first extreme, so ties go to the lowest index
+    rows = distances[anchors]
+    candidates = mask[None, :] & (anchors[:, None] != np.arange(len(mask))[None, :])
+    positives = np.argmax(np.where(candidates, rows, -np.inf), axis=1)
+    negatives = np.argmin(np.where(mask[None, :], np.inf, rows), axis=1)
+    return [Triplet(int(a), int(p), int(n)) for a, p, n in zip(anchors, positives, negatives)]
 
 
 def triplet_loss(e_a, e_p, e_n, margin: float) -> float:

@@ -129,7 +129,8 @@ def _sa_forward(values: np.ndarray, params: AttentionParams):
     return out, cache
 
 
-def _sa_backward(d_out: np.ndarray, cache, params: AttentionParams):
+def _sa_backward(d_out: np.ndarray, cache):
+    # projection gradients only: every self-attention input is a frozen embedding
     values, q, k, v, attn = cache
     n, dim = values.shape
     heads, _, head_dim = q.shape
@@ -142,17 +143,11 @@ def _sa_backward(d_out: np.ndarray, cache, params: AttentionParams):
     d_q = d_scores @ k
     d_k = d_scores.transpose(0, 2, 1) @ q
 
-    grads = {
+    return {
         "w_q": np.einsum("nd,hnk->hdk", values, d_q),
         "w_k": np.einsum("nd,hnk->hdk", values, d_k),
         "w_v": np.einsum("nd,hnk->hdk", values, d_v),
     }
-    d_values = (
-        np.einsum("hnk,hdk->nd", d_q, params.w_q)
-        + np.einsum("hnk,hdk->nd", d_k, params.w_k)
-        + np.einsum("hnk,hdk->nd", d_v, params.w_v)
-    )
-    return d_values, grads
 
 
 def self_attention(E: EmbeddingMatrix, params: AttentionParams, return_weights: bool = False):
@@ -180,6 +175,7 @@ def _ca_forward(patch_values: np.ndarray, ex_values: np.ndarray, params: CrossAt
 
 
 def _ca_backward(d_out: np.ndarray, cache, params: CrossAttentionParams):
+    # the patch rows are frozen embeddings; only the explanation rows need a gradient
     patch_values, ex_values, q, k, v, attn = cache
     dim = patch_values.shape[1]
 
@@ -195,9 +191,8 @@ def _ca_backward(d_out: np.ndarray, cache, params: CrossAttentionParams):
         "w_k": ex_values.T @ d_k,
         "w_v": ex_values.T @ d_v,
     }
-    d_patch = d_q @ params.w_q.T
     d_ex = d_k @ params.w_k.T + d_v @ params.w_v.T
-    return d_patch, d_ex, grads
+    return d_ex, grads
 
 
 def cross_attention(E_pa: EmbeddingMatrix, E_ex: EmbeddingMatrix,
@@ -282,11 +277,11 @@ def fuse_backward(d_vector: np.ndarray, cache, state: PTFormerState) -> dict[str
     d_desc_hat, g_ff2 = _ff_backward(_unpool(d2, n2), cache["ff2"], state.ff_desc)
     d_inst_hat, g_ff3 = _ff_backward(_unpool(d3, n3), cache["ff3"], state.ff_inst)
 
-    _, d_ex_hat, g_ca = _ca_backward(d_pa_ex, cache["ca"], state.cross_attn)
+    d_ex_hat, g_ca = _ca_backward(d_pa_ex, cache["ca"], state.cross_attn)
 
-    _, g_sa_ex = _sa_backward(d_ex_hat, cache["sa_ex"], state.self_attn)
-    _, g_sa_desc = _sa_backward(d_desc_hat, cache["sa_desc"], state.self_attn)
-    _, g_sa_inst = _sa_backward(d_inst_hat, cache["sa_inst"], state.self_attn)
+    g_sa_ex = _sa_backward(d_ex_hat, cache["sa_ex"])
+    g_sa_desc = _sa_backward(d_desc_hat, cache["sa_desc"])
+    g_sa_inst = _sa_backward(d_inst_hat, cache["sa_inst"])
 
     grads = {}
     for key in ("w_q", "w_k", "w_v"):
@@ -322,34 +317,6 @@ def pooled_concat(E_pa: EmbeddingMatrix, E_ex: EmbeddingMatrix, E_desc: Embeddin
     branch1 = np.vstack([E_pa.values, E_ex.values]).mean(axis=0)
     vector = np.concatenate([branch1, E_desc.values.mean(axis=0), E_inst.values.mean(axis=0)])
     return FusedEmbedding(vector, sample_id)
-
-
-def pt_former_gradients(batch, state: PTFormerState, upstream, training: bool = False,
-                        rng=None) -> dict[str, np.ndarray]:
-    """Accumulated parameter gradients over a batch.
-
-    `batch` is a sequence of (E_pa, E_ex, E_desc, E_inst) tuples (EmbeddingMatrix
-    or raw arrays); `upstream` supplies one gradient vector of length 3*dim per
-    sample.
-    """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.ndim == 1:
-        upstream = upstream[None, :]
-    if len(batch) != upstream.shape[0]:
-        raise ValueError(f"batch has {len(batch)} samples but upstream has {upstream.shape[0]} rows")
-
-    total: dict[str, np.ndarray] = {}
-    for mats, d_vec in zip(batch, upstream):
-        raw = [m.values if isinstance(m, EmbeddingMatrix) else np.asarray(m, dtype=np.float64)
-               for m in mats]
-        _, cache = fuse_forward(*raw, state, training=training, rng=rng)
-        grads = fuse_backward(d_vec, cache, state)
-        for name, grad in grads.items():
-            if name in total:
-                total[name] += grad
-            else:
-                total[name] = grad
-    return total
 
 
 # ---------------------------------------------------------------------------

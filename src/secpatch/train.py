@@ -13,7 +13,7 @@ from .dataset import HashTokenizer, class_counts, tokenize
 from .embed import EmbedderBackend, embed_patch, embed_text
 from .explain import ExplainerConfig, explain, instruction_text
 from .fusion import (PTFormerState, _state_from_arrays, fuse_backward, fuse_forward,
-                     init_pt_former, named_parameters)
+                     init_pt_former, named_parameters, pooled_concat)
 from .metrics import compute_metrics
 from .seeding import derive_seed, substream
 from .types import (FusedEmbedding, HyperParams, Label, LengthMismatch, Modality,
@@ -121,14 +121,13 @@ def sigmoid(x):
     return out
 
 
-def predict_probability(embedding, classifier: ClassifierParams) -> float:
-    values = embedding.values if isinstance(embedding, FusedEmbedding) else np.asarray(embedding)
-    if values.shape[0] != classifier.weight.shape[0]:
+def head_probability(fused, classifier: ClassifierParams):
+    """sigmoid(fused . weight + bias) for one fused vector or a batch of row vectors."""
+    if np.shape(fused)[-1] != classifier.weight.shape[0]:
         raise ValueError(
-            f"embedding length {values.shape[0]} does not match classifier "
+            f"embedding length {np.shape(fused)[-1]} does not match classifier "
             f"weight length {classifier.weight.shape[0]}")
-    logit = float(classifier.weight @ values + classifier.bias[0])
-    return float(sigmoid(logit))
+    return sigmoid(fused @ classifier.weight + classifier.bias[0])
 
 
 def bce_loss(probs, labels) -> float:
@@ -140,37 +139,12 @@ def bce_loss(probs, labels) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def blend_losses(bce: float, sbcl: float, blend: str = "sum", alpha: float = 0.5) -> float:
-    if blend == "sum":
-        return bce + sbcl
-    if blend == "alpha":
-        return alpha * bce + (1.0 - alpha) * sbcl
-    raise ValueError(f"unknown loss blend: {blend!r}")
-
-
 @dataclass(frozen=True)
 class LossBreakdown:
     total: float
     bce: float
     sbcl: float
     sbcl_skipped: bool
-
-
-def combined_loss(probs, labels, embeddings, margin: float, *, blend: str = "sum",
-                  alpha: float = 0.5, use_sbcl: bool = True, rng=None,
-                  anchor_mode: str = "all") -> LossBreakdown:
-    """Joint objective over one batch; an unminable batch contributes zero contrastive loss."""
-    y = [1 if label is Label.SECURITY else 0 for label in labels]
-    bce = bce_loss(probs, y)
-    sbcl = 0.0
-    skipped = False
-    if use_sbcl:
-        try:
-            sbcl, _ = sbcl_batch_loss_and_grad(embeddings, labels, margin,
-                                               rng=rng, anchor_mode=anchor_mode)
-        except InsufficientClassMembers:
-            skipped = True
-    return LossBreakdown(blend_losses(bce, sbcl, blend, alpha), bce, sbcl, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +182,72 @@ def encode_samples(samples, backends, hp, options=TrainOptions()) -> dict:
     return {s.id: encode_sample(s, backends, hp, options) for s in samples}
 
 
-def _pooled_concat_raw(mats) -> np.ndarray:
-    pa, ex, desc, inst = (m.values for m in mats)
-    branch1 = np.vstack([pa, ex]).mean(axis=0)
-    return np.concatenate([branch1, desc.mean(axis=0), inst.mean(axis=0)])
-
+# ---------------------------------------------------------------------------
+# forward pass and joint objective
 
 def _forward_sample(mats, state: TrainState, training: bool, rng):
+    """Fused vector of one encoded sample plus the cache its backward pass needs."""
     if state.pt_former is not None:
-        vec, cache = fuse_forward(mats[0].values, mats[1].values, mats[2].values,
-                                  mats[3].values, state.pt_former, training=training, rng=rng)
-        return vec, cache
-    return _pooled_concat_raw(mats), None
+        return fuse_forward(mats[0].values, mats[1].values, mats[2].values,
+                            mats[3].values, state.pt_former, training=training, rng=rng)
+    return pooled_concat(*mats).values, None
+
+
+def batch_loss_and_grads(mats, labels, state: TrainState, training: bool):
+    """Joint objective of one batch and its gradient for every trainable parameter.
+
+    `mats` holds one encoded (patch, explanation, description, instruction)
+    tuple per sample. Runs the fusion forward pass (with dropout when
+    `training`), the classifier head, L_BCE and L_SBCL blended per
+    `state.options.loss_blend`, and the backward pass. A batch that cannot be
+    mined contributes zero contrastive loss and reports `sbcl_skipped`.
+    Gradients are keyed like the optimizer's parameters and are None when the
+    loss is not finite. Draws from the state's dropout and mining streams.
+    """
+    options, hp = state.options, state.hp
+    rng = state.rngs["dropout"] if training else None
+    vectors, caches = [], []
+    for sample_mats in mats:
+        vec, cache = _forward_sample(sample_mats, state, training, rng)
+        vectors.append(vec)
+        caches.append(cache)
+    fused = np.stack(vectors)
+    y = np.array([1.0 if label is Label.SECURITY else 0.0 for label in labels])
+    probs = head_probability(fused, state.classifier)
+    bce = bce_loss(probs, y)
+
+    sbcl = 0.0
+    skipped = False
+    d_fused_sbcl = np.zeros_like(fused)
+    if options.use_sbcl:
+        try:
+            sbcl, d_fused_sbcl = sbcl_batch_loss_and_grad(
+                fused, labels, hp.margin, rng=state.rngs["mining"],
+                anchor_mode=options.anchor_mode)
+        except InsufficientClassMembers:
+            skipped = True
+
+    coeff_bce, coeff_sbcl = (1.0, 1.0) if options.loss_blend == "sum" \
+        else (hp.alpha, 1.0 - hp.alpha)
+    loss = LossBreakdown(coeff_bce * bce + coeff_sbcl * sbcl, bce, sbcl, skipped)
+    if not math.isfinite(loss.total):
+        return loss, None
+
+    # clamp is inactive away from saturation, where the gradient is zero anyway
+    d_logits = coeff_bce * (probs - y) / len(labels)
+    grads = {
+        "classifier.weight": fused.T @ d_logits,
+        "classifier.bias": np.array([d_logits.sum()]),
+    }
+    d_fused = np.outer(d_logits, state.classifier.weight) + coeff_sbcl * d_fused_sbcl
+    if state.pt_former is not None:
+        pt_grads = fuse_backward(d_fused[0], caches[0], state.pt_former)
+        for cache, d_vec in zip(caches[1:], d_fused[1:]):
+            for name, grad in fuse_backward(d_vec, cache, state.pt_former).items():
+                pt_grads[name] += grad
+        for name, grad in pt_grads.items():
+            grads[f"pt.{name}"] = grad
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +412,6 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
     encoded = encode_samples(train_samples, backends, hp, options)
     encoded.update(encode_samples(split.validation, backends, hp, options))
 
-    params = _trainable_params(state)
-    coeff_bce, coeff_sbcl = (1.0, 1.0) if options.loss_blend == "sum" \
-        else (hp.alpha, 1.0 - hp.alpha)
-
     records = []
     log_fh = open(run_log_path, "a", encoding="utf-8") if run_log_path else None
     last_checkpoint = None
@@ -399,7 +423,7 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
             n_batches = 0
             for batch in _compose_batches(train_samples, hp.batch_size_train,
                                           state.rngs["batching"]):
-                loss = _train_batch(batch, encoded, state, params, coeff_bce, coeff_sbcl, hp)
+                loss = _train_batch(batch, encoded, state)
                 if not math.isfinite(loss.total):
                     raise DivergenceDetected(epoch, last_checkpoint)
                 sums["bce"] += loss.bce
@@ -408,7 +432,7 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
                 n_batches += 1
             state.epoch = epoch
 
-            val_auc, val_f1 = _validation_metrics(split.validation, state, backends)
+            val_auc, val_f1 = _validation_metrics(split.validation, encoded, state)
             record = {
                 "epoch": epoch,
                 "L_BCE": sums["bce"] / n_batches,
@@ -435,68 +459,23 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
     return state, records
 
 
-def _train_batch(batch, encoded, state, params, coeff_bce, coeff_sbcl, hp):
-    options = state.options
-    dropout_rng = state.rngs["dropout"] if state.pt_former is not None else None
-    vectors = []
-    caches = []
-    for sample in batch:
-        vec, cache = _forward_sample(encoded[sample.id], state, training=True, rng=dropout_rng)
-        vectors.append(vec)
-        caches.append(cache)
-    fused = np.stack(vectors)
-    labels = [s.label for s in batch]
-    y = np.array([1.0 if l is Label.SECURITY else 0.0 for l in labels])
-
-    logits = fused @ state.classifier.weight + state.classifier.bias[0]
-    probs = sigmoid(logits)
-    bce = bce_loss(probs, y)
-
-    sbcl = 0.0
-    d_fused_sbcl = np.zeros_like(fused)
-    if options.use_sbcl:
-        try:
-            sbcl, d_fused_sbcl = sbcl_batch_loss_and_grad(
-                fused, labels, hp.margin, rng=state.rngs["mining"],
-                anchor_mode=options.anchor_mode)
-        except InsufficientClassMembers:
-            state.sbcl_skipped += 1
-
-    total = blend_losses(bce, sbcl, options.loss_blend, hp.alpha)
-    if not math.isfinite(total):
-        return LossBreakdown(total, bce, sbcl, False)
-
-    # clamp is inactive away from saturation, where the gradient is zero anyway
-    d_logits = coeff_bce * (probs - y) / len(batch)
-    grads = {
-        "classifier.weight": fused.T @ d_logits,
-        "classifier.bias": np.array([d_logits.sum()]),
-    }
-    d_fused = np.outer(d_logits, state.classifier.weight) + coeff_sbcl * d_fused_sbcl
-
-    if state.pt_former is not None:
-        pt_grads = None
-        for cache, d_vec in zip(caches, d_fused):
-            sample_grads = fuse_backward(d_vec, cache, state.pt_former)
-            if pt_grads is None:
-                pt_grads = sample_grads
-            else:
-                for name in pt_grads:
-                    pt_grads[name] += sample_grads[name]
-        for name, grad in pt_grads.items():
-            grads[f"pt.{name}"] = grad
-
-    state.adam_t += 1
-    adamw_step(params, grads, state.adam_m, state.adam_v, state.adam_t,
-               hp.learning_rate, hp.weight_decay)
-    return LossBreakdown(total, bce, sbcl, False)
+def _train_batch(batch, encoded, state):
+    """One AdamW step on the batch's joint objective; returns its LossBreakdown."""
+    loss, grads = batch_loss_and_grads([encoded[s.id] for s in batch], [s.label for s in batch],
+                                       state, training=True)
+    state.sbcl_skipped += loss.sbcl_skipped
+    if grads is not None:
+        state.adam_t += 1
+        adamw_step(_trainable_params(state), grads, state.adam_m, state.adam_v, state.adam_t,
+                   state.hp.learning_rate, state.hp.weight_decay)
+    return loss
 
 
-def _validation_metrics(validation, state, backends):
+def _validation_metrics(validation, encoded, state):
     if not validation:
         return None, None
-    results = predict(validation, state, backends)
-    probs = [p for p, _ in results]
+    probs = [_score(_forward_sample(encoded[s.id], state, False, None)[0], state)
+             for s in validation]
     y = [1 if s.label is Label.SECURITY else 0 for s in validation]
     report = compute_metrics(probs, y, state.options.threshold)
     return report.auc, report.f1
@@ -507,6 +486,12 @@ def _write_best_pointer(checkpoint_dir, epoch, path, score, seed) -> None:
     with open(os.path.join(checkpoint_dir, "best.json"), "w", encoding="utf-8") as fh:
         json.dump(pointer, fh, sort_keys=True)
         fh.write("\n")
+
+
+def _score(vector, state: TrainState) -> float:
+    # one row at a time: a batched matrix-vector head rounds differently, and a
+    # sample's score must not depend on the batch it arrives in
+    return float(head_probability(vector, state.classifier))
 
 
 def fused_embeddings(samples, state: TrainState, backends: PipelineBackends):
@@ -524,14 +509,8 @@ def predict(samples, state: TrainState, backends: PipelineBackends,
     """Probability and predicted label per sample; security when p >= threshold."""
     if threshold is None:
         threshold = state.options.threshold
-    samples = list(samples)
     results = []
-    for start in range(0, len(samples), state.hp.batch_size_eval):
-        chunk = samples[start:start + state.hp.batch_size_eval]
-        for sample in chunk:
-            mats = encode_sample(sample, backends, state.hp, state.options)
-            vec, _ = _forward_sample(mats, state, training=False, rng=None)
-            prob = float(sigmoid(vec @ state.classifier.weight + state.classifier.bias[0]))
-            label = Label.SECURITY if prob >= threshold else Label.NON_SECURITY
-            results.append((prob, label))
+    for fused in fused_embeddings(samples, state, backends):
+        prob = _score(fused.values, state)
+        results.append((prob, Label.SECURITY if prob >= threshold else Label.NON_SECURITY))
     return results

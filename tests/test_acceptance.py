@@ -13,14 +13,14 @@ import numpy as np
 from oracles import (brute_force_triplets, central_difference, loop_confusion,
                      pair_count_auc, pca_eigh_reconstruction_error)
 from secpatch import (EmbeddingMatrix, ExplainerConfig, HashTokenizer, Label, Modality,
-                      auc_score, bce_loss, compute_metrics, cross_attention,
+                      TrainOptions, auc_score, bce_loss, compute_metrics, cross_attention,
                       default_hyperparams, euclidean_distance, hashed_backends,
                       init_train_state, load_dataset, make_synthetic_samples, mine_triplets,
                       options_for_flags, pca_project, parse_unified_diff, predict,
                       run_ablation, sbcl_batch_loss, sbcl_batch_loss_and_grad, self_attention,
                       split_dataset, tokenize, train)
-from secpatch.fusion import fuse_backward, fuse_forward, named_parameters
-from secpatch.train import _forward_sample, encode_sample, sigmoid
+from secpatch.fusion import fuse_forward, named_parameters
+from secpatch.train import _forward_sample, batch_loss_and_grads, encode_sample, sigmoid
 
 S, N = Label.SECURITY, Label.NON_SECURITY
 
@@ -39,11 +39,22 @@ def _overfit_hp(**overrides):
 # ---------------------------------------------------------------------------
 
 def test_gradient_fidelity_full_objective():
-    """Analytic grads of L_BCE + L_SBCL match central differences, rel tol 1e-4."""
+    """The trainer's analytic grads of L_BCE + L_SBCL match central differences, rel tol 1e-4.
+
+    Covers both loss blends: the plain sum and an alpha blend with alpha != 0.5.
+    """
     started = time.time()
+    for loss_blend, coeff_bce, coeff_sbcl in (("sum", 1.0, 1.0), ("alpha", 0.3, 0.7)):
+        _check_full_objective_gradients(loss_blend, coeff_bce, coeff_sbcl)
+    elapsed = time.time() - started
+    assert elapsed < 60.0, f"gradient check took {elapsed:.1f}s"
+    _passed(f"gradient fidelity (sum and alpha blends, rel tol 1e-4, {elapsed:.1f}s)")
+
+
+def _check_full_objective_gradients(loss_blend, coeff_bce, coeff_sbcl):
     hp = dataclasses.replace(default_hyperparams(), dim=8, num_heads=2, dropout=0.0,
-                             margin=0.5, seed=3)
-    state = init_train_state(hp)
+                             margin=0.5, alpha=0.3, seed=3)
+    state = init_train_state(hp, TrainOptions(loss_blend=loss_blend))
     rng = np.random.default_rng(42)
     state.classifier.weight[:] = 0.05 * rng.standard_normal(24)
     state.classifier.bias[:] = 0.01
@@ -60,7 +71,7 @@ def test_gradient_fidelity_full_objective():
         fused = fused_matrix()
         probs = sigmoid(fused @ state.classifier.weight + state.classifier.bias[0])
         sbcl, _ = sbcl_batch_loss_and_grad(fused, labels, hp.margin)
-        return bce_loss(probs, y) + sbcl
+        return coeff_bce * bce_loss(probs, y) + coeff_sbcl * sbcl
 
     # exclusion: stay away from hinge kinks
     fused = fused_matrix()
@@ -69,36 +80,20 @@ def test_gradient_fidelity_full_objective():
                - euclidean_distance(fused[t.anchor], fused[t.negative]) + hp.margin)
         assert abs(gap) > 1e-3, "fixture sits on a hinge kink; pick another seed"
 
-    # analytic gradients assembled from the implementation under test
-    vectors, caches = [], []
-    for mats in batch:
-        vec, cache = fuse_forward(*mats, state.pt_former)
-        vectors.append(vec)
-        caches.append(cache)
-    fused = np.stack(vectors)
-    probs = sigmoid(fused @ state.classifier.weight + state.classifier.bias[0])
-    _, d_fused_sbcl = sbcl_batch_loss_and_grad(fused, labels, hp.margin)
-    d_logits = (probs - y) / 6.0
-    analytic = {
-        "classifier.weight": fused.T @ d_logits,
-        "classifier.bias": np.array([d_logits.sum()]),
-    }
-    d_fused = np.outer(d_logits, state.classifier.weight) + d_fused_sbcl
-    for cache, d_vec in zip(caches, d_fused):
-        for name, grad in fuse_backward(d_vec, cache, state.pt_former).items():
-            key = f"pt.{name}"
-            analytic[key] = analytic.get(key, 0.0) + grad
+    # analytic gradients from the function every training step calls
+    encoded = [tuple(EmbeddingMatrix(m, modality) for m, modality in zip(mats, Modality))
+               for mats in batch]
+    loss, analytic = batch_loss_and_grads(encoded, labels, state, training=True)
+    assert abs(loss.total - full_loss()) <= 1e-12 * abs(loss.total)
 
     arrays = {f"pt.{k}": v for k, v in named_parameters(state.pt_former).items()}
     arrays["classifier.weight"] = state.classifier.weight
     arrays["classifier.bias"] = state.classifier.bias
+    assert set(analytic) == set(arrays)
     numeric = central_difference(full_loss, arrays)
     for name in arrays:
         np.testing.assert_allclose(analytic[name], numeric[name], rtol=1e-4, atol=1e-7,
-                                   err_msg=f"gradient mismatch: {name}")
-    elapsed = time.time() - started
-    assert elapsed < 60.0, f"gradient check took {elapsed:.1f}s"
-    _passed(f"gradient fidelity (rel tol 1e-4, {elapsed:.1f}s)")
+                                   err_msg=f"{loss_blend} blend gradient mismatch: {name}")
 
 
 def test_mining_matches_exhaustive_search():

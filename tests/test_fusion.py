@@ -8,7 +8,7 @@ import pytest
 from oracles import assert_grads_close, central_difference
 from secpatch import (EmbeddingMatrix, Modality, cross_attention, default_hyperparams, fuse,
                       init_pt_former, load_pt_former, named_parameters, pooled_concat,
-                      pt_former_gradients, save_pt_former, self_attention)
+                      save_pt_former, self_attention)
 from secpatch.fusion import fuse_backward, fuse_forward
 
 
@@ -266,23 +266,19 @@ def test_fuse_backward_matches_finite_differences(state8):
 
 def test_pt_former_gradients_zero_and_linear(state8):
     rng = np.random.default_rng(15)
-    batch = [_inputs(rng) for _ in range(2)]
-    upstream = rng.standard_normal((2, 24))
+    for _ in range(2):
+        raw = tuple(m.values for m in _inputs(rng))
+        upstream = rng.standard_normal(24)
+        _, cache = fuse_forward(*raw, state8)
 
-    zeros = pt_former_gradients(batch, state8, np.zeros((2, 24)))
-    assert all(np.all(g == 0.0) for g in zeros.values())
+        zeros = fuse_backward(np.zeros(24), cache, state8)
+        assert all(np.all(g == 0.0) for g in zeros.values())
 
-    single = pt_former_gradients(batch, state8, upstream)
-    doubled = pt_former_gradients(batch, state8, 2.0 * upstream)
-    for name in single:
-        np.testing.assert_allclose(doubled[name], 2.0 * single[name], rtol=1e-12,
-                                   err_msg=name)
-
-
-def test_pt_former_gradients_batch_size_check(state8):
-    rng = np.random.default_rng(16)
-    with pytest.raises(ValueError, match="batch"):
-        pt_former_gradients([_inputs(rng)], state8, np.zeros((2, 24)))
+        single = fuse_backward(upstream, cache, state8)
+        doubled = fuse_backward(2.0 * upstream, cache, state8)
+        for name in single:
+            np.testing.assert_allclose(doubled[name], 2.0 * single[name], rtol=1e-12,
+                                       err_msg=name)
 
 
 # ---------------------------------------------------------------------------

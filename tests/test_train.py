@@ -6,12 +6,12 @@ import pytest
 
 from conftest import make_sample
 from oracles import scalar_bce
-from secpatch import (ClassifierParams, DivergenceDetected, ExplainerConfig, FusedEmbedding,
-                      Label, LengthMismatch, TrainOptions, bce_loss, blend_losses,
-                      combined_loss, encode_sample, hashed_backends, init_train_state,
-                      load_checkpoint, predict, predict_probability, save_checkpoint,
-                      split_dataset, train)
-from secpatch.train import ADAM_EPS, adamw_step
+from secpatch import (ClassifierParams, DivergenceDetected, EmbeddingMatrix, ExplainerConfig,
+                      FusedEmbedding, Label, LengthMismatch, Modality, TrainOptions, bce_loss,
+                      compute_metrics, default_hyperparams, encode_sample, hashed_backends,
+                      head_probability, init_train_state, load_checkpoint, predict,
+                      save_checkpoint, split_dataset, train)
+from secpatch.train import ADAM_EPS, _train_batch, adamw_step, batch_loss_and_grads
 
 
 def _classifier(weight, bias=0.0):
@@ -23,12 +23,12 @@ def test_predict_probability_zero_logit():
     c = _classifier(np.zeros(5))
     for _ in range(3):
         e = FusedEmbedding(np.random.default_rng(1).standard_normal(5))
-        assert predict_probability(e, c) == 0.5
+        assert head_probability(e.values, c) == 0.5
 
 
 def test_predict_probability_monotone_in_bias():
     e = FusedEmbedding(np.ones(3))
-    probs = [predict_probability(e, _classifier(np.zeros(3), bias=b))
+    probs = [float(head_probability(e.values, _classifier(np.zeros(3), bias=b)))
              for b in (-20.0, -1.0, 0.0, 1.0, 20.0)]
     assert probs == sorted(probs)
     assert probs[-1] > 0.999999
@@ -37,12 +37,16 @@ def test_predict_probability_monotone_in_bias():
 def test_predict_probability_direct_arithmetic():
     e = FusedEmbedding(np.array([1.0, 2.0, 0.0]))
     c = _classifier(np.array([1.0, -1.0, 0.0]))
-    assert predict_probability(e, c) == pytest.approx(1.0 / (1.0 + math.exp(1.0)), abs=1e-12)
+    expected = 1.0 / (1.0 + math.exp(1.0))
+    assert head_probability(e.values, c) == pytest.approx(expected, abs=1e-12)
+    # a batch of rows gets the same head, row by row
+    batch = head_probability(np.stack([e.values, np.zeros(3)]), c)
+    np.testing.assert_allclose(batch, [expected, 0.5], rtol=0, atol=1e-12)
 
 
 def test_predict_probability_length_check():
     with pytest.raises(ValueError, match="length"):
-        predict_probability(FusedEmbedding(np.ones(4)), _classifier(np.ones(3)))
+        head_probability(FusedEmbedding(np.ones(4)).values, _classifier(np.ones(3)))
 
 
 def test_bce_perfect_prediction_near_zero():
@@ -70,37 +74,86 @@ def test_bce_nonnegative_and_zero_only_when_correct():
     assert bce_loss([1.0, 0.0], [1, 0]) <= 1e-11
 
 
+# ---------------------------------------------------------------------------
+# joint objective: batches through the pooled-concatenation path, so each sample's
+# fused vector is [point, 0, 0] and the embeddings are set directly
+
+def _pooled_state(dim, margin=0.5, **options):
+    hp = dataclasses.replace(default_hyperparams(), dim=dim, num_heads=1, margin=margin,
+                             alpha=0.25, seed=5)
+    return init_train_state(hp, TrainOptions(use_ptformer=False, **options))
+
+
+def _pooled_mats(points):
+    mats = []
+    for point in np.atleast_2d(points):
+        row = np.asarray(point, dtype=np.float64)[None, :]
+        zeros = np.zeros_like(row)
+        mats.append((EmbeddingMatrix(row, Modality.PATCH),
+                     EmbeddingMatrix(row, Modality.EXPLANATION),
+                     EmbeddingMatrix(zeros, Modality.DESCRIPTION),
+                     EmbeddingMatrix(zeros, Modality.INSTRUCTION)))
+    return mats
+
+
+ACTIVE_POINTS = [[0.0], [3.0], [1.0]]  # both anchors' triplets violate the margin
+ACTIVE_LABELS = [Label.SECURITY, Label.SECURITY, Label.NON_SECURITY]
+
+
 def test_blend_modes():
-    assert blend_losses(0.7, 0.3, "sum") == pytest.approx(1.0, abs=1e-12)
-    assert blend_losses(0.7, 0.3, "alpha", alpha=0.5) == pytest.approx(0.5, abs=1e-12)
+    state = _pooled_state(1, loss_blend="sum")
+    loss, _ = batch_loss_and_grads(_pooled_mats(ACTIVE_POINTS), ACTIVE_LABELS, state,
+                                   training=False)
+    assert loss.bce > 0.0 and loss.sbcl > 0.0
+    assert loss.total == pytest.approx(loss.bce + loss.sbcl, abs=1e-12)
     with pytest.raises(ValueError):
-        blend_losses(1.0, 1.0, "product")
+        TrainOptions(loss_blend="product")
 
 
 def test_combined_loss_perfect_batch():
-    embeddings = np.array([[0.0, 0.0], [0.1, 0.0], [50.0, 0.0], [50.0, 50.0]])
+    points = [[0.0, 0.0], [0.1, 0.0], [50.0, 0.0], [50.0, 50.0]]
     labels = [Label.SECURITY, Label.SECURITY, Label.NON_SECURITY, Label.NON_SECURITY]
-    probs = [1.0, 1.0, 0.0, 0.0]
-    result = combined_loss(probs, labels, embeddings, margin=0.5)
+    state = _pooled_state(2)
+    state.classifier.weight[0] = -2.0  # saturated logits: 40 for security, -60 otherwise
+    state.classifier.bias[0] = 40.0
+    result, _ = batch_loss_and_grads(_pooled_mats(points), labels, state, training=False)
     assert result.total <= 1e-10
     assert not result.sbcl_skipped
 
 
 def test_combined_loss_skips_unminable_batch():
-    embeddings = np.zeros((2, 3))
     labels = [Label.SECURITY, Label.SECURITY]
-    result = combined_loss([0.9, 0.8], labels, embeddings, margin=0.5)
+    state = _pooled_state(3)
+    state.classifier.bias[0] = 1.0
+    result, _ = batch_loss_and_grads(_pooled_mats(np.zeros((2, 3))), labels, state,
+                                     training=False)
     assert result.sbcl == 0.0
     assert result.sbcl_skipped
     assert result.total == pytest.approx(result.bce, abs=1e-12)
 
 
 def test_combined_loss_alpha_blend():
-    embeddings = np.array([[0.0], [1.0], [10.0]])
-    labels = [Label.SECURITY, Label.SECURITY, Label.NON_SECURITY]
-    result = combined_loss([0.5, 0.5, 0.5], labels, embeddings, margin=0.0, blend="alpha",
-                           alpha=0.25)
+    state = _pooled_state(1, margin=0.0, loss_blend="alpha")
+    result, _ = batch_loss_and_grads(_pooled_mats(ACTIVE_POINTS), ACTIVE_LABELS, state,
+                                     training=False)
+    assert result.sbcl > 0.0
     assert result.total == pytest.approx(0.25 * result.bce + 0.75 * result.sbcl, abs=1e-12)
+
+
+def test_train_batch_reports_skipped_sbcl():
+    # one security sample cannot anchor a triplet: the step is BCE-only and says so
+    labels = [Label.SECURITY, Label.NON_SECURITY, Label.NON_SECURITY]
+    batch = [make_sample(i, label) for i, label in enumerate(labels)]
+    encoded = dict(zip((s.id for s in batch), _pooled_mats([[1.0], [2.0], [3.0]])))
+    state = _pooled_state(1)
+    loss = _train_batch(batch, encoded, state)
+    assert loss.sbcl_skipped
+    assert state.sbcl_skipped == 1
+    assert state.adam_t == 1
+    minable = [make_sample(3, Label.SECURITY)] + batch
+    encoded[minable[0].id] = _pooled_mats([[0.5]])[0]
+    assert not _train_batch(minable, encoded, state).sbcl_skipped
+    assert state.sbcl_skipped == 1
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +300,16 @@ def test_encode_sample_shape_contract_with_missing_texts(small_hp, offline_backe
                             TrainOptions(use_explanation=False, use_instruction=False))
     assert ablated[1].values.shape == (1, small_hp.dim)
     assert ablated[3].values.shape == (1, small_hp.dim)
+
+
+def test_validation_record_matches_predict(small_hp, offline_backends):
+    # the per-epoch validation scores reuse the encoded split; they must equal predict's
+    split = _tiny_split(small_hp)
+    state, records = train(split, small_hp, offline_backends)
+    probs = [p for p, _ in predict(split.validation, state, offline_backends)]
+    y = [1 if s.label is Label.SECURITY else 0 for s in split.validation]
+    report = compute_metrics(probs, y, state.options.threshold)
+    assert (records[-1]["val_AUC"], records[-1]["val_F1"]) == (report.auc, report.f1)
 
 
 def test_train_logs_schema(small_hp, offline_backends):
