@@ -6,6 +6,7 @@ sample, and trains a classifier with a joint cross-entropy and batch
 contrastive objective. Everything runs on numpy with deterministic seeds.
 """
 
+from .arrayio import TruncatedContainer
 from .contrastive import (InsufficientClassMembers, Triplet, euclidean_distance,
                           mine_triplets, sbcl_batch_loss, sbcl_batch_loss_and_grad,
                           triplet_loss)

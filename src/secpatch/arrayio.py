@@ -6,6 +6,8 @@ identical bytes.
 """
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -14,6 +16,16 @@ MAGIC = b"SPARRAY1"
 VERSION = 1
 
 _ALLOWED_DTYPES = {"<f8", "<f4", "<i8", "<i4"}
+
+
+class TruncatedContainer(ValueError):
+    """The file ends before the bytes its header promises."""
+
+    def __init__(self, path, offset: int, needed: int, size: int):
+        self.path = str(path)
+        self.offset = offset
+        super().__init__(f"{path}: truncated array container: {needed} bytes needed at byte "
+                         f"offset {offset}, but the file ends at byte {size}")
 
 
 def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
@@ -46,26 +58,37 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
 
 
 def load_arrays(path) -> tuple[dict, dict]:
-    """Read back (arrays, meta) written by save_arrays."""
+    """Read back (arrays, meta) written by save_arrays.
+
+    Raises TruncatedContainer when the file ends before a length its header
+    gives; the size is checked before each read, so a corrupt length never
+    allocates more than the file holds.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            offset = fh.tell()
+            if offset + n > size:
+                raise TruncatedContainer(path, offset, n, size)
+            return fh.read(n)
+
+        def unpack(fmt: str) -> int:
+            return struct.unpack(fmt, read(struct.calcsize(fmt)))[0]
+
+        magic = read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: not a recognized array container (bad magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
+        version = unpack("<I")
         if version != VERSION:
             raise ValueError(f"{path}: unsupported container version {version}")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
+        meta = json.loads(read(unpack("<I")).decode("utf-8"))
+        count = unpack("<I")
         arrays = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (dtype_len,) = struct.unpack("<B", fh.read(1))
-            dtype = np.dtype(fh.read(dtype_len).decode("ascii"))
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-            n_bytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-            data = fh.read(n_bytes)
-            arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+            name = read(unpack("<H")).decode("utf-8")
+            dtype = np.dtype(read(unpack("<B")).decode("ascii"))
+            shape = tuple(unpack("<Q") for _ in range(unpack("<B")))
+            n_bytes = dtype.itemsize * math.prod(shape)
+            arrays[name] = np.frombuffer(read(n_bytes), dtype=dtype).reshape(shape).copy()
         return arrays, meta

@@ -11,9 +11,9 @@ from .embed import EmbedderBackend
 from .experiments import run_ablation
 from .explain import ExplainerConfig, ServiceUnavailable, explain, is_cached
 from .metrics import compute_metrics, export_pca_csv, pca_project
-from .seeding import derive_seed
 from .train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, HashTokenizer, PipelineBackends,
-                    TrainOptions, fused_embeddings, load_checkpoint, predict, train)
+                    TrainOptions, fused_embeddings, hashed_backends, load_checkpoint, predict,
+                    train)
 from .types import HyperParams, Label, PatchSample, default_hyperparams
 
 COMMANDS = ("ingest", "explain", "train", "eval", "predict", "visualize", "ablate")
@@ -155,11 +155,9 @@ def load_config(path: str, seed: int | None = None, out: str | None = None,
 
 def _backends(cfg: RunConfig) -> PipelineBackends:
     if cfg.embedder_kind == "hashed_projection":
-        patch = EmbedderBackend.hashed_projection(cfg.hp.dim, derive_seed(cfg.hp.seed, "embed-patch"))
-        text = EmbedderBackend.hashed_projection(cfg.hp.dim, derive_seed(cfg.hp.seed, "embed-text"))
-    else:
-        patch = EmbedderBackend.precomputed_file(cfg.patch_embeddings_path)
-        text = EmbedderBackend.precomputed_file(cfg.text_embeddings_path)
+        return hashed_backends(cfg.hp, cfg.explainer)
+    patch = EmbedderBackend.precomputed_file(cfg.patch_embeddings_path)
+    text = EmbedderBackend.precomputed_file(cfg.text_embeddings_path)
     return PipelineBackends(tokenizer=HashTokenizer(), patch_embedder=patch,
                             text_embedder=text, explainer=cfg.explainer)
 

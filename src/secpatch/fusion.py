@@ -2,10 +2,11 @@
 
 The fusion block runs shared multi-head self-attention over each text
 modality, single-head cross-attention from the patch onto the updated
-explanation, a feed-forward layer per branch, then mean-pools and
-concatenates the three branches into one fixed-length vector. Forward
-functions return caches consumed by exact reverse-mode backward functions;
-no autograd framework is involved.
+explanation (both through one scaled dot-product attention kernel), a
+feed-forward layer per branch, then mean-pools and concatenates the three
+branches into one fixed-length vector. Forward functions return caches
+consumed by exact reverse-mode backward functions; no autograd framework is
+involved.
 """
 
 import math
@@ -41,6 +42,10 @@ class CrossAttentionParams:
     w_q: np.ndarray  # (dim, dim)
     w_k: np.ndarray
     w_v: np.ndarray
+
+    def one_head(self) -> AttentionParams:
+        """The same matrices as (1, dim, dim) views, the layout the attention kernel takes."""
+        return AttentionParams(w_q=self.w_q[None], w_k=self.w_k[None], w_v=self.w_v[None])
 
 
 @dataclass
@@ -113,97 +118,58 @@ def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# self-attention
+# scaled dot-product attention, shared by self- and cross-attention
 
-def _sa_forward(values: np.ndarray, params: AttentionParams):
-    dim = params.dim
-    q = np.einsum("nd,hdk->hnk", values, params.w_q)
-    k = np.einsum("nd,hdk->hnk", values, params.w_k)
-    v = np.einsum("nd,hdk->hnk", values, params.w_v)
-    scores = q @ k.transpose(0, 2, 1) / math.sqrt(dim)
-    attn = softmax(scores, axis=-1)                      # (heads, n, n)
-    heads_out = attn @ v                                 # (heads, n, head_dim)
-    n = values.shape[0]
-    out = heads_out.transpose(1, 0, 2).reshape(n, dim)   # concat heads -> width dim
-    cache = (values, q, k, v, attn)
-    return out, cache
+def _attention_forward(x_q: np.ndarray, x_kv: np.ndarray, params: AttentionParams):
+    """Multi-head attention from x_q rows onto x_kv rows; heads concatenated in order.
+
+    `params` holds (heads, dim, head_dim) projections. Scores are scaled by
+    1/sqrt(dim), the model width, not by 1/sqrt(head_dim).
+    """
+    q = x_q @ params.w_q                                  # (heads, n_q, head_dim)
+    k = x_kv @ params.w_k                                 # (heads, n_kv, head_dim)
+    v = x_kv @ params.w_v
+    attn = softmax(q @ k.transpose(0, 2, 1) / math.sqrt(x_q.shape[1]))  # (heads, n_q, n_kv)
+    heads, n, head_dim = q.shape
+    out = (attn @ v).transpose(1, 0, 2).reshape(n, heads * head_dim)
+    return out, (x_q, x_kv, q, k, v, attn)
 
 
-def _sa_backward(d_out: np.ndarray, cache):
-    # projection gradients only: every self-attention input is a frozen embedding
-    values, q, k, v, attn = cache
-    n, dim = values.shape
-    heads, _, head_dim = q.shape
+def _attention_backward(d_out: np.ndarray, cache):
+    """Projection gradients plus d_k and d_v; x_q is a frozen embedding and gets no gradient."""
+    x_q, x_kv, q, k, v, attn = cache
+    heads, n, head_dim = q.shape
     d_heads = d_out.reshape(n, heads, head_dim).transpose(1, 0, 2)
 
     d_v = attn.transpose(0, 2, 1) @ d_heads
     d_attn = d_heads @ v.transpose(0, 2, 1)
     d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-    d_scores /= math.sqrt(dim)
+    d_scores /= math.sqrt(x_q.shape[1])
     d_q = d_scores @ k
     d_k = d_scores.transpose(0, 2, 1) @ q
 
-    return {
-        "w_q": np.einsum("nd,hnk->hdk", values, d_q),
-        "w_k": np.einsum("nd,hnk->hdk", values, d_k),
-        "w_v": np.einsum("nd,hnk->hdk", values, d_v),
-    }
+    grads = {"w_q": x_q.T @ d_q, "w_k": x_kv.T @ d_k, "w_v": x_kv.T @ d_v}
+    return grads, d_k, d_v
 
 
 def self_attention(E: EmbeddingMatrix, params: AttentionParams, return_weights: bool = False):
     """Multi-head scaled dot-product self-attention; output shape equals input shape."""
-    out, cache = _sa_forward(E.values, params)
+    out, cache = _attention_forward(E.values, E.values, params)
     result = EmbeddingMatrix(out, E.modality)
     if return_weights:
-        return result, cache[4]
+        return result, cache[5]
     return result
-
-
-# ---------------------------------------------------------------------------
-# cross-attention (single head): queries from the patch, keys/values from the explanation
-
-def _ca_forward(patch_values: np.ndarray, ex_values: np.ndarray, params: CrossAttentionParams):
-    dim = patch_values.shape[1]
-    q = patch_values @ params.w_q
-    k = ex_values @ params.w_k
-    v = ex_values @ params.w_v
-    scores = q @ k.T / math.sqrt(dim)
-    attn = softmax(scores, axis=-1)      # (patch_len, ex_len)
-    out = attn @ v
-    cache = (patch_values, ex_values, q, k, v, attn)
-    return out, cache
-
-
-def _ca_backward(d_out: np.ndarray, cache, params: CrossAttentionParams):
-    # the patch rows are frozen embeddings; only the explanation rows need a gradient
-    patch_values, ex_values, q, k, v, attn = cache
-    dim = patch_values.shape[1]
-
-    d_v = attn.T @ d_out
-    d_attn = d_out @ v.T
-    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-    d_scores /= math.sqrt(dim)
-    d_q = d_scores @ k
-    d_k = d_scores.T @ q
-
-    grads = {
-        "w_q": patch_values.T @ d_q,
-        "w_k": ex_values.T @ d_k,
-        "w_v": ex_values.T @ d_v,
-    }
-    d_ex = d_k @ params.w_k.T + d_v @ params.w_v.T
-    return d_ex, grads
 
 
 def cross_attention(E_pa: EmbeddingMatrix, E_ex: EmbeddingMatrix,
                     params: CrossAttentionParams, return_weights: bool = False):
-    """Attend from patch rows onto explanation rows; output shape (patch_seq_len, dim)."""
+    """Single-head attention from patch rows onto explanation rows; output (patch_len, dim)."""
     if E_pa.dim != E_ex.dim:
         raise ValueError(f"dim mismatch: patch {E_pa.dim} vs explanation {E_ex.dim}")
-    out, cache = _ca_forward(E_pa.values, E_ex.values, params)
+    out, cache = _attention_forward(E_pa.values, E_ex.values, params.one_head())
     result = EmbeddingMatrix(out, Modality.PATCH)
     if return_weights:
-        return result, cache[5]
+        return result, cache[5][0]
     return result
 
 
@@ -247,10 +213,10 @@ def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndar
                  state: PTFormerState, training: bool = False, rng=None):
     """Raw-array fusion; returns (vector of length 3*dim, cache for the backward pass)."""
     rate = state.dropout_rate if training else 0.0
-    ex_hat, c_sa_ex = _sa_forward(ex, state.self_attn)
-    desc_hat, c_sa_desc = _sa_forward(desc, state.self_attn)
-    inst_hat, c_sa_inst = _sa_forward(inst, state.self_attn)
-    pa_ex, c_ca = _ca_forward(pa, ex_hat, state.cross_attn)
+    ex_hat, c_sa_ex = _attention_forward(ex, ex, state.self_attn)
+    desc_hat, c_sa_desc = _attention_forward(desc, desc, state.self_attn)
+    inst_hat, c_sa_inst = _attention_forward(inst, inst, state.self_attn)
+    pa_ex, c_ca = _attention_forward(pa, ex_hat, state.cross_attn.one_head())
     f_pa_ex, c_ff1 = _ff_forward(pa_ex, state.ff_pa_ex, rate, rng)
     f_desc, c_ff2 = _ff_forward(desc_hat, state.ff_desc, rate, rng)
     f_inst, c_ff3 = _ff_forward(inst_hat, state.ff_inst, rate, rng)
@@ -277,16 +243,17 @@ def fuse_backward(d_vector: np.ndarray, cache, state: PTFormerState) -> dict[str
     d_desc_hat, g_ff2 = _ff_backward(_unpool(d2, n2), cache["ff2"], state.ff_desc)
     d_inst_hat, g_ff3 = _ff_backward(_unpool(d3, n3), cache["ff3"], state.ff_inst)
 
-    d_ex_hat, g_ca = _ca_backward(d_pa_ex, cache["ca"], state.cross_attn)
+    g_ca, d_k, d_v = _attention_backward(d_pa_ex, cache["ca"])
+    d_ex_hat = d_k[0] @ state.cross_attn.w_k.T + d_v[0] @ state.cross_attn.w_v.T
 
-    g_sa_ex = _sa_backward(d_ex_hat, cache["sa_ex"])
-    g_sa_desc = _sa_backward(d_desc_hat, cache["sa_desc"])
-    g_sa_inst = _sa_backward(d_inst_hat, cache["sa_inst"])
+    g_sa_ex, _, _ = _attention_backward(d_ex_hat, cache["sa_ex"])
+    g_sa_desc, _, _ = _attention_backward(d_desc_hat, cache["sa_desc"])
+    g_sa_inst, _, _ = _attention_backward(d_inst_hat, cache["sa_inst"])
 
     grads = {}
     for key in ("w_q", "w_k", "w_v"):
         grads[f"self_attn.{key}"] = g_sa_ex[key] + g_sa_desc[key] + g_sa_inst[key]
-        grads[f"cross_attn.{key}"] = g_ca[key]
+        grads[f"cross_attn.{key}"] = g_ca[key][0]
     for branch, g in (("ff_pa_ex", g_ff1), ("ff_desc", g_ff2), ("ff_inst", g_ff3)):
         for key in ("w1", "b1", "w2", "b2"):
             grads[f"{branch}.{key}"] = g[key]

@@ -149,14 +149,22 @@ class HyperParams:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight_decay must be >= 0")
+        if not 0 <= self.alpha <= 1:
+            raise ValueError("alpha must lie in [0, 1]")
+        if not self.temperature > 0:
+            raise ValueError("temperature must be positive")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.margin < 0:
+        if not self.margin >= 0:
             raise ValueError("margin must be >= 0")
         if self.num_heads < 1:
             raise ValueError("num_heads must be >= 1")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
         if self.dim % self.num_heads != 0:
             raise ValueError(f"dim {self.dim} not divisible by num_heads {self.num_heads}")
         if self.batch_size_train < 1 or self.batch_size_eval < 1:

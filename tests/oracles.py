@@ -79,6 +79,29 @@ def brute_force_triplets(matrix, security_mask):
     return triplets
 
 
+def loop_attention(x_q, x_kv, w_q, w_k, w_v):
+    """Scaled dot-product attention one head and one query row at a time.
+
+    Weights are (heads, dim, head_dim); scores are scaled by 1/sqrt(dim) with
+    dim the input width, and head outputs are concatenated in head order.
+    """
+    x_q, x_kv = np.asarray(x_q, dtype=np.float64), np.asarray(x_kv, dtype=np.float64)
+    scale = math.sqrt(x_q.shape[1])
+    heads = []
+    for h in range(len(w_q)):
+        q, k, v = x_q @ w_q[h], x_kv @ w_k[h], x_kv @ w_v[h]
+        out = np.zeros((len(x_q), v.shape[1]))
+        for i in range(len(x_q)):
+            scores = [float(np.dot(q[i], k[j])) / scale for j in range(len(x_kv))]
+            top = max(scores)
+            exps = [math.exp(s - top) for s in scores]
+            total = sum(exps)
+            for j, e in enumerate(exps):
+                out[i] += (e / total) * v[j]
+        heads.append(out)
+    return np.concatenate(heads, axis=1)
+
+
 def central_difference(fn, arrays: dict, eps: float = 1e-5) -> dict:
     """Central finite differences of scalar fn() w.r.t. every entry of every array.
 

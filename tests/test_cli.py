@@ -155,7 +155,8 @@ def test_set_override_dotted_key(workspace, capsys):
 
 
 def test_invalid_hyperparams_rejected_before_work(workspace, capsys):
-    code, _, stderr = _run(["--config", workspace["config"],
-                            "--set", "hyperparams.num_heads=5", "ingest"], capsys)
-    assert code == 2
-    assert "hyperparams" in json.loads(stderr)["message"]
+    for setting in ("hyperparams.num_heads=5", "hyperparams.dim=0"):
+        code, _, stderr = _run(["--config", workspace["config"], "--set", setting, "ingest"],
+                               capsys)
+        assert code == 2, setting
+        assert "hyperparams" in json.loads(stderr)["message"]

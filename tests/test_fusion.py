@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import assert_grads_close, central_difference
+from oracles import assert_grads_close, central_difference, loop_attention
 from secpatch import (EmbeddingMatrix, Modality, cross_attention, default_hyperparams, fuse,
                       init_pt_former, load_pt_former, named_parameters, pooled_concat,
                       save_pt_former, self_attention)
@@ -100,6 +100,17 @@ def test_self_attention_permutation_equivariant(state8):
         np.testing.assert_allclose(out, base[list(perm)], atol=1e-10)
 
 
+@pytest.mark.parametrize("dim,heads,rows", [(8, 2, 6), (12, 3, 9), (16, 4, 5)])
+def test_self_attention_matches_per_head_loop_oracle(dim, heads, rows):
+    hp = dataclasses.replace(default_hyperparams(), dim=dim, num_heads=heads)
+    params = init_pt_former(hp, rng_seed=dim).self_attn
+    e = _matrix(np.random.default_rng(dim + 1), rows, dim, Modality.DESCRIPTION)
+    out, weights = self_attention(e, params, return_weights=True)
+    assert weights.shape == (heads, rows, rows)
+    expected = loop_attention(e.values, e.values, params.w_q, params.w_k, params.w_v)
+    np.testing.assert_allclose(out.values, expected, rtol=1e-10, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # cross-attention contracts
 
@@ -152,6 +163,20 @@ def test_cross_attention_identity_weights_scalar_oracle():
             for d in range(2):
                 expected[i][d] += weights[j] * ex.values[j][d]
     np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim,patch_rows,ex_rows", [(8, 5, 7), (12, 9, 4)])
+def test_cross_attention_matches_per_head_loop_oracle(dim, patch_rows, ex_rows):
+    hp = dataclasses.replace(default_hyperparams(), dim=dim, num_heads=2)
+    params = init_pt_former(hp, rng_seed=dim).cross_attn
+    rng = np.random.default_rng(dim + 2)
+    pa = _matrix(rng, patch_rows, dim, Modality.PATCH)
+    ex = _matrix(rng, ex_rows, dim, Modality.EXPLANATION)
+    out, weights = cross_attention(pa, ex, params, return_weights=True)
+    assert weights.shape == (patch_rows, ex_rows)
+    expected = loop_attention(pa.values, ex.values,
+                              params.w_q[None], params.w_k[None], params.w_v[None])
+    np.testing.assert_allclose(out.values, expected, rtol=1e-10, atol=1e-12)
 
 
 def test_cross_attention_dim_mismatch():

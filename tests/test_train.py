@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -213,6 +216,37 @@ def test_train_deterministic_and_checkpoints_identical(small_hp, tmp_path):
     assert log_a.read_bytes() == log_b.read_bytes()
     for name in sorted(p.name for p in ckpt_a.iterdir()):
         assert (ckpt_a / name).read_bytes() == (ckpt_b / name).read_bytes(), name
+
+
+_BLAS_RUN = """
+import dataclasses, sys
+from secpatch import (ExplainerConfig, default_hyperparams, hashed_backends,
+                      make_synthetic_samples, split_dataset, train)
+hp = dataclasses.replace(default_hyperparams(), dim=256, num_heads=4, epochs=1,
+                         batch_size_train=4, seed=3)
+split = split_dataset(make_synthetic_samples(10, seed=11), (0.6, 0.2, 0.2), seed=hp.seed)
+backends = hashed_backends(hp, ExplainerConfig(cache_dir=sys.argv[1] + "/cache"))
+train(split, hp, backends, checkpoint_dir=sys.argv[1] + "/ckpt")
+"""
+
+
+def test_train_checkpoints_independent_of_blas_threads(tmp_path):
+    # attention and feed-forward run on BLAS; its thread count must not change a single byte
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    dirs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", _BLAS_RUN, str(out)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        dirs.append(out / "ckpt")
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert "epoch_0001.ckpt" in names
+    assert names == sorted(p.name for p in dirs[1].iterdir())
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
 def test_train_resume_advances_epochs(small_hp, offline_backends, tmp_path):

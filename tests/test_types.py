@@ -44,6 +44,15 @@ def test_hyperparams_head_divisibility_rejected():
     ("margin", -0.5),
     ("num_heads", 0),
     ("max_tokens", 0),
+    ("dim", 0),
+    ("dim", -4),
+    ("weight_decay", -0.01),
+    ("alpha", -0.1),
+    ("alpha", 1.5),
+    ("temperature", 0.0),
+    ("temperature", -0.1),
+    ("learning_rate", float("nan")),
+    ("margin", float("nan")),
 ])
 def test_hyperparams_invariants_rejected_not_clamped(field, value):
     with pytest.raises(ValueError):
