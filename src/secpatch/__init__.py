@@ -6,7 +6,7 @@ sample, and trains a classifier with a joint cross-entropy and batch
 contrastive objective. Everything runs on numpy with deterministic seeds.
 """
 
-from .arrayio import TruncatedContainer
+from .arrayio import CorruptContainer, TruncatedContainer
 from .contrastive import (InsufficientClassMembers, Triplet, euclidean_distance,
                           mine_triplets, sbcl_batch_loss, sbcl_batch_loss_and_grad,
                           triplet_loss)
@@ -19,8 +19,8 @@ from .experiments import (AblationRow, CrossDatasetResult, cross_dataset_eval,
 from .explain import (CacheCorrupt, ExplainerConfig, ServiceUnavailable, explain,
                       explanation_prompt, instruction_text, stub_explanation)
 from .fusion import (AttentionParams, CrossAttentionParams, FeedForwardParams, PTFormerState,
-                     cross_attention, fuse, init_pt_former, load_pt_former, named_parameters,
-                     pooled_concat, save_pt_former, self_attention)
+                     cross_attention, fuse, init_pt_former, named_parameters, pooled_concat,
+                     self_attention)
 from .metrics import (MetricsReport, PCAResult, SingleClassError, auc_score, compute_metrics,
                       export_pca_csv, pca_project)
 from .seeding import derive_seed, substream

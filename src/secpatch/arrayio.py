@@ -1,13 +1,15 @@
-"""Versioned binary container for named arrays plus a JSON meta block.
+"""The one crash-safe writer for every artifact, and the versioned binary container
+(named arrays plus a JSON meta block) for checkpoints and precomputed embeddings.
 
-Used for parameter checkpoints and precomputed embedding files. The layout is
-fixed-endian and carries no timestamps, so identical content always produces
-identical bytes.
+The container is fixed-endian and carries no timestamps, so identical content
+always produces identical bytes.
 """
 
+import contextlib
 import json
 import math
 import os
+import secrets
 import struct
 
 import numpy as np
@@ -18,20 +20,48 @@ VERSION = 1
 _ALLOWED_DTYPES = {"<f8", "<f4", "<i8", "<i4"}
 
 
-class TruncatedContainer(ValueError):
-    """The file ends before the bytes its header promises."""
+class CorruptContainer(ValueError):
+    """The file is not a well-formed array container."""
 
-    def __init__(self, path, offset: int, needed: int, size: int):
+    def __init__(self, path, offset: int, reason: str):
         self.path = str(path)
         self.offset = offset
-        super().__init__(f"{path}: truncated array container: {needed} bytes needed at byte "
-                         f"offset {offset}, but the file ends at byte {size}")
+        super().__init__(f"{path}: corrupt array container at byte offset {offset}: {reason}")
+
+
+class TruncatedContainer(CorruptContainer):
+    """The file ends before the bytes its header promises."""
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "wb", **open_kwargs):
+    """Yield a handle on a new temp file beside `path`, then fsync it and rename it over `path`.
+
+    On any exception the temp file is unlinked and `path` keeps its old content."""
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
+    fh = open(tmp, mode.replace("w", "x"), **open_kwargs)  # like open(): 0666 & ~umask
+    try:
+        with fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_json(path, record) -> None:
+    """Write `record` as indent-2, key-sorted JSON plus a newline, through atomic_open."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
     """Write named arrays and an optional JSON-serializable meta dict."""
     meta_bytes = json.dumps(meta or {}, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(meta_bytes)))
@@ -40,15 +70,11 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
         for name in sorted(arrays):
             arr = np.ascontiguousarray(arrays[name])
             dtype = arr.dtype.newbyteorder("<")
-            if dtype.str not in _ALLOWED_DTYPES:
-                arr = arr.astype("<f8")
-                dtype = arr.dtype
-            elif arr.dtype != dtype:
-                arr = arr.astype(dtype)
+            arr = arr.astype(dtype if dtype.str in _ALLOWED_DTYPES else "<f8", copy=False)
             name_bytes = name.encode("utf-8")
             fh.write(struct.pack("<H", len(name_bytes)))
             fh.write(name_bytes)
-            dtype_bytes = dtype.str.encode("ascii")
+            dtype_bytes = arr.dtype.str.encode("ascii")
             fh.write(struct.pack("<B", len(dtype_bytes)))
             fh.write(dtype_bytes)
             fh.write(struct.pack("<B", arr.ndim))
@@ -61,34 +87,43 @@ def load_arrays(path) -> tuple[dict, dict]:
     """Read back (arrays, meta) written by save_arrays.
 
     Raises TruncatedContainer when the file ends before a length its header
-    gives; the size is checked before each read, so a corrupt length never
-    allocates more than the file holds.
+    gives (checked before each read, so a corrupt length never allocates more
+    than the file holds) and CorruptContainer for any other malformed field.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
+        start = 0  # offset of the field read last
 
         def read(n: int) -> bytes:
-            offset = fh.tell()
-            if offset + n > size:
-                raise TruncatedContainer(path, offset, n, size)
+            nonlocal start
+            start = fh.tell()
+            if start + n > size:
+                raise TruncatedContainer(path, start, f"truncated, {n} bytes needed but the "
+                                                      f"file ends at byte {size}")
             return fh.read(n)
 
         def unpack(fmt: str) -> int:
             return struct.unpack(fmt, read(struct.calcsize(fmt)))[0]
 
-        magic = read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a recognized array container (bad magic {magic!r})")
-        version = unpack("<I")
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported container version {version}")
-        meta = json.loads(read(unpack("<I")).decode("utf-8"))
-        count = unpack("<I")
-        arrays = {}
-        for _ in range(count):
-            name = read(unpack("<H")).decode("utf-8")
-            dtype = np.dtype(read(unpack("<B")).decode("ascii"))
-            shape = tuple(unpack("<Q") for _ in range(unpack("<B")))
-            n_bytes = dtype.itemsize * math.prod(shape)
-            arrays[name] = np.frombuffer(read(n_bytes), dtype=dtype).reshape(shape).copy()
+        try:
+            if (magic := read(len(MAGIC))) != MAGIC:
+                raise ValueError(f"bad magic {magic!r}")
+            if (version := unpack("<I")) != VERSION:
+                raise ValueError(f"unsupported version {version}")
+            meta = json.loads(read(unpack("<I")).decode("utf-8"))
+            if not isinstance(meta, dict):
+                raise ValueError(f"meta is a JSON {type(meta).__name__}, not an object")
+            arrays = {}
+            for _ in range(unpack("<I")):
+                name = read(unpack("<H")).decode("utf-8")
+                dtype = read(unpack("<B")).decode("ascii")
+                if dtype not in _ALLOWED_DTYPES:
+                    raise ValueError(f"dtype {dtype!r} is not one of {sorted(_ALLOWED_DTYPES)}")
+                shape = tuple(unpack("<Q") for _ in range(unpack("<B")))
+                n_bytes = np.dtype(dtype).itemsize * math.prod(shape)
+                arrays[name] = np.frombuffer(read(n_bytes), dtype=dtype).reshape(shape).copy()
+        except CorruptContainer:
+            raise
+        except (ValueError, RecursionError) as exc:  # decode and JSON errors are ValueErrors
+            raise CorruptContainer(path, start, str(exc)) from exc
         return arrays, meta

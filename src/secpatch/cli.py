@@ -6,6 +6,7 @@ import json
 import os
 import sys
 
+from .arrayio import write_json
 from .dataset import load_dataset, save_dataset, split_dataset
 from .embed import EmbedderBackend
 from .experiments import run_ablation
@@ -173,12 +174,6 @@ def _split_part(split, name: str):
     return getattr(split, name)
 
 
-def _write_json(path, record) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _emit(record) -> None:
     print(json.dumps(record, sort_keys=True))
 
@@ -212,7 +207,7 @@ def cmd_ingest(cfg: RunConfig) -> dict:
         key = sample.source or "<none>"
         sources[key] = sources.get(key, 0) + 1
     summary = {"n": len(samples), "labels": labels, "sources": sources, "seed": cfg.hp.seed}
-    _write_json(os.path.join(cfg.output_dir, "ingest_summary.json"), summary)
+    write_json(os.path.join(cfg.output_dir, "ingest_summary.json"), summary)
     return summary
 
 
@@ -241,7 +236,7 @@ def cmd_explain(cfg: RunConfig) -> dict:
     summary = {"n": len(samples), "provided": provided, "cache_hits": hits,
                "generated": generated, "failures": failures, "augmented_path": out_path,
                "seed": cfg.hp.seed}
-    _write_json(os.path.join(cfg.output_dir, "explain_summary.json"), summary)
+    write_json(os.path.join(cfg.output_dir, "explain_summary.json"), summary)
     return summary
 
 
@@ -259,7 +254,7 @@ def cmd_train(cfg: RunConfig) -> dict:
         "optimizer": {"name": "adamw", "beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS},
         "notes": {"temperature": "stored hyperparameter; unused by the loss"},
     }
-    _write_json(os.path.join(cfg.output_dir, "run_meta.json"), run_meta)
+    write_json(os.path.join(cfg.output_dir, "run_meta.json"), run_meta)
     state, records = train(split, cfg.hp, backends, options=cfg.options,
                            checkpoint_dir=checkpoint_dir, run_log_path=run_log)
     final = os.path.join(checkpoint_dir, f"epoch_{state.epoch:04d}.ckpt")
@@ -281,7 +276,7 @@ def cmd_eval(cfg: RunConfig, checkpoint: str | None = None, split_name: str | No
     report = compute_metrics(probs, y, state.options.threshold).to_record(percent=True)
     record = {"metrics": report, "split": split_name or cfg.eval_split, "n": len(samples),
               "checkpoint": path, "seed": cfg.hp.seed}
-    _write_json(os.path.join(cfg.output_dir, "metrics.json"), record)
+    write_json(os.path.join(cfg.output_dir, "metrics.json"), record)
     return record
 
 
@@ -327,7 +322,7 @@ def cmd_visualize(cfg: RunConfig, checkpoint: str | None = None, split_name: str
     meta = {"explained_variance": [float(v) for v in result.explained_variance],
             "degenerate": result.degenerate, "n": len(samples),
             "split": split_name or cfg.pca_split, "seed": cfg.hp.seed}
-    _write_json(os.path.join(cfg.output_dir, "pca_meta.json"), meta)
+    write_json(os.path.join(cfg.output_dir, "pca_meta.json"), meta)
     return {"pca_csv": csv_path, **meta}
 
 
@@ -346,7 +341,7 @@ def cmd_ablate(cfg: RunConfig, flag_sets=None) -> dict:
         } for row in rows],
     }
     out_path = os.path.join(cfg.output_dir, "ablation.json")
-    _write_json(out_path, table)
+    write_json(out_path, table)
     return {"ablation_table": out_path, "runs": len(rows), "seed": cfg.hp.seed}
 
 

@@ -6,6 +6,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from .arrayio import atomic_open
 from .seeding import substream
 from .types import Label, PatchSample, TokenSequence
 
@@ -78,7 +79,7 @@ def load_dataset(path, schema: str = "jsonl") -> list[PatchSample]:
 
 def save_dataset(samples, path) -> None:
     """Write samples as one JSON record per line (inverse of load_dataset)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for sample in samples:
             fh.write(json.dumps(sample.to_dict(), sort_keys=True))
             fh.write("\n")

@@ -73,7 +73,6 @@ def run_ablation(flag_sets, split: DatasetSplit, hp: HyperParams, backends: Pipe
         run_log = None
         if out_dir is not None:
             cell_dir = os.path.join(out_dir, "-".join(flags) if flags else "full")
-            os.makedirs(cell_dir, exist_ok=True)
             run_log = os.path.join(cell_dir, "run_log.jsonl")
         state, records = train(split, hp, backends, options=options,
                                checkpoint_dir=cell_dir, run_log_path=run_log)

@@ -4,11 +4,12 @@ import hashlib
 import json
 import os
 import re
-import tempfile
+import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
 
+from .arrayio import atomic_open
 from .diffs import LineTag, MalformedDiff, parse_unified_diff
 from .types import PatchSample
 
@@ -20,6 +21,8 @@ CLASSIFICATION_INSTRUCTION = (
 )
 
 AUTH_TOKEN_ENV = "SECPATCH_API_TOKEN"
+
+BACKOFF_S, BACKOFF_CAP_S = 0.5, 8.0  # retry delay: doubles per attempt up to the cap
 
 
 class ServiceUnavailable(RuntimeError):
@@ -72,7 +75,7 @@ def cache_key(prompt: str, model_name: str) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def explain(patch: PatchSample, cfg: ExplainerConfig, transport=None) -> str:
+def explain(patch: PatchSample, cfg: ExplainerConfig, transport=None, sleep=time.sleep) -> str:
     """Return the explanation for a patch, serving from cache when possible.
 
     Cache entries are content-addressed by (prompt, model_name), so renaming
@@ -88,7 +91,7 @@ def explain(patch: PatchSample, cfg: ExplainerConfig, transport=None) -> str:
     if cfg.backend == "deterministic_stub":
         text = stub_explanation(patch)
     else:
-        text = _call_service(prompt, cfg, transport)
+        text = _call_service(prompt, cfg, transport, sleep)
     _write_cache_entry(path, text)
     return text
 
@@ -158,15 +161,8 @@ def _write_cache_entry(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     body = text.encode("utf-8")
     payload = body + b"\nsha256=" + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
-    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp_path, path)  # atomic; concurrent writers for one key are interchangeable
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    with atomic_open(path) as fh:  # concurrent writers for one key are interchangeable
+        fh.write(payload)
 
 
 def _default_transport(url: str, payload: bytes, headers: dict, timeout: float) -> bytes:
@@ -175,8 +171,9 @@ def _default_transport(url: str, payload: bytes, headers: dict, timeout: float) 
         return response.read()
 
 
-def _call_service(prompt: str, cfg: ExplainerConfig, transport=None) -> str:
-    """Minimal chat-completion round trip; retries up to cfg.max_retries attempts."""
+def _call_service(prompt: str, cfg: ExplainerConfig, transport, sleep) -> str:
+    """Minimal chat-completion round trip, up to cfg.max_retries attempts. Connection errors,
+    timeouts, 408, 429 and 5xx are retried after a backoff; other failures fail at once."""
     send = transport or _default_transport
     payload = json.dumps({
         "model": cfg.model_name,
@@ -187,12 +184,19 @@ def _call_service(prompt: str, cfg: ExplainerConfig, transport=None) -> str:
     if token:
         headers["Authorization"] = f"Bearer {token}"
 
-    last_error: Exception | None = None
-    for _ in range(cfg.max_retries):
+    for attempt in range(1, cfg.max_retries + 1):
         try:
             raw = send(cfg.endpoint, payload, headers, cfg.timeout)
-            reply = json.loads(raw.decode("utf-8"))
-            return reply["choices"][0]["message"]["content"]
-        except (urllib.error.URLError, OSError, KeyError, IndexError, ValueError) as exc:
-            last_error = exc
-    raise ServiceUnavailable(cfg.max_retries, last_error)
+            text = json.loads(raw.decode("utf-8"))["choices"][0]["message"]["content"]
+        except OSError as exc:  # URLError, HTTPError and timeouts
+            transient = not isinstance(exc, urllib.error.HTTPError) or exc.code >= 500 \
+                or exc.code in (408, 429)
+            if attempt == cfg.max_retries or not transient:
+                raise ServiceUnavailable(attempt, exc) from exc
+            sleep(min(BACKOFF_S * 2 ** (attempt - 1), BACKOFF_CAP_S))
+            continue
+        except (ValueError, LookupError, TypeError) as exc:
+            raise ServiceUnavailable(attempt, exc) from exc
+        if isinstance(text, str):
+            return text
+        raise ServiceUnavailable(attempt, TypeError(f"message content is {text!r}"))

@@ -14,10 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arrayio
 from .types import EmbeddingMatrix, FusedEmbedding, HyperParams, Modality
-
-PT_CHECKPOINT_MAGIC = "secpatch-ptformer"
 
 
 @dataclass
@@ -300,23 +297,6 @@ def named_parameters(state: PTFormerState) -> dict[str, np.ndarray]:
         for key in ("w1", "b1", "w2", "b2"):
             params[f"{branch}.{key}"] = getattr(block, key)
     return params
-
-
-def save_pt_former(path, state: PTFormerState) -> None:
-    arrayio.save_arrays(path, named_parameters(state),
-                        meta={"format": PT_CHECKPOINT_MAGIC, "dropout_rate": state.dropout_rate})
-
-
-def load_pt_former(path) -> PTFormerState:
-    arrays, meta = load_pt_former_raw(path)
-    return _state_from_arrays(arrays, float(meta["dropout_rate"]))
-
-
-def load_pt_former_raw(path):
-    arrays, meta = arrayio.load_arrays(path)
-    if meta.get("format") != PT_CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a fusion parameter checkpoint")
-    return arrays, meta
 
 
 def _state_from_arrays(arrays: dict, dropout_rate: float) -> PTFormerState:

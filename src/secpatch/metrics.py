@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrayio import atomic_open
 from .types import FusedEmbedding, LengthMismatch
 
 
@@ -162,7 +163,7 @@ def export_pca_csv(path, sample_ids, coordinates, labels) -> None:
     coordinates = np.asarray(coordinates)
     if not (len(sample_ids) == coordinates.shape[0] == len(labels)):
         raise LengthMismatch("sample_ids, coordinates and labels must align")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id"] + [f"pc{i + 1}" for i in range(coordinates.shape[1])]
                         + ["label"])

@@ -452,7 +452,9 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
                 score = val_f1 if val_f1 is not None else -record["L"]
                 if score > best_score:
                     best_score = score
-                    _write_best_pointer(checkpoint_dir, epoch, last_checkpoint, score, hp.seed)
+                    arrayio.write_json(os.path.join(checkpoint_dir, "best.json"), {
+                        "epoch": epoch, "path": os.path.basename(last_checkpoint),
+                        "score": score, "seed": hp.seed})
     finally:
         if log_fh is not None:
             log_fh.close()
@@ -479,13 +481,6 @@ def _validation_metrics(validation, encoded, state):
     y = [1 if s.label is Label.SECURITY else 0 for s in validation]
     report = compute_metrics(probs, y, state.options.threshold)
     return report.auc, report.f1
-
-
-def _write_best_pointer(checkpoint_dir, epoch, path, score, seed) -> None:
-    pointer = {"epoch": epoch, "path": os.path.basename(path), "score": score, "seed": seed}
-    with open(os.path.join(checkpoint_dir, "best.json"), "w", encoding="utf-8") as fh:
-        json.dump(pointer, fh, sort_keys=True)
-        fh.write("\n")
 
 
 def _score(vector, state: TrainState) -> float:

@@ -1,6 +1,5 @@
 """Shared domain types: patch samples, token sequences, embeddings, hyperparameters."""
 
-import json
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -185,16 +184,6 @@ class HyperParams:
         if missing:
             raise ValueError(f"missing hyperparameter keys: {sorted(missing)}")
         return cls(**record)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "HyperParams":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def default_hyperparams() -> HyperParams:

@@ -1,8 +1,16 @@
+import ast
+import os
+import stat
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from secpatch import TruncatedContainer
-from secpatch.arrayio import load_arrays, save_arrays
+from secpatch import (CorruptContainer, Label, PatchSample, TruncatedContainer, arrayio,
+                      export_pca_csv, save_dataset)
+from secpatch.arrayio import load_arrays, save_arrays, write_json
+from secpatch.explain import _write_cache_entry
 
 
 def _small_container(path):
@@ -35,3 +43,156 @@ def test_truncation_at_every_offset_is_named(tmp_path):
         assert err.path == str(cut) and str(cut) in str(err)
         assert 0 <= err.offset <= length, (length, err.offset)
         assert f"byte offset {err.offset}" in str(err)
+
+
+@pytest.mark.parametrize("field, replacement, reason", [
+    (b"SPARRAY1", b"SPARRAY2", "bad magic"),
+    (b"<i4", b"<zz", "dtype '<zz'"),
+    (b"<i4", b"|O8", "dtype '|O8'"),
+    (b'{"k":1}', b'{"k":!}', "Expecting value"),
+    (b'{"k":1}', b'[1,2,3]', "not an object"),
+    (b'{"k":1}', b'{"k":\xff', "utf-8"),
+    (b"alpha", b"\xffalph", "utf-8"),
+])
+def test_corrupt_header_is_named(tmp_path, field, replacement, reason):
+    path = tmp_path / "bad.bin"
+    save_arrays(path, {"alpha": np.arange(3, dtype="<i4")}, meta={"k": 1})
+    data = path.read_bytes()
+    assert data.count(field) == 1
+    offset = data.index(field)
+    path.write_bytes(data.replace(field, replacement))
+    with pytest.raises(CorruptContainer) as info:
+        load_arrays(path)
+    err = info.value
+    assert not isinstance(err, TruncatedContainer)
+    assert err.path == str(path) and err.offset == offset
+    assert str(path) in str(err) and f"byte offset {offset}" in str(err) and reason in str(err)
+
+
+def test_deeply_nested_meta_is_named(tmp_path):
+    path = tmp_path / "deep.bin"
+    meta = b"[" * 100_000 + b"]" * 100_000
+    path.write_bytes(arrayio.MAGIC + struct.pack("<II", arrayio.VERSION, len(meta)) + meta
+                     + struct.pack("<I", 0))
+    with pytest.raises(CorruptContainer) as info:
+        load_arrays(path)
+    assert info.value.offset == len(arrayio.MAGIC) + 8
+
+
+# ---------------------------------------------------------------------------
+# crash-safe writes
+
+def _sample(text: str) -> PatchSample:
+    return PatchSample(id="s0", diff_text=f"@@ -1,1 +1,1 @@\n-a\n+{text}\n", label=Label.SECURITY)
+
+
+WRITERS = {
+    "save_arrays": lambda path, v: save_arrays(path, {"w": np.full((4, 3), float(v))}, {"v": v}),
+    "write_json": lambda path, v: write_json(path, {"version": v, "rows": list(range(50))}),
+    "save_dataset": lambda path, v: save_dataset([_sample(f"line {v}")] * 3, path),
+    "export_pca_csv": lambda path, v: export_pca_csv(path, ["a", "b"], np.full((2, 2), v + 0.5),
+                                                     ["security", "non-security"]),
+    "explain_cache": lambda path, v: _write_cache_entry(str(path), f"explanation {v}"),
+}
+
+
+class _Crash(Exception):
+    pass
+
+
+class _HalfWriteThenCrash:
+    """File handle proxy: the first write lands half its data on disk, then raises."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        self._fh.flush()
+        raise _Crash()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_crash_mid_write_keeps_previous_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "artifact"
+    WRITERS[writer](path, 1)
+    before = path.read_bytes()
+    monkeypatch.setattr(arrayio, "open", lambda *a, **k: _HalfWriteThenCrash(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(_Crash):
+        WRITERS[writer](path, 2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["artifact"]
+    WRITERS[writer](path, 2)
+    assert path.read_bytes() != before and os.listdir(tmp_path) == ["artifact"]
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_new_file_mode_follows_umask(tmp_path, writer):
+    old = os.umask(0o027)
+    try:
+        WRITERS[writer](tmp_path / "artifact", 1)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "artifact").st_mode) == 0o640
+
+
+# ---------------------------------------------------------------------------
+# single-writer rule: only arrayio opens files for writing
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "secpatch"
+
+
+def _write_mode(call: ast.Call):
+    """The mode of a call that may open a file for writing, else None."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return func.attr
+    if (isinstance(func, ast.Name) and func.id == "open") or (
+            isinstance(func, ast.Attribute) and func.attr in ("open", "fdopen")
+            and isinstance(func.value, ast.Name) and func.value.id in ("os", "io")):
+        index = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":  # pathlib's Path.open(mode)
+        index = 0
+    else:
+        return None
+    mode = call.args[index] if len(call.args) > index else next(
+        (kw.value for kw in call.keywords if kw.arg in ("mode", "flags")), ast.Constant("r"))
+    if not isinstance(mode, ast.Constant):
+        return "<computed>"
+    return mode.value if set(mode.value) & set("wax+") else None
+
+
+def _write_calls(node, func=None):
+    """(enclosing function, line, mode) for each call in `node` that may write a file."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and _write_mode(child) is not None:
+            yield func, child.lineno, _write_mode(child)
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _write_calls(child, inner)
+
+
+def test_only_arrayio_opens_files_for_writing():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "arrayio.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, line, mode in _write_calls(tree):
+            if (path.name, func, mode) != ("train.py", "train", "a"):  # the run-log append
+                found.append(f"{path.name}:{line} {func}() opens with mode {mode!r}")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "tempfile" in (
+                    [a.name for a in node.names] + [getattr(node, "module", None)]):
+                found.append(f"{path.name}:{node.lineno} imports tempfile")
+    assert found == []

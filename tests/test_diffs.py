@@ -112,3 +112,20 @@ def _hunks_text(draw):
 def test_round_trip_fixed_point_generated(text):
     parsed = parse_unified_diff(text)
     assert parse_unified_diff(serialize_diff(parsed)) == parsed
+
+
+_DIFF_FRAGMENTS = ["@@ -1,2 +1,3 @@", "@@ -0,0 +1 @@", "@@ -1 +1 @@ ctx", "@@ -a,b +c,d @@", "@@",
+                   "@@ -99999999999999999999,1 +1 @@", "diff --git a/f.c b/f.c", "--- a/f.c",
+                   "+++ b/f.c", "+++ ", "index 0..1 100644", "new file mode 100644", "+x", "-y",
+                   " z", "+", "-", " ", "", "\\ No newline at end of file", "Binary files differ",
+                   "\r", "+++ b/\u00e9.c", "garbage"]
+
+
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_DIFF_FRAGMENTS), max_size=40)
+                 .map("\n".join)))
+@settings(max_examples=400, deadline=None)
+def test_parse_raises_only_malformed_diff(text):
+    try:
+        parse_unified_diff(text)
+    except ValueError:  # MalformedDiff is a ValueError
+        pass

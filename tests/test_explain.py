@@ -1,5 +1,6 @@
 import hashlib
 import os
+import urllib.error
 
 import pytest
 
@@ -106,6 +107,7 @@ def test_external_backend_uses_cache_without_network(tmp_path):
 
 def test_service_unavailable_after_exact_retries(tmp_path):
     attempts = []
+    delays = []
 
     def failing(url, payload, headers, timeout):
         attempts.append(1)
@@ -114,9 +116,67 @@ def test_service_unavailable_after_exact_retries(tmp_path):
     cfg = ExplainerConfig(backend="external_service", endpoint="http://svc.test/v1",
                           cache_dir=str(tmp_path / "cache"), max_retries=4)
     with pytest.raises(ServiceUnavailable) as err:
-        explain(make_sample(1, Label.SECURITY), cfg, transport=failing)
+        explain(make_sample(1, Label.SECURITY), cfg, transport=failing, sleep=delays.append)
     assert len(attempts) == 4
     assert err.value.attempts == 4
+    assert delays == [0.5, 1.0, 2.0]
+
+
+def _http_error(code):
+    return urllib.error.HTTPError("http://svc.test/v1", code, "status", {}, None)
+
+
+@pytest.mark.parametrize("failure, attempts", [
+    (urllib.error.URLError("name resolution failed"), 7),
+    (TimeoutError("timed out"), 7),
+    (_http_error(500), 7),
+    (_http_error(503), 7),
+    (_http_error(408), 7),
+    (_http_error(429), 7),
+    (_http_error(400), 1),
+    (_http_error(401), 1),
+    (_http_error(404), 1),
+    (b'{"choices": []}', 1),
+    (b'{"error": {"message": "unknown model"}}', 1),
+    (b'{"choices": [{"message": {"content": null}}]}', 1),
+    (b'[]', 1),
+    (b"<html>bad gateway</html>", 1),
+])
+def test_service_retries_only_transient_failures(tmp_path, failure, attempts):
+    calls = []
+    delays = []
+
+    def transport(url, payload, headers, timeout):
+        calls.append(1)
+        if isinstance(failure, bytes):
+            return failure
+        raise failure
+
+    cfg = ExplainerConfig(backend="external_service", endpoint="http://svc.test/v1",
+                          cache_dir=str(tmp_path / "cache"), max_retries=7)
+    with pytest.raises(ServiceUnavailable) as err:
+        explain(make_sample(1, Label.SECURITY), cfg, transport=transport, sleep=delays.append)
+    assert len(calls) == err.value.attempts == attempts
+    assert delays == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0][:attempts - 1]  # doubling, capped at 8 s
+    assert not os.path.exists(cfg.cache_dir) or os.listdir(cfg.cache_dir) == []
+
+
+def test_service_recovers_after_backoff(tmp_path):
+    replies = [_http_error(503), urllib.error.URLError("reset"),
+               b'{"choices": [{"message": {"content": "third time"}}]}']
+    delays = []
+
+    def transport(url, payload, headers, timeout):
+        reply = replies.pop(0)
+        if isinstance(reply, bytes):
+            return reply
+        raise reply
+
+    cfg = ExplainerConfig(backend="external_service", endpoint="http://svc.test/v1",
+                          cache_dir=str(tmp_path / "cache"), max_retries=3)
+    assert explain(make_sample(1, Label.SECURITY), cfg, transport=transport,
+                   sleep=delays.append) == "third time"
+    assert delays == [0.5, 1.0] and replies == []
 
 
 def test_warm_cache_wins_over_backend_choice(tmp_path):

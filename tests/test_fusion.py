@@ -7,8 +7,7 @@ import pytest
 
 from oracles import assert_grads_close, central_difference, loop_attention
 from secpatch import (EmbeddingMatrix, Modality, cross_attention, default_hyperparams, fuse,
-                      init_pt_former, load_pt_former, named_parameters, pooled_concat,
-                      save_pt_former, self_attention)
+                      init_pt_former, named_parameters, pooled_concat, self_attention)
 from secpatch.fusion import fuse_backward, fuse_forward
 
 
@@ -305,17 +304,3 @@ def test_pt_former_gradients_zero_and_linear(state8):
             np.testing.assert_allclose(doubled[name], 2.0 * single[name], rtol=1e-12,
                                        err_msg=name)
 
-
-# ---------------------------------------------------------------------------
-# checkpointing
-
-def test_parameter_checkpoint_round_trips_bit_exact(tmp_path, state8):
-    path_a = tmp_path / "pt_a.bin"
-    path_b = tmp_path / "pt_b.bin"
-    save_pt_former(path_a, state8)
-    loaded = load_pt_former(path_a)
-    for name, arr in named_parameters(state8).items():
-        np.testing.assert_array_equal(arr, named_parameters(loaded)[name], err_msg=name)
-    assert loaded.dropout_rate == state8.dropout_rate
-    save_pt_former(path_b, loaded)
-    assert path_a.read_bytes() == path_b.read_bytes()

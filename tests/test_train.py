@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -276,9 +277,14 @@ def test_train_requires_both_classes(small_hp, offline_backends):
 def test_train_divergence_detected(small_hp, offline_backends, tmp_path):
     split = _tiny_split(small_hp)
     wild = dataclasses.replace(small_hp, learning_rate=1e150, epochs=10)
+    ckpt = tmp_path / "ckpt"
     with np.errstate(all="ignore"):  # the blow-up itself is the point
-        with pytest.raises(DivergenceDetected):
-            train(split, wild, offline_backends, checkpoint_dir=str(tmp_path / "ckpt"))
+        with pytest.raises(DivergenceDetected) as info:
+            train(split, wild, offline_backends, checkpoint_dir=str(ckpt))
+    # the last good checkpoint survives the divergence, and best.json names one that loads
+    assert load_checkpoint(info.value.last_checkpoint).epoch == info.value.epoch - 1 >= 1
+    pointer = json.loads((ckpt / "best.json").read_text(encoding="utf-8"))
+    assert load_checkpoint(ckpt / pointer["path"]).epoch == pointer["epoch"]
 
 
 def test_checkpoint_save_load_save_identical_bytes(small_hp, tmp_path):

@@ -59,12 +59,9 @@ def test_hyperparams_invariants_rejected_not_clamped(field, value):
         dataclasses.replace(default_hyperparams(), **{field: value})
 
 
-def test_hyperparams_round_trip(tmp_path):
+def test_hyperparams_round_trip():
     hp = default_hyperparams()
     assert HyperParams.from_dict(hp.to_dict()) == hp
-    path = tmp_path / "hp.json"
-    hp.save(path)
-    assert HyperParams.load(path) == hp
 
 
 def test_hyperparams_from_dict_rejects_unknown_and_missing():
