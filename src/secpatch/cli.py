@@ -7,7 +7,7 @@ import os
 import sys
 
 from .arrayio import write_json
-from .dataset import load_dataset, save_dataset, split_dataset
+from .dataset import class_counts, load_dataset, save_dataset, split_dataset
 from .embed import EmbedderBackend
 from .experiments import run_ablation
 from .explain import ExplainerConfig, ServiceUnavailable, explain, is_cached
@@ -16,8 +16,6 @@ from .train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, HashTokenizer, PipelineBac
                     TrainOptions, fused_embeddings, hashed_backends, load_checkpoint, predict,
                     train)
 from .types import HyperParams, Label, PatchSample, default_hyperparams
-
-COMMANDS = ("ingest", "explain", "train", "eval", "predict", "visualize", "ablate")
 
 
 class ConfigError(ValueError):
@@ -178,32 +176,29 @@ def _emit(record) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
-def _resolve_checkpoint(cfg: RunConfig, explicit: str | None) -> str:
-    path = explicit or cfg.checkpoint
-    if path is not None:
-        if not os.path.exists(path):
-            raise MissingArtifact(path, "checkpoint")
-        return path
-    pointer_path = os.path.join(cfg.output_dir, "checkpoints", "best.json")
-    if not os.path.exists(pointer_path):
-        raise MissingArtifact(pointer_path, "checkpoint pointer")
-    with open(pointer_path, encoding="utf-8") as fh:
-        pointer = json.load(fh)
-    path = os.path.join(cfg.output_dir, "checkpoints", pointer["path"])
+def _load_state(cfg: RunConfig, args):
+    """(path, TrainState) of --checkpoint, else the configured one, else best.json's."""
+    path = args.checkpoint or cfg.checkpoint
+    if path is None:
+        pointer_path = os.path.join(cfg.output_dir, "checkpoints", "best.json")
+        if not os.path.exists(pointer_path):
+            raise MissingArtifact(pointer_path, "checkpoint pointer")
+        with open(pointer_path, encoding="utf-8") as fh:
+            pointer = json.load(fh)
+        path = os.path.join(cfg.output_dir, "checkpoints", pointer["path"])
     if not os.path.exists(path):
         raise MissingArtifact(path, "checkpoint")
-    return path
+    return path, load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_ingest(cfg: RunConfig) -> dict:
+def cmd_ingest(cfg: RunConfig, args) -> dict:
     samples = load_dataset(cfg.dataset_path)
-    labels = {label.value: 0 for label in Label}
+    labels = {label.value: count for label, count in class_counts(samples).items()}
     sources: dict[str, int] = {}
     for sample in samples:
-        labels[sample.label.value] += 1
         key = sample.source or "<none>"
         sources[key] = sources.get(key, 0) + 1
     summary = {"n": len(samples), "labels": labels, "sources": sources, "seed": cfg.hp.seed}
@@ -211,7 +206,7 @@ def cmd_ingest(cfg: RunConfig) -> dict:
     return summary
 
 
-def cmd_explain(cfg: RunConfig) -> dict:
+def cmd_explain(cfg: RunConfig, args) -> dict:
     samples = load_dataset(cfg.dataset_path)
     provided = hits = generated = 0
     failures = []
@@ -240,13 +235,11 @@ def cmd_explain(cfg: RunConfig) -> dict:
     return summary
 
 
-def cmd_train(cfg: RunConfig) -> dict:
+def cmd_train(cfg: RunConfig, args) -> dict:
     split = _split(cfg)
     backends = _backends(cfg)
     checkpoint_dir = os.path.join(cfg.output_dir, "checkpoints")
     run_log = os.path.join(cfg.output_dir, "run_log.jsonl")
-    if os.path.exists(run_log):
-        os.unlink(run_log)  # rerunning the same config must reproduce the log byte for byte
     run_meta = {
         "seed": cfg.hp.seed,
         "hyperparams": cfg.hp.to_dict(),
@@ -262,30 +255,28 @@ def cmd_train(cfg: RunConfig) -> dict:
             "run_log": run_log, "epochs": len(records), "seed": cfg.hp.seed}
 
 
-def cmd_eval(cfg: RunConfig, checkpoint: str | None = None, split_name: str | None = None) -> dict:
-    path = _resolve_checkpoint(cfg, checkpoint)
-    state = load_checkpoint(path)
-    split = _split(cfg)
-    samples = _split_part(split, split_name or cfg.eval_split)
+def cmd_eval(cfg: RunConfig, args) -> dict:
+    path, state = _load_state(cfg, args)
+    split_name = args.split or cfg.eval_split
+    samples = _split_part(_split(cfg), split_name)
     if not samples:
-        raise ConfigError(f"evaluation split {split_name or cfg.eval_split!r} is empty")
+        raise ConfigError(f"evaluation split {split_name!r} is empty")
     backends = _backends(cfg)
     results = predict(samples, state, backends)
     probs = [p for p, _ in results]
     y = [1 if s.label is Label.SECURITY else 0 for s in samples]
     report = compute_metrics(probs, y, state.options.threshold).to_record(percent=True)
-    record = {"metrics": report, "split": split_name or cfg.eval_split, "n": len(samples),
+    record = {"metrics": report, "split": split_name, "n": len(samples),
               "checkpoint": path, "seed": cfg.hp.seed}
     write_json(os.path.join(cfg.output_dir, "metrics.json"), record)
     return record
 
 
-def cmd_predict(cfg: RunConfig, diff_path: str | None = None, sample_id: str | None = None,
-                checkpoint: str | None = None) -> dict:
+def cmd_predict(cfg: RunConfig, args) -> dict:
+    diff_path, sample_id = args.diff, args.id
     if (diff_path is None) == (sample_id is None):
         raise ConfigError("predict needs exactly one of --diff or --id")
-    path = _resolve_checkpoint(cfg, checkpoint)
-    state = load_checkpoint(path)
+    _, state = _load_state(cfg, args)
     if diff_path is not None:
         if not os.path.exists(diff_path):
             raise MissingArtifact(diff_path, "diff file")
@@ -305,31 +296,31 @@ def cmd_predict(cfg: RunConfig, diff_path: str | None = None, sample_id: str | N
     return {"id": sample.id, "probability": prob, "label": label.value, "seed": cfg.hp.seed}
 
 
-def cmd_visualize(cfg: RunConfig, checkpoint: str | None = None, split_name: str | None = None,
-                  components: int | None = None) -> dict:
-    path = _resolve_checkpoint(cfg, checkpoint)
-    state = load_checkpoint(path)
-    split = _split(cfg)
-    samples = _split_part(split, split_name or cfg.pca_split)
+def cmd_visualize(cfg: RunConfig, args) -> dict:
+    _, state = _load_state(cfg, args)
+    split_name = args.split or cfg.pca_split
+    samples = _split_part(_split(cfg), split_name)
     if not samples:
-        raise ConfigError(f"visualization split {split_name or cfg.pca_split!r} is empty")
+        raise ConfigError(f"visualization split {split_name!r} is empty")
     backends = _backends(cfg)
     vectors = fused_embeddings(samples, state, backends)
-    result = pca_project(vectors, components or cfg.pca_components)
+    result = pca_project(vectors, args.components or cfg.pca_components)
     csv_path = os.path.join(cfg.output_dir, "pca.csv")
     export_pca_csv(csv_path, [s.id for s in samples], result.coordinates,
                    [s.label.value for s in samples])
     meta = {"explained_variance": [float(v) for v in result.explained_variance],
             "degenerate": result.degenerate, "n": len(samples),
-            "split": split_name or cfg.pca_split, "seed": cfg.hp.seed}
+            "split": split_name, "seed": cfg.hp.seed}
     write_json(os.path.join(cfg.output_dir, "pca_meta.json"), meta)
     return {"pca_csv": csv_path, **meta}
 
 
-def cmd_ablate(cfg: RunConfig, flag_sets=None) -> dict:
+def cmd_ablate(cfg: RunConfig, args) -> dict:
     split = _split(cfg)
     backends = _backends(cfg)
-    sets = flag_sets if flag_sets is not None else cfg.ablation_flag_sets
+    sets = cfg.ablation_flag_sets
+    if args.flags is not None:
+        sets = [[f for f in combo.split(",") if f] for combo in args.flags]
     rows = run_ablation([tuple(fs) for fs in sets], split, cfg.hp, backends,
                         base_options=cfg.options, out_dir=os.path.join(cfg.output_dir, "ablation"))
     table = {
@@ -359,20 +350,26 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override any config key by dotted path (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("ingest", "explain", "train"):
-        sub.add_parser(name)
-    p_eval = sub.add_parser("eval")
+    def command(name, run):
+        sub_parser = sub.add_parser(name)
+        sub_parser.set_defaults(run=run)
+        return sub_parser
+
+    command("ingest", cmd_ingest)
+    command("explain", cmd_explain)
+    command("train", cmd_train)
+    p_eval = command("eval", cmd_eval)
     p_eval.add_argument("--checkpoint", default=None)
     p_eval.add_argument("--split", default=None, choices=("train", "validation", "test"))
-    p_pred = sub.add_parser("predict")
+    p_pred = command("predict", cmd_predict)
     p_pred.add_argument("--diff", default=None, help="path to a unified diff file")
     p_pred.add_argument("--id", default=None, help="sample id present in the dataset")
     p_pred.add_argument("--checkpoint", default=None)
-    p_vis = sub.add_parser("visualize")
+    p_vis = command("visualize", cmd_visualize)
     p_vis.add_argument("--checkpoint", default=None)
     p_vis.add_argument("--split", default=None, choices=("train", "validation", "test"))
     p_vis.add_argument("--components", type=int, default=None)
-    p_abl = sub.add_parser("ablate")
+    p_abl = command("ablate", cmd_ablate)
     p_abl.add_argument("--flags", action="append", default=None, metavar="FLAG[,FLAG...]",
                        help="one ablation combination per use, flags comma-separated")
     return parser
@@ -382,27 +379,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed=args.seed, out=args.out, overrides=args.set)
-        if args.command == "ingest":
-            result = cmd_ingest(cfg)
-        elif args.command == "explain":
-            result = cmd_explain(cfg)
-        elif args.command == "train":
-            result = cmd_train(cfg)
-        elif args.command == "eval":
-            result = cmd_eval(cfg, checkpoint=args.checkpoint, split_name=args.split)
-        elif args.command == "predict":
-            result = cmd_predict(cfg, diff_path=args.diff, sample_id=args.id,
-                                 checkpoint=args.checkpoint)
-        elif args.command == "visualize":
-            result = cmd_visualize(cfg, checkpoint=args.checkpoint, split_name=args.split,
-                                   components=args.components)
-        elif args.command == "ablate":
-            flag_sets = None
-            if args.flags is not None:
-                flag_sets = [[f for f in combo.split(",") if f] for combo in args.flags]
-            result = cmd_ablate(cfg, flag_sets=flag_sets)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        result = args.run(cfg, args)
     except ConfigError as exc:
         _fail("ConfigError", exc)
         return 2

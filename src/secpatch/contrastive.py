@@ -40,28 +40,14 @@ def euclidean_distance(e_a, e_b) -> float:
     return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
-def _batch_matrix(batch) -> np.ndarray:
-    return np.stack([_as_vector(e) for e in batch])
-
-
-def _security_mask(labels) -> np.ndarray:
-    return np.array([label is Label.SECURITY for label in labels], dtype=bool)
-
-
-def mine_triplets(batch, labels, rng=None, anchor_mode: str = "all") -> list[Triplet]:
-    """Form one triplet per anchor: hardest positive, hardest negative.
-
-    Every security sample anchors once in batch order (anchor_mode="all");
-    anchor_mode="random_one" instead draws a single anchor with the supplied
-    generator. The positive is the most distant other security sample, the
-    negative the closest non-security sample; ties go to the lowest index.
-    """
+def _mine(batch, labels, rng, anchor_mode):
+    """(x, pairwise distances, anchors, positives, negatives) as in mine_triplets."""
     if anchor_mode not in ("all", "random_one"):
         raise ValueError(f"unknown anchor_mode: {anchor_mode!r}")
     if len(batch) != len(labels):
         raise LengthMismatch(f"{len(batch)} embeddings vs {len(labels)} labels")
 
-    mask = _security_mask(labels)
+    mask = np.array([label is Label.SECURITY for label in labels], dtype=bool)
     security = np.flatnonzero(mask)
     if len(security) < 2:
         raise InsufficientClassMembers(
@@ -71,9 +57,8 @@ def mine_triplets(batch, labels, rng=None, anchor_mode: str = "all") -> list[Tri
         raise InsufficientClassMembers(
             Label.NON_SECURITY.value, "need >= 1 non-security sample to mine triplets")
 
-    x = _batch_matrix(batch)
-    deltas = x[:, None, :] - x[None, :, :]
-    distances = np.sqrt(np.sum(deltas ** 2, axis=-1))
+    x = np.stack([_as_vector(e) for e in batch])
+    distances = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1))
 
     if anchor_mode == "all":
         anchors = security
@@ -87,6 +72,18 @@ def mine_triplets(batch, labels, rng=None, anchor_mode: str = "all") -> list[Tri
     candidates = mask[None, :] & (anchors[:, None] != np.arange(len(mask))[None, :])
     positives = np.argmax(np.where(candidates, rows, -np.inf), axis=1)
     negatives = np.argmin(np.where(mask[None, :], np.inf, rows), axis=1)
+    return x, distances, anchors, positives, negatives
+
+
+def mine_triplets(batch, labels, rng=None, anchor_mode: str = "all") -> list[Triplet]:
+    """Form one triplet per anchor: hardest positive, hardest negative.
+
+    Every security sample anchors once in batch order (anchor_mode="all");
+    anchor_mode="random_one" instead draws a single anchor with the supplied
+    generator. The positive is the most distant other security sample, the
+    negative the closest non-security sample; ties go to the lowest index.
+    """
+    _, _, anchors, positives, negatives = _mine(batch, labels, rng, anchor_mode)
     return [Triplet(int(a), int(p), int(n)) for a, p, n in zip(anchors, positives, negatives)]
 
 
@@ -95,11 +92,6 @@ def triplet_loss(e_a, e_p, e_n, margin: float) -> float:
     if margin < 0:
         raise ValueError("margin must be >= 0")
     return max(0.0, euclidean_distance(e_a, e_p) - euclidean_distance(e_a, e_n) + margin)
-
-
-def sbcl_batch_loss(batch, labels, margin: float, rng=None, anchor_mode: str = "all") -> float:
-    loss, _ = sbcl_batch_loss_and_grad(batch, labels, margin, rng=rng, anchor_mode=anchor_mode)
-    return loss
 
 
 def sbcl_batch_loss_and_grad(batch, labels, margin: float, rng=None,
@@ -111,21 +103,18 @@ def sbcl_batch_loss_and_grad(batch, labels, margin: float, rng=None,
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    triplets = mine_triplets(batch, labels, rng=rng, anchor_mode=anchor_mode)
-    x = _batch_matrix(batch)
+    x, distances, anchors, positives, negatives = _mine(batch, labels, rng, anchor_mode)
+    d_ap = distances[anchors, positives]
+    d_an = distances[anchors, negatives]
+    hinge = d_ap - d_an + margin
+    active = hinge > 0.0
+    a, p, n = anchors[active], positives[active], negatives[active]
+    u_ap = (x[a] - x[p]) / np.maximum(d_ap[active], _DIST_EPS)[:, None]
+    u_an = (x[a] - x[n]) / np.maximum(d_an[active], _DIST_EPS)[:, None]
+    # one unbuffered scatter in per-triplet (anchor, positive, negative) order: a row
+    # shared by several triplets sums its terms as a loop over the triplets would
     grads = np.zeros_like(x)
-    total = 0.0
-    for t in triplets:
-        d_ap = float(np.sqrt(np.sum((x[t.anchor] - x[t.positive]) ** 2)))
-        d_an = float(np.sqrt(np.sum((x[t.anchor] - x[t.negative]) ** 2)))
-        value = d_ap - d_an + margin
-        if value <= 0.0:
-            continue
-        total += value
-        u_ap = (x[t.anchor] - x[t.positive]) / max(d_ap, _DIST_EPS)
-        u_an = (x[t.anchor] - x[t.negative]) / max(d_an, _DIST_EPS)
-        grads[t.anchor] += u_ap - u_an
-        grads[t.positive] -= u_ap
-        grads[t.negative] += u_an
-    count = len(triplets)
-    return total / count, grads / count
+    np.add.at(grads, np.stack([a, p, n], axis=1).ravel(),
+              np.stack([u_ap - u_an, -u_ap, u_an], axis=1).reshape(-1, x.shape[1]))
+    count = len(anchors)
+    return float(np.sum(np.maximum(hinge, 0.0))) / count, grads / count

@@ -8,23 +8,6 @@ HUNK_HEADER_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 GIT_HEADER_RE = re.compile(r"^diff --git a/(?P<a>.+?) b/(?P<b>.+)$")
 NEW_FILE_RE = re.compile(r"^\+\+\+ (?:b/)?(?P<path>.+?)\s*$")
 
-# Leading lines that carry no hunk content and are skipped outright.
-_SKIP_PREFIXES = (
-    "index ",
-    "--- ",
-    "old mode ",
-    "new mode ",
-    "new file mode ",
-    "deleted file mode ",
-    "similarity index ",
-    "rename from ",
-    "rename to ",
-    "copy from ",
-    "copy to ",
-    "Binary files ",
-    "\\",
-)
-
 
 class MalformedDiff(ValueError):
     """A hunk header is unparseable or its body contradicts the declared counts."""
@@ -118,11 +101,9 @@ def parse_unified_diff(text: str) -> ParsedDiff:
             new_file = NEW_FILE_RE.match(line)
             if new_file is not None and new_file.group("path") != "/dev/null":
                 _record(files, new_file.group("path"))
-        elif line == "" or line.startswith(_SKIP_PREFIXES):
-            pass
-        elif line.startswith("+") or line.startswith("-"):
+        elif line.startswith(("+", "-")) and not line.startswith("--- "):
             raise MalformedDiff(f"change line outside any hunk: {line!r}")
-        # other junk (commit message text, mode lines) is ignored
+        # other lines (git headers, "--- " old-file lines, commit message text) are ignored
         i += 1
 
     return ParsedDiff(tuple(hunks), tuple(files))

@@ -70,8 +70,12 @@ class TrainOptions:
 
     @classmethod
     def from_dict(cls, record: dict) -> "TrainOptions":
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in record.items() if k in names})
+        if not isinstance(record, dict):
+            raise ValueError(f"training options must be an object, got {record!r}")
+        unknown = set(record) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown training option keys: {sorted(unknown)}")
+        return cls(**record)
 
 
 @dataclass
@@ -384,8 +388,9 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
     """Optimize all fusion and classifier parameters with AdamW.
 
     Runs hp.epochs epochs (on top of any epochs already in `state` when
-    resuming), appends one record per epoch to the run log, and checkpoints
-    every epoch plus a `best.json` pointer. Deterministic for a fixed seed.
+    resuming), writes one record per epoch to the run log (emptied first on a
+    fresh run, appended to when resuming), and checkpoints every epoch plus a
+    `best.json` pointer. Deterministic for a fixed seed.
 
     Returns (final TrainState, list of per-epoch records).
     """
@@ -396,14 +401,16 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
     if any(count == 0 for count in counts.values()):
         raise ValueError("train split must contain both classes")
 
-    if state is None:
+    resuming = state is not None
+    if not resuming:
         state = init_train_state(hp, options or TrainOptions())
     else:
         if options is not None and options != state.options:
             raise ValueError("cannot change TrainOptions when resuming from a state")
-        for field in ("dim", "num_heads", "max_tokens"):
-            if getattr(hp, field) != getattr(state.hp, field):
-                raise ValueError(f"cannot change {field} when resuming from a state")
+        changed = [f.name for f in fields(hp)
+                   if f.name != "epochs" and getattr(hp, f.name) != getattr(state.hp, f.name)]
+        if changed:
+            raise ValueError(f"cannot change {', '.join(changed)} when resuming from a state")
     options = state.options
 
     if checkpoint_dir is not None:
@@ -414,6 +421,8 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
 
     records = []
     log_fh = open(run_log_path, "a", encoding="utf-8") if run_log_path else None
+    if log_fh is not None and not resuming:
+        log_fh.truncate(0)  # a rerun of the same config reproduces the log byte for byte
     last_checkpoint = None
     best_score = -math.inf
     try:

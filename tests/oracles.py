@@ -79,6 +79,31 @@ def brute_force_triplets(matrix, security_mask):
     return triplets
 
 
+def loop_sbcl_loss_and_grad(matrix, security_mask, margin: float):
+    """Mean hinge loss over exhaustively mined triplets, and its gradient, one triplet at a time.
+
+    Inactive hinges (value <= 0) contribute neither loss nor gradient; each
+    distance's gradient uses max(d, 1e-12) as its denominator.
+    """
+    x = np.asarray(matrix, dtype=np.float64)
+    triplets = brute_force_triplets(x, security_mask)
+    grads = np.zeros_like(x)
+    total = 0.0
+    for a, p, n in triplets:
+        d_ap = scalar_euclidean(x[a], x[p])
+        d_an = scalar_euclidean(x[a], x[n])
+        value = d_ap - d_an + margin
+        if value <= 0.0:
+            continue
+        total += value
+        u_ap = (x[a] - x[p]) / max(d_ap, 1e-12)
+        u_an = (x[a] - x[n]) / max(d_an, 1e-12)
+        grads[a] += u_ap - u_an
+        grads[p] -= u_ap
+        grads[n] += u_an
+    return total / len(triplets), grads / len(triplets)
+
+
 def loop_attention(x_q, x_kv, w_q, w_k, w_v):
     """Scaled dot-product attention one head and one query row at a time.
 

@@ -17,7 +17,7 @@ from secpatch import (EmbeddingMatrix, ExplainerConfig, HashTokenizer, Label, Mo
                       default_hyperparams, euclidean_distance, hashed_backends,
                       init_train_state, load_dataset, make_synthetic_samples, mine_triplets,
                       options_for_flags, pca_project, parse_unified_diff, predict,
-                      run_ablation, sbcl_batch_loss, sbcl_batch_loss_and_grad, self_attention,
+                      run_ablation, sbcl_batch_loss_and_grad, self_attention,
                       split_dataset, tokenize, train)
 from secpatch.fusion import fuse_forward, named_parameters
 from secpatch.train import _forward_sample, batch_loss_and_grads, encode_sample, sigmoid
@@ -127,8 +127,8 @@ def test_loss_identities():
         labels = [S if flag else N for flag in mask]
         batch = rng.standard_normal((n, 4)) * float(rng.uniform(0.2, 3.0))
         m1, m2 = sorted(rng.uniform(0.0, 2.0, size=2))
-        loss1 = sbcl_batch_loss(batch, labels, m1)
-        loss2 = sbcl_batch_loss(batch, labels, m2)
+        loss1 = sbcl_batch_loss_and_grad(batch, labels, m1)[0]
+        loss2 = sbcl_batch_loss_and_grad(batch, labels, m2)[0]
         assert loss1 >= 0.0 and loss2 >= 0.0
         assert loss2 >= loss1  # margin monotonicity
         separated = all(

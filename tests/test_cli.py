@@ -114,6 +114,17 @@ def test_train_twice_identical_run_logs(workspace, capsys):
     assert (out / "checkpoints" / "epoch_0006.ckpt").read_bytes() == first_ckpt
 
 
+def test_ablate_twice_identical_cell_logs(workspace, capsys):
+    config = workspace["config"]
+    cells = workspace["out"] / "ablation"
+    assert _run(["--config", config, "ablate", "--flags", "no_sbcl"], capsys)[0] == 0
+    first = {cell.name: (cell / "run_log.jsonl").read_bytes() for cell in cells.iterdir()}
+    assert sorted(first) == ["full", "no_sbcl"]
+    assert _run(["--config", config, "ablate", "--flags", "no_sbcl"], capsys)[0] == 0
+    for name, log in first.items():
+        assert (cells / name / "run_log.jsonl").read_bytes() == log, name
+
+
 def test_eval_without_checkpoint_is_missing_artifact(workspace, capsys):
     code, _, stderr = _run(["--config", workspace["config"], "eval"], capsys)
     assert code == 3
@@ -160,3 +171,16 @@ def test_invalid_hyperparams_rejected_before_work(workspace, capsys):
                                capsys)
         assert code == 2, setting
         assert "hyperparams" in json.loads(stderr)["message"]
+
+
+@pytest.mark.parametrize("setting, named", [
+    ("training.use_sbcll=false", "use_sbcll"),
+    ("training=[1]", "must be an object"),
+])
+def test_unknown_training_options_rejected_before_work(workspace, capsys, setting, named):
+    code, _, stderr = _run(["--config", workspace["config"], "--set", setting, "ingest"], capsys)
+    assert code == 2
+    record = json.loads(stderr)
+    assert record["error"] == "ConfigError"
+    assert named in record["message"]
+    assert not (workspace["out"] / "ingest_summary.json").exists()

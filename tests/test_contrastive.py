@@ -1,13 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (assert_grads_close, brute_force_triplets, central_difference,
-                     scalar_euclidean)
+                     loop_sbcl_loss_and_grad, scalar_euclidean)
 from secpatch import (FusedEmbedding, InsufficientClassMembers, Label, LengthMismatch,
-                      Triplet, euclidean_distance, mine_triplets, sbcl_batch_loss,
-                      sbcl_batch_loss_and_grad, triplet_loss)
+                      Triplet, euclidean_distance, mine_triplets, sbcl_batch_loss_and_grad,
+                      triplet_loss)
 
 S, N = Label.SECURITY, Label.NON_SECURITY
 
@@ -146,13 +148,13 @@ def test_triplet_loss_rejects_negative_margin():
 
 def test_batch_loss_perfectly_separated():
     batch = np.array([[0.0, 0.0], [0.0, 0.0], [100.0, 0.0], [100.0, 100.0]])
-    assert sbcl_batch_loss(batch, _labels([1, 1, 0, 0]), margin=0.5) == 0.0
+    assert sbcl_batch_loss_and_grad(batch, _labels([1, 1, 0, 0]), margin=0.5)[0] == 0.0
 
 
 def test_batch_loss_is_mean_over_triplets():
     # anchor 0: d(a,p)=1, d(a,n)=0.6 -> loss 0.4; anchor 1: d=1 vs 1.6 -> loss 0
     batch = np.array([[0.0], [1.0], [-0.6]])
-    loss = sbcl_batch_loss(batch, _labels([1, 1, 0]), margin=0.0)
+    loss = sbcl_batch_loss_and_grad(batch, _labels([1, 1, 0]), margin=0.0)[0]
     assert loss == pytest.approx(0.2, abs=1e-12)
 
 
@@ -171,10 +173,36 @@ def test_batch_loss_gradient_matches_finite_differences():
     _, analytic = sbcl_batch_loss_and_grad(batch, labels, margin)
 
     def objective():
-        return sbcl_batch_loss(batch, labels, margin)
+        return sbcl_batch_loss_and_grad(batch, labels, margin)[0]
 
     numeric = central_difference(objective, {"batch": batch})
     assert_grads_close({"batch": analytic}, numeric, rtol=1e-4, atol=1e-8)
+
+
+def test_batch_loss_and_grad_match_per_triplet_loop_oracle():
+    # ragged batches where one far security row is the hardest positive of every
+    # other anchor and one central non-security row the hardest negative of several
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n, dim = int(rng.integers(5, 15)), int(rng.integers(1, 9))
+        mask = np.zeros(n, dtype=bool)
+        mask[:int(rng.integers(3, n - 1))] = True
+        batch = rng.standard_normal((n, dim))
+        far, near = 0, int(mask.sum())
+        batch[far] += 20.0
+        batch[~mask] -= 30.0
+        batch[near] = batch[mask].mean(axis=0)
+        perm = rng.permutation(n)
+        batch, mask = batch[perm], mask[perm]
+        triplets = brute_force_triplets(batch, mask)
+        assert max(Counter(t[1] for t in triplets).values()) >= 2
+        assert max(Counter(t[2] for t in triplets).values()) >= 2
+        margin = float(rng.uniform(0.0, 3.0))
+
+        loss, grads = sbcl_batch_loss_and_grad(batch, _labels(mask), margin)
+        expected_loss, expected_grads = loop_sbcl_loss_and_grad(batch, mask, margin)
+        assert loss == pytest.approx(expected_loss, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(grads, expected_grads, rtol=1e-12, atol=1e-14)
 
 
 @given(st.integers(0, 10_000))
@@ -188,7 +216,7 @@ def test_batch_loss_nonnegative_and_zero_iff_separated(seed):
     batch = rng.standard_normal((n, 4))
     labels = _labels(mask)
     margin = float(rng.uniform(0.0, 1.0))
-    loss = sbcl_batch_loss(batch, labels, margin)
+    loss = sbcl_batch_loss_and_grad(batch, labels, margin)[0]
     assert loss >= 0.0
     separated = all(
         euclidean_distance(batch[t.anchor], batch[t.negative])
@@ -204,4 +232,5 @@ def test_batch_loss_monotone_in_margin(seed, m1, m2):
     rng = np.random.default_rng(seed)
     batch = rng.standard_normal((6, 3))
     labels = _labels([1, 1, 0, 0, 1, 0])
-    assert sbcl_batch_loss(batch, labels, hi) >= sbcl_batch_loss(batch, labels, lo)
+    assert (sbcl_batch_loss_and_grad(batch, labels, hi)[0]
+            >= sbcl_batch_loss_and_grad(batch, labels, lo)[0])

@@ -69,6 +69,19 @@ def test_git_headers_recorded():
     assert parsed.hunks[0].removed_count == 1
 
 
+_BARE_HUNK = "@@ -1,2 +1,2 @@\n keep\n-old\n+new\n"
+
+
+@pytest.mark.parametrize("header", [
+    "index 83db48f..bf269f4 100644", "old mode 100644", "new mode 100755",
+    "new file mode 100644", "deleted file mode 100644", "similarity index 87%",
+    "rename from src/a.c", "rename to src/b.c", "copy from src/a.c", "copy to src/b.c",
+    "Binary files a/logo.png and b/logo.png differ", "--- a/x",
+])
+def test_git_header_before_hunk_parses_like_bare_hunk(header):
+    assert parse_unified_diff(f"{header}\n{_BARE_HUNK}") == parse_unified_diff(_BARE_HUNK)
+
+
 def test_header_without_counts_defaults_to_one():
     parsed = parse_unified_diff("@@ -3 +3 @@\n-x\n+y\n")
     hunk = parsed.hunks[0]

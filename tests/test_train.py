@@ -267,6 +267,17 @@ def test_train_rejects_option_change_on_resume(small_hp, offline_backends):
               options=TrainOptions(use_sbcl=False))
 
 
+def test_train_rejects_hyperparameter_change_on_resume(small_hp, offline_backends):
+    split = _tiny_split(small_hp)
+    state, _ = train(split, small_hp, offline_backends)
+    changed = dataclasses.replace(small_hp, learning_rate=small_hp.learning_rate * 2, margin=0.9)
+    with pytest.raises(ValueError, match="learning_rate, margin"):
+        train(split, changed, offline_backends, state=state)
+    more_epochs = dataclasses.replace(small_hp, epochs=small_hp.epochs + 1)
+    state, records = train(split, more_epochs, offline_backends, state=state)
+    assert len(records) == more_epochs.epochs
+
+
 def test_train_requires_both_classes(small_hp, offline_backends):
     one_class = [make_sample(i, Label.SECURITY) for i in range(8)]
     split = split_dataset(one_class, (0.6, 0.2, 0.2), seed=1, stratify=False)
