@@ -5,17 +5,20 @@ import dataclasses
 import json
 import os
 import sys
+from typing import Literal, get_args
 
 from .arrayio import write_json
-from .dataset import class_counts, load_dataset, save_dataset, split_dataset
+from .dataset import check_ratios, class_counts, load_dataset, save_dataset, split_dataset
 from .embed import EmbedderBackend
-from .experiments import run_ablation
+from .experiments import ABLATION_FLAGS, AblationFlag, run_ablation
 from .explain import ExplainerConfig, ServiceUnavailable, explain, is_cached
 from .metrics import compute_metrics, export_pca_csv, pca_project
 from .train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, HashTokenizer, PipelineBackends,
                     TrainOptions, fused_embeddings, hashed_backends, load_checkpoint, predict,
                     train)
-from .types import HyperParams, Label, PatchSample, default_hyperparams
+from .types import HyperParams, Label, PatchSample, config_from_dict, default_hyperparams
+
+Split = Literal["train", "validation", "test"]
 
 
 class ConfigError(ValueError):
@@ -30,33 +33,71 @@ class MissingArtifact(FileNotFoundError):
         super().__init__(f"missing {what}: {path}")
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
+class DatasetConfig:
+    path: str
+    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    stratify: bool = True
+
+    def __post_init__(self):
+        check_ratios(self.ratios)
+        if not os.path.exists(self.path):
+            raise ValueError(f"path not found: {self.path}")
+
+
+@dataclasses.dataclass(frozen=True)
+class EmbedderConfig:
+    kind: Literal["hashed_projection", "precomputed_file"] = "hashed_projection"
+    patch_path: str | None = None
+    text_path: str | None = None
+
+    def __post_init__(self):
+        for key in ("patch_path", "text_path"):
+            if self.kind == "precomputed_file" and not os.path.exists(getattr(self, key) or ""):
+                raise ValueError(f"{key} must point to an existing file")
+
+
+@dataclasses.dataclass(frozen=True)
+class PcaConfig:
+    components: int = 2
+    split: Split = "test"
+
+
+@dataclasses.dataclass(frozen=True)
+class AblationConfig:
+    flag_sets: tuple[tuple[AblationFlag, ...], ...] = tuple((flag,) for flag in ABLATION_FLAGS)
+
+
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
-    dataset_path: str
+    """The JSON run configuration: one field per top-level key, one dataclass per section."""
+
+    dataset: DatasetConfig
     output_dir: str
-    hp: HyperParams
-    ratios: tuple[float, float, float]
-    stratify: bool
+    hyperparams: HyperParams
     explainer: ExplainerConfig
-    embedder_kind: str
-    patch_embeddings_path: str | None
-    text_embeddings_path: str | None
-    options: TrainOptions
-    ablation_flag_sets: list
-    pca_components: int
-    pca_split: str
-    eval_split: str
-    checkpoint: str | None
+    embedder: EmbedderConfig = EmbedderConfig()
+    training: TrainOptions = TrainOptions()
+    ablation: AblationConfig = AblationConfig()
+    pca: PcaConfig = PcaConfig()
+    eval_split: Split = "test"
+    checkpoint: str | None = None
+
+    @property
+    def hp(self) -> HyperParams:
+        return self.hyperparams
+
+    @property
+    def ratios(self) -> tuple[float, float, float]:
+        return self.dataset.ratios
 
 
-def _set_by_path(tree: dict, dotted: str, value) -> None:
-    keys = dotted.split(".")
-    node = tree
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"--set {dotted}: {key!r} is not a section")
-    node[keys[-1]] = value
+def _parsed(cls, record, section: str = ""):
+    """`config_from_dict`, with every failure reported as a ConfigError."""
+    try:
+        return config_from_dict(cls, record, section)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str, seed: int | None = None, out: str | None = None,
@@ -69,111 +110,57 @@ def load_config(path: str, seed: int | None = None, out: str | None = None,
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be an object, got {raw!r}")
 
-    for dotted in overrides or []:
-        if "=" not in dotted:
-            raise ConfigError(f"--set expects key=value, got {dotted!r}")
-        key, _, text = dotted.partition("=")
+    settings = []
+    for setting in overrides or []:
+        key, sep, text = setting.partition("=")
+        if not sep:
+            raise ConfigError(f"--set expects key=value, got {setting!r}")
         try:
-            value = json.loads(text)
+            settings.append((key, json.loads(text)))
         except json.JSONDecodeError:
-            value = text
-        _set_by_path(raw, key, value)
+            settings.append((key, text))
+    settings += [("output_dir", out)] if out is not None else []
+    settings += [("hyperparams.seed", seed)] if seed is not None else []
+    for key, value in settings:
+        *sections, leaf = key.split(".")
+        node = raw
+        for name in sections:
+            node = node.setdefault(name, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"cannot set {key}: {name} is not an object")
+        node[leaf] = value
 
-    dataset_cfg = raw.get("dataset")
-    if not isinstance(dataset_cfg, dict) or "path" not in dataset_cfg:
-        raise ConfigError("config needs a 'dataset' section with a 'path'")
-    output_dir = out or raw.get("output_dir")
-    if not output_dir:
-        raise ConfigError("config needs 'output_dir' (or pass --out)")
-
-    hp_values = default_hyperparams().to_dict()
-    hp_values.update(raw.get("hyperparams", {}))
-    if seed is not None:
-        hp_values["seed"] = seed
-    try:
-        hp = HyperParams.from_dict(hp_values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad hyperparams: {exc}") from exc
-
-    if not os.path.exists(dataset_cfg["path"]):
-        raise ConfigError(f"dataset file not found: {dataset_cfg['path']}")
-    ratios = tuple(dataset_cfg.get("ratios", (0.8, 0.1, 0.1)))
-    if len(ratios) != 3:
-        raise ConfigError(f"dataset.ratios must have three entries, got {ratios}")
+    if isinstance(raw.setdefault("hyperparams", {}), dict):
+        raw["hyperparams"] = {**dataclasses.asdict(default_hyperparams()), **raw["hyperparams"]}
+    explainer = raw.setdefault("explainer", {})
+    if isinstance(explainer, dict) and isinstance(raw.get("output_dir"), str):
+        explainer.setdefault("cache_dir", os.path.join(raw["output_dir"], "explain_cache"))
+    cfg = _parsed(RunConfig, raw)
 
     try:
-        os.makedirs(output_dir, exist_ok=True)
+        os.makedirs(cfg.output_dir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output_dir {output_dir}: {exc}") from exc
-    if not os.access(output_dir, os.W_OK):
-        raise ConfigError(f"output_dir is not writable: {output_dir}")
-
-    explain_cfg = dict(raw.get("explainer", {}))
-    explain_cfg.setdefault("cache_dir", os.path.join(output_dir, "explain_cache"))
-    try:
-        explainer = ExplainerConfig(**{k: v for k, v in explain_cfg.items() if v is not None})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad explainer config: {exc}") from exc
-
-    embed_cfg = dict(raw.get("embedder", {}))
-    embedder_kind = embed_cfg.get("kind", "hashed_projection")
-    if embedder_kind not in ("hashed_projection", "precomputed_file"):
-        raise ConfigError(f"unknown embedder kind: {embedder_kind!r}")
-    if embedder_kind == "precomputed_file":
-        for key in ("patch_path", "text_path"):
-            if not embed_cfg.get(key) or not os.path.exists(embed_cfg[key]):
-                raise ConfigError(f"embedder.{key} must point to an existing file")
-
-    try:
-        options = TrainOptions.from_dict(raw.get("training", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad training options: {exc}") from exc
-
-    ablation_cfg = raw.get("ablation", {})
-    pca_cfg = raw.get("pca", {})
-    return RunConfig(
-        dataset_path=dataset_cfg["path"],
-        output_dir=output_dir,
-        hp=hp,
-        ratios=ratios,
-        stratify=bool(dataset_cfg.get("stratify", True)),
-        explainer=explainer,
-        embedder_kind=embedder_kind,
-        patch_embeddings_path=embed_cfg.get("patch_path"),
-        text_embeddings_path=embed_cfg.get("text_path"),
-        options=options,
-        ablation_flag_sets=ablation_cfg.get("flag_sets", [["no_explanation"], ["no_instruction"],
-                                                          ["no_ptformer"], ["no_sbcl"]]),
-        pca_components=int(pca_cfg.get("components", 2)),
-        pca_split=pca_cfg.get("split", "test"),
-        eval_split=raw.get("eval_split", "test"),
-        checkpoint=raw.get("checkpoint"),
-    )
+        raise ConfigError(f"cannot create output_dir {cfg.output_dir}: {exc}") from exc
+    if not os.access(cfg.output_dir, os.W_OK):
+        raise ConfigError(f"output_dir is not writable: {cfg.output_dir}")
+    return cfg
 
 
 def _backends(cfg: RunConfig) -> PipelineBackends:
-    if cfg.embedder_kind == "hashed_projection":
+    if cfg.embedder.kind == "hashed_projection":
         return hashed_backends(cfg.hp, cfg.explainer)
-    patch = EmbedderBackend.precomputed_file(cfg.patch_embeddings_path)
-    text = EmbedderBackend.precomputed_file(cfg.text_embeddings_path)
+    patch = EmbedderBackend.precomputed_file(cfg.embedder.patch_path)
+    text = EmbedderBackend.precomputed_file(cfg.embedder.text_path)
     return PipelineBackends(tokenizer=HashTokenizer(), patch_embedder=patch,
                             text_embedder=text, explainer=cfg.explainer)
 
 
 def _split(cfg: RunConfig):
-    samples = load_dataset(cfg.dataset_path)
-    return split_dataset(samples, cfg.ratios, cfg.hp.seed, stratify=cfg.stratify)
-
-
-def _split_part(split, name: str):
-    if name not in ("train", "validation", "test"):
-        raise ConfigError(f"unknown split name: {name!r}")
-    return getattr(split, name)
-
-
-def _emit(record) -> None:
-    print(json.dumps(record, sort_keys=True))
+    samples = load_dataset(cfg.dataset.path)
+    return split_dataset(samples, cfg.ratios, cfg.hp.seed, stratify=cfg.dataset.stratify)
 
 
 def _load_state(cfg: RunConfig, args):
@@ -195,7 +182,7 @@ def _load_state(cfg: RunConfig, args):
 # commands
 
 def cmd_ingest(cfg: RunConfig, args) -> dict:
-    samples = load_dataset(cfg.dataset_path)
+    samples = load_dataset(cfg.dataset.path)
     labels = {label.value: count for label, count in class_counts(samples).items()}
     sources: dict[str, int] = {}
     for sample in samples:
@@ -207,10 +194,9 @@ def cmd_ingest(cfg: RunConfig, args) -> dict:
 
 
 def cmd_explain(cfg: RunConfig, args) -> dict:
-    samples = load_dataset(cfg.dataset_path)
+    samples = load_dataset(cfg.dataset.path)
     provided = hits = generated = 0
-    failures = []
-    augmented = []
+    failures, augmented = [], []
     for sample in samples:
         if sample.explanation is not None:
             provided += 1
@@ -236,19 +222,17 @@ def cmd_explain(cfg: RunConfig, args) -> dict:
 
 
 def cmd_train(cfg: RunConfig, args) -> dict:
-    split = _split(cfg)
-    backends = _backends(cfg)
     checkpoint_dir = os.path.join(cfg.output_dir, "checkpoints")
     run_log = os.path.join(cfg.output_dir, "run_log.jsonl")
     run_meta = {
         "seed": cfg.hp.seed,
-        "hyperparams": cfg.hp.to_dict(),
-        "options": cfg.options.to_dict(),
+        "hyperparams": dataclasses.asdict(cfg.hp),
+        "options": dataclasses.asdict(cfg.training),
         "optimizer": {"name": "adamw", "beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS},
         "notes": {"temperature": "stored hyperparameter; unused by the loss"},
     }
     write_json(os.path.join(cfg.output_dir, "run_meta.json"), run_meta)
-    state, records = train(split, cfg.hp, backends, options=cfg.options,
+    state, records = train(_split(cfg), cfg.hp, _backends(cfg), options=cfg.training,
                            checkpoint_dir=checkpoint_dir, run_log_path=run_log)
     final = os.path.join(checkpoint_dir, f"epoch_{state.epoch:04d}.ckpt")
     return {"checkpoint": final, "best_pointer": os.path.join(checkpoint_dir, "best.json"),
@@ -258,11 +242,10 @@ def cmd_train(cfg: RunConfig, args) -> dict:
 def cmd_eval(cfg: RunConfig, args) -> dict:
     path, state = _load_state(cfg, args)
     split_name = args.split or cfg.eval_split
-    samples = _split_part(_split(cfg), split_name)
+    samples = getattr(_split(cfg), split_name)
     if not samples:
         raise ConfigError(f"evaluation split {split_name!r} is empty")
-    backends = _backends(cfg)
-    results = predict(samples, state, backends)
+    results = predict(samples, state, _backends(cfg))
     probs = [p for p, _ in results]
     y = [1 if s.label is Label.SECURITY else 0 for s in samples]
     report = compute_metrics(probs, y, state.options.threshold).to_record(percent=True)
@@ -286,25 +269,23 @@ def cmd_predict(cfg: RunConfig, args) -> dict:
         sample = PatchSample(id=os.path.basename(diff_path), diff_text=diff_text,
                              label=Label.NON_SECURITY)
     else:
-        samples = load_dataset(cfg.dataset_path)
+        samples = load_dataset(cfg.dataset.path)
         matches = [s for s in samples if s.id == sample_id]
         if not matches:
             raise ConfigError(f"sample id not found in dataset: {sample_id!r}")
         sample = matches[0]
-    backends = _backends(cfg)
-    prob, label = predict([sample], state, backends)[0]
+    prob, label = predict([sample], state, _backends(cfg))[0]
     return {"id": sample.id, "probability": prob, "label": label.value, "seed": cfg.hp.seed}
 
 
 def cmd_visualize(cfg: RunConfig, args) -> dict:
     _, state = _load_state(cfg, args)
-    split_name = args.split or cfg.pca_split
-    samples = _split_part(_split(cfg), split_name)
+    split_name = args.split or cfg.pca.split
+    samples = getattr(_split(cfg), split_name)
     if not samples:
         raise ConfigError(f"visualization split {split_name!r} is empty")
-    backends = _backends(cfg)
-    vectors = fused_embeddings(samples, state, backends)
-    result = pca_project(vectors, args.components or cfg.pca_components)
+    vectors = fused_embeddings(samples, state, _backends(cfg))
+    result = pca_project(vectors, args.components or cfg.pca.components)
     csv_path = os.path.join(cfg.output_dir, "pca.csv")
     export_pca_csv(csv_path, [s.id for s in samples], result.coordinates,
                    [s.label.value for s in samples])
@@ -316,13 +297,12 @@ def cmd_visualize(cfg: RunConfig, args) -> dict:
 
 
 def cmd_ablate(cfg: RunConfig, args) -> dict:
-    split = _split(cfg)
-    backends = _backends(cfg)
-    sets = cfg.ablation_flag_sets
+    sets = cfg.ablation.flag_sets
     if args.flags is not None:
-        sets = [[f for f in combo.split(",") if f] for combo in args.flags]
-    rows = run_ablation([tuple(fs) for fs in sets], split, cfg.hp, backends,
-                        base_options=cfg.options, out_dir=os.path.join(cfg.output_dir, "ablation"))
+        combos = [[flag for flag in combo.split(",") if flag] for combo in args.flags]
+        sets = _parsed(AblationConfig, {"flag_sets": combos}, "ablation").flag_sets
+    rows = run_ablation(sets, _split(cfg), cfg.hp, _backends(cfg), base_options=cfg.training,
+                        out_dir=os.path.join(cfg.output_dir, "ablation"))
     table = {
         "seed": cfg.hp.seed,
         "rows": [{
@@ -360,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     command("train", cmd_train)
     p_eval = command("eval", cmd_eval)
     p_eval.add_argument("--checkpoint", default=None)
-    p_eval.add_argument("--split", default=None, choices=("train", "validation", "test"))
+    p_eval.add_argument("--split", default=None, choices=get_args(Split))
     p_pred = command("predict", cmd_predict)
     p_pred.add_argument("--diff", default=None, help="path to a unified diff file")
     p_pred.add_argument("--id", default=None, help="sample id present in the dataset")
     p_pred.add_argument("--checkpoint", default=None)
     p_vis = command("visualize", cmd_visualize)
     p_vis.add_argument("--checkpoint", default=None)
-    p_vis.add_argument("--split", default=None, choices=("train", "validation", "test"))
+    p_vis.add_argument("--split", default=None, choices=get_args(Split))
     p_vis.add_argument("--components", type=int, default=None)
     p_abl = command("ablate", cmd_ablate)
     p_abl.add_argument("--flags", action="append", default=None, metavar="FLAG[,FLAG...]",
@@ -389,7 +369,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # surface domain errors as machine-readable records
         _fail(type(exc).__name__, exc)
         return 1
-    _emit(result)
+    print(json.dumps(result, sort_keys=True))
     return 0
 
 

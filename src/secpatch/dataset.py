@@ -43,15 +43,13 @@ class DatasetSplit:
         return self.train + self.validation + self.test
 
 
-def load_dataset(path, schema: str = "jsonl") -> list[PatchSample]:
+def load_dataset(path) -> list[PatchSample]:
     """Load patch samples from a line-delimited JSON file.
 
     Each record needs id, diff and label ("security" / "non-security");
     message, explanation and source are optional. Records are returned in
     file order. Raises SchemaError naming the offending record index.
     """
-    if schema != "jsonl":
-        raise ValueError(f"unsupported dataset schema: {schema!r}")
     samples: list[PatchSample] = []
     index = 0
     with open(path, encoding="utf-8") as fh:
@@ -102,17 +100,21 @@ def _largest_remainder(total: int, ratios) -> list[int]:
     return base
 
 
+def check_ratios(ratios) -> None:
+    """Raise ValueError unless the split ratios are three positive numbers summing to 1."""
+    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+        raise ValueError("ratios must be three positive numbers")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+
+
 def split_dataset(samples, ratios, seed: int, stratify: bool = True) -> DatasetSplit:
     """Deterministic train/validation/test split.
 
     With stratify=True each split's class proportions stay within one sample
     of the global proportions. Ratios must be positive and sum to 1.
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError("ratios must be three positive numbers")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-
+    check_ratios(ratios)
     samples = list(samples)
     rng = substream(seed, "split")
     targets = _largest_remainder(len(samples), ratios)

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -12,14 +13,8 @@ from .seeding import derive_seed
 from .train import PipelineBackends, TrainOptions, predict, train
 from .types import HyperParams, Label
 
-ABLATION_FLAGS = ("no_explanation", "no_instruction", "no_ptformer", "no_sbcl")
-
-_FLAG_FIELDS = {
-    "no_explanation": "use_explanation",
-    "no_instruction": "use_instruction",
-    "no_ptformer": "use_ptformer",
-    "no_sbcl": "use_sbcl",
-}
+AblationFlag = Literal["no_explanation", "no_instruction", "no_ptformer", "no_sbcl"]
+ABLATION_FLAGS = get_args(AblationFlag)
 
 
 @dataclass(frozen=True)
@@ -37,13 +32,11 @@ class CrossDatasetResult:
 
 
 def options_for_flags(flags, base: TrainOptions = TrainOptions()) -> TrainOptions:
-    """Translate ablation flags into trainer switches."""
-    overrides = {}
+    """Translate ablation flags into trainer switches: `no_<x>` turns off `use_<x>`."""
     for flag in flags:
-        if flag not in _FLAG_FIELDS:
+        if flag not in ABLATION_FLAGS:
             raise ValueError(f"unknown ablation flag {flag!r}; expected one of {ABLATION_FLAGS}")
-        overrides[_FLAG_FIELDS[flag]] = False
-    return dataclasses.replace(base, **overrides)
+    return dataclasses.replace(base, **{f"use_{flag.removeprefix('no_')}": False for flag in flags})
 
 
 def _evaluate(samples, state, backends) -> MetricsReport:
@@ -59,16 +52,17 @@ def run_ablation(flag_sets, split: DatasetSplit, hp: HyperParams, backends: Pipe
 
     The full model (empty flag set) is always included as the first row so the
     table reads as deltas against it. Evaluation uses the test split, falling
-    back to the train split when no test samples exist.
+    back to the train split when no test samples exist. Every flag set is
+    checked before the first cell trains.
     """
     eval_samples = split.test if split.test else split.train
     requested = [tuple(sorted(flags)) for flags in flag_sets]
     if () not in requested:
         requested = [()] + requested
+    cells = [(flags, options_for_flags(flags, base_options)) for flags in requested]
 
     rows = []
-    for flags in requested:
-        options = options_for_flags(flags, base_options)
+    for flags, options in cells:
         cell_dir = None
         run_log = None
         if out_dir is not None:

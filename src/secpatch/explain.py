@@ -58,6 +58,8 @@ class ExplainerConfig:
             raise ValueError("external_service backend requires a non-empty endpoint")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
+        if not 0 < self.timeout < float("inf"):
+            raise ValueError(f"timeout must be finite and > 0 seconds, got {self.timeout!r}")
 
 
 def explanation_prompt(patch: PatchSample) -> str:

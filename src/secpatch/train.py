@@ -17,7 +17,7 @@ from .fusion import (PTFormerState, _state_from_arrays, fuse_backward, fuse_forw
 from .metrics import compute_metrics
 from .seeding import derive_seed, substream
 from .types import (FusedEmbedding, HyperParams, Label, LengthMismatch, Modality,
-                    PatchSample)
+                    PatchSample, config_from_dict)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -64,18 +64,8 @@ class TrainOptions:
             raise ValueError(f"loss_blend must be 'sum' or 'alpha', got {self.loss_blend!r}")
         if self.anchor_mode not in ("all", "random_one"):
             raise ValueError(f"anchor_mode must be 'all' or 'random_one', got {self.anchor_mode!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "TrainOptions":
-        if not isinstance(record, dict):
-            raise ValueError(f"training options must be an object, got {record!r}")
-        unknown = set(record) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown training option keys: {sorted(unknown)}")
-        return cls(**record)
+        if self.ff_hidden is not None and self.ff_hidden < 1:
+            raise ValueError(f"ff_hidden must be >= 1 or None, got {self.ff_hidden!r}")
 
 
 @dataclass
@@ -307,8 +297,8 @@ def save_checkpoint(path, state: TrainState) -> None:
         "version": 1,
         "epoch": state.epoch,
         "adam_t": state.adam_t,
-        "hp": state.hp.to_dict(),
-        "options": state.options.to_dict(),
+        "hp": asdict(state.hp),
+        "options": asdict(state.options),
         "seed": state.hp.seed,
         "sbcl_skipped": state.sbcl_skipped,
         "has_ptformer": state.pt_former is not None,
@@ -322,8 +312,8 @@ def load_checkpoint(path) -> TrainState:
     arrays, meta = arrayio.load_arrays(path)
     if meta.get("format") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a training checkpoint")
-    hp = HyperParams.from_dict(meta["hp"])
-    options = TrainOptions.from_dict(meta["options"])
+    hp = config_from_dict(HyperParams, meta["hp"], "hp")
+    options = config_from_dict(TrainOptions, meta["options"], "options")
     pt = None
     if meta["has_ptformer"]:
         pt_arrays = {k[len("pt."):]: v for k, v in arrays.items()

@@ -1,7 +1,9 @@
-"""Shared domain types: patch samples, token sequences, embeddings, hyperparameters."""
+"""Shared domain types: samples, tokens, embeddings, hyperparameters, the strict config loader."""
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -171,20 +173,6 @@ class HyperParams:
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "HyperParams":
-        names = {f.name for f in fields(cls)}
-        unknown = set(record) - names
-        if unknown:
-            raise ValueError(f"unknown hyperparameter keys: {sorted(unknown)}")
-        missing = names - set(record)
-        if missing:
-            raise ValueError(f"missing hyperparameter keys: {sorted(missing)}")
-        return cls(**record)
-
 
 def default_hyperparams() -> HyperParams:
     """Published training settings, plus documented defaults for the open ones.
@@ -207,3 +195,47 @@ def default_hyperparams() -> HyperParams:
         max_tokens=512,
         seed=0,
     )
+
+
+def config_from_dict(cls, record, section: str = ""):
+    """Build the config dataclass `cls` from parsed JSON, strictly; errors name the dotted key.
+
+    Rejects a non-object, unknown keys, missing required keys and any value not
+    of its field's annotated type: a bool is not an int, an int passes as a
+    float, a JSON list becomes a tuple and a dataclass-typed field recurses.
+    """
+    where, prefix = section or "config", f"{section}." if section else ""
+    if not isinstance(record, dict):
+        raise TypeError(f"{where} must be an object, got {record!r}")
+    specs = {f.name: f for f in fields(cls)}
+    unknown = [prefix + key for key in record if key not in specs]
+    missing = [prefix + name for name, f in specs.items()
+               if name not in record and f.default is MISSING]
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise ValueError(f"{problem} keys in {where}: {', '.join(keys)}")
+    hints = get_type_hints(cls)
+    values = {key: _typed(hints[key], value, prefix + key) for key, value in record.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _typed(tp, value, key: str):
+    origin, args = get_origin(tp), get_args(tp)
+    if is_dataclass(tp):
+        return config_from_dict(tp, value, key)
+    if origin in (Union, UnionType):  # `X | None`
+        return None if value is None else _typed(args[0], value, key)
+    if origin is tuple and isinstance(value, list):
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) == len(value):
+            return tuple(_typed(t, v, f"{key}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+    elif origin is Literal:  # of strings
+        if isinstance(value, str) and value in args:
+            return value
+    elif origin is None and (type(value) is tp or (tp is float and type(value) is int)):
+        return value
+    name = tp.__name__ if origin is None else str(tp).replace("typing.Literal", "one of ")
+    raise TypeError(f"{key} must be {name}, got {value!r}")

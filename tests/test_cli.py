@@ -1,12 +1,15 @@
 import json
 import os
+import re
 import shutil
 
 import pytest
 
-from secpatch.cli import main
+from secpatch.cli import load_config, main
 
 from conftest import DATA_DIR
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -184,3 +187,81 @@ def test_unknown_training_options_rejected_before_work(workspace, capsys, settin
     assert record["error"] == "ConfigError"
     assert named in record["message"]
     assert not (workspace["out"] / "ingest_summary.json").exists()
+
+
+# (--set override, what the error message must name); None: the config file is a JSON list
+CONFIG_ERRORS = [
+    ("dataset=[1]", "dataset must be an object"),
+    ("dataset.stratfy=false", "dataset.stratfy"),
+    ("dataset.ratios=5", "dataset.ratios"),
+    ("dataset.ratios=[0.5,0.5,0.5]", "ratios must sum to 1"),
+    ("hyperparams=[1]", "hyperparams must be an object"),
+    ("hyperparams.epoch=3", "hyperparams.epoch"),
+    ("hyperparams.epochs=2.5", "hyperparams.epochs"),
+    ("hyperparams.dim=true", "hyperparams.dim"),
+    ("explainer=[1]", "explainer must be an object"),
+    ("explainer.timeuot=5", "explainer.timeuot"),
+    ("explainer.max_retries=\"3\"", "explainer.max_retries"),
+    ("explainer.cache_dir=null", "explainer.cache_dir"),
+    ("explainer.timeout=-1", "timeout"),
+    ("embedder=[1]", "embedder must be an object"),
+    ("embedder.knd=hashed_projection", "embedder.knd"),
+    ("embedder.kind=bert", "embedder.kind"),
+    ("training=[1]", "training must be an object"),
+    ("training.use_sbcll=false", "training.use_sbcll"),
+    ("training.use_sbcl=\"false\"", "training.use_sbcl"),
+    ("training.threshold=true", "training.threshold"),
+    ("training.ff_hidden=0", "ff_hidden"),
+    ("ablation=[1]", "ablation must be an object"),
+    ("ablation.flagsets=[]", "ablation.flagsets"),
+    ("ablation.flag_sets=no_sbcl", "ablation.flag_sets"),
+    ("ablation.flag_sets=[[\"no_sbc\"]]", "no_sbc'"),
+    ("pca=[1]", "pca must be an object"),
+    ("pca.componets=3", "pca.componets"),
+    ("pca.components=\"x\"", "pca.components"),
+    ("bogus_top=1", "bogus_top"),
+    ("output_dir=5", "output_dir"),
+    ("eval_split=dev", "eval_split"),
+    ("checkpoint=5", "checkpoint"),
+    (None, "config must be an object"),
+]
+
+
+@pytest.mark.parametrize("setting, named", CONFIG_ERRORS)
+def test_config_errors_name_the_key_before_work(workspace, capsys, setting, named):
+    args = ["--config", workspace["config"]]
+    if setting is None:
+        with open(workspace["config"], encoding="utf-8") as fh:
+            config = json.load(fh)
+        with open(workspace["config"], "w", encoding="utf-8") as fh:
+            json.dump([config], fh)
+    else:
+        args += ["--set", setting]
+    code, _, stderr = _run(args + ["ingest"], capsys)
+    assert code == 2
+    record = json.loads(stderr)
+    assert record["error"] == "ConfigError"
+    assert named in record["message"]
+    assert not (workspace["out"] / "ingest_summary.json").exists()
+    assert not workspace["out"].exists()
+
+
+def test_ablate_unknown_flag_is_config_error_before_training(workspace, capsys):
+    code, _, stderr = _run(["--config", workspace["config"], "ablate",
+                            "--flags", "no_sbcl", "--flags", "no_ptformer,no_sbc"], capsys)
+    assert code == 2
+    record = json.loads(stderr)
+    assert record["error"] == "ConfigError"
+    assert "'no_sbc'" in record["message"]
+    assert not (workspace["out"] / "ablation").exists()
+
+
+def test_readme_configs_load(tmp_path, monkeypatch):
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    assert blocks
+    monkeypatch.chdir(REPO_ROOT)  # README paths are relative to the repository root
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme_{i}.json"
+        path.write_text(block, encoding="utf-8")
+        load_config(str(path), out=str(tmp_path / f"out_{i}"))

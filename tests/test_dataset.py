@@ -84,11 +84,6 @@ def test_save_load_round_trip(tmp_path):
     assert load_dataset(path) == samples
 
 
-def test_unsupported_schema():
-    with pytest.raises(ValueError, match="schema"):
-        load_dataset("whatever", schema="csv")
-
-
 # ---------------------------------------------------------------------------
 # splitting
 

@@ -43,6 +43,15 @@ def test_run_ablation_baseline_first_and_toggle_semantics(tiny_hp, tiny_split, t
     assert any(record["L_SBCL"] != 0.0 for record in rows[0].epochs)
 
 
+def test_run_ablation_checks_every_flag_before_training(tiny_hp, tiny_split, tiny_backends,
+                                                        tmp_path):
+    out_dir = tmp_path / "ablation"
+    with pytest.raises(ValueError, match="no_sbc'"):
+        run_ablation([("no_sbcl",), ("no_sbc",)], tiny_split, tiny_hp, tiny_backends,
+                     out_dir=str(out_dir))
+    assert not out_dir.exists()
+
+
 def test_run_ablation_baseline_equals_plain_run(tiny_hp, tiny_split, tiny_backends):
     from secpatch import predict, train, compute_metrics
     rows = run_ablation([], tiny_split, tiny_hp, tiny_backends)

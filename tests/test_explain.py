@@ -200,3 +200,6 @@ def test_config_validation():
         ExplainerConfig(backend="gpt")
     with pytest.raises(ValueError, match="max_retries"):
         ExplainerConfig(max_retries=0)
+    for timeout in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="timeout"):
+            ExplainerConfig(timeout=timeout)

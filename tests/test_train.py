@@ -114,6 +114,12 @@ def test_blend_modes():
         TrainOptions(loss_blend="product")
 
 
+def test_ff_hidden_must_be_positive():
+    for width in (0, -3):
+        with pytest.raises(ValueError, match="ff_hidden"):
+            TrainOptions(ff_hidden=width)
+
+
 def test_combined_loss_perfect_batch():
     points = [[0.0, 0.0], [0.1, 0.0], [50.0, 0.0], [50.0, 50.0]]
     labels = [Label.SECURITY, Label.SECURITY, Label.NON_SECURITY, Label.NON_SECURITY]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from secpatch import (EmbeddingMatrix, FusedEmbedding, HyperParams, Label, Modality,
-                      PatchSample, TokenSequence, default_hyperparams)
+                      PatchSample, TokenSequence, config_from_dict, default_hyperparams)
 
 
 def test_default_hyperparams_published_values():
@@ -61,17 +61,17 @@ def test_hyperparams_invariants_rejected_not_clamped(field, value):
 
 def test_hyperparams_round_trip():
     hp = default_hyperparams()
-    assert HyperParams.from_dict(hp.to_dict()) == hp
+    assert config_from_dict(HyperParams, dataclasses.asdict(hp), "hyperparams") == hp
 
 
 def test_hyperparams_from_dict_rejects_unknown_and_missing():
-    good = default_hyperparams().to_dict()
+    good = dataclasses.asdict(default_hyperparams())
     with pytest.raises(ValueError, match="unknown"):
-        HyperParams.from_dict({**good, "bogus": 1})
+        config_from_dict(HyperParams, {**good, "bogus": 1}, "hyperparams")
     bad = dict(good)
     del bad["margin"]
     with pytest.raises(ValueError, match="missing"):
-        HyperParams.from_dict(bad)
+        config_from_dict(HyperParams, bad, "hyperparams")
 
 
 def test_patch_sample_validation_and_round_trip():
