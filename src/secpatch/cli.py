@@ -62,6 +62,10 @@ class PcaConfig:
     components: int = 2
     split: Split = "test"
 
+    def __post_init__(self):
+        if self.components < 1:
+            raise ValueError(f"components must be >= 1, got {self.components!r}")
+
 
 @dataclasses.dataclass(frozen=True)
 class AblationConfig:
@@ -279,13 +283,16 @@ def cmd_predict(cfg: RunConfig, args) -> dict:
 
 
 def cmd_visualize(cfg: RunConfig, args) -> dict:
+    components = args.components if args.components is not None else cfg.pca.components
+    if components < 1:
+        raise ConfigError(f"--components must be >= 1, got {components}")
     _, state = _load_state(cfg, args)
     split_name = args.split or cfg.pca.split
     samples = getattr(_split(cfg), split_name)
     if not samples:
         raise ConfigError(f"visualization split {split_name!r} is empty")
     vectors = fused_embeddings(samples, state, _backends(cfg))
-    result = pca_project(vectors, args.components or cfg.pca.components)
+    result = pca_project(vectors, components)
     csv_path = os.path.join(cfg.output_dir, "pca.csv")
     export_pca_csv(csv_path, [s.id for s in samples], result.coordinates,
                    [s.label.value for s in samples])

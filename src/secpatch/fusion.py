@@ -3,10 +3,12 @@
 The fusion block runs shared multi-head self-attention over each text
 modality, single-head cross-attention from the patch onto the updated
 explanation (both through one scaled dot-product attention kernel), a
-feed-forward layer per branch, then mean-pools and concatenates the three
-branches into one fixed-length vector. Forward functions return caches
-consumed by exact reverse-mode backward functions; no autograd framework is
-involved.
+feed-forward block per branch, then mean-pools and concatenates the three
+branches into one fixed-length vector. The second dense layer of each block is
+affine, so it runs on the mean-pooled hidden row: mean(h) @ w2 + b2 is the
+same vector as mean(h @ w2 + b2) at the cost of one row. Forward functions
+return caches consumed by exact reverse-mode backward functions; no autograd
+framework is involved.
 """
 
 import math
@@ -171,9 +173,11 @@ def cross_attention(E_pa: EmbeddingMatrix, E_ex: EmbeddingMatrix,
 
 
 # ---------------------------------------------------------------------------
-# feed-forward: two dense layers with a rectifier, dropout on the hidden units
+# feed-forward: two dense layers with a rectifier, dropout on the hidden units,
+# and the mean over rows taken between the two layers
 
 def _ff_forward(x: np.ndarray, params: FeedForwardParams, dropout_rate: float, rng):
+    """Pooled branch output (dim,) and the cache for `_ff_backward`."""
     z = x @ params.w1 + params.b1
     h = np.maximum(z, 0.0)
     mask = None
@@ -182,18 +186,16 @@ def _ff_forward(x: np.ndarray, params: FeedForwardParams, dropout_rate: float, r
             raise ValueError("dropout requires an rng during training")
         mask = (rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
         h = h * mask
-    y = h @ params.w2 + params.b2
-    cache = (x, z, mask, h)
-    return y, cache
+    h_mean = h.mean(axis=0)
+    y = h_mean @ params.w2 + params.b2
+    return y, (x, z, mask, h_mean)
 
 
 def _ff_backward(d_y: np.ndarray, cache, params: FeedForwardParams):
-    x, z, mask, h = cache
-    grads = {
-        "w2": h.T @ d_y,
-        "b2": d_y.sum(axis=0),
-    }
-    d_h = d_y @ params.w2.T
+    """Input gradient (n, dim) and parameter gradients from the pooled gradient d_y (dim,)."""
+    x, z, mask, h_mean = cache
+    grads = {"w2": np.outer(h_mean, d_y), "b2": d_y.copy()}  # callers accumulate in place
+    d_h = (params.w2 @ d_y) / x.shape[0]  # the same for every row; broadcasts below
     if mask is not None:
         d_h = d_h * mask
     d_z = d_h * (z > 0.0)
@@ -217,28 +219,21 @@ def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndar
     f_pa_ex, c_ff1 = _ff_forward(pa_ex, state.ff_pa_ex, rate, rng)
     f_desc, c_ff2 = _ff_forward(desc_hat, state.ff_desc, rate, rng)
     f_inst, c_ff3 = _ff_forward(inst_hat, state.ff_inst, rate, rng)
-    vector = np.concatenate([f_pa_ex.mean(axis=0), f_desc.mean(axis=0), f_inst.mean(axis=0)])
+    vector = np.concatenate([f_pa_ex, f_desc, f_inst])
     cache = {
         "sa_ex": c_sa_ex, "sa_desc": c_sa_desc, "sa_inst": c_sa_inst,
         "ca": c_ca, "ff1": c_ff1, "ff2": c_ff2, "ff3": c_ff3,
-        "rows": (f_pa_ex.shape[0], f_desc.shape[0], f_inst.shape[0]),
     }
     return vector, cache
-
-
-def _unpool(d_vec: np.ndarray, rows: int) -> np.ndarray:
-    return np.broadcast_to(d_vec / rows, (rows, d_vec.shape[0])).copy()
 
 
 def fuse_backward(d_vector: np.ndarray, cache, state: PTFormerState) -> dict[str, np.ndarray]:
     """Gradients of every fusion parameter given the gradient on the fused vector."""
     dim = state.dim
     d1, d2, d3 = d_vector[:dim], d_vector[dim:2 * dim], d_vector[2 * dim:]
-    n1, n2, n3 = cache["rows"]
-
-    d_pa_ex, g_ff1 = _ff_backward(_unpool(d1, n1), cache["ff1"], state.ff_pa_ex)
-    d_desc_hat, g_ff2 = _ff_backward(_unpool(d2, n2), cache["ff2"], state.ff_desc)
-    d_inst_hat, g_ff3 = _ff_backward(_unpool(d3, n3), cache["ff3"], state.ff_inst)
+    d_pa_ex, g_ff1 = _ff_backward(d1, cache["ff1"], state.ff_pa_ex)
+    d_desc_hat, g_ff2 = _ff_backward(d2, cache["ff2"], state.ff_desc)
+    d_inst_hat, g_ff3 = _ff_backward(d3, cache["ff3"], state.ff_inst)
 
     g_ca, d_k, d_v = _attention_backward(d_pa_ex, cache["ca"])
     d_ex_hat = d_k[0] @ state.cross_attn.w_k.T + d_v[0] @ state.cross_attn.w_v.T

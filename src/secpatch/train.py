@@ -64,6 +64,8 @@ class TrainOptions:
             raise ValueError(f"loss_blend must be 'sum' or 'alpha', got {self.loss_blend!r}")
         if self.anchor_mode not in ("all", "random_one"):
             raise ValueError(f"anchor_mode must be 'all' or 'random_one', got {self.anchor_mode!r}")
+        if not 0 <= self.threshold <= 1:
+            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold!r}")
         if self.ff_hidden is not None and self.ff_hidden < 1:
             raise ValueError(f"ff_hidden must be >= 1 or None, got {self.ff_hidden!r}")
 

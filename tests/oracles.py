@@ -127,6 +127,14 @@ def loop_attention(x_q, x_kv, w_q, w_k, w_v):
     return np.concatenate(heads, axis=1)
 
 
+def rowwise_feed_forward(x, w1, b1, w2, b2, mask=None):
+    """Feed-forward block on every row (dropout mask on the hidden units), then the row mean."""
+    h = np.maximum(np.asarray(x, dtype=np.float64) @ w1 + b1, 0.0)
+    if mask is not None:
+        h = h * mask
+    return (h @ w2 + b2).mean(axis=0)
+
+
 def central_difference(fn, arrays: dict, eps: float = 1e-5) -> dict:
     """Central finite differences of scalar fn() w.r.t. every entry of every array.
 

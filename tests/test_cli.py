@@ -195,10 +195,12 @@ CONFIG_ERRORS = [
     ("dataset.stratfy=false", "dataset.stratfy"),
     ("dataset.ratios=5", "dataset.ratios"),
     ("dataset.ratios=[0.5,0.5,0.5]", "ratios must sum to 1"),
+    ("dataset.ratios=[NaN,0.5,0.5]", "dataset.ratios[0] must be finite"),
     ("hyperparams=[1]", "hyperparams must be an object"),
     ("hyperparams.epoch=3", "hyperparams.epoch"),
     ("hyperparams.epochs=2.5", "hyperparams.epochs"),
     ("hyperparams.dim=true", "hyperparams.dim"),
+    ("hyperparams.learning_rate=Infinity", "hyperparams.learning_rate must be finite"),
     ("explainer=[1]", "explainer must be an object"),
     ("explainer.timeuot=5", "explainer.timeuot"),
     ("explainer.max_retries=\"3\"", "explainer.max_retries"),
@@ -211,6 +213,8 @@ CONFIG_ERRORS = [
     ("training.use_sbcll=false", "training.use_sbcll"),
     ("training.use_sbcl=\"false\"", "training.use_sbcl"),
     ("training.threshold=true", "training.threshold"),
+    ("training.threshold=NaN", "training.threshold must be finite"),
+    ("training.threshold=1.5", "threshold must lie in [0, 1]"),
     ("training.ff_hidden=0", "ff_hidden"),
     ("ablation=[1]", "ablation must be an object"),
     ("ablation.flagsets=[]", "ablation.flagsets"),
@@ -219,6 +223,7 @@ CONFIG_ERRORS = [
     ("pca=[1]", "pca must be an object"),
     ("pca.componets=3", "pca.componets"),
     ("pca.components=\"x\"", "pca.components"),
+    ("pca.components=0", "components must be >= 1"),
     ("bogus_top=1", "bogus_top"),
     ("output_dir=5", "output_dir"),
     ("eval_split=dev", "eval_split"),
@@ -244,6 +249,16 @@ def test_config_errors_name_the_key_before_work(workspace, capsys, setting, name
     assert named in record["message"]
     assert not (workspace["out"] / "ingest_summary.json").exists()
     assert not workspace["out"].exists()
+
+
+def test_visualize_components_flag_is_checked_before_work(workspace, capsys):
+    code, _, stderr = _run(["--config", workspace["config"], "visualize", "--components", "0"],
+                           capsys)
+    assert code == 2
+    record = json.loads(stderr)
+    assert record["error"] == "ConfigError"
+    assert "--components must be >= 1" in record["message"]
+    assert not (workspace["out"] / "pca.csv").exists()
 
 
 def test_ablate_unknown_flag_is_config_error_before_training(workspace, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import assert_grads_close, central_difference, loop_attention
+from oracles import assert_grads_close, central_difference, loop_attention, rowwise_feed_forward
 from secpatch import (EmbeddingMatrix, Modality, cross_attention, default_hyperparams, fuse,
                       init_pt_former, named_parameters, pooled_concat, self_attention)
 from secpatch.fusion import fuse_backward, fuse_forward
@@ -259,6 +259,42 @@ def test_fuse_training_with_dropout_needs_rng(hp8):
     assert np.all(np.isfinite(out.values))
 
 
+def _rowwise_fused(raw, state, rng=None):
+    """Fused vector from the loop attention oracle and the row-wise feed-forward oracle.
+
+    With an rng, each branch draws its dropout mask in branch order, one
+    uniform per hidden unit of every row, as training does.
+    """
+    pa, ex, desc, inst = raw
+    sa, ca = state.self_attn, state.cross_attn
+    ex_hat, desc_hat, inst_hat = (loop_attention(m, m, sa.w_q, sa.w_k, sa.w_v)
+                                  for m in (ex, desc, inst))
+    pa_ex = loop_attention(pa, ex_hat, ca.w_q[None], ca.w_k[None], ca.w_v[None])
+    parts = []
+    for x, block in ((pa_ex, state.ff_pa_ex), (desc_hat, state.ff_desc), (inst_hat, state.ff_inst)):
+        mask = None
+        if rng is not None:
+            keep = rng.random((len(x), block.w1.shape[1])) >= state.dropout_rate
+            mask = keep / (1.0 - state.dropout_rate)
+        parts.append(rowwise_feed_forward(x, block.w1, block.b1, block.w2, block.b2, mask))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("dim,heads,rows", [(8, 2, (5, 4, 3, 4)), (16, 4, (9, 1, 6, 2))])
+def test_fuse_forward_matches_rowwise_oracle(training, dim, heads, rows):
+    hp = dataclasses.replace(default_hyperparams(), dim=dim, num_heads=heads, dropout=0.5)
+    state = init_pt_former(hp, rng_seed=dim + 20)
+    for block in (state.ff_pa_ex, state.ff_desc, state.ff_inst):
+        block.b1[:] = np.linspace(-0.5, 0.5, block.b1.shape[0])
+        block.b2[:] = np.linspace(1.0, -1.0, block.b2.shape[0])
+    raw = tuple(m.values for m in _inputs(np.random.default_rng(dim), dim, rows))
+    rng, oracle_rng = (np.random.default_rng(5), np.random.default_rng(5)) if training else (None, None)
+    vector, _ = fuse_forward(*raw, state, training=training, rng=rng)
+    np.testing.assert_allclose(vector, _rowwise_fused(raw, state, oracle_rng),
+                               rtol=1e-10, atol=1e-12)
+
+
 def test_pooled_concat_shape_and_values():
     rng = np.random.default_rng(13)
     pa, ex, desc, inst = _inputs(rng)
@@ -285,6 +321,22 @@ def test_fuse_backward_matches_finite_differences(state8):
     vec, cache = fuse_forward(*raw, state8)
     analytic = fuse_backward(probe, cache, state8)
     numeric = central_difference(objective, named_parameters(state8))
+    assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-7)
+
+
+def test_fuse_backward_matches_finite_differences_with_dropout(hp8):
+    state = init_pt_former(dataclasses.replace(hp8, dropout=0.5), rng_seed=123)
+    rng = np.random.default_rng(16)
+    raw = tuple(m.values for m in _inputs(rng))
+    probe = rng.standard_normal(24)
+
+    def forward():
+        return fuse_forward(*raw, state, training=True, rng=np.random.default_rng(7))
+
+    vec, cache = forward()
+    assert cache["ff1"][2] is not None and np.any(cache["ff1"][2] == 0.0)
+    analytic = fuse_backward(probe, cache, state)
+    numeric = central_difference(lambda: float(forward()[0] @ probe), named_parameters(state))
     assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-7)
 
 
