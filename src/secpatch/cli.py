@@ -14,8 +14,8 @@ from .experiments import ABLATION_FLAGS, AblationFlag, run_ablation
 from .explain import ExplainerConfig, ServiceUnavailable, explain, is_cached
 from .metrics import compute_metrics, export_pca_csv, pca_project
 from .train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, HashTokenizer, PipelineBackends,
-                    TrainOptions, fused_embeddings, hashed_backends, load_checkpoint, predict,
-                    train)
+                    TrainOptions, TrainState, fused_embeddings, hashed_backends, load_checkpoint,
+                    predict, train)
 from .types import HyperParams, Label, PatchSample, config_from_dict, default_hyperparams
 
 Split = Literal["train", "validation", "test"]
@@ -153,11 +153,18 @@ def load_config(path: str, seed: int | None = None, out: str | None = None,
     return cfg
 
 
-def _backends(cfg: RunConfig) -> PipelineBackends:
+def _backends(cfg: RunConfig, state: TrainState | None = None) -> PipelineBackends:
+    """The configured backends; embedders take their seed and dim from the checkpoint's
+    hyperparameters when scoring a loaded `state`, so samples embed as in training."""
+    hp, owner = (cfg.hp, "hyperparams") if state is None else (state.hp, "the checkpoint")
     if cfg.embedder.kind == "hashed_projection":
-        return hashed_backends(cfg.hp, cfg.explainer)
+        return hashed_backends(hp, cfg.explainer)
     patch = EmbedderBackend.precomputed_file(cfg.embedder.patch_path)
     text = EmbedderBackend.precomputed_file(cfg.embedder.text_path)
+    for backend in (patch, text):
+        if backend.dim != hp.dim:
+            raise ConfigError(f"precomputed embeddings {backend.source_path} have dim "
+                              f"{backend.dim}, but {owner} has dim {hp.dim}")
     return PipelineBackends(tokenizer=HashTokenizer(), patch_embedder=patch,
                             text_embedder=text, explainer=cfg.explainer)
 
@@ -249,7 +256,7 @@ def cmd_eval(cfg: RunConfig, args) -> dict:
     samples = getattr(_split(cfg), split_name)
     if not samples:
         raise ConfigError(f"evaluation split {split_name!r} is empty")
-    results = predict(samples, state, _backends(cfg))
+    results = predict(samples, state, _backends(cfg, state))
     probs = [p for p, _ in results]
     y = [1 if s.label is Label.SECURITY else 0 for s in samples]
     report = compute_metrics(probs, y, state.options.threshold).to_record(percent=True)
@@ -278,7 +285,7 @@ def cmd_predict(cfg: RunConfig, args) -> dict:
         if not matches:
             raise ConfigError(f"sample id not found in dataset: {sample_id!r}")
         sample = matches[0]
-    prob, label = predict([sample], state, _backends(cfg))[0]
+    prob, label = predict([sample], state, _backends(cfg, state))[0]
     return {"id": sample.id, "probability": prob, "label": label.value, "seed": cfg.hp.seed}
 
 
@@ -291,7 +298,7 @@ def cmd_visualize(cfg: RunConfig, args) -> dict:
     samples = getattr(_split(cfg), split_name)
     if not samples:
         raise ConfigError(f"visualization split {split_name!r} is empty")
-    vectors = fused_embeddings(samples, state, _backends(cfg))
+    vectors = fused_embeddings(samples, state, _backends(cfg, state))
     result = pca_project(vectors, components)
     csv_path = os.path.join(cfg.output_dir, "pca.csv")
     export_pca_csv(csv_path, [s.id for s in samples], result.coordinates,

@@ -47,8 +47,9 @@ def load_dataset(path) -> list[PatchSample]:
     """Load patch samples from a line-delimited JSON file.
 
     Each record needs id, diff and label ("security" / "non-security");
-    message, explanation and source are optional. Records are returned in
-    file order. Raises SchemaError naming the offending record index.
+    message, explanation and source are optional; every present text field
+    must be a string (or null where optional). Records are returned in file
+    order. Raises SchemaError naming the offending record index and field.
     """
     samples: list[PatchSample] = []
     index = 0
@@ -61,9 +62,16 @@ def load_dataset(path) -> list[PatchSample]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(index, "record", f"record {index}: invalid JSON ({exc})") from exc
+            if not isinstance(record, dict):
+                raise SchemaError(index, "record",
+                                  f"record {index}: not a JSON object, got {record!r}")
             for field in ("id", "diff", "label"):
                 if field not in record or record[field] in (None, ""):
                     raise SchemaError(index, field)
+            for field in ("diff", "label", "message", "explanation", "source"):
+                if not isinstance(record.get(field, ""), (str, type(None))):
+                    raise SchemaError(index, field, f"record {index}: {field} must be a string, "
+                                                    f"got {record[field]!r}")
             if record["label"] not in _LABEL_VALUES:
                 raise SchemaError(
                     index, "label",

@@ -12,35 +12,34 @@ framework is involved.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .types import EmbeddingMatrix, FusedEmbedding, HyperParams, Modality
 
 
+def parameter(*shape, init: str = "normal"):
+    """A trainable array field: its shape (ints, or size names shared across blocks) and its
+    init, "normal" (i.i.d. standard normal), "he" (times sqrt(2 / fan_in)) or "zeros"."""
+    return field(metadata={"shape": shape, "init": init})
+
+
 @dataclass
 class AttentionParams:
-    """Per-head projection matrices, each of shape (dim, dim // heads)."""
+    """Per-head projection matrices; heads * head_dim = dim."""
 
-    w_q: np.ndarray  # (heads, dim, head_dim)
-    w_k: np.ndarray
-    w_v: np.ndarray
-
-    @property
-    def num_heads(self) -> int:
-        return self.w_q.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.w_q.shape[1]
+    w_q: np.ndarray = parameter("heads", "dim", "head_dim")
+    w_k: np.ndarray = parameter("heads", "dim", "head_dim")
+    w_v: np.ndarray = parameter("heads", "dim", "head_dim")
 
 
 @dataclass
 class CrossAttentionParams:
-    w_q: np.ndarray  # (dim, dim)
-    w_k: np.ndarray
-    w_v: np.ndarray
+    w_q: np.ndarray = parameter("dim", "dim")
+    w_k: np.ndarray = parameter("dim", "dim")
+    w_v: np.ndarray = parameter("dim", "dim")
 
     def one_head(self) -> AttentionParams:
         """The same matrices as (1, dim, dim) views, the layout the attention kernel takes."""
@@ -49,10 +48,10 @@ class CrossAttentionParams:
 
 @dataclass
 class FeedForwardParams:
-    w1: np.ndarray  # (dim, hidden)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (hidden, dim)
-    b2: np.ndarray  # (dim,)
+    w1: np.ndarray = parameter("dim", "hidden", init="he")
+    b1: np.ndarray = parameter("hidden", init="zeros")
+    w2: np.ndarray = parameter("hidden", "dim", init="he")
+    b2: np.ndarray = parameter("dim", init="zeros")
 
 
 @dataclass
@@ -64,9 +63,22 @@ class PTFormerState:
     ff_inst: FeedForwardParams
     dropout_rate: float
 
+    def __post_init__(self):
+        """All blocks agree on dim, head count and hidden width; the heads make up dim."""
+        sizes = check_shapes(named_parameters(self), parameter_specs(PTFormerState))
+        if sizes["heads"] * sizes["head_dim"] != sizes["dim"]:
+            raise ValueError(f"self_attn: {sizes['heads']} heads of width {sizes['head_dim']} "
+                             f"do not make up dim {sizes['dim']}")
+
     @property
     def dim(self) -> int:
-        return self.self_attn.dim
+        return self.cross_attn.w_q.shape[0]
+
+
+def model_sizes(hp: HyperParams, ff_hidden: int | None = None) -> dict[str, int]:
+    """The value of each size name in the parameter declarations; hidden defaults to dim."""
+    return {"dim": hp.dim, "heads": hp.num_heads, "head_dim": hp.dim // hp.num_heads,
+            "hidden": ff_hidden if ff_hidden is not None else hp.dim, "fused": 3 * hp.dim}
 
 
 def init_pt_former(hp: HyperParams, rng_seed: int, ff_hidden: int | None = None) -> PTFormerState:
@@ -76,38 +88,8 @@ def init_pt_former(hp: HyperParams, rng_seed: int, ff_hidden: int | None = None)
     use He-style scaling (std sqrt(2 / fan_in)) with zero biases; the hidden
     width defaults to dim.
     """
-    rng = np.random.default_rng(rng_seed)
-    dim = hp.dim
-    head_dim = dim // hp.num_heads
-    hidden = ff_hidden if ff_hidden is not None else dim
-
-    self_attn = AttentionParams(
-        w_q=rng.standard_normal((hp.num_heads, dim, head_dim)),
-        w_k=rng.standard_normal((hp.num_heads, dim, head_dim)),
-        w_v=rng.standard_normal((hp.num_heads, dim, head_dim)),
-    )
-    cross_attn = CrossAttentionParams(
-        w_q=rng.standard_normal((dim, dim)),
-        w_k=rng.standard_normal((dim, dim)),
-        w_v=rng.standard_normal((dim, dim)),
-    )
-
-    def feed_forward():
-        return FeedForwardParams(
-            w1=rng.standard_normal((dim, hidden)) * math.sqrt(2.0 / dim),
-            b1=np.zeros(hidden),
-            w2=rng.standard_normal((hidden, dim)) * math.sqrt(2.0 / hidden),
-            b2=np.zeros(dim),
-        )
-
-    return PTFormerState(
-        self_attn=self_attn,
-        cross_attn=cross_attn,
-        ff_pa_ex=feed_forward(),
-        ff_desc=feed_forward(),
-        ff_inst=feed_forward(),
-        dropout_rate=hp.dropout,
-    )
+    return init_parameters(PTFormerState, model_sizes(hp, ff_hidden),
+                           np.random.default_rng(rng_seed), dropout_rate=hp.dropout)
 
 
 def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -242,13 +224,10 @@ def fuse_backward(d_vector: np.ndarray, cache, state: PTFormerState) -> dict[str
     g_sa_desc, _, _ = _attention_backward(d_desc_hat, cache["sa_desc"])
     g_sa_inst, _, _ = _attention_backward(d_inst_hat, cache["sa_inst"])
 
-    grads = {}
-    for key in ("w_q", "w_k", "w_v"):
-        grads[f"self_attn.{key}"] = g_sa_ex[key] + g_sa_desc[key] + g_sa_inst[key]
-        grads[f"cross_attn.{key}"] = g_ca[key][0]
+    grads = {f"self_attn.{k}": g_sa_ex[k] + g_sa_desc[k] + g_sa_inst[k] for k in g_sa_ex}
+    grads |= {f"cross_attn.{k}": g[0] for k, g in g_ca.items()}
     for branch, g in (("ff_pa_ex", g_ff1), ("ff_desc", g_ff2), ("ff_inst", g_ff3)):
-        for key in ("w1", "b1", "w2", "b2"):
-            grads[f"{branch}.{key}"] = g[key]
+        grads |= {f"{branch}.{k}": v for k, v in g.items()}
     return grads
 
 
@@ -279,36 +258,61 @@ def pooled_concat(E_pa: EmbeddingMatrix, E_ex: EmbeddingMatrix, E_desc: Embeddin
 
 
 # ---------------------------------------------------------------------------
-# parameter access and checkpointing
+# parameter access: the declared fields of a parameter dataclass are the one list of names
 
-def named_parameters(state: PTFormerState) -> dict[str, np.ndarray]:
-    """Live references to every trainable array, in a fixed deterministic order."""
-    params = {}
-    for key in ("w_q", "w_k", "w_v"):
-        params[f"self_attn.{key}"] = getattr(state.self_attn, key)
-        params[f"cross_attn.{key}"] = getattr(state.cross_attn, key)
-    for branch in ("ff_pa_ex", "ff_desc", "ff_inst"):
-        block = getattr(state, branch)
-        for key in ("w1", "b1", "w2", "b2"):
-            params[f"{branch}.{key}"] = getattr(block, key)
-    return params
+def parameter_specs(cls, prefix: str = "") -> dict:
+    """Declared shape and init of every trainable array under dataclass `cls`, in order.
 
-
-def _state_from_arrays(arrays: dict, dropout_rate: float) -> PTFormerState:
-    return PTFormerState(
-        self_attn=AttentionParams(
-            w_q=arrays["self_attn.w_q"], w_k=arrays["self_attn.w_k"], w_v=arrays["self_attn.w_v"]),
-        cross_attn=CrossAttentionParams(
-            w_q=arrays["cross_attn.w_q"], w_k=arrays["cross_attn.w_k"], w_v=arrays["cross_attn.w_v"]),
-        ff_pa_ex=_ff_from_arrays(arrays, "ff_pa_ex"),
-        ff_desc=_ff_from_arrays(arrays, "ff_desc"),
-        ff_inst=_ff_from_arrays(arrays, "ff_inst"),
-        dropout_rate=dropout_rate,
-    )
+    Keys are `prefix` plus the dotted field path, e.g. "ff_desc.w1"; nested
+    parameter dataclasses are walked, other fields (dropout_rate) are skipped.
+    """
+    specs = {}
+    for f in fields(cls):
+        if is_dataclass(f.type):
+            specs |= parameter_specs(f.type, f"{prefix}{f.name}.")
+        elif "shape" in f.metadata:
+            specs[prefix + f.name] = f.metadata
+    return specs
 
 
-def _ff_from_arrays(arrays: dict, branch: str) -> FeedForwardParams:
-    return FeedForwardParams(
-        w1=arrays[f"{branch}.w1"], b1=arrays[f"{branch}.b1"],
-        w2=arrays[f"{branch}.w2"], b2=arrays[f"{branch}.b2"],
-    )
+def named_parameters(params, prefix: str = "") -> dict[str, np.ndarray]:
+    """Live references to every trainable array of `params`, keyed like parameter_specs."""
+    return {prefix + name: attrgetter(name)(params) for name in parameter_specs(type(params))}
+
+
+def from_named_parameters(cls, arrays, prefix: str = "", **scalars):
+    """Inverse of named_parameters: a `cls` holding `arrays`; `scalars` fill the other fields."""
+    values = {f.name: from_named_parameters(f.type, arrays, f"{prefix}{f.name}.")
+              if is_dataclass(f.type) else arrays[prefix + f.name]
+              for f in fields(cls) if f.name not in scalars}
+    return cls(**values, **scalars)
+
+
+def init_parameters(cls, sizes: dict, rng, **scalars):
+    """A `cls` whose arrays follow their declared init, drawn from `rng` in declaration order."""
+    arrays = {}
+    for name, spec in parameter_specs(cls).items():
+        shape = tuple(sizes.get(size, size) for size in spec["shape"])
+        arrays[name] = np.zeros(shape) if spec["init"] == "zeros" else rng.standard_normal(shape)
+        if spec["init"] == "he":
+            arrays[name] *= math.sqrt(2.0 / shape[0])
+    return from_named_parameters(cls, arrays, **scalars)
+
+
+def check_shapes(arrays, specs: dict, sizes: dict | None = None) -> dict:
+    """Raise ValueError naming the first array whose shape disagrees with its spec's.
+
+    A size name found in `sizes` must match; any other is bound by the first
+    array that uses it. Returns the sizes, extended by the names bound here.
+    """
+    sizes = dict(sizes or {})
+    for name, spec in specs.items():
+        actual, declared = np.shape(arrays[name]), spec["shape"]
+        if len(actual) == len(declared):
+            for size, n in zip(declared, actual):
+                if isinstance(size, str):
+                    sizes.setdefault(size, n)
+        expected = tuple(sizes.get(size, size) for size in declared)
+        if actual != expected:
+            raise ValueError(f"{name} has shape {actual}, expected {expected}")
+    return sizes

@@ -49,15 +49,13 @@ class MetricsReport:
 
 
 def _tied_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # average rank, 1-based
-        i = j + 1
+    """1-based ranks; tied values share their average rank, and NaNs rank last in input order."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True,
+                                   equal_nan=False)
+    ends = np.cumsum(counts)
+    ranks = ((ends - counts + ends + 1) / 2.0)[inverse.reshape(-1)]
+    nan = np.isnan(values)
+    ranks[nan] = np.arange(len(values) - nan.sum(), len(values)) + 1.0
     return ranks
 
 

@@ -12,8 +12,9 @@ from .contrastive import InsufficientClassMembers, sbcl_batch_loss_and_grad
 from .dataset import HashTokenizer, class_counts, tokenize
 from .embed import EmbedderBackend, embed_patch, embed_text
 from .explain import ExplainerConfig, explain, instruction_text
-from .fusion import (PTFormerState, _state_from_arrays, fuse_backward, fuse_forward,
-                     init_pt_former, named_parameters, pooled_concat)
+from .fusion import (PTFormerState, check_shapes, from_named_parameters, fuse_backward,
+                     fuse_forward, init_parameters, init_pt_former, model_sizes,
+                     named_parameters, parameter, parameter_specs, pooled_concat)
 from .metrics import compute_metrics
 from .seeding import derive_seed, substream
 from .types import (FusedEmbedding, HyperParams, Label, LengthMismatch, Modality,
@@ -25,6 +26,7 @@ ADAM_EPS = 1e-8
 PROB_EPS = 1e-12
 
 CHECKPOINT_MAGIC = "secpatch-train"
+RNG_STREAMS = ("batching", "dropout", "mining")
 
 
 class DivergenceDetected(RuntimeError):
@@ -38,12 +40,31 @@ class DivergenceDetected(RuntimeError):
             f"last good checkpoint: {last_checkpoint or '<none written>'}")
 
 
+class InvalidCheckpoint(ValueError):
+    """A training checkpoint lacks an array or meta key, or holds a value that does not fit."""
+
+    def __init__(self, path, reason: str):
+        self.path = str(path)
+        super().__init__(f"{path}: invalid checkpoint: {reason}")
+
+
+class _Entries(dict):
+    """A checkpoint's arrays or meta block; a missing key raises InvalidCheckpoint naming it."""
+
+    def __init__(self, entries: dict, path, kind: str):
+        super().__init__(entries)
+        self.path, self.kind = path, kind
+
+    def __missing__(self, key):
+        raise InvalidCheckpoint(self.path, f"missing {self.kind} {key!r}")
+
+
 @dataclass
 class ClassifierParams:
     """Fully connected head: probability = sigmoid(weight . E + bias)."""
 
-    weight: np.ndarray  # (3 * dim,)
-    bias: np.ndarray    # (1,)
+    weight: np.ndarray = parameter("fused", init="zeros")  # the fused vector's length, 3 * dim
+    bias: np.ndarray = parameter(1, init="zeros")
 
 
 @dataclass(frozen=True)
@@ -250,13 +271,10 @@ def batch_loss_and_grads(mats, labels, state: TrainState, training: bool):
 # optimizer and checkpoints
 
 def _trainable_params(state: TrainState) -> dict:
-    params = {}
-    if state.pt_former is not None:
-        for name, arr in named_parameters(state.pt_former).items():
-            params[f"pt.{name}"] = arr
-    params["classifier.weight"] = state.classifier.weight
-    params["classifier.bias"] = state.classifier.bias
-    return params
+    """The one map from checkpoint name to live trainable array, in a fixed order."""
+    blocks = {"pt.": state.pt_former, "classifier.": state.classifier}
+    return {name: arr for prefix, block in blocks.items() if block is not None
+            for name, arr in named_parameters(block, prefix).items()}
 
 
 def adamw_step(params: dict, grads: dict, m: dict, v: dict, t: int,
@@ -276,11 +294,11 @@ def init_train_state(hp: HyperParams, options: TrainOptions = TrainOptions()) ->
     pt = None
     if options.use_ptformer:
         pt = init_pt_former(hp, derive_seed(hp.seed, "init"), options.ff_hidden)
-    classifier = ClassifierParams(weight=np.zeros(3 * hp.dim), bias=np.zeros(1))
     state = TrainState(
-        pt_former=pt, classifier=classifier, hp=hp, options=options,
+        pt_former=pt, classifier=init_parameters(ClassifierParams, model_sizes(hp), rng=None),
+        hp=hp, options=options,
         adam_m={}, adam_v={}, adam_t=0, epoch=0,
-        rngs={name: substream(hp.seed, name) for name in ("batching", "dropout", "mining")},
+        rngs={name: substream(hp.seed, name) for name in RNG_STREAMS},
     )
     for name, arr in _trainable_params(state).items():
         state.adam_m[name] = np.zeros_like(arr)
@@ -311,31 +329,44 @@ def save_checkpoint(path, state: TrainState) -> None:
 
 
 def load_checkpoint(path) -> TrainState:
+    """Rebuild the TrainState that save_checkpoint wrote to `path`.
+
+    Raises InvalidCheckpoint naming the first missing meta key, array or rng
+    stream, or the first array whose shape disagrees with the stored
+    hyperparameters and options (dim, num_heads, ff_hidden, a 3 * dim
+    classifier) or, for an AdamW moment, with its parameter.
+    """
     arrays, meta = arrayio.load_arrays(path)
     if meta.get("format") != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a training checkpoint")
-    hp = config_from_dict(HyperParams, meta["hp"], "hp")
-    options = config_from_dict(TrainOptions, meta["options"], "options")
-    pt = None
-    if meta["has_ptformer"]:
-        pt_arrays = {k[len("pt."):]: v for k, v in arrays.items()
-                     if k.startswith("pt.") and not k.startswith(("adam_m.", "adam_v."))}
-        pt = _state_from_arrays(pt_arrays, hp.dropout)
-    classifier = ClassifierParams(weight=arrays["classifier.weight"],
-                                  bias=arrays["classifier.bias"])
-    rngs = {}
-    for name, saved in meta["rng"].items():
-        gen = np.random.default_rng(0)
-        gen.bit_generator.state = saved
-        rngs[name] = gen
-    state = TrainState(
-        pt_former=pt, classifier=classifier, hp=hp, options=options,
-        adam_m={}, adam_v={}, adam_t=meta["adam_t"], epoch=meta["epoch"],
-        rngs=rngs, sbcl_skipped=meta["sbcl_skipped"],
-    )
-    for name in _trainable_params(state):
-        state.adam_m[name] = arrays[f"adam_m.{name}"]
-        state.adam_v[name] = arrays[f"adam_v.{name}"]
+        raise InvalidCheckpoint(path, "not a training checkpoint")
+    arrays, meta = _Entries(arrays, path, "array"), _Entries(meta, path, "meta key")
+    try:
+        hp = config_from_dict(HyperParams, meta["hp"], "hp")
+        options = config_from_dict(TrainOptions, meta["options"], "options")
+        specs = parameter_specs(ClassifierParams, "classifier.")
+        if meta["has_ptformer"]:
+            specs = parameter_specs(PTFormerState, "pt.") | specs
+        sizes = check_shapes(arrays, specs, model_sizes(hp, options.ff_hidden))
+        for kind in ("adam_m.", "adam_v."):  # each moment is shaped like its parameter
+            check_shapes(arrays, {kind + name: spec for name, spec in specs.items()}, sizes)
+        saved = _Entries(meta["rng"], path, "rng stream")
+        rngs = {name: np.random.default_rng(0) for name in RNG_STREAMS}
+        for name, gen in rngs.items():
+            gen.bit_generator.state = saved[name]
+        state = TrainState(
+            pt_former=from_named_parameters(PTFormerState, arrays, "pt.", dropout_rate=hp.dropout)
+            if meta["has_ptformer"] else None,
+            classifier=from_named_parameters(ClassifierParams, arrays, "classifier."),
+            hp=hp, options=options, adam_m={}, adam_v={}, adam_t=meta["adam_t"],
+            epoch=meta["epoch"], rngs=rngs, sbcl_skipped=meta["sbcl_skipped"],
+        )
+        for name in _trainable_params(state):
+            state.adam_m[name] = arrays[f"adam_m.{name}"]
+            state.adam_v[name] = arrays[f"adam_v.{name}"]
+    except InvalidCheckpoint:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidCheckpoint(path, str(exc)) from exc
     return state
 
 

@@ -41,6 +41,20 @@ def pair_count_auc(probs, labels) -> float:
     return wins / pairs
 
 
+def loop_tied_ranks(values):
+    """1-based average ranks of ties, by walking the stably sorted values; NaN ties nothing."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
 def loop_confusion(probs, labels, threshold):
     tp = fp = tn = fn = 0
     for p, y in zip(probs, labels):

@@ -19,8 +19,9 @@ from secpatch import (EmbeddingMatrix, ExplainerConfig, HashTokenizer, Label, Mo
                       options_for_flags, pca_project, parse_unified_diff, predict,
                       run_ablation, sbcl_batch_loss_and_grad, self_attention,
                       split_dataset, tokenize, train)
-from secpatch.fusion import fuse_forward, named_parameters
-from secpatch.train import _forward_sample, batch_loss_and_grads, encode_sample, sigmoid
+from secpatch.fusion import fuse_forward
+from secpatch.train import (_forward_sample, _trainable_params, batch_loss_and_grads,
+                            encode_sample, sigmoid)
 
 S, N = Label.SECURITY, Label.NON_SECURITY
 
@@ -86,9 +87,7 @@ def _check_full_objective_gradients(loss_blend, coeff_bce, coeff_sbcl):
     loss, analytic = batch_loss_and_grads(encoded, labels, state, training=True)
     assert abs(loss.total - full_loss()) <= 1e-12 * abs(loss.total)
 
-    arrays = {f"pt.{k}": v for k, v in named_parameters(state.pt_former).items()}
-    arrays["classifier.weight"] = state.classifier.weight
-    arrays["classifier.bias"] = state.classifier.bias
+    arrays = _trainable_params(state)
     assert set(analytic) == set(arrays)
     numeric = central_difference(full_loss, arrays)
     for name in arrays:

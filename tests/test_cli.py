@@ -3,9 +3,11 @@ import os
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 from secpatch.cli import load_config, main
+from secpatch.embed import save_precomputed
 
 from conftest import DATA_DIR
 
@@ -134,6 +136,46 @@ def test_eval_without_checkpoint_is_missing_artifact(workspace, capsys):
     record = json.loads(stderr)
     assert record["error"] == "MissingArtifact"
     assert record["path"].endswith("best.json")
+
+
+@pytest.mark.parametrize("flags", [["--seed", "8"], ["--set", "hyperparams.dim=32"]],
+                         ids=["seed", "dim"])
+def test_scoring_embeds_with_the_checkpoint_settings(workspace, capsys, flags):
+    # a checkpoint scores the same under a config whose seed or dim differ from its own
+    config, out = workspace["config"], workspace["out"]
+    assert _run(["--config", config, "train"], capsys)[0] == 0
+    commands = (["predict", "--id", "syn-0000"], ["predict", "--id", "syn-0001"],
+                ["eval", "--split", "train"], ["visualize", "--split", "train"])
+    for command in commands:
+        code, stdout, _ = _run(["--config", config, *command], capsys)
+        assert code == 0, command
+        expected = json.loads(stdout)
+        expected_pca = (out / "pca.csv").read_bytes() if command[0] == "visualize" else None
+        code, stdout, stderr = _run(["--config", config, *flags, *command], capsys)
+        assert code == 0, stderr
+        record = json.loads(stdout)
+        if command[0] == "predict":
+            assert record["probability"] == expected["probability"]
+        elif command[0] == "eval" and flags[0] == "--set":  # the same split, so the same metrics
+            assert record["metrics"] == expected["metrics"]
+        elif command[0] == "eval":  # another split, still all fitted on the separable corpus
+            assert record["metrics"]["F1"] >= 95.0 and record["metrics"]["AUC"] >= 95.0
+        elif flags[0] == "--set":
+            assert (out / "pca.csv").read_bytes() == expected_pca
+
+
+def test_precomputed_embeddings_of_another_dim_are_a_config_error(workspace, capsys):
+    config, tmp = workspace["config"], workspace["tmp"]
+    assert _run(["--config", config, "train"], capsys)[0] == 0
+    path = tmp / "embeddings.arr"
+    save_precomputed(path, {"syn-0000/patch": np.ones((2, 4))}, dim=4)
+    code, _, stderr = _run(["--config", config, "--set", "embedder.kind=precomputed_file",
+                            "--set", f"embedder.patch_path={path}",
+                            "--set", f"embedder.text_path={path}", "eval"], capsys)
+    assert code == 2
+    record = json.loads(stderr)
+    assert record["error"] == "ConfigError"
+    assert "have dim 4, but the checkpoint has dim 16" in record["message"]
 
 
 def test_bad_config_is_config_error(tmp_path, capsys):

@@ -65,6 +65,24 @@ def test_invalid_json_line(tmp_path):
     assert err.value.index == 0
 
 
+@pytest.mark.parametrize("line, field", [
+    ("5", "record"),
+    ("null", "record"),
+    ('["r1"]', "record"),
+    (json.dumps(_record(1) | {"diff": 5}), "diff"),
+    (json.dumps(_record(1) | {"label": ["security"]}), "label"),
+    (json.dumps(_record(1) | {"message": 5}), "message"),
+    (json.dumps(_record(1) | {"explanation": ["why"]}), "explanation"),
+    (json.dumps(_record(1) | {"source": {"repo": "x"}}), "source"),
+], ids=["int", "null", "list", "diff", "label", "message", "explanation", "source"])
+def test_records_of_the_wrong_type_name_index_and_field(tmp_path, line, field):
+    path = tmp_path / "ds.jsonl"
+    path.write_text(json.dumps(_record(0)) + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="record 1: ") as err:
+        load_dataset(path)
+    assert (err.value.index, err.value.field) == (1, field)
+
+
 def test_class_counts_from_fixture(tmp_path):
     path = tmp_path / "ds.jsonl"
     _write_jsonl(path, [_record(0, label="security"),

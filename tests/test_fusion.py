@@ -8,7 +8,8 @@ import pytest
 from oracles import assert_grads_close, central_difference, loop_attention, rowwise_feed_forward
 from secpatch import (EmbeddingMatrix, Modality, cross_attention, default_hyperparams, fuse,
                       init_pt_former, named_parameters, pooled_concat, self_attention)
-from secpatch.fusion import fuse_backward, fuse_forward
+from secpatch.fusion import (from_named_parameters, fuse_backward, fuse_forward,
+                             parameter_specs)
 
 
 @pytest.fixture
@@ -42,6 +43,31 @@ def test_init_deterministic(hp8):
     b = init_pt_former(hp8, rng_seed=9)
     for name, arr in named_parameters(a).items():
         np.testing.assert_array_equal(arr, named_parameters(b)[name], err_msg=name)
+
+
+def test_named_parameters_round_trip(state8):
+    named = named_parameters(state8)
+    assert list(named) == list(parameter_specs(type(state8)))
+    rebuilt = from_named_parameters(type(state8), named, dropout_rate=state8.dropout_rate)
+    assert all(arr is named[name] for name, arr in named_parameters(rebuilt).items())
+    assert list(named_parameters(state8, "pt.")) == [f"pt.{name}" for name in named]
+
+
+@pytest.mark.parametrize("block, field, shape, message", [
+    ("ff_inst", "w2", (8, 4), r"ff_inst.w2 has shape \(8, 4\), expected \(8, 8\)"),
+    ("cross_attn", "w_v", (4, 4), r"cross_attn.w_v has shape \(4, 4\), expected \(8, 8\)"),
+    ("ff_desc", "b1", (8, 1), r"ff_desc.b1 has shape \(8, 1\), expected \(8,\)"),
+])
+def test_ptformer_state_rejects_blocks_that_disagree(state8, block, field, shape, message):
+    params = dataclasses.replace(getattr(state8, block), **{field: np.zeros(shape)})
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(state8, **{block: params})
+
+
+def test_ptformer_state_rejects_heads_that_do_not_make_up_dim(state8):
+    narrow = {k: np.zeros((2, 8, 3)) for k in ("w_q", "w_k", "w_v")}
+    with pytest.raises(ValueError, match="2 heads of width 3 do not make up dim 8"):
+        dataclasses.replace(state8, self_attn=dataclasses.replace(state8.self_attn, **narrow))
 
 
 def test_init_head_shapes(hp8):

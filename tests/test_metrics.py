@@ -3,9 +3,11 @@ import csv
 import numpy as np
 import pytest
 
-from oracles import loop_confusion, pair_count_auc, pca_eigh_reconstruction_error
+from oracles import (loop_confusion, loop_tied_ranks, pair_count_auc,
+                     pca_eigh_reconstruction_error)
 from secpatch import (LengthMismatch, MetricsReport, SingleClassError, auc_score,
                       compute_metrics, export_pca_csv, pca_project)
+from secpatch.metrics import _tied_ranks
 
 
 def test_perfect_predictor():
@@ -20,6 +22,16 @@ def test_perfect_predictor():
 def test_all_ties_auc_half():
     report = compute_metrics([0.5] * 8, [1, 0, 1, 0, 1, 0, 1, 0], 0.5)
     assert report.auc == 0.5
+
+
+def test_tied_ranks_match_the_loop_oracle_exactly():
+    rng = np.random.default_rng(5)
+    for trial in range(1000):
+        n = int(rng.integers(1, 40))
+        values = rng.integers(0, int(rng.integers(1, 8)), n) / 7.0  # few levels: many ties
+        if trial % 3 == 0:
+            values[rng.random(n) < 0.2] = np.nan
+        np.testing.assert_array_equal(_tied_ranks(values), loop_tied_ranks(values))
 
 
 def test_metrics_match_pair_count_and_confusion_oracles():

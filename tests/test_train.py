@@ -2,20 +2,23 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import make_sample
+from conftest import DATA_DIR, make_sample
 from oracles import scalar_bce
 from secpatch import (ClassifierParams, DivergenceDetected, EmbeddingMatrix, ExplainerConfig,
                       FusedEmbedding, Label, LengthMismatch, Modality, TrainOptions, bce_loss,
                       compute_metrics, default_hyperparams, encode_sample, hashed_backends,
-                      head_probability, init_train_state, load_checkpoint, predict,
-                      save_checkpoint, split_dataset, train)
-from secpatch.train import ADAM_EPS, _train_batch, adamw_step, batch_loss_and_grads
+                      head_probability, init_train_state, load_checkpoint,
+                      make_synthetic_samples, predict, save_checkpoint, split_dataset, train)
+from secpatch.arrayio import load_arrays, save_arrays
+from secpatch.train import (ADAM_EPS, InvalidCheckpoint, _train_batch, adamw_step,
+                            batch_loss_and_grads)
 
 
 def _classifier(weight, bias=0.0):
@@ -326,6 +329,52 @@ def test_checkpoint_preserves_rng_streams(small_hp, tmp_path):
     loaded = load_checkpoint(path)
     np.testing.assert_array_equal(state.rngs["batching"].random(4),
                                   loaded.rngs["batching"].random(4))
+
+
+def test_checkpoint_written_by_an_earlier_version_loads(tmp_path):
+    """A committed checkpoint keeps loading, re-saving and scoring exactly as when it was written.
+
+    checkpoint_dim8.ckpt is epoch 2 of `train` at dim 8, 2 heads, dropout 0.5,
+    learning rate 1e-2, batch 8 and seed 7 on the 0.8/0.1/0.1 split (seed 7) of
+    make_synthetic_samples(64, seed=11); checkpoint_dim8.json holds the test
+    split's probabilities under hashed_backends(hp) as computed then.
+    """
+    path = os.path.join(DATA_DIR, "checkpoint_dim8.ckpt")
+    state = load_checkpoint(path)
+    save_checkpoint(tmp_path / "resaved.ckpt", state)
+    with open(path, "rb") as fh:
+        assert (tmp_path / "resaved.ckpt").read_bytes() == fh.read()
+    with open(os.path.join(DATA_DIR, "checkpoint_dim8.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    split = split_dataset(make_synthetic_samples(64, seed=11), (0.8, 0.1, 0.1), seed=7)
+    results = predict(split.test, state, hashed_backends(state.hp))
+    assert {s.id: p for s, (p, _) in zip(split.test, results)} == recorded
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda arrays, meta: arrays.pop("pt.ff_desc.w1"), "missing array 'pt.ff_desc.w1'"),
+    (lambda arrays, meta: arrays.update({"pt.ff_desc.b2": np.zeros(3)}),
+     "pt.ff_desc.b2 has shape (3,), expected (8,)"),
+    (lambda arrays, meta: meta.pop("rng"), "missing meta key 'rng'"),
+    (lambda arrays, meta: meta["rng"].pop("mining"), "missing rng stream 'mining'"),
+    (lambda arrays, meta: meta["hp"].update(dim=16),
+     "pt.self_attn.w_q has shape (2, 8, 4), expected (2, 16, 8)"),
+    (lambda arrays, meta: meta["hp"].update(num_heads=4),
+     "pt.self_attn.w_q has shape (2, 8, 4), expected (4, 8, 2)"),
+    (lambda arrays, meta: arrays.update({"classifier.weight": np.zeros(8)}),
+     "classifier.weight has shape (8,), expected (24,)"),
+    (lambda arrays, meta: arrays.update({"adam_v.pt.cross_attn.w_k": np.zeros((8, 4))}),
+     "adam_v.pt.cross_attn.w_k has shape (8, 4), expected (8, 8)"),
+], ids=["missing-array", "short-bias", "missing-meta-key", "missing-rng-stream", "hp-dim",
+        "hp-num-heads", "classifier-length", "moment-shape"])
+def test_load_checkpoint_names_the_first_bad_entry(small_hp, tmp_path, edit, named):
+    path = tmp_path / "edited.ckpt"
+    save_checkpoint(path, init_train_state(small_hp))
+    arrays, meta = load_arrays(path)
+    edit(arrays, meta)
+    save_arrays(path, arrays, meta)
+    with pytest.raises(InvalidCheckpoint, match=re.escape(f"{path}: invalid checkpoint: {named}")):
+        load_checkpoint(path)
 
 
 def test_predict_threshold_boundary_and_monotonicity(small_hp, offline_backends):
