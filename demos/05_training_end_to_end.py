@@ -28,4 +28,4 @@ with tempfile.TemporaryDirectory() as tmp:
     results = predict(split.test, state, backends)
     labels01 = [1 if s.label is Label.SECURITY else 0 for s in split.test]
     report = compute_metrics([p for p, _ in results], labels01, threshold=0.5)
-    print("\ntest metrics:", report.to_record(percent=True))
+    print("\ntest metrics:", report.to_record())

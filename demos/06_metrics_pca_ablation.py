@@ -20,7 +20,7 @@ probs = np.round(rng.random(40), 1)
 labels = (rng.random(40) < 0.5).astype(int)
 print("AUC:", round(auc_score(probs, labels), 4),
       "| after monotone transform:", round(auc_score(np.exp(probs), labels), 4))
-print("report:", compute_metrics(probs, labels, 0.5).to_record(percent=True))
+print("report:", compute_metrics(probs, labels, 0.5).to_record())
 
 # PCA of two shifted clouds: the first component carries the separation.
 cloud = np.vstack([rng.normal(0, 1, (30, 6)), rng.normal(4, 1, (30, 6))])

@@ -29,6 +29,6 @@ from .train import (ClassifierParams, DivergenceDetected, InvalidCheckpoint, Pip
                     hashed_backends, head_probability, init_train_state, load_checkpoint,
                     predict, save_checkpoint, train)
 from .types import (EmbeddingMatrix, FusedEmbedding, HyperParams, Label, LengthMismatch,
-                    Modality, PatchSample, TokenSequence, config_from_dict, default_hyperparams)
+                    Modality, PatchSample, config_from_dict, default_hyperparams)
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from .embed import EmbedderBackend
 from .experiments import ABLATION_FLAGS, AblationFlag, run_ablation
 from .explain import ExplainerConfig, ServiceUnavailable, explain, is_cached
 from .metrics import compute_metrics, export_pca_csv, pca_project
-from .train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, HashTokenizer, PipelineBackends,
+from .train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, InvalidCheckpoint, PipelineBackends,
                     TrainOptions, TrainState, fused_embeddings, hashed_backends, load_checkpoint,
                     predict, train)
 from .types import HyperParams, Label, PatchSample, config_from_dict, default_hyperparams
@@ -165,8 +165,7 @@ def _backends(cfg: RunConfig, state: TrainState | None = None) -> PipelineBacken
         if backend.dim != hp.dim:
             raise ConfigError(f"precomputed embeddings {backend.source_path} have dim "
                               f"{backend.dim}, but {owner} has dim {hp.dim}")
-    return PipelineBackends(tokenizer=HashTokenizer(), patch_embedder=patch,
-                            text_embedder=text, explainer=cfg.explainer)
+    return PipelineBackends(patch_embedder=patch, text_embedder=text, explainer=cfg.explainer)
 
 
 def _split(cfg: RunConfig):
@@ -181,9 +180,16 @@ def _load_state(cfg: RunConfig, args):
         pointer_path = os.path.join(cfg.output_dir, "checkpoints", "best.json")
         if not os.path.exists(pointer_path):
             raise MissingArtifact(pointer_path, "checkpoint pointer")
-        with open(pointer_path, encoding="utf-8") as fh:
-            pointer = json.load(fh)
-        path = os.path.join(cfg.output_dir, "checkpoints", pointer["path"])
+        try:
+            with open(pointer_path, encoding="utf-8") as fh:
+                pointer = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise InvalidCheckpoint(pointer_path, f"pointer is not JSON: {exc}") from exc
+        name = pointer.get("path") if isinstance(pointer, dict) else None
+        if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
+            raise InvalidCheckpoint(pointer_path, "pointer 'path' must be a file name in the same "
+                                                  f"directory, got {pointer!r}")
+        path = os.path.join(os.path.dirname(pointer_path), name)
     if not os.path.exists(path):
         raise MissingArtifact(path, "checkpoint")
     return path, load_checkpoint(path)
@@ -259,7 +265,7 @@ def cmd_eval(cfg: RunConfig, args) -> dict:
     results = predict(samples, state, _backends(cfg, state))
     probs = [p for p, _ in results]
     y = [1 if s.label is Label.SECURITY else 0 for s in samples]
-    report = compute_metrics(probs, y, state.options.threshold).to_record(percent=True)
+    report = compute_metrics(probs, y, state.options.threshold).to_record()
     record = {"metrics": report, "split": split_name, "n": len(samples),
               "checkpoint": path, "seed": cfg.hp.seed}
     write_json(os.path.join(cfg.output_dir, "metrics.json"), record)
@@ -321,7 +327,7 @@ def cmd_ablate(cfg: RunConfig, args) -> dict:
         "seed": cfg.hp.seed,
         "rows": [{
             "flags": list(row.flags),
-            "metrics": row.metrics.to_record(percent=True),
+            "metrics": row.metrics.to_record(),
             "final_epoch": row.epochs[-1],
         } for row in rows],
     }

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .arrayio import atomic_open
 from .seeding import substream
-from .types import Label, PatchSample, TokenSequence
+from .types import Label, PatchSample
 
 _LABEL_VALUES = {label.value: label for label in Label}
 
@@ -171,31 +171,26 @@ def split_dataset(samples, ratios, seed: int, stratify: bool = True) -> DatasetS
 
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+VOCAB_SIZE = 1 << 16
 
 
 class HashTokenizer:
-    """Whitespace+punctuation tokenizer with a hashed vocabulary.
+    """Whitespace+punctuation tokenizer with a hashed vocabulary of VOCAB_SIZE ids.
 
     Token ids are stable across processes and platforms (blake2b based, not
     Python's salted hash), so pipelines built on it are fully reproducible.
     """
-
-    def __init__(self, vocab_size: int = 1 << 16):
-        if vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
-        self.vocab_size = vocab_size
 
     def encode(self, text: str) -> list[int]:
         return [self._token_id(tok) for tok in _TOKEN_RE.findall(text)]
 
     def _token_id(self, token: str) -> int:
         digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "little") % self.vocab_size
+        return int.from_bytes(digest, "little") % VOCAB_SIZE
 
 
-def tokenize(text: str, vocab, max_tokens: int) -> TokenSequence:
-    """Encode text with the injected tokenizer and truncate to the first max_tokens ids."""
+def tokenize(text: str, vocab, max_tokens: int) -> tuple[int, ...]:
+    """Encode text with the given tokenizer; the first max_tokens ids."""
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
-    ids = vocab.encode(text)
-    return TokenSequence(tuple(ids[:max_tokens]), max_tokens=max_tokens)
+    return tuple(vocab.encode(text)[:max_tokens])

@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import arrayio
-from .types import EmbeddingMatrix, Modality, TokenSequence
+from .types import EmbeddingMatrix, Modality
 
 PRECOMPUTED_KIND = "precomputed_file"
 HASHED_KIND = "hashed_projection"
@@ -41,9 +41,10 @@ class EmbedderBackend:
     @classmethod
     def precomputed_file(cls, path) -> "EmbedderBackend":
         arrays, meta = arrayio.load_arrays(path)
-        dim = int(meta.get("dim", 0))
-        if dim < 1:
-            raise ValueError(f"{path}: precomputed file missing positive 'dim' in meta")
+        dim = meta.get("dim")
+        if type(dim) is not int or dim < 1:  # a bool is not an int
+            raise ValueError(
+                f"{path}: precomputed file needs an int 'dim' >= 1 in meta, got {dim!r}")
         for key, arr in arrays.items():
             if arr.ndim != 2 or arr.shape[1] != dim:
                 raise ValueError(f"{path}: entry {key!r} has shape {arr.shape}, expected (*, {dim})")
@@ -73,13 +74,13 @@ def _token_row(seed: int, dim: int, token_id: int) -> np.ndarray:
     return row
 
 
-def _embed(tokens: TokenSequence, backend: EmbedderBackend, modality: Modality,
+def _embed(tokens: tuple[int, ...], backend: EmbedderBackend, modality: Modality,
            sample_id: str | None) -> EmbeddingMatrix:
-    if tokens.length == 0:
+    if not tokens:
         # sentinel zero row keeps downstream shapes valid for missing modalities
         return EmbeddingMatrix(np.zeros((1, backend.dim)), modality)
     if backend.kind == HASHED_KIND:
-        rows = np.stack([_token_row(backend.seed, backend.dim, t) for t in tokens.tokens])
+        rows = np.stack([_token_row(backend.seed, backend.dim, t) for t in tokens])
         return EmbeddingMatrix(rows, modality)
     if sample_id is None:
         raise ValueError("precomputed_file backend requires a sample_id")
@@ -89,15 +90,15 @@ def _embed(tokens: TokenSequence, backend: EmbedderBackend, modality: Modality,
     return EmbeddingMatrix(backend.table[key], modality)
 
 
-def embed_patch(tokens: TokenSequence, backend: EmbedderBackend,
+def embed_patch(tokens: tuple[int, ...], backend: EmbedderBackend,
                 sample_id: str | None = None) -> EmbeddingMatrix:
-    """Embed a patch token sequence to shape (seq_len, dim); empty input yields one zero row."""
+    """Embed patch token ids to shape (seq_len, dim); empty input yields one zero row."""
     return _embed(tokens, backend, Modality.PATCH, sample_id)
 
 
-def embed_text(tokens: TokenSequence, backend: EmbedderBackend, modality: Modality,
+def embed_text(tokens: tuple[int, ...], backend: EmbedderBackend, modality: Modality,
                sample_id: str | None = None) -> EmbeddingMatrix:
-    """Embed a text token sequence under the requested text modality tag."""
+    """Embed text token ids under the requested text modality tag."""
     if modality is Modality.PATCH:
         raise ValueError("embed_text expects a text modality, got patch")
     return _embed(tokens, backend, modality, sample_id)

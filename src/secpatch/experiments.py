@@ -106,7 +106,7 @@ def repeated_runs(k: int, split: DatasetSplit, hp: HyperParams, backends: Pipeli
     for i in range(k):
         run_hp = dataclasses.replace(hp, seed=derive_seed(hp.seed, f"repeat-{i}"))
         state, _ = train(split, run_hp, backends, options=options)
-        report = _evaluate(eval_samples, state, backends).to_record(percent=True)
+        report = _evaluate(eval_samples, state, backends).to_record()
         for key in values:
             if report[key] is not None:
                 values[key].append(report[key])

@@ -37,13 +37,13 @@ class MetricsReport:
         if self.auc is not None and not 0.0 <= self.auc <= 1.0:
             raise ValueError(f"auc out of [0, 1]: {self.auc}")
 
-    def to_record(self, percent: bool = True) -> dict:
-        scale = 100.0 if percent else 1.0
+    def to_record(self) -> dict:
+        """The flat record of metrics.json and ablation.json: rates in percent, counts raw."""
         return {
-            "AUC": None if self.auc is None else self.auc * scale,
-            "F1": self.f1 * scale,
-            "+Recall": self.plus_recall * scale,
-            "-Recall": self.minus_recall * scale,
+            "AUC": None if self.auc is None else self.auc * 100.0,
+            "F1": self.f1 * 100.0,
+            "+Recall": self.plus_recall * 100.0,
+            "-Recall": self.minus_recall * 100.0,
             "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn, "n": self.n,
         }
 

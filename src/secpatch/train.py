@@ -4,6 +4,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -24,6 +25,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 PROB_EPS = 1e-12
+_TOKENIZER = HashTokenizer()
 
 CHECKPOINT_MAGIC = "secpatch-train"
 RNG_STREAMS = ("batching", "dropout", "mining")
@@ -93,18 +95,16 @@ class TrainOptions:
 
 @dataclass
 class PipelineBackends:
-    """Injected tokenizer, embedders, and optional explanation backend."""
+    """Injected embedders and optional explanation backend."""
 
-    tokenizer: object
     patch_embedder: EmbedderBackend
     text_embedder: EmbedderBackend
     explainer: ExplainerConfig | None = None
 
 
 def hashed_backends(hp: HyperParams, explainer: ExplainerConfig | None = None) -> PipelineBackends:
-    """Fully offline backends: hashed tokenizer + hashed projection embedders."""
+    """Fully offline backends: hashed projection embedders."""
     return PipelineBackends(
-        tokenizer=HashTokenizer(),
         patch_embedder=EmbedderBackend.hashed_projection(hp.dim, derive_seed(hp.seed, "embed-patch")),
         text_embedder=EmbedderBackend.hashed_projection(hp.dim, derive_seed(hp.seed, "embed-text")),
         explainer=explainer,
@@ -183,14 +183,13 @@ def encode_sample(sample: PatchSample, backends: PipelineBackends, hp: HyperPara
     description = sample.description or ""
     instruction = instruction_text() if options.use_instruction else ""
 
-    tok = backends.tokenizer
-    e_pa = embed_patch(tokenize(sample.diff_text, tok, hp.max_tokens),
+    e_pa = embed_patch(tokenize(sample.diff_text, _TOKENIZER, hp.max_tokens),
                        backends.patch_embedder, sample.id)
-    e_ex = embed_text(tokenize(explanation, tok, hp.max_tokens),
+    e_ex = embed_text(tokenize(explanation, _TOKENIZER, hp.max_tokens),
                       backends.text_embedder, Modality.EXPLANATION, sample.id)
-    e_desc = embed_text(tokenize(description, tok, hp.max_tokens),
+    e_desc = embed_text(tokenize(description, _TOKENIZER, hp.max_tokens),
                         backends.text_embedder, Modality.DESCRIPTION, sample.id)
-    e_inst = embed_text(tokenize(instruction, tok, hp.max_tokens),
+    e_inst = embed_text(tokenize(instruction, _TOKENIZER, hp.max_tokens),
                         backends.text_embedder, Modality.INSTRUCTION, sample.id)
     return e_pa, e_ex, e_desc, e_inst
 
@@ -328,13 +327,24 @@ def save_checkpoint(path, state: TrainState) -> None:
     arrayio.save_arrays(path, arrays, meta)
 
 
+@dataclass(frozen=True)
+class _Progress:
+    """The counters a checkpoint's meta block holds beside its hp and options."""
+
+    epoch: int
+    adam_t: int
+    sbcl_skipped: int
+    has_ptformer: bool
+
+
 def load_checkpoint(path) -> TrainState:
     """Rebuild the TrainState that save_checkpoint wrote to `path`.
 
     Raises InvalidCheckpoint naming the first missing meta key, array or rng
-    stream, or the first array whose shape disagrees with the stored
-    hyperparameters and options (dim, num_heads, ff_hidden, a 3 * dim
-    classifier) or, for an AdamW moment, with its parameter.
+    stream, the first counter that is not an int (`has_ptformer`: a bool),
+    the first array whose shape disagrees with the stored hyperparameters and
+    options (dim, num_heads, ff_hidden, a 3 * dim classifier) or, for an
+    AdamW moment, with its parameter, and the first array that is not <f8.
     """
     arrays, meta = arrayio.load_arrays(path)
     if meta.get("format") != CHECKPOINT_MAGIC:
@@ -343,22 +353,28 @@ def load_checkpoint(path) -> TrainState:
     try:
         hp = config_from_dict(HyperParams, meta["hp"], "hp")
         options = config_from_dict(TrainOptions, meta["options"], "options")
+        progress = config_from_dict(_Progress, {f.name: meta[f.name] for f in fields(_Progress)},
+                                    "meta")
         specs = parameter_specs(ClassifierParams, "classifier.")
-        if meta["has_ptformer"]:
+        if progress.has_ptformer:
             specs = parameter_specs(PTFormerState, "pt.") | specs
-        sizes = check_shapes(arrays, specs, model_sizes(hp, options.ff_hidden))
-        for kind in ("adam_m.", "adam_v."):  # each moment is shaped like its parameter
-            check_shapes(arrays, {kind + name: spec for name, spec in specs.items()}, sizes)
+        sizes = model_sizes(hp, options.ff_hidden)
+        for kind in ("", "adam_m.", "adam_v."):  # each moment is shaped like its parameter
+            named = {kind + name: spec for name, spec in specs.items()}
+            check_shapes(arrays, named, sizes)
+            for name in named:
+                if arrays[name].dtype != np.float64:
+                    raise ValueError(f"{name} has dtype {arrays[name].dtype.str}, expected <f8")
         saved = _Entries(meta["rng"], path, "rng stream")
         rngs = {name: np.random.default_rng(0) for name in RNG_STREAMS}
         for name, gen in rngs.items():
             gen.bit_generator.state = saved[name]
         state = TrainState(
             pt_former=from_named_parameters(PTFormerState, arrays, "pt.", dropout_rate=hp.dropout)
-            if meta["has_ptformer"] else None,
+            if progress.has_ptformer else None,
             classifier=from_named_parameters(ClassifierParams, arrays, "classifier."),
-            hp=hp, options=options, adam_m={}, adam_v={}, adam_t=meta["adam_t"],
-            epoch=meta["epoch"], rngs=rngs, sbcl_skipped=meta["sbcl_skipped"],
+            hp=hp, options=options, adam_m={}, adam_v={}, adam_t=progress.adam_t,
+            epoch=progress.epoch, rngs=rngs, sbcl_skipped=progress.sbcl_skipped,
         )
         for name in _trainable_params(state):
             state.adam_m[name] = arrays[f"adam_m.{name}"]
@@ -373,22 +389,13 @@ def load_checkpoint(path) -> TrainState:
 # ---------------------------------------------------------------------------
 # batch composition: balanced class mix, reshuffled refills when a class runs out
 
-class _ClassCycle:
-    def __init__(self, items, rng):
-        self._items = list(items)
-        self._rng = rng
-        self._pos = len(self._items)
-
-    def take(self, count: int) -> list:
-        out = []
-        for _ in range(count):
-            if self._pos >= len(self._items):
-                order = self._rng.permutation(len(self._items))
-                self._items = [self._items[i] for i in order]
-                self._pos = 0
-            out.append(self._items[self._pos])
-            self._pos += 1
-        return out
+def _class_cycle(items, rng):
+    """Endless draws from `items`; each pass permutes the previous pass's order."""
+    if not items:
+        raise ValueError("cannot draw batches from an empty class")
+    while True:
+        items = [items[i] for i in rng.permutation(len(items))]
+        yield from items
 
 
 def _compose_batches(samples, batch_size: int, rng):
@@ -396,11 +403,11 @@ def _compose_batches(samples, batch_size: int, rng):
     non_security = [s for s in samples if s.label is Label.NON_SECURITY]
     n_security = math.ceil(batch_size / 2)
     n_non = batch_size - n_security
-    sec_cycle = _ClassCycle(security, rng)
-    non_cycle = _ClassCycle(non_security, rng)
+    sec_cycle = _class_cycle(security, rng)
+    non_cycle = _class_cycle(non_security, rng)
     n_batches = max(1, math.ceil(len(samples) / batch_size))
     for _ in range(n_batches):
-        yield sec_cycle.take(n_security) + non_cycle.take(n_non)
+        yield list(islice(sec_cycle, n_security)) + list(islice(non_cycle, n_non))
 
 
 # ---------------------------------------------------------------------------

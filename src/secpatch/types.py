@@ -1,4 +1,4 @@
-"""Shared domain types: samples, tokens, embeddings, hyperparameters, the strict config loader."""
+"""Shared domain types: samples, embeddings, hyperparameters, the strict config loader."""
 
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -19,8 +19,6 @@ class Modality(Enum):
     EXPLANATION = "explanation"
     DESCRIPTION = "description"
     INSTRUCTION = "instruction"
-
-
 
 
 class LengthMismatch(ValueError):
@@ -74,25 +72,6 @@ class PatchSample:
             explanation=record.get("explanation"),
             source=record.get("source", "") or "",
         )
-
-
-@dataclass(frozen=True)
-class TokenSequence:
-    """Integer token ids, bounded by the configured input budget."""
-
-    tokens: tuple[int, ...]
-    max_tokens: int = 512
-
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-        if len(self.tokens) > self.max_tokens:
-            raise ValueError(f"sequence length {len(self.tokens)} exceeds max_tokens {self.max_tokens}")
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass(frozen=True)

@@ -189,3 +189,27 @@ def pca_eigh_reconstruction_error(points, k: int) -> float:
     top = eigvecs[:, np.argsort(eigvals)[::-1][:k]]
     recon = centered @ top @ top.T
     return float(np.sum((centered - recon) ** 2))
+
+
+def loop_class_cycle(items, rng):
+    """A cursor over `items`; the returned take(count) draws the next `count` of them.
+
+    A take that finds the cursor at the end first permutes the previous pass's
+    order and restarts the cursor, one item at a time.
+    """
+    items = list(items)
+    pos = len(items)
+
+    def take(count: int) -> list:
+        nonlocal items, pos
+        out = []
+        for _ in range(count):
+            if pos >= len(items):
+                order = rng.permutation(len(items))
+                items = [items[i] for i in order]
+                pos = 0
+            out.append(items[pos])
+            pos += 1
+        return out
+
+    return take

@@ -2,6 +2,7 @@ import ast
 import os
 import stat
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -195,4 +196,23 @@ def test_only_arrayio_opens_files_for_writing():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and "tempfile" in (
                     [a.name for a in node.names] + [getattr(node, "module", None)]):
                 found.append(f"{path.name}:{node.lineno} imports tempfile")
+    assert found == []
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies: the package imports the stdlib, numpy and itself, nothing else
+
+def test_package_imports_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "secpatch"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # level > 0: secpatch
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} imports {module}" for module in modules
+                      if module.partition(".")[0] not in allowed]
     assert found == []

@@ -138,6 +138,25 @@ def test_eval_without_checkpoint_is_missing_artifact(workspace, capsys):
     assert record["path"].endswith("best.json")
 
 
+@pytest.mark.parametrize("pointer, reason", [
+    ("{}", "pointer 'path' must be a file name in the same directory, got {}"),
+    ('{"path": 5}', "pointer 'path' must be a file name in the same directory, got {'path': 5}"),
+    ('{"path": "../x"}',
+     "pointer 'path' must be a file name in the same directory, got {'path': '../x'}"),
+    ("[1]", "pointer 'path' must be a file name in the same directory, got [1]"),
+    ("epoch 3", "pointer is not JSON: "),
+], ids=["empty-object", "path-not-string", "path-outside", "not-an-object", "not-json"])
+def test_bad_checkpoint_pointer_names_the_pointer(workspace, capsys, pointer, reason):
+    pointer_path = workspace["out"] / "checkpoints" / "best.json"
+    pointer_path.parent.mkdir(parents=True)
+    pointer_path.write_text(pointer, encoding="utf-8")
+    (workspace["out"] / "x").write_bytes(b"")  # "../x" names a file that exists
+    code, _, stderr = _run(["--config", workspace["config"], "eval"], capsys)
+    record = json.loads(stderr)
+    assert (code, record["error"]) == (1, "InvalidCheckpoint")
+    assert record["message"].startswith(f"{pointer_path}: invalid checkpoint: {reason}")
+
+
 @pytest.mark.parametrize("flags", [["--seed", "8"], ["--set", "hyperparams.dim=32"]],
                          ids=["seed", "dim"])
 def test_scoring_embeds_with_the_checkpoint_settings(workspace, capsys, flags):

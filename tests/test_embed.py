@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from secpatch import (BackendMissingEntry, EmbedderBackend, Modality, TokenSequence,
-                      embed_patch, embed_text, save_precomputed)
+from secpatch import (BackendMissingEntry, EmbedderBackend, Modality, embed_patch, embed_text,
+                      save_precomputed)
+from secpatch.arrayio import save_arrays
 
 
 @pytest.fixture
@@ -11,7 +14,7 @@ def hashed():
 
 
 def test_hashed_deterministic(hashed):
-    tokens = TokenSequence((3, 9, 27))
+    tokens = (3, 9, 27)
     a = embed_patch(tokens, hashed)
     b = embed_patch(tokens, hashed)
     np.testing.assert_array_equal(a.values, b.values)
@@ -20,31 +23,31 @@ def test_hashed_deterministic(hashed):
 
 
 def test_hashed_rows_unit_norm(hashed):
-    matrix = embed_patch(TokenSequence(tuple(range(40))), hashed)
+    matrix = embed_patch(tuple(range(40)), hashed)
     norms = np.linalg.norm(matrix.values, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
 def test_same_token_same_row(hashed):
-    matrix = embed_patch(TokenSequence((5, 5)), hashed)
+    matrix = embed_patch((5, 5), hashed)
     np.testing.assert_array_equal(matrix.values[0], matrix.values[1])
 
 
 def test_empty_sequence_sentinel(hashed):
-    matrix = embed_patch(TokenSequence(()), hashed)
+    matrix = embed_patch((), hashed)
     assert matrix.values.shape == (1, 8)
     assert np.all(matrix.values == 0.0)
 
 
 def test_different_seeds_differ():
-    tokens = TokenSequence((1, 2))
+    tokens = (1, 2)
     a = embed_patch(tokens, EmbedderBackend.hashed_projection(8, seed=1))
     b = embed_patch(tokens, EmbedderBackend.hashed_projection(8, seed=2))
     assert not np.allclose(a.values, b.values)
 
 
 def test_text_modalities_share_values(hashed):
-    tokens = TokenSequence((4, 8))
+    tokens = (4, 8)
     ex = embed_text(tokens, hashed, Modality.EXPLANATION)
     desc = embed_text(tokens, hashed, Modality.DESCRIPTION)
     np.testing.assert_array_equal(ex.values, desc.values)
@@ -54,7 +57,7 @@ def test_text_modalities_share_values(hashed):
 
 def test_embed_text_rejects_patch_modality(hashed):
     with pytest.raises(ValueError, match="text modality"):
-        embed_text(TokenSequence((1,)), hashed, Modality.PATCH)
+        embed_text((1,), hashed, Modality.PATCH)
 
 
 def test_precomputed_round_trip(tmp_path):
@@ -66,9 +69,9 @@ def test_precomputed_round_trip(tmp_path):
     save_precomputed(path, entries, dim=4)
     backend = EmbedderBackend.precomputed_file(path)
     assert backend.dim == 4
-    got = embed_patch(TokenSequence((1, 2, 3)), backend, sample_id="s1")
+    got = embed_patch((1, 2, 3), backend, sample_id="s1")
     np.testing.assert_array_equal(got.values, entries["s1/patch"])
-    got_ex = embed_text(TokenSequence((9,)), backend, Modality.EXPLANATION, sample_id="s1")
+    got_ex = embed_text((9,), backend, Modality.EXPLANATION, sample_id="s1")
     np.testing.assert_array_equal(got_ex.values, entries["s1/explanation"])
 
 
@@ -77,17 +80,17 @@ def test_precomputed_missing_entry(tmp_path):
     save_precomputed(path, {"s1/patch": np.ones((1, 4))}, dim=4)
     backend = EmbedderBackend.precomputed_file(path)
     with pytest.raises(BackendMissingEntry) as err:
-        embed_patch(TokenSequence((1,)), backend, sample_id="absent")
+        embed_patch((1,), backend, sample_id="absent")
     assert err.value.key == "absent/patch"
     with pytest.raises(ValueError, match="sample_id"):
-        embed_patch(TokenSequence((1,)), backend)
+        embed_patch((1,), backend)
 
 
 def test_precomputed_empty_tokens_sentinel(tmp_path):
     path = tmp_path / "emb.bin"
     save_precomputed(path, {"s1/patch": np.ones((1, 4))}, dim=4)
     backend = EmbedderBackend.precomputed_file(path)
-    matrix = embed_text(TokenSequence(()), backend, Modality.DESCRIPTION, sample_id="s1")
+    matrix = embed_text((), backend, Modality.DESCRIPTION, sample_id="s1")
     assert matrix.values.shape == (1, 4)
     assert np.all(matrix.values == 0.0)
 
@@ -102,3 +105,15 @@ def test_backend_validation():
         EmbedderBackend(kind="bert", dim=4)
     with pytest.raises(ValueError, match="dim"):
         EmbedderBackend(kind="hashed_projection", dim=0)
+
+
+@pytest.mark.parametrize("dim, width", [(2.5, 2), ("16", 16), (True, 1), (None, 1), (0, 1)],
+                         ids=["float", "string", "bool", "missing", "zero"])
+def test_precomputed_dim_must_be_a_positive_int(tmp_path, dim, width):
+    # each file's entries have the width int(dim) would give, so only the dim check can fail
+    path = tmp_path / "emb.bin"
+    meta = {"format": "secpatch-embeddings"} | ({} if dim is None else {"dim": dim})
+    save_arrays(path, {"s1/patch": np.ones((1, width))}, meta)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: precomputed file needs an int "
+                                                   f"'dim' >= 1 in meta, got {dim!r}")):
+        EmbedderBackend.precomputed_file(path)

@@ -105,7 +105,7 @@ def test_report_invariants_enforced():
 
 def test_report_percent_record():
     report = compute_metrics([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0], 0.5)
-    record = report.to_record(percent=True)
+    record = report.to_record()
     assert record["AUC"] == 100.0
     assert record["+Recall"] == 100.0
     assert record["-Recall"] == 100.0

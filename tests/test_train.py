@@ -8,17 +8,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR, make_sample
-from oracles import scalar_bce
+from oracles import loop_class_cycle, scalar_bce
 from secpatch import (ClassifierParams, DivergenceDetected, EmbeddingMatrix, ExplainerConfig,
                       FusedEmbedding, Label, LengthMismatch, Modality, TrainOptions, bce_loss,
                       compute_metrics, default_hyperparams, encode_sample, hashed_backends,
                       head_probability, init_train_state, load_checkpoint,
                       make_synthetic_samples, predict, save_checkpoint, split_dataset, train)
 from secpatch.arrayio import load_arrays, save_arrays
-from secpatch.train import (ADAM_EPS, InvalidCheckpoint, _train_batch, adamw_step,
-                            batch_loss_and_grads)
+from secpatch.train import (ADAM_EPS, InvalidCheckpoint, _compose_batches, _train_batch,
+                            adamw_step, batch_loss_and_grads)
 
 
 def _classifier(weight, bias=0.0):
@@ -199,6 +201,30 @@ def test_adamw_decoupled_decay_direction():
 
 
 # ---------------------------------------------------------------------------
+# batch composition
+
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 17), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_compose_batches_matches_cursor_oracle(n_security, n_non, batch_size, seed):
+    # refills permute the previous pass's order, so batches past a class's first pass pin it
+    samples = [make_sample(i, Label.SECURITY if i < n_security else Label.NON_SECURITY)
+               for i in range(n_security + n_non)]
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    sec = loop_class_cycle([s for s in samples if s.label is Label.SECURITY], oracle_rng)
+    non = loop_class_cycle([s for s in samples if s.label is Label.NON_SECURITY], oracle_rng)
+    n_batches = math.ceil(len(samples) / batch_size)
+    want = [sec(math.ceil(batch_size / 2)) + non(batch_size // 2) for _ in range(n_batches)]
+    assert list(_compose_batches(samples, batch_size, rng)) == want
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_compose_batches_rejects_an_empty_class():
+    samples = [make_sample(i, Label.SECURITY) for i in range(3)]
+    with pytest.raises(ValueError, match="empty class"):
+        next(_compose_batches(samples, 4, np.random.default_rng(0)))
+
+
+# ---------------------------------------------------------------------------
 # training loop
 
 def _tiny_split(hp):
@@ -365,8 +391,21 @@ def test_checkpoint_written_by_an_earlier_version_loads(tmp_path):
      "classifier.weight has shape (8,), expected (24,)"),
     (lambda arrays, meta: arrays.update({"adam_v.pt.cross_attn.w_k": np.zeros((8, 4))}),
      "adam_v.pt.cross_attn.w_k has shape (8, 4), expected (8, 8)"),
+    (lambda arrays, meta: meta.update(adam_t="3"), "meta.adam_t must be int, got '3'"),
+    (lambda arrays, meta: meta.update(sbcl_skipped=None),
+     "meta.sbcl_skipped must be int, got None"),
+    (lambda arrays, meta: meta.update(epoch=1.5), "meta.epoch must be int, got 1.5"),
+    (lambda arrays, meta: meta.update(epoch=True), "meta.epoch must be int, got True"),
+    (lambda arrays, meta: meta.update(has_ptformer="no"),
+     "meta.has_ptformer must be bool, got 'no'"),
+    (lambda arrays, meta: arrays.update({"classifier.bias": np.zeros(1, dtype=np.int64)}),
+     "classifier.bias has dtype <i8, expected <f8"),
+    (lambda arrays, meta: arrays.update(
+        {"adam_m.pt.ff_desc.w1": arrays["adam_m.pt.ff_desc.w1"].astype(np.float32)}),
+     "adam_m.pt.ff_desc.w1 has dtype <f4, expected <f8"),
 ], ids=["missing-array", "short-bias", "missing-meta-key", "missing-rng-stream", "hp-dim",
-        "hp-num-heads", "classifier-length", "moment-shape"])
+        "hp-num-heads", "classifier-length", "moment-shape", "adam-t-string", "sbcl-skipped-null",
+        "epoch-float", "epoch-bool", "has-ptformer-string", "parameter-dtype", "moment-dtype"])
 def test_load_checkpoint_names_the_first_bad_entry(small_hp, tmp_path, edit, named):
     path = tmp_path / "edited.ckpt"
     save_checkpoint(path, init_train_state(small_hp))

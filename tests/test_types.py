@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from secpatch import (EmbeddingMatrix, FusedEmbedding, HyperParams, Label, Modality,
-                      PatchSample, TokenSequence, config_from_dict, default_hyperparams)
+                      PatchSample, config_from_dict, default_hyperparams)
 
 
 def test_default_hyperparams_published_values():
@@ -82,15 +82,6 @@ def test_patch_sample_validation_and_round_trip():
         PatchSample(id="b", diff_text="", label=Label.SECURITY)
     with pytest.raises(ValueError, match="label"):
         PatchSample(id="c", diff_text="+x", label="security")
-
-
-def test_token_sequence_bound():
-    seq = TokenSequence((1, 2, 3), max_tokens=4)
-    assert seq.length == 3
-    with pytest.raises(ValueError, match="exceeds"):
-        TokenSequence((1, 2, 3), max_tokens=2)
-    with pytest.raises(ValueError):
-        TokenSequence((1,), max_tokens=0)
 
 
 def test_embedding_matrix_checks():
