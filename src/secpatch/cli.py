@@ -13,9 +13,9 @@ from .embed import EmbedderBackend
 from .experiments import ABLATION_FLAGS, AblationFlag, run_ablation
 from .explain import ExplainerConfig, ServiceUnavailable, explain, is_cached
 from .metrics import compute_metrics, export_pca_csv, pca_project
-from .train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, InvalidCheckpoint, PipelineBackends,
+from .train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BEST_POINTER, PipelineBackends,
                     TrainOptions, TrainState, fused_embeddings, hashed_backends, load_checkpoint,
-                    predict, train)
+                    predict, read_best_pointer, train)
 from .types import HyperParams, Label, PatchSample, config_from_dict, default_hyperparams
 
 Split = Literal["train", "validation", "test"]
@@ -177,19 +177,10 @@ def _load_state(cfg: RunConfig, args):
     """(path, TrainState) of --checkpoint, else the configured one, else best.json's."""
     path = args.checkpoint or cfg.checkpoint
     if path is None:
-        pointer_path = os.path.join(cfg.output_dir, "checkpoints", "best.json")
+        pointer_path = os.path.join(cfg.output_dir, "checkpoints", BEST_POINTER)
         if not os.path.exists(pointer_path):
             raise MissingArtifact(pointer_path, "checkpoint pointer")
-        try:
-            with open(pointer_path, encoding="utf-8") as fh:
-                pointer = json.load(fh)
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise InvalidCheckpoint(pointer_path, f"pointer is not JSON: {exc}") from exc
-        name = pointer.get("path") if isinstance(pointer, dict) else None
-        if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
-            raise InvalidCheckpoint(pointer_path, "pointer 'path' must be a file name in the same "
-                                                  f"directory, got {pointer!r}")
-        path = os.path.join(os.path.dirname(pointer_path), name)
+        path = os.path.join(os.path.dirname(pointer_path), read_best_pointer(pointer_path)["path"])
     if not os.path.exists(path):
         raise MissingArtifact(path, "checkpoint")
     return path, load_checkpoint(path)
@@ -252,7 +243,7 @@ def cmd_train(cfg: RunConfig, args) -> dict:
     state, records = train(_split(cfg), cfg.hp, _backends(cfg), options=cfg.training,
                            checkpoint_dir=checkpoint_dir, run_log_path=run_log)
     final = os.path.join(checkpoint_dir, f"epoch_{state.epoch:04d}.ckpt")
-    return {"checkpoint": final, "best_pointer": os.path.join(checkpoint_dir, "best.json"),
+    return {"checkpoint": final, "best_pointer": os.path.join(checkpoint_dir, BEST_POINTER),
             "run_log": run_log, "epochs": len(records), "seed": cfg.hp.seed}
 
 

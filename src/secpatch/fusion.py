@@ -8,7 +8,13 @@ branches into one fixed-length vector. The second dense layer of each block is
 affine, so it runs on the mean-pooled hidden row: mean(h) @ w2 + b2 is the
 same vector as mean(h @ w2 + b2) at the cost of one row. Forward functions
 return caches consumed by exact reverse-mode backward functions; no autograd
-framework is involved.
+framework is involved. A feed-forward cache keeps the rectifier gate and the
+dropout keep-mask as bool arrays, an eighth of the float64 pre-activation and
+scaled mask they stand for; the backward pass rebuilds the scale
+keep / (1 - rate) with the forward pass's arithmetic, so gradients are the
+same bits. Dropout masks are drawn by `dropout_keep` apart from the forward
+pass, so a caller can draw every sample's masks in order and then run the
+forward passes in any order or on any thread.
 """
 
 import math
@@ -158,29 +164,31 @@ def cross_attention(E_pa: EmbeddingMatrix, E_ex: EmbeddingMatrix,
 # feed-forward: two dense layers with a rectifier, dropout on the hidden units,
 # and the mean over rows taken between the two layers
 
-def _ff_forward(x: np.ndarray, params: FeedForwardParams, dropout_rate: float, rng):
-    """Pooled branch output (dim,) and the cache for `_ff_backward`."""
-    z = x @ params.w1 + params.b1
-    h = np.maximum(z, 0.0)
-    mask = None
-    if dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("dropout requires an rng during training")
-        mask = (rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
-        h = h * mask
+def _ff_forward(x: np.ndarray, params: FeedForwardParams, keep, rate: float):
+    """Pooled branch output (dim,) and the cache for `_ff_backward`.
+
+    `keep` is the bool dropout mask of the hidden units, or None for no
+    dropout; kept units are scaled by 1 / (1 - rate).
+    """
+    h = x @ params.w1  # one (n, hidden) array, the pre-activation until the rectifier
+    h += params.b1
+    active = h > 0.0
+    np.maximum(h, 0.0, out=h)
+    if keep is not None:
+        h *= keep / (1.0 - rate)
     h_mean = h.mean(axis=0)
     y = h_mean @ params.w2 + params.b2
-    return y, (x, z, mask, h_mean)
+    return y, (x, active, keep, rate, h_mean)
 
 
 def _ff_backward(d_y: np.ndarray, cache, params: FeedForwardParams):
     """Input gradient (n, dim) and parameter gradients from the pooled gradient d_y (dim,)."""
-    x, z, mask, h_mean = cache
+    x, active, keep, rate, h_mean = cache
     grads = {"w2": np.outer(h_mean, d_y), "b2": d_y.copy()}  # callers accumulate in place
     d_h = (params.w2 @ d_y) / x.shape[0]  # the same for every row; broadcasts below
-    if mask is not None:
-        d_h = d_h * mask
-    d_z = d_h * (z > 0.0)
+    if keep is not None:
+        d_h = d_h * (keep / (1.0 - rate))
+    d_z = d_h * active
     grads["w1"] = x.T @ d_z
     grads["b1"] = d_z.sum(axis=0)
     d_x = d_z @ params.w1.T
@@ -190,17 +198,42 @@ def _ff_backward(d_y: np.ndarray, cache, params: FeedForwardParams):
 # ---------------------------------------------------------------------------
 # full fusion pipeline
 
+NO_DROPOUT = (None, None, None)
+
+
+def dropout_keep(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndarray,
+                 state: PTFormerState, rng):
+    """Bool keep-masks of the three feed-forward branches for one training `fuse_forward`.
+
+    One uniform per hidden unit of every row, drawn from `rng` in branch order
+    (patch-explanation, which has the patch's rows, then description, then
+    instruction); a unit is kept when its draw is >= the dropout rate.
+    NO_DROPOUT, drawing nothing, when the state has no dropout.
+    """
+    if not state.dropout_rate > 0.0:
+        return NO_DROPOUT
+    if rng is None:
+        raise ValueError("dropout requires an rng during training")
+    return tuple(rng.random((len(x), block.w1.shape[1])) >= state.dropout_rate
+                 for x, block in ((pa, state.ff_pa_ex), (desc, state.ff_desc),
+                                  (inst, state.ff_inst)))
+
+
 def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndarray,
-                 state: PTFormerState, training: bool = False, rng=None):
-    """Raw-array fusion; returns (vector of length 3*dim, cache for the backward pass)."""
-    rate = state.dropout_rate if training else 0.0
+                 state: PTFormerState, keep=NO_DROPOUT):
+    """Raw-array fusion; returns (vector of length 3*dim, cache for the backward pass).
+
+    `keep` holds the branches' dropout masks from `dropout_keep` in training;
+    the default applies no dropout (evaluation).
+    """
+    rate = state.dropout_rate
     ex_hat, c_sa_ex = _attention_forward(ex, ex, state.self_attn)
     desc_hat, c_sa_desc = _attention_forward(desc, desc, state.self_attn)
     inst_hat, c_sa_inst = _attention_forward(inst, inst, state.self_attn)
     pa_ex, c_ca = _attention_forward(pa, ex_hat, state.cross_attn.one_head())
-    f_pa_ex, c_ff1 = _ff_forward(pa_ex, state.ff_pa_ex, rate, rng)
-    f_desc, c_ff2 = _ff_forward(desc_hat, state.ff_desc, rate, rng)
-    f_inst, c_ff3 = _ff_forward(inst_hat, state.ff_inst, rate, rng)
+    f_pa_ex, c_ff1 = _ff_forward(pa_ex, state.ff_pa_ex, keep[0], rate)
+    f_desc, c_ff2 = _ff_forward(desc_hat, state.ff_desc, keep[1], rate)
+    f_inst, c_ff3 = _ff_forward(inst_hat, state.ff_inst, keep[2], rate)
     vector = np.concatenate([f_pa_ex, f_desc, f_inst])
     cache = {
         "sa_ex": c_sa_ex, "sa_desc": c_sa_desc, "sa_inst": c_sa_inst,
@@ -240,8 +273,9 @@ def fuse(E_pa: EmbeddingMatrix, E_ex: EmbeddingMatrix, E_desc: EmbeddingMatrix,
         raise ValueError(f"all inputs must share dim, got {[m.dim for m in mats]}")
     if mats[0].dim != state.dim:
         raise ValueError(f"input dim {mats[0].dim} does not match parameters dim {state.dim}")
-    vector, _ = fuse_forward(E_pa.values, E_ex.values, E_desc.values, E_inst.values,
-                             state, training=training, rng=rng)
+    raw = tuple(m.values for m in mats)
+    keep = dropout_keep(*raw, state, rng) if training else NO_DROPOUT
+    vector, _ = fuse_forward(*raw, state, keep)
     return FusedEmbedding(vector, sample_id)
 
 

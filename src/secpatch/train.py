@@ -1,8 +1,12 @@
 """Classification head, combined objective, AdamW optimization loop, and checkpointing."""
 
+import contextvars
+import ctypes
 import json
 import math
 import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import islice
 
@@ -13,9 +17,10 @@ from .contrastive import InsufficientClassMembers, sbcl_batch_loss_and_grad
 from .dataset import HashTokenizer, class_counts, tokenize
 from .embed import EmbedderBackend, embed_patch, embed_text
 from .explain import ExplainerConfig, explain, instruction_text
-from .fusion import (PTFormerState, check_shapes, from_named_parameters, fuse_backward,
-                     fuse_forward, init_parameters, init_pt_former, model_sizes,
-                     named_parameters, parameter, parameter_specs, pooled_concat)
+from .fusion import (NO_DROPOUT, PTFormerState, check_shapes, dropout_keep,
+                     from_named_parameters, fuse_backward, fuse_forward, init_parameters,
+                     init_pt_former, model_sizes, named_parameters, parameter, parameter_specs,
+                     pooled_concat)
 from .metrics import compute_metrics
 from .seeding import derive_seed, substream
 from .types import (FusedEmbedding, HyperParams, Label, LengthMismatch, Modality,
@@ -28,7 +33,14 @@ PROB_EPS = 1e-12
 _TOKENIZER = HashTokenizer()
 
 CHECKPOINT_MAGIC = "secpatch-train"
+BEST_POINTER = "best.json"
 RNG_STREAMS = ("batching", "dropout", "mining")
+
+# training runs the per-sample fusion passes on one thread per core this process may use
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_THREADED_MIN_DIM = 128
+_M_ARENA_MAX = -8  # glibc's mallopt parameter for the arena limit
 
 
 class DivergenceDetected(RuntimeError):
@@ -201,15 +213,69 @@ def encode_samples(samples, backends, hp, options=TrainOptions()) -> dict:
 # ---------------------------------------------------------------------------
 # forward pass and joint objective
 
-def _forward_sample(mats, state: TrainState, training: bool, rng):
-    """Fused vector of one encoded sample plus the cache its backward pass needs."""
+def _forward_sample(mats, state: TrainState):
+    """Fused vector of one encoded sample in evaluation mode."""
     if state.pt_former is not None:
-        return fuse_forward(mats[0].values, mats[1].values, mats[2].values,
-                            mats[3].values, state.pt_former, training=training, rng=rng)
-    return pooled_concat(*mats).values, None
+        return fuse_forward(*(m.values for m in mats), state.pt_former)[0]
+    return pooled_concat(*mats).values
 
 
-def batch_loss_and_grads(mats, labels, state: TrainState, training: bool):
+def _in_order(pool: ThreadPoolExecutor | None, fn, args: list):
+    """fn(*a) for each tuple taken from the front of `args`, yielded in order.
+
+    The calls run on `pool`, or one after another on the calling thread when
+    it is None. A tuple leaves `args` when it is submitted, so what it
+    references is freed once its call is done. At most one finished result per
+    worker waits to be taken, so a caller that folds the results as they come
+    never holds them all at once. Each call runs in a copy of the caller's
+    context, so numpy's errstate applies there too.
+    """
+    if pool is None:
+        while args:
+            yield fn(*args.pop(0))
+        return
+    pending = deque()
+    while args:
+        pending.append(pool.submit(contextvars.copy_context().run, fn, *args.pop(0)))
+        if len(pending) > _WORKERS:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def _fusion_pool(state: TrainState) -> ThreadPoolExecutor | None:
+    """One thread per usable core for the state's fusion passes, or None for the calling thread.
+
+    None on one core, without PT-Former, and for a model narrower than
+    _THREADED_MIN_DIM, whose numpy calls are too short to keep the
+    interpreter lock released: there, threads contend for the lock and run
+    slower than one thread.
+    """
+    if _WORKERS == 1 or state.pt_former is None or state.hp.dim < _THREADED_MIN_DIM:
+        return None
+    _share_one_malloc_arena()
+    return ThreadPoolExecutor(_WORKERS, thread_name_prefix="secpatch-fusion")
+
+
+def _share_one_malloc_arena() -> None:
+    """Make new threads allocate from the main malloc arena (glibc; a no-op elsewhere).
+
+    glibc gives each new thread an arena of its own, and a block freed into
+    one arena serves no other. The fusion workers' caches and the calling
+    thread's work before and after them would each keep a high-water mark of
+    their own, and peak RSS would grow with the worker count. With one arena
+    it stays that of one thread. The setting is process-wide.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no C library handle, or no mallopt
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
+def batch_loss_and_grads(mats, labels, state: TrainState, training: bool,
+                         pool: ThreadPoolExecutor | None = None):
     """Joint objective of one batch and its gradient for every trainable parameter.
 
     `mats` holds one encoded (patch, explanation, description, instruction)
@@ -219,15 +285,22 @@ def batch_loss_and_grads(mats, labels, state: TrainState, training: bool):
     mined contributes zero contrastive loss and reports `sbcl_skipped`.
     Gradients are keyed like the optimizer's parameters and are None when the
     loss is not finite. Draws from the state's dropout and mining streams.
+
+    The per-sample fusion passes run on `pool`, or on the calling thread when
+    it is None. Every sample's dropout masks are drawn here first, in sample
+    order, and the per-sample gradients are summed here in sample order, so
+    the result is the same bits whatever runs them.
     """
-    options, hp = state.options, state.hp
-    rng = state.rngs["dropout"] if training else None
-    vectors, caches = [], []
-    for sample_mats in mats:
-        vec, cache = _forward_sample(sample_mats, state, training, rng)
-        vectors.append(vec)
-        caches.append(cache)
-    fused = np.stack(vectors)
+    options, hp, pt = state.options, state.hp, state.pt_former
+    if pt is None:
+        fused = np.stack([_forward_sample(sample_mats, state) for sample_mats in mats])
+    else:
+        raw = [tuple(m.values for m in sample_mats) for sample_mats in mats]
+        keeps = [dropout_keep(*r, pt, state.rngs["dropout"]) if training else NO_DROPOUT
+                 for r in raw]
+        vectors, caches = zip(*_in_order(pool, lambda r, keep: fuse_forward(*r, pt, keep),
+                                         list(zip(raw, keeps))))
+        fused = np.stack(vectors)
     y = np.array([1.0 if label is Label.SECURITY else 0.0 for label in labels])
     probs = head_probability(fused, state.classifier)
     bce = bce_loss(probs, y)
@@ -256,10 +329,13 @@ def batch_loss_and_grads(mats, labels, state: TrainState, training: bool):
         "classifier.bias": np.array([d_logits.sum()]),
     }
     d_fused = np.outer(d_logits, state.classifier.weight) + coeff_sbcl * d_fused_sbcl
-    if state.pt_former is not None:
-        pt_grads = fuse_backward(d_fused[0], caches[0], state.pt_former)
-        for cache, d_vec in zip(caches[1:], d_fused[1:]):
-            for name, grad in fuse_backward(d_vec, cache, state.pt_former).items():
+    if pt is not None:
+        work = list(zip(d_fused, caches))
+        del caches  # so each cache is freed once its backward pass is done
+        per_sample = _in_order(pool, lambda d_vec, cache: fuse_backward(d_vec, cache, pt), work)
+        pt_grads = next(per_sample)
+        for sample_grads in per_sample:
+            for name, grad in sample_grads.items():
                 pt_grads[name] += grad
         for name, grad in pt_grads.items():
             grads[f"pt.{name}"] = grad
@@ -420,7 +496,10 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
     Runs hp.epochs epochs (on top of any epochs already in `state` when
     resuming), writes one record per epoch to the run log (emptied first on a
     fresh run, appended to when resuming), and checkpoints every epoch plus a
-    `best.json` pointer. Deterministic for a fixed seed.
+    `best.json` pointer to the best-scoring one; a resumed run repoints it
+    only for an epoch that beats the score it already holds. Deterministic for
+    a fixed seed, on any number of cores: a model at least _THREADED_MIN_DIM
+    wide runs its per-sample fusion passes on one thread per usable core.
 
     Returns (final TrainState, list of per-epoch records).
     """
@@ -443,8 +522,12 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
             raise ValueError(f"cannot change {', '.join(changed)} when resuming from a state")
     options = state.options
 
+    best_score = -math.inf
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
+        pointer_path = os.path.join(checkpoint_dir, BEST_POINTER)
+        if resuming and os.path.exists(pointer_path):
+            best_score = read_best_pointer(pointer_path)["score"]  # a resumed epoch must beat it
 
     encoded = encode_samples(train_samples, backends, hp, options)
     encoded.update(encode_samples(split.validation, backends, hp, options))
@@ -454,7 +537,7 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
     if log_fh is not None and not resuming:
         log_fh.truncate(0)  # a rerun of the same config reproduces the log byte for byte
     last_checkpoint = None
-    best_score = -math.inf
+    pool = _fusion_pool(state)
     try:
         for _ in range(hp.epochs):
             epoch = state.epoch + 1
@@ -462,7 +545,7 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
             n_batches = 0
             for batch in _compose_batches(train_samples, hp.batch_size_train,
                                           state.rngs["batching"]):
-                loss = _train_batch(batch, encoded, state)
+                loss = _train_batch(batch, encoded, state, pool)
                 if not math.isfinite(loss.total):
                     raise DivergenceDetected(epoch, last_checkpoint)
                 sums["bce"] += loss.bce
@@ -491,19 +574,44 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
                 score = val_f1 if val_f1 is not None else -record["L"]
                 if score > best_score:
                     best_score = score
-                    arrayio.write_json(os.path.join(checkpoint_dir, "best.json"), {
+                    arrayio.write_json(pointer_path, {
                         "epoch": epoch, "path": os.path.basename(last_checkpoint),
                         "score": score, "seed": hp.seed})
     finally:
+        if pool is not None:
+            pool.shutdown()
         if log_fh is not None:
             log_fh.close()
     return state, records
 
 
-def _train_batch(batch, encoded, state):
+def read_best_pointer(pointer_path) -> dict:
+    """The record of a `best.json` that `train` wrote.
+
+    Raises InvalidCheckpoint naming `pointer_path` when the file is not JSON,
+    its `path` is not a bare file name (the checkpoint sits beside the
+    pointer), or its `score` is not a finite number.
+    """
+    try:
+        with open(pointer_path, encoding="utf-8") as fh:
+            pointer = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise InvalidCheckpoint(pointer_path, f"pointer is not JSON: {exc}") from exc
+    name = pointer.get("path") if isinstance(pointer, dict) else None
+    if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
+        raise InvalidCheckpoint(pointer_path, "pointer 'path' must be a file name in the same "
+                                              f"directory, got {pointer!r}")
+    score = pointer.get("score")
+    if isinstance(score, bool) or not isinstance(score, (int, float)) or not math.isfinite(score):
+        raise InvalidCheckpoint(pointer_path, f"pointer 'score' must be a finite number, "
+                                              f"got {score!r}")
+    return pointer
+
+
+def _train_batch(batch, encoded, state, pool=None):
     """One AdamW step on the batch's joint objective; returns its LossBreakdown."""
     loss, grads = batch_loss_and_grads([encoded[s.id] for s in batch], [s.label for s in batch],
-                                       state, training=True)
+                                       state, training=True, pool=pool)
     state.sbcl_skipped += loss.sbcl_skipped
     if grads is not None:
         state.adam_t += 1
@@ -515,8 +623,7 @@ def _train_batch(batch, encoded, state):
 def _validation_metrics(validation, encoded, state):
     if not validation:
         return None, None
-    probs = [_score(_forward_sample(encoded[s.id], state, False, None)[0], state)
-             for s in validation]
+    probs = [_score(_forward_sample(encoded[s.id], state), state) for s in validation]
     y = [1 if s.label is Label.SECURITY else 0 for s in validation]
     report = compute_metrics(probs, y, state.options.threshold)
     return report.auc, report.f1
@@ -533,8 +640,7 @@ def fused_embeddings(samples, state: TrainState, backends: PipelineBackends):
     out = []
     for sample in samples:
         mats = encode_sample(sample, backends, state.hp, state.options)
-        vec, _ = _forward_sample(mats, state, training=False, rng=None)
-        out.append(FusedEmbedding(vec, sample.id))
+        out.append(FusedEmbedding(_forward_sample(mats, state), sample.id))
     return out
 
 

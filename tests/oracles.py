@@ -149,6 +149,57 @@ def rowwise_feed_forward(x, w1, b1, w2, b2, mask=None):
     return (h @ w2 + b2).mean(axis=0)
 
 
+def serial_batch_grads(mats, labels, state, training: bool):
+    """`train.batch_loss_and_grads` as one loop on one thread, for a PT-Former state.
+
+    Each sample's forward pass draws its dropout masks as it goes (branch
+    order, one uniform per hidden unit of every row), then each sample's
+    backward pass runs and its gradients are added left to right. Returns
+    (LossBreakdown, grads) and draws from the state's dropout and mining streams.
+    """
+    from secpatch.contrastive import InsufficientClassMembers, sbcl_batch_loss_and_grad
+    from secpatch.fusion import fuse_backward, fuse_forward
+    from secpatch.train import LossBreakdown, bce_loss, head_probability
+    from secpatch.types import Label
+
+    options, hp, pt = state.options, state.hp, state.pt_former
+    vectors, caches = [], []
+    for pa, ex, desc, inst in (tuple(m.values for m in sample) for sample in mats):
+        keep = (None, None, None)
+        if training and pt.dropout_rate > 0.0:
+            keep = tuple(state.rngs["dropout"].random((len(x), block.w1.shape[1]))
+                         >= pt.dropout_rate
+                         for x, block in ((pa, pt.ff_pa_ex), (desc, pt.ff_desc),
+                                          (inst, pt.ff_inst)))
+        vector, cache = fuse_forward(pa, ex, desc, inst, pt, keep)
+        vectors.append(vector)
+        caches.append(cache)
+    fused = np.stack(vectors)
+    y = np.array([1.0 if label is Label.SECURITY else 0.0 for label in labels])
+    probs = head_probability(fused, state.classifier)
+    bce = bce_loss(probs, y)
+    sbcl, skipped, d_sbcl = 0.0, False, np.zeros_like(fused)
+    if options.use_sbcl:
+        try:
+            sbcl, d_sbcl = sbcl_batch_loss_and_grad(fused, labels, hp.margin,
+                                                    rng=state.rngs["mining"],
+                                                    anchor_mode=options.anchor_mode)
+        except InsufficientClassMembers:
+            skipped = True
+    c_bce, c_sbcl = (1.0, 1.0) if options.loss_blend == "sum" else (hp.alpha, 1.0 - hp.alpha)
+    loss = LossBreakdown(c_bce * bce + c_sbcl * sbcl, bce, sbcl, skipped)
+    d_logits = c_bce * (probs - y) / len(labels)
+    grads = {"classifier.weight": fused.T @ d_logits,
+             "classifier.bias": np.array([d_logits.sum()])}
+    d_fused = np.outer(d_logits, state.classifier.weight) + c_sbcl * d_sbcl
+    total = fuse_backward(d_fused[0], caches[0], pt)
+    for d_vector, cache in zip(d_fused[1:], caches[1:]):
+        for name, grad in fuse_backward(d_vector, cache, pt).items():
+            total[name] += grad
+    grads |= {f"pt.{name}": grad for name, grad in total.items()}
+    return loss, grads
+
+
 def central_difference(fn, arrays: dict, eps: float = 1e-5) -> dict:
     """Central finite differences of scalar fn() w.r.t. every entry of every array.
 

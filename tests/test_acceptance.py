@@ -292,6 +292,6 @@ def test_ablation_toggles(tmp_path, synthetic_path):
     state = init_train_state(hp, options)
     assert state.pt_former is None
     mats = encode_sample(split.train[0], backends, hp, options)
-    vec, _ = _forward_sample(mats, state, training=False, rng=None)
+    vec = _forward_sample(mats, state)
     assert vec.shape == (3 * hp.dim,)
     _passed("ablation toggles (no_sbcl zero column, no_ptformer 3*dim, 4 flags complete)")

@@ -8,8 +8,8 @@ import pytest
 from oracles import assert_grads_close, central_difference, loop_attention, rowwise_feed_forward
 from secpatch import (EmbeddingMatrix, Modality, cross_attention, default_hyperparams, fuse,
                       init_pt_former, named_parameters, pooled_concat, self_attention)
-from secpatch.fusion import (from_named_parameters, fuse_backward, fuse_forward,
-                             parameter_specs)
+from secpatch.fusion import (NO_DROPOUT, dropout_keep, from_named_parameters, fuse_backward,
+                             fuse_forward, parameter_specs)
 
 
 @pytest.fixture
@@ -316,7 +316,8 @@ def test_fuse_forward_matches_rowwise_oracle(training, dim, heads, rows):
         block.b2[:] = np.linspace(1.0, -1.0, block.b2.shape[0])
     raw = tuple(m.values for m in _inputs(np.random.default_rng(dim), dim, rows))
     rng, oracle_rng = (np.random.default_rng(5), np.random.default_rng(5)) if training else (None, None)
-    vector, _ = fuse_forward(*raw, state, training=training, rng=rng)
+    keep = dropout_keep(*raw, state, rng) if training else NO_DROPOUT
+    vector, _ = fuse_forward(*raw, state, keep)
     np.testing.assert_allclose(vector, _rowwise_fused(raw, state, oracle_rng),
                                rtol=1e-10, atol=1e-12)
 
@@ -357,7 +358,7 @@ def test_fuse_backward_matches_finite_differences_with_dropout(hp8):
     probe = rng.standard_normal(24)
 
     def forward():
-        return fuse_forward(*raw, state, training=True, rng=np.random.default_rng(7))
+        return fuse_forward(*raw, state, dropout_keep(*raw, state, np.random.default_rng(7)))
 
     vec, cache = forward()
     assert cache["ff1"][2] is not None and np.any(cache["ff1"][2] == 0.0)

@@ -1,10 +1,15 @@
+import copy
 import dataclasses
+import importlib
+import itertools
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, make_sample
-from oracles import loop_class_cycle, scalar_bce
+from oracles import loop_class_cycle, scalar_bce, serial_batch_grads
 from secpatch import (ClassifierParams, DivergenceDetected, EmbeddingMatrix, ExplainerConfig,
                       FusedEmbedding, Label, LengthMismatch, Modality, TrainOptions, bce_loss,
                       compute_metrics, default_hyperparams, encode_sample, hashed_backends,
@@ -21,6 +26,8 @@ from secpatch import (ClassifierParams, DivergenceDetected, EmbeddingMatrix, Exp
 from secpatch.arrayio import load_arrays, save_arrays
 from secpatch.train import (ADAM_EPS, InvalidCheckpoint, _compose_batches, _train_batch,
                             adamw_step, batch_loss_and_grads)
+
+train_module = importlib.import_module("secpatch.train")  # the package re-exports train()
 
 
 def _classifier(weight, bias=0.0):
@@ -172,6 +179,118 @@ def test_train_batch_reports_skipped_sbcl():
 
 
 # ---------------------------------------------------------------------------
+# per-sample fusion passes on a thread pool
+
+def _ragged_batch(n: int, dim: int, seed: int):
+    """n encoded samples, each modality 1 to 9 rows, labels alternating from security."""
+    rng = np.random.default_rng(seed)
+    mats = [tuple(EmbeddingMatrix(rng.standard_normal((int(rng.integers(1, 10)), dim)), modality)
+                  for modality in Modality) for _ in range(n)]
+    return mats, [Label.SECURITY if i % 2 == 0 else Label.NON_SECURITY for i in range(n)]
+
+
+def _ptformer_state(dropout: float):
+    hp = dataclasses.replace(default_hyperparams(), dim=8, num_heads=2, dropout=dropout,
+                             margin=0.5, seed=5)
+    state = init_train_state(hp)
+    state.classifier.weight[:] = 0.1 * np.random.default_rng(6).standard_normal(24)
+    return state
+
+
+def _assert_same_bits(result, expected):
+    (loss, grads), (oracle_loss, oracle_grads) = result, expected
+    assert loss == oracle_loss
+    assert grads.keys() == oracle_grads.keys()
+    for name, grad in oracle_grads.items():
+        assert np.array_equal(grads[name], grad), name
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("batch_size", [1, 2, 3, 17])
+def test_batch_grads_match_serial_oracle_on_any_pool(monkeypatch, dropout, batch_size):
+    # no pool, and pools with fewer, as many and more workers than samples and than cores,
+    # with the interpreter switching threads as often as it can: the bits never change
+    mats, labels = _ragged_batch(batch_size, 8, seed=batch_size)
+    state = _ptformer_state(dropout)
+    oracle_state = copy.deepcopy(state)
+    expected = serial_batch_grads(mats, labels, oracle_state, training=True)
+    drawn = {name: gen.bit_generator.state for name, gen in oracle_state.rngs.items()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (None, 1, 2, 8):
+            monkeypatch.setattr(train_module, "_WORKERS", workers or 1)
+            run_state = copy.deepcopy(state)
+            pool = ThreadPoolExecutor(workers) if workers else None
+            try:
+                result = batch_loss_and_grads(mats, labels, run_state, True, pool=pool)
+            finally:
+                if pool is not None:
+                    pool.shutdown()
+            _assert_same_bits(result, expected)
+            assert {name: gen.bit_generator.state for name, gen in run_state.rngs.items()} == drawn
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _Injected(RuntimeError):
+    pass
+
+
+def test_worker_failure_propagates_and_the_pool_recovers(monkeypatch):
+    mats, labels = _ragged_batch(6, 8, seed=9)
+    state = _ptformer_state(0.5)
+    original, calls, lock = train_module.fuse_backward, itertools.count(1), threading.Lock()
+
+    def third_call_fails(d_vector, cache, pt):
+        with lock:
+            call = next(calls)
+        if call == 3:
+            raise _Injected("backward pass of the third sample")
+        return original(d_vector, cache, pt)
+
+    monkeypatch.setattr(train_module, "_WORKERS", 2)
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(train_module, "fuse_backward", third_call_fails)
+        with pytest.raises(_Injected):
+            batch_loss_and_grads(mats, labels, state, True, pool=pool)
+        monkeypatch.setattr(train_module, "fuse_backward", original)
+        expected = serial_batch_grads(mats, labels, copy.deepcopy(state), training=True)
+        _assert_same_bits(batch_loss_and_grads(mats, labels, state, True, pool=pool), expected)
+
+
+def test_train_shuts_its_pool_down_when_a_worker_fails(monkeypatch, small_hp, offline_backends):
+    monkeypatch.setattr(train_module, "_WORKERS", 2)
+    monkeypatch.setattr(train_module, "_THREADED_MIN_DIM", 1)
+
+    def fails(d_vector, cache, pt):
+        raise _Injected("backward pass")
+
+    monkeypatch.setattr(train_module, "fuse_backward", fails)
+    with pytest.raises(_Injected):
+        train(_tiny_split(small_hp), small_hp, offline_backends)
+    assert not [t for t in threading.enumerate() if t.name.startswith("secpatch-fusion")]
+
+
+def test_train_artifacts_independent_of_worker_count(monkeypatch, small_hp, tmp_path):
+    # the width threshold lowered so that this small model trains on threads too
+    monkeypatch.setattr(train_module, "_THREADED_MIN_DIM", 1)
+    hp = dataclasses.replace(small_hp, dropout=0.5)
+    split = _tiny_split(hp)
+    outputs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(train_module, "_WORKERS", workers)
+        out = tmp_path / f"workers_{workers}"
+        backends = hashed_backends(hp, ExplainerConfig(cache_dir=str(out / "cache")))
+        train(split, hp, backends, checkpoint_dir=str(out / "ckpt"),
+              run_log_path=str(out / "run_log.jsonl"))
+        outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                        if p.is_file() and "cache" not in p.parts})
+    assert outputs[0] == outputs[1]
+    assert any(p.name == "best.json" for p in outputs[0])
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 
 def test_adamw_zero_gradients_zero_decay_is_noop():
@@ -255,34 +374,42 @@ def test_train_deterministic_and_checkpoints_identical(small_hp, tmp_path):
 
 
 _BLAS_RUN = """
-import dataclasses, sys
+import dataclasses, os, sys
+if sys.argv[2] == "one-core":  # before secpatch counts the cores it may use
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from secpatch import (ExplainerConfig, default_hyperparams, hashed_backends,
                       make_synthetic_samples, split_dataset, train)
 hp = dataclasses.replace(default_hyperparams(), dim=256, num_heads=4, epochs=1,
                          batch_size_train=4, seed=3)
 split = split_dataset(make_synthetic_samples(10, seed=11), (0.6, 0.2, 0.2), seed=hp.seed)
 backends = hashed_backends(hp, ExplainerConfig(cache_dir=sys.argv[1] + "/cache"))
-train(split, hp, backends, checkpoint_dir=sys.argv[1] + "/ckpt")
+train(split, hp, backends, checkpoint_dir=sys.argv[1] + "/ckpt",
+      run_log_path=sys.argv[1] + "/run_log.jsonl")
 """
 
 
-def test_train_checkpoints_independent_of_blas_threads(tmp_path):
-    # attention and feed-forward run on BLAS; its thread count must not change a single byte
+def _train_child(out, threads: str, cores: str):
+    """Checkpoints and run log, by relative path, of _BLAS_RUN in a fresh interpreter."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    dirs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads_{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        done = subprocess.run([sys.executable, "-c", _BLAS_RUN, str(out)], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        dirs.append(out / "ckpt")
-    names = sorted(p.name for p in dirs[0].iterdir())
-    assert "epoch_0001.ckpt" in names
-    assert names == sorted(p.name for p in dirs[1].iterdir())
-    for name in names:
-        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _BLAS_RUN, str(out), cores], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+            if p.is_file() and "cache" not in p.parts}
+
+
+def test_train_checkpoints_independent_of_blas_threads(tmp_path):
+    # attention and feed-forward run on BLAS, and the fusion passes on one thread per core;
+    # neither thread count may change a single byte of the checkpoints or the run log
+    reference = _train_child(tmp_path / "threads_1", "1", "all-cores")
+    assert {"ckpt/epoch_0001.ckpt", "ckpt/best.json", "run_log.jsonl"} <= {
+        p.as_posix() for p in reference}
+    assert _train_child(tmp_path / "threads_2", "2", "all-cores") == reference
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no os.sched_setaffinity: the one-core child cannot be pinned")
+    assert _train_child(tmp_path / "one_core", "2", "one-core") == reference
 
 
 def test_train_resume_advances_epochs(small_hp, offline_backends, tmp_path):
@@ -292,6 +419,35 @@ def test_train_resume_advances_epochs(small_hp, offline_backends, tmp_path):
     state, more = train(split, small_hp, offline_backends, state=state)
     assert state.epoch == 2 * small_hp.epochs
     assert more[0]["epoch"] == small_hp.epochs + 1
+
+
+def test_resume_repoints_best_only_when_beaten(small_hp, offline_backends, tmp_path):
+    # best.json names the first epoch with the best score over the first run and the resume
+    split, ckpt = _tiny_split(small_hp), tmp_path / "ckpt"
+    pointer = ckpt / "best.json"
+    state, records = train(split, small_hp, offline_backends, checkpoint_dir=str(ckpt))
+    one_more = dataclasses.replace(small_hp, epochs=1)
+    state, more = train(split, one_more, offline_backends, state=state, checkpoint_dir=str(ckpt))
+    scores = [r["val_F1"] for r in records + more]
+    best = json.loads(pointer.read_text(encoding="utf-8"))
+    assert best["epoch"] == 1 + scores.index(max(scores)) and best["score"] == max(scores)
+    # a pointer whose score every epoch beats is replaced by the resumed epoch
+    pointer.write_text(json.dumps(dict(best, score=-1.0)), encoding="utf-8")
+    state, more = train(split, one_more, offline_backends, state=state, checkpoint_dir=str(ckpt))
+    assert json.loads(pointer.read_text(encoding="utf-8"))["epoch"] == more[0]["epoch"]
+
+
+@pytest.mark.parametrize("pointer", ['{"path": "epoch_0001.ckpt"}',
+                                     '{"path": "epoch_0001.ckpt", "score": "1"}',
+                                     '{"path": "../epoch_0001.ckpt", "score": 1}', "best"])
+def test_resume_rejects_a_bad_best_pointer(small_hp, offline_backends, tmp_path, pointer):
+    split, ckpt = _tiny_split(small_hp), tmp_path / "ckpt"
+    state, _ = train(split, small_hp, offline_backends, checkpoint_dir=str(ckpt))
+    (ckpt / "best.json").write_text(pointer, encoding="utf-8")
+    before = sorted(p.name for p in ckpt.iterdir())
+    with pytest.raises(InvalidCheckpoint, match="best.json: invalid checkpoint: pointer"):
+        train(split, small_hp, offline_backends, state=state, checkpoint_dir=str(ckpt))
+    assert sorted(p.name for p in ckpt.iterdir()) == before  # rejected before any epoch ran
 
 
 def test_train_rejects_option_change_on_resume(small_hp, offline_backends):
