@@ -26,15 +26,17 @@ e_inst = embed_text(tokenize(instruction_text(), vocab, hp.max_tokens), backend,
 print("modality matrix shapes:",
       {m.modality.value: m.values.shape for m in (e_pa, e_ex, e_desc, e_inst)})
 
+# the embedders tag each matrix with its modality; fusion takes the plain (rows, dim) arrays
+pa, ex, desc, inst = (m.values for m in (e_pa, e_ex, e_desc, e_inst))
 state = init_pt_former(hp, rng_seed=0)
 
-updated, weights = self_attention(e_ex, state.self_attn, return_weights=True)
-print("self-attention keeps the shape:", updated.values.shape,
+updated, weights = self_attention(ex, state.self_attn, return_weights=True)
+print("self-attention keeps the shape:", updated.shape,
       "| every weight row sums to", float(weights.sum(axis=-1).round(12).max()))
 
-aligned, ca_weights = cross_attention(e_pa, updated, state.cross_attn, return_weights=True)
-print("cross-attention maps patch rows onto the explanation:", aligned.values.shape)
+aligned, ca_weights = cross_attention(pa, updated, state.cross_attn, return_weights=True)
+print("cross-attention maps patch rows onto the explanation:", aligned.shape)
 print("strongest explanation token per patch row:", np.argmax(ca_weights, axis=1))
 
-fused = fuse(e_pa, e_ex, e_desc, e_inst, state, sample_id="demo")
-print(f"fused vector length = 3 * dim = {len(fused)}")
+fused = fuse(pa, ex, desc, inst, state)
+print(f"fused vector length = 3 * dim = {fused.shape[0]}")

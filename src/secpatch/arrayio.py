@@ -88,7 +88,8 @@ def load_arrays(path) -> tuple[dict, dict]:
 
     Raises TruncatedContainer when the file ends before a length its header
     gives (checked before each read, so a corrupt length never allocates more
-    than the file holds) and CorruptContainer for any other malformed field.
+    than the file holds) and CorruptContainer for any other malformed field
+    and for bytes left over after the last array.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -122,6 +123,8 @@ def load_arrays(path) -> tuple[dict, dict]:
                 shape = tuple(unpack("<Q") for _ in range(unpack("<B")))
                 n_bytes = np.dtype(dtype).itemsize * math.prod(shape)
                 arrays[name] = np.frombuffer(read(n_bytes), dtype=dtype).reshape(shape).copy()
+            if (end := fh.tell()) != size:
+                raise CorruptContainer(path, end, f"{size - end} bytes after the last array")
         except CorruptContainer:
             raise
         except (ValueError, RecursionError) as exc:  # decode and JSON errors are ValueErrors

@@ -23,7 +23,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .types import EmbeddingMatrix, FusedEmbedding, HyperParams, Modality
+from .types import HyperParams
 
 
 def parameter(*shape, init: str = "normal"):
@@ -139,25 +139,19 @@ def _attention_backward(d_out: np.ndarray, cache):
     return grads, d_k, d_v
 
 
-def self_attention(E: EmbeddingMatrix, params: AttentionParams, return_weights: bool = False):
-    """Multi-head scaled dot-product self-attention; output shape equals input shape."""
-    out, cache = _attention_forward(E.values, E.values, params)
-    result = EmbeddingMatrix(out, E.modality)
-    if return_weights:
-        return result, cache[5]
-    return result
+def self_attention(x: np.ndarray, params: AttentionParams, return_weights: bool = False):
+    """Multi-head scaled dot-product self-attention over the rows of x; output shape equals x's."""
+    out, cache = _attention_forward(x, x, params)
+    return (out, cache[5]) if return_weights else out
 
 
-def cross_attention(E_pa: EmbeddingMatrix, E_ex: EmbeddingMatrix,
-                    params: CrossAttentionParams, return_weights: bool = False):
+def cross_attention(pa: np.ndarray, ex: np.ndarray, params: CrossAttentionParams,
+                    return_weights: bool = False):
     """Single-head attention from patch rows onto explanation rows; output (patch_len, dim)."""
-    if E_pa.dim != E_ex.dim:
-        raise ValueError(f"dim mismatch: patch {E_pa.dim} vs explanation {E_ex.dim}")
-    out, cache = _attention_forward(E_pa.values, E_ex.values, params.one_head())
-    result = EmbeddingMatrix(out, Modality.PATCH)
-    if return_weights:
-        return result, cache[5][0]
-    return result
+    if pa.shape[1] != ex.shape[1]:
+        raise ValueError(f"dim mismatch: patch {pa.shape[1]} vs explanation {ex.shape[1]}")
+    out, cache = _attention_forward(pa, ex, params.one_head())
+    return (out, cache[5][0]) if return_weights else out
 
 
 # ---------------------------------------------------------------------------
@@ -264,31 +258,26 @@ def fuse_backward(d_vector: np.ndarray, cache, state: PTFormerState) -> dict[str
     return grads
 
 
-def fuse(E_pa: EmbeddingMatrix, E_ex: EmbeddingMatrix, E_desc: EmbeddingMatrix,
-         E_inst: EmbeddingMatrix, state: PTFormerState, training: bool = False,
-         rng=None, sample_id: str = "") -> FusedEmbedding:
-    """Fuse the four modality matrices into one vector of length 3*dim."""
-    mats = (E_pa, E_ex, E_desc, E_inst)
-    if len({m.dim for m in mats}) != 1:
-        raise ValueError(f"all inputs must share dim, got {[m.dim for m in mats]}")
-    if mats[0].dim != state.dim:
-        raise ValueError(f"input dim {mats[0].dim} does not match parameters dim {state.dim}")
-    raw = tuple(m.values for m in mats)
-    keep = dropout_keep(*raw, state, rng) if training else NO_DROPOUT
-    vector, _ = fuse_forward(*raw, state, keep)
-    return FusedEmbedding(vector, sample_id)
+def fuse(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndarray,
+         state: PTFormerState) -> np.ndarray:
+    """Evaluation-mode fusion of four (rows, dim) modality arrays into one vector of length 3*dim."""
+    dims = [m.shape[1] for m in (pa, ex, desc, inst)]
+    if len(set(dims)) != 1:
+        raise ValueError(f"all inputs must share dim, got {dims}")
+    if dims[0] != state.dim:
+        raise ValueError(f"input dim {dims[0]} does not match parameters dim {state.dim}")
+    return fuse_forward(pa, ex, desc, inst, state)[0]
 
 
-def pooled_concat(E_pa: EmbeddingMatrix, E_ex: EmbeddingMatrix, E_desc: EmbeddingMatrix,
-                  E_inst: EmbeddingMatrix, sample_id: str = "") -> FusedEmbedding:
+def pooled_concat(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray,
+                  inst: np.ndarray) -> np.ndarray:
     """Attention-free fallback fusion: plain pooled concatenation, still 3*dim long.
 
     The first branch pools the stacked patch and explanation rows jointly so
     the output keeps the same three-part layout as the attention pipeline.
     """
-    branch1 = np.vstack([E_pa.values, E_ex.values]).mean(axis=0)
-    vector = np.concatenate([branch1, E_desc.values.mean(axis=0), E_inst.values.mean(axis=0)])
-    return FusedEmbedding(vector, sample_id)
+    return np.concatenate([np.vstack([pa, ex]).mean(axis=0), desc.mean(axis=0),
+                           inst.mean(axis=0)])
 
 
 # ---------------------------------------------------------------------------

@@ -183,8 +183,10 @@ def encode_sample(sample: PatchSample, backends: PipelineBackends, hp: HyperPara
                   options: TrainOptions = TrainOptions()):
     """Tokenize and embed the four modalities of one sample.
 
-    Missing or ablated texts become empty sequences, which embed to the zero
-    sentinel row, so the fusion shape contract never changes.
+    Returns the (patch, explanation, description, instruction) rows as four
+    read-only float64 arrays of shape (rows, dim). Missing or ablated texts
+    become empty sequences, which embed to the zero sentinel row, so the
+    fusion shape contract never changes.
     """
     explanation = ""
     if options.use_explanation:
@@ -203,7 +205,7 @@ def encode_sample(sample: PatchSample, backends: PipelineBackends, hp: HyperPara
                         backends.text_embedder, Modality.DESCRIPTION, sample.id)
     e_inst = embed_text(tokenize(instruction, _TOKENIZER, hp.max_tokens),
                         backends.text_embedder, Modality.INSTRUCTION, sample.id)
-    return e_pa, e_ex, e_desc, e_inst
+    return e_pa.values, e_ex.values, e_desc.values, e_inst.values
 
 
 def encode_samples(samples, backends, hp, options=TrainOptions()) -> dict:
@@ -213,11 +215,11 @@ def encode_samples(samples, backends, hp, options=TrainOptions()) -> dict:
 # ---------------------------------------------------------------------------
 # forward pass and joint objective
 
-def _forward_sample(mats, state: TrainState):
+def _forward_sample(mats, state: TrainState) -> np.ndarray:
     """Fused vector of one encoded sample in evaluation mode."""
     if state.pt_former is not None:
-        return fuse_forward(*(m.values for m in mats), state.pt_former)[0]
-    return pooled_concat(*mats).values
+        return fuse_forward(*mats, state.pt_former)[0]
+    return pooled_concat(*mats)
 
 
 def _in_order(pool: ThreadPoolExecutor | None, fn, args: list):
@@ -278,13 +280,14 @@ def batch_loss_and_grads(mats, labels, state: TrainState, training: bool,
                          pool: ThreadPoolExecutor | None = None):
     """Joint objective of one batch and its gradient for every trainable parameter.
 
-    `mats` holds one encoded (patch, explanation, description, instruction)
-    tuple per sample. Runs the fusion forward pass (with dropout when
-    `training`), the classifier head, L_BCE and L_SBCL blended per
-    `state.options.loss_blend`, and the backward pass. A batch that cannot be
-    mined contributes zero contrastive loss and reports `sbcl_skipped`.
-    Gradients are keyed like the optimizer's parameters and are None when the
-    loss is not finite. Draws from the state's dropout and mining streams.
+    `mats` holds one (patch, explanation, description, instruction) tuple of
+    arrays per sample, as `encode_sample` returns it. Runs the fusion forward
+    pass (with dropout when `training`), the classifier head, L_BCE and L_SBCL
+    blended per `state.options.loss_blend`, and the backward pass. A batch
+    that cannot be mined contributes zero contrastive loss and reports
+    `sbcl_skipped`. Gradients are keyed like the optimizer's parameters and
+    are None when the loss is not finite. Draws from the state's dropout and
+    mining streams.
 
     The per-sample fusion passes run on `pool`, or on the calling thread when
     it is None. Every sample's dropout masks are drawn here first, in sample
@@ -295,11 +298,10 @@ def batch_loss_and_grads(mats, labels, state: TrainState, training: bool,
     if pt is None:
         fused = np.stack([_forward_sample(sample_mats, state) for sample_mats in mats])
     else:
-        raw = [tuple(m.values for m in sample_mats) for sample_mats in mats]
-        keeps = [dropout_keep(*r, pt, state.rngs["dropout"]) if training else NO_DROPOUT
-                 for r in raw]
-        vectors, caches = zip(*_in_order(pool, lambda r, keep: fuse_forward(*r, pt, keep),
-                                         list(zip(raw, keeps))))
+        keeps = [dropout_keep(*m, pt, state.rngs["dropout"]) if training else NO_DROPOUT
+                 for m in mats]
+        vectors, caches = zip(*_in_order(pool, lambda m, keep: fuse_forward(*m, pt, keep),
+                                         list(zip(mats, keeps))))
         fused = np.stack(vectors)
     y = np.array([1.0 if label is Label.SECURITY else 0.0 for label in labels])
     probs = head_probability(fused, state.classifier)
@@ -420,7 +422,8 @@ def load_checkpoint(path) -> TrainState:
     stream, the first counter that is not an int (`has_ptformer`: a bool),
     the first array whose shape disagrees with the stored hyperparameters and
     options (dim, num_heads, ff_hidden, a 3 * dim classifier) or, for an
-    AdamW moment, with its parameter, and the first array that is not <f8.
+    AdamW moment, with its parameter, and the first array that is not <f8 or
+    holds a NaN or an infinity.
     """
     arrays, meta = arrayio.load_arrays(path)
     if meta.get("format") != CHECKPOINT_MAGIC:
@@ -441,6 +444,8 @@ def load_checkpoint(path) -> TrainState:
             for name in named:
                 if arrays[name].dtype != np.float64:
                     raise ValueError(f"{name} has dtype {arrays[name].dtype.str}, expected <f8")
+                if not np.isfinite(arrays[name]).all():
+                    raise ValueError(f"{name} holds a non-finite value")
         saved = _Entries(meta["rng"], path, "rng stream")
         rngs = {name: np.random.default_rng(0) for name in RNG_STREAMS}
         for name, gen in rngs.items():
@@ -637,11 +642,8 @@ def _score(vector, state: TrainState) -> float:
 
 def fused_embeddings(samples, state: TrainState, backends: PipelineBackends):
     """Fused vector per sample under the state's options (evaluation mode)."""
-    out = []
-    for sample in samples:
-        mats = encode_sample(sample, backends, state.hp, state.options)
-        out.append(FusedEmbedding(_forward_sample(mats, state), sample.id))
-    return out
+    return [FusedEmbedding(_forward_sample(encode_sample(s, backends, state.hp, state.options),
+                                           state), s.id) for s in samples]
 
 
 def predict(samples, state: TrainState, backends: PipelineBackends,
@@ -650,7 +652,8 @@ def predict(samples, state: TrainState, backends: PipelineBackends,
     if threshold is None:
         threshold = state.options.threshold
     results = []
-    for fused in fused_embeddings(samples, state, backends):
-        prob = _score(fused.values, state)
+    for sample in samples:
+        prob = _score(_forward_sample(encode_sample(sample, backends, state.hp, state.options),
+                                      state), state)
         results.append((prob, Label.SECURITY if prob >= threshold else Label.NON_SECURITY))
     return results

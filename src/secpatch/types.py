@@ -76,7 +76,8 @@ class PatchSample:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Token-level representation of one modality, shape (seq_len, dim)."""
+    """Token-level representation of one modality, shape (seq_len, dim), as the embedders
+    return it; the pipeline passes on its `values` alone."""
 
     values: np.ndarray
     modality: Modality
@@ -85,14 +86,6 @@ class EmbeddingMatrix:
         object.__setattr__(self, "values", _frozen_array(self.values, 2))
         if not isinstance(self.modality, Modality):
             raise ValueError(f"modality must be a Modality, got {self.modality!r}")
-
-    @property
-    def seq_len(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -104,9 +97,6 @@ class FusedEmbedding:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_array(self.values, 1))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,7 @@ def serial_batch_grads(mats, labels, state, training: bool):
 
     options, hp, pt = state.options, state.hp, state.pt_former
     vectors, caches = [], []
-    for pa, ex, desc, inst in (tuple(m.values for m in sample) for sample in mats):
+    for pa, ex, desc, inst in mats:
         keep = (None, None, None)
         if training and pt.dropout_rate > 0.0:
             keep = tuple(state.rngs["dropout"].random((len(x), block.w1.shape[1]))

@@ -12,8 +12,7 @@ import numpy as np
 
 from oracles import (brute_force_triplets, central_difference, loop_confusion,
                      pair_count_auc, pca_eigh_reconstruction_error)
-from secpatch import (EmbeddingMatrix, ExplainerConfig, HashTokenizer, Label, Modality,
-                      TrainOptions, auc_score, bce_loss, compute_metrics, cross_attention,
+from secpatch import (ExplainerConfig, HashTokenizer, Label, TrainOptions, auc_score, bce_loss, compute_metrics, cross_attention,
                       default_hyperparams, euclidean_distance, hashed_backends,
                       init_train_state, load_dataset, make_synthetic_samples, mine_triplets,
                       options_for_flags, pca_project, parse_unified_diff, predict,
@@ -82,9 +81,7 @@ def _check_full_objective_gradients(loss_blend, coeff_bce, coeff_sbcl):
         assert abs(gap) > 1e-3, "fixture sits on a hinge kink; pick another seed"
 
     # analytic gradients from the function every training step calls
-    encoded = [tuple(EmbeddingMatrix(m, modality) for m, modality in zip(mats, Modality))
-               for mats in batch]
-    loss, analytic = batch_loss_and_grads(encoded, labels, state, training=True)
+    loss, analytic = batch_loss_and_grads(batch, labels, state, training=True)
     assert abs(loss.total - full_loss()) <= 1e-12 * abs(loss.total)
 
     arrays = _trainable_params(state)
@@ -167,27 +164,25 @@ def test_attention_contracts():
     state = init_train_state(hp).pt_former
     rng = np.random.default_rng(19)
 
-    e = EmbeddingMatrix(rng.standard_normal((3, 8)), Modality.EXPLANATION)
-    out, weights = self_attention(e, state.self_attn, return_weights=True)
+    e = rng.standard_normal((3, 8))
+    base, weights = self_attention(e, state.self_attn, return_weights=True)
     assert np.all(np.abs(weights.sum(axis=-1) - 1.0) <= 1e-12)
 
-    base = out.values
     for perm in itertools.permutations(range(3)):
-        permuted = EmbeddingMatrix(e.values[list(perm)], Modality.EXPLANATION)
-        shuffled = self_attention(permuted, state.self_attn).values
+        shuffled = self_attention(e[list(perm)], state.self_attn)
         np.testing.assert_allclose(shuffled, base[list(perm)], atol=1e-10)
 
-    single = EmbeddingMatrix(rng.standard_normal((1, 8)), Modality.EXPLANATION)
-    out_single = self_attention(single, state.self_attn).values
-    expected = np.concatenate([single.values @ state.self_attn.w_v[h] for h in range(2)], axis=1)
+    single = rng.standard_normal((1, 8))
+    out_single = self_attention(single, state.self_attn)
+    expected = np.concatenate([single @ state.self_attn.w_v[h] for h in range(2)], axis=1)
     np.testing.assert_allclose(out_single, expected, atol=1e-12)
 
-    pa = EmbeddingMatrix(rng.standard_normal((4, 8)), Modality.PATCH)
-    ex1 = EmbeddingMatrix(rng.standard_normal((1, 8)), Modality.EXPLANATION)
+    pa = rng.standard_normal((4, 8))
+    ex1 = rng.standard_normal((1, 8))
     out_ca, weights_ca = cross_attention(pa, ex1, state.cross_attn, return_weights=True)
     assert np.all(np.abs(weights_ca.sum(axis=-1) - 1.0) <= 1e-12)
-    expected_row = (ex1.values @ state.cross_attn.w_v)[0]
-    for row in out_ca.values:
+    expected_row = (ex1 @ state.cross_attn.w_v)[0]
+    for row in out_ca:
         np.testing.assert_allclose(row, expected_row, atol=1e-12)
     _passed("attention contracts (row sums, equivariance, analytic cases)")
 

@@ -54,6 +54,7 @@ def test_truncation_at_every_offset_is_named(tmp_path):
     (b'{"k":1}', b'[1,2,3]', "not an object"),
     (b'{"k":1}', b'{"k":\xff', "utf-8"),
     (b"alpha", b"\xffalph", "utf-8"),
+    (b"\x02\x00\x00\x00", b"\x02\x00\x00\x00junk", "4 bytes after the last array"),
 ])
 def test_corrupt_header_is_named(tmp_path, field, replacement, reason):
     path = tmp_path / "bad.bin"
@@ -61,6 +62,8 @@ def test_corrupt_header_is_named(tmp_path, field, replacement, reason):
     data = path.read_bytes()
     assert data.count(field) == 1
     offset = data.index(field)
+    if replacement.startswith(field):  # bytes added after a field are named at the first of them
+        offset += len(field)
     path.write_bytes(data.replace(field, replacement))
     with pytest.raises(CorruptContainer) as info:
         load_arrays(path)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import assert_grads_close, central_difference, loop_attention, rowwise_feed_forward
-from secpatch import (EmbeddingMatrix, Modality, cross_attention, default_hyperparams, fuse,
-                      init_pt_former, named_parameters, pooled_concat, self_attention)
+from secpatch import (cross_attention, default_hyperparams, fuse, init_pt_former,
+                      named_parameters, pooled_concat, self_attention)
 from secpatch.fusion import (NO_DROPOUT, dropout_keep, from_named_parameters, fuse_backward,
                              fuse_forward, parameter_specs)
 
@@ -22,17 +22,9 @@ def state8(hp8):
     return init_pt_former(hp8, rng_seed=123)
 
 
-def _matrix(rng, rows, dim=8, modality=Modality.PATCH):
-    return EmbeddingMatrix(rng.standard_normal((rows, dim)), modality)
-
-
 def _inputs(rng, dim=8, rows=(5, 4, 3, 4)):
-    return (
-        _matrix(rng, rows[0], dim, Modality.PATCH),
-        _matrix(rng, rows[1], dim, Modality.EXPLANATION),
-        _matrix(rng, rows[2], dim, Modality.DESCRIPTION),
-        _matrix(rng, rows[3], dim, Modality.INSTRUCTION),
-    )
+    """Patch, explanation, description and instruction rows, drawn in that order."""
+    return tuple(rng.standard_normal((n, dim)) for n in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +90,9 @@ def test_ff_hidden_override(hp8):
 
 def test_self_attention_shape_and_weight_rows(state8):
     rng = np.random.default_rng(0)
-    e = _matrix(rng, 6, modality=Modality.EXPLANATION)
+    e = rng.standard_normal((6, 8))
     out, weights = self_attention(e, state8.self_attn, return_weights=True)
-    assert out.values.shape == e.values.shape
-    assert out.modality is Modality.EXPLANATION
+    assert out.shape == e.shape
     assert weights.shape == (2, 6, 6)
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
     assert np.all(weights > 0.0) and np.all(weights < 1.0)
@@ -109,19 +100,18 @@ def test_self_attention_shape_and_weight_rows(state8):
 
 def test_self_attention_single_token_is_value_projection(state8):
     rng = np.random.default_rng(1)
-    e = _matrix(rng, 1, modality=Modality.EXPLANATION)
+    e = rng.standard_normal((1, 8))
     out = self_attention(e, state8.self_attn)
-    expected = np.concatenate([e.values @ state8.self_attn.w_v[h] for h in range(2)], axis=1)
-    np.testing.assert_allclose(out.values, expected, atol=1e-12)
+    expected = np.concatenate([e @ state8.self_attn.w_v[h] for h in range(2)], axis=1)
+    np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_self_attention_permutation_equivariant(state8):
     rng = np.random.default_rng(2)
-    e = _matrix(rng, 3, modality=Modality.DESCRIPTION)
-    base = self_attention(e, state8.self_attn).values
+    e = rng.standard_normal((3, 8))
+    base = self_attention(e, state8.self_attn)
     for perm in itertools.permutations(range(3)):
-        permuted = EmbeddingMatrix(e.values[list(perm)], Modality.DESCRIPTION)
-        out = self_attention(permuted, state8.self_attn).values
+        out = self_attention(e[list(perm)], state8.self_attn)
         np.testing.assert_allclose(out, base[list(perm)], atol=1e-10)
 
 
@@ -129,11 +119,11 @@ def test_self_attention_permutation_equivariant(state8):
 def test_self_attention_matches_per_head_loop_oracle(dim, heads, rows):
     hp = dataclasses.replace(default_hyperparams(), dim=dim, num_heads=heads)
     params = init_pt_former(hp, rng_seed=dim).self_attn
-    e = _matrix(np.random.default_rng(dim + 1), rows, dim, Modality.DESCRIPTION)
+    e = np.random.default_rng(dim + 1).standard_normal((rows, dim))
     out, weights = self_attention(e, params, return_weights=True)
     assert weights.shape == (heads, rows, rows)
-    expected = loop_attention(e.values, e.values, params.w_q, params.w_k, params.w_v)
-    np.testing.assert_allclose(out.values, expected, rtol=1e-10, atol=1e-12)
+    expected = loop_attention(e, e, params.w_q, params.w_k, params.w_v)
+    np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -141,28 +131,28 @@ def test_self_attention_matches_per_head_loop_oracle(dim, heads, rows):
 
 def test_cross_attention_shape_and_rows(state8):
     rng = np.random.default_rng(3)
-    pa = _matrix(rng, 5, modality=Modality.PATCH)
-    ex = _matrix(rng, 7, modality=Modality.EXPLANATION)
+    pa = rng.standard_normal((5, 8))
+    ex = rng.standard_normal((7, 8))
     out, weights = cross_attention(pa, ex, state8.cross_attn, return_weights=True)
-    assert out.values.shape == (5, 8)
+    assert out.shape == (5, 8)
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_cross_attention_singleton_key(state8):
     rng = np.random.default_rng(4)
-    pa = _matrix(rng, 4, modality=Modality.PATCH)
-    ex = _matrix(rng, 1, modality=Modality.EXPLANATION)
+    pa = rng.standard_normal((4, 8))
+    ex = rng.standard_normal((1, 8))
     out = cross_attention(pa, ex, state8.cross_attn)
-    expected_row = ex.values @ state8.cross_attn.w_v
-    for row in out.values:
+    expected_row = ex @ state8.cross_attn.w_v
+    for row in out:
         np.testing.assert_allclose(row, expected_row[0], atol=1e-12)
 
 
 def test_cross_attention_key_scaling_keeps_rows_normalized(state8):
     rng = np.random.default_rng(5)
-    pa = _matrix(rng, 3, modality=Modality.PATCH)
-    ex = _matrix(rng, 4, modality=Modality.EXPLANATION)
-    scaled = EmbeddingMatrix(ex.values * 3.0, Modality.EXPLANATION)
+    pa = rng.standard_normal((3, 8))
+    ex = rng.standard_normal((4, 8))
+    scaled = ex * 3.0
     _, w_base = cross_attention(pa, ex, state8.cross_attn, return_weights=True)
     _, w_scaled = cross_attention(pa, scaled, state8.cross_attn, return_weights=True)
     assert not np.allclose(w_base, w_scaled)
@@ -172,13 +162,13 @@ def test_cross_attention_key_scaling_keeps_rows_normalized(state8):
 def test_cross_attention_identity_weights_scalar_oracle():
     from secpatch.fusion import CrossAttentionParams
     params = CrossAttentionParams(w_q=np.eye(2), w_k=np.eye(2), w_v=np.eye(2))
-    pa = EmbeddingMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]), Modality.PATCH)
-    ex = EmbeddingMatrix(np.array([[1.0, 1.0], [2.0, 0.0]]), Modality.EXPLANATION)
-    out = cross_attention(pa, ex, params).values
+    pa = np.array([[1.0, 0.0], [0.0, 2.0]])
+    ex = np.array([[1.0, 1.0], [2.0, 0.0]])
+    out = cross_attention(pa, ex, params)
 
     expected = np.zeros((2, 2))
     for i in range(2):
-        scores = [sum(pa.values[i][d] * ex.values[j][d] for d in range(2)) / math.sqrt(2)
+        scores = [sum(pa[i][d] * ex[j][d] for d in range(2)) / math.sqrt(2)
                   for j in range(2)]
         top = max(scores)
         weights = [math.exp(s - top) for s in scores]
@@ -186,7 +176,7 @@ def test_cross_attention_identity_weights_scalar_oracle():
         weights = [w / total for w in weights]
         for j in range(2):
             for d in range(2):
-                expected[i][d] += weights[j] * ex.values[j][d]
+                expected[i][d] += weights[j] * ex[j][d]
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
@@ -195,22 +185,19 @@ def test_cross_attention_matches_per_head_loop_oracle(dim, patch_rows, ex_rows):
     hp = dataclasses.replace(default_hyperparams(), dim=dim, num_heads=2)
     params = init_pt_former(hp, rng_seed=dim).cross_attn
     rng = np.random.default_rng(dim + 2)
-    pa = _matrix(rng, patch_rows, dim, Modality.PATCH)
-    ex = _matrix(rng, ex_rows, dim, Modality.EXPLANATION)
+    pa = rng.standard_normal((patch_rows, dim))
+    ex = rng.standard_normal((ex_rows, dim))
     out, weights = cross_attention(pa, ex, params, return_weights=True)
     assert weights.shape == (patch_rows, ex_rows)
-    expected = loop_attention(pa.values, ex.values,
-                              params.w_q[None], params.w_k[None], params.w_v[None])
-    np.testing.assert_allclose(out.values, expected, rtol=1e-10, atol=1e-12)
+    expected = loop_attention(pa, ex, params.w_q[None], params.w_k[None], params.w_v[None])
+    np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-12)
 
 
 def test_cross_attention_dim_mismatch():
     from secpatch.fusion import CrossAttentionParams
     params = CrossAttentionParams(w_q=np.eye(2), w_k=np.eye(2), w_v=np.eye(2))
-    pa = EmbeddingMatrix(np.ones((2, 2)), Modality.PATCH)
-    ex = EmbeddingMatrix(np.ones((2, 3)), Modality.EXPLANATION)
     with pytest.raises(ValueError, match="mismatch"):
-        cross_attention(pa, ex, params)
+        cross_attention(np.ones((2, 2)), np.ones((2, 3)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +206,16 @@ def test_cross_attention_dim_mismatch():
 def test_fuse_output_length_and_determinism(state8):
     rng = np.random.default_rng(6)
     mats = _inputs(rng)
-    a = fuse(*mats, state8, training=False, sample_id="s")
-    b = fuse(*mats, state8, training=False)
-    assert len(a) == 3 * 8
-    assert a.sample_id == "s"
-    np.testing.assert_array_equal(a.values, b.values)
+    a = fuse(*mats, state8)
+    b = fuse(*mats, state8)
+    assert a.shape == (3 * 8,)
+    np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("rows", [(1, 1, 1, 1), (2, 5, 3, 7)])
 def test_fuse_length_invariant_to_seq_lengths(state8, rows):
     rng = np.random.default_rng(7)
-    assert len(fuse(*_inputs(rng, rows=rows), state8)) == 24
+    assert fuse(*_inputs(rng, rows=rows), state8).shape == (24,)
 
 
 def test_fuse_zero_inputs_equal_bias_images(hp8):
@@ -238,10 +224,7 @@ def test_fuse_zero_inputs_equal_bias_images(hp8):
     for block in (state.ff_pa_ex, state.ff_desc, state.ff_inst):
         block.b1[:] = rng.standard_normal(block.b1.shape)
         block.b2[:] = rng.standard_normal(block.b2.shape)
-    zeros = tuple(EmbeddingMatrix(np.zeros((3, 8)), m) for m in
-                  (Modality.PATCH, Modality.EXPLANATION, Modality.DESCRIPTION,
-                   Modality.INSTRUCTION))
-    out = fuse(*zeros, state).values
+    out = fuse(*(np.zeros((3, 8)),) * 4, state)
     expected = np.concatenate([
         np.maximum(block.b1, 0.0) @ block.w2 + block.b2
         for block in (state.ff_pa_ex, state.ff_desc, state.ff_inst)
@@ -252,37 +235,31 @@ def test_fuse_zero_inputs_equal_bias_images(hp8):
 def test_fuse_invariant_to_desc_inst_row_permutation(state8):
     rng = np.random.default_rng(9)
     pa, ex, desc, inst = _inputs(rng)
-    base = fuse(pa, ex, desc, inst, state8).values
-    perm_desc = EmbeddingMatrix(desc.values[[2, 0, 1]], Modality.DESCRIPTION)
-    perm_inst = EmbeddingMatrix(inst.values[[3, 1, 0, 2]], Modality.INSTRUCTION)
-    out = fuse(pa, ex, perm_desc, perm_inst, state8).values
+    base = fuse(pa, ex, desc, inst, state8)
+    out = fuse(pa, ex, desc[[2, 0, 1]], inst[[3, 1, 0, 2]], state8)
     np.testing.assert_allclose(out, base, atol=1e-10)
 
 
 def test_fuse_finite_for_large_inputs(state8):
     rng = np.random.default_rng(10)
-    mats = tuple(EmbeddingMatrix(rng.uniform(-1e3, 1e3, size=(4, 8)), m) for m in
-                 (Modality.PATCH, Modality.EXPLANATION, Modality.DESCRIPTION,
-                  Modality.INSTRUCTION))
-    assert np.all(np.isfinite(fuse(*mats, state8).values))
+    mats = tuple(rng.uniform(-1e3, 1e3, size=(4, 8)) for _ in range(4))
+    assert np.all(np.isfinite(fuse(*mats, state8)))
 
 
 def test_fuse_dim_validation(state8):
     rng = np.random.default_rng(11)
     pa, ex, desc, inst = _inputs(rng)
-    bad = EmbeddingMatrix(np.ones((2, 4)), Modality.EXPLANATION)
     with pytest.raises(ValueError, match="dim"):
-        fuse(pa, bad, desc, inst, state8)
+        fuse(pa, np.ones((2, 4)), desc, inst, state8)
 
 
 def test_fuse_training_with_dropout_needs_rng(hp8):
     state = init_pt_former(dataclasses.replace(hp8, dropout=0.5), rng_seed=0)
-    rng = np.random.default_rng(12)
+    raw = _inputs(np.random.default_rng(12))
     with pytest.raises(ValueError, match="rng"):
-        fuse(*_inputs(rng), state, training=True)
-    out = fuse(*_inputs(np.random.default_rng(12)), state, training=True,
-               rng=np.random.default_rng(3))
-    assert np.all(np.isfinite(out.values))
+        dropout_keep(*raw, state, None)
+    out, _ = fuse_forward(*raw, state, dropout_keep(*raw, state, np.random.default_rng(3)))
+    assert np.all(np.isfinite(out))
 
 
 def _rowwise_fused(raw, state, rng=None):
@@ -314,7 +291,7 @@ def test_fuse_forward_matches_rowwise_oracle(training, dim, heads, rows):
     for block in (state.ff_pa_ex, state.ff_desc, state.ff_inst):
         block.b1[:] = np.linspace(-0.5, 0.5, block.b1.shape[0])
         block.b2[:] = np.linspace(1.0, -1.0, block.b2.shape[0])
-    raw = tuple(m.values for m in _inputs(np.random.default_rng(dim), dim, rows))
+    raw = _inputs(np.random.default_rng(dim), dim, rows)
     rng, oracle_rng = (np.random.default_rng(5), np.random.default_rng(5)) if training else (None, None)
     keep = dropout_keep(*raw, state, rng) if training else NO_DROPOUT
     vector, _ = fuse_forward(*raw, state, keep)
@@ -325,11 +302,11 @@ def test_fuse_forward_matches_rowwise_oracle(training, dim, heads, rows):
 def test_pooled_concat_shape_and_values():
     rng = np.random.default_rng(13)
     pa, ex, desc, inst = _inputs(rng)
-    vec = pooled_concat(pa, ex, desc, inst, sample_id="x")
-    assert len(vec) == 24
-    expected_first = np.vstack([pa.values, ex.values]).mean(axis=0)
-    np.testing.assert_allclose(vec.values[:8], expected_first, atol=1e-12)
-    np.testing.assert_allclose(vec.values[8:16], desc.values.mean(axis=0), atol=1e-12)
+    vec = pooled_concat(pa, ex, desc, inst)
+    assert vec.shape == (24,)
+    expected_first = np.vstack([pa, ex]).mean(axis=0)
+    np.testing.assert_allclose(vec[:8], expected_first, atol=1e-12)
+    np.testing.assert_allclose(vec[8:16], desc.mean(axis=0), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +314,7 @@ def test_pooled_concat_shape_and_values():
 
 def test_fuse_backward_matches_finite_differences(state8):
     rng = np.random.default_rng(14)
-    mats = _inputs(rng)
-    raw = tuple(m.values for m in mats)
+    raw = _inputs(rng)
     probe = rng.standard_normal(24)
 
     def objective():
@@ -354,7 +330,7 @@ def test_fuse_backward_matches_finite_differences(state8):
 def test_fuse_backward_matches_finite_differences_with_dropout(hp8):
     state = init_pt_former(dataclasses.replace(hp8, dropout=0.5), rng_seed=123)
     rng = np.random.default_rng(16)
-    raw = tuple(m.values for m in _inputs(rng))
+    raw = _inputs(rng)
     probe = rng.standard_normal(24)
 
     def forward():
@@ -370,7 +346,7 @@ def test_fuse_backward_matches_finite_differences_with_dropout(hp8):
 def test_pt_former_gradients_zero_and_linear(state8):
     rng = np.random.default_rng(15)
     for _ in range(2):
-        raw = tuple(m.values for m in _inputs(rng))
+        raw = _inputs(rng)
         upstream = rng.standard_normal(24)
         _, cache = fuse_forward(*raw, state8)
 

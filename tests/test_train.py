@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR, make_sample
 from oracles import loop_class_cycle, scalar_bce, serial_batch_grads
-from secpatch import (ClassifierParams, DivergenceDetected, EmbeddingMatrix, ExplainerConfig,
-                      FusedEmbedding, Label, LengthMismatch, Modality, TrainOptions, bce_loss,
-                      compute_metrics, default_hyperparams, encode_sample, hashed_backends,
-                      head_probability, init_train_state, load_checkpoint,
-                      make_synthetic_samples, predict, save_checkpoint, split_dataset, train)
+from secpatch import (ClassifierParams, DivergenceDetected, ExplainerConfig, FusedEmbedding,
+                      Label, LengthMismatch, TrainOptions, bce_loss, compute_metrics,
+                      default_hyperparams, encode_sample, hashed_backends, head_probability,
+                      init_train_state, load_checkpoint, make_synthetic_samples, predict,
+                      save_checkpoint, split_dataset, train)
 from secpatch.arrayio import load_arrays, save_arrays
 from secpatch.train import (ADAM_EPS, InvalidCheckpoint, _compose_batches, _train_batch,
                             adamw_step, batch_loss_and_grads)
@@ -105,10 +105,7 @@ def _pooled_mats(points):
     for point in np.atleast_2d(points):
         row = np.asarray(point, dtype=np.float64)[None, :]
         zeros = np.zeros_like(row)
-        mats.append((EmbeddingMatrix(row, Modality.PATCH),
-                     EmbeddingMatrix(row, Modality.EXPLANATION),
-                     EmbeddingMatrix(zeros, Modality.DESCRIPTION),
-                     EmbeddingMatrix(zeros, Modality.INSTRUCTION)))
+        mats.append((row, row, zeros, zeros))
     return mats
 
 
@@ -184,8 +181,8 @@ def test_train_batch_reports_skipped_sbcl():
 def _ragged_batch(n: int, dim: int, seed: int):
     """n encoded samples, each modality 1 to 9 rows, labels alternating from security."""
     rng = np.random.default_rng(seed)
-    mats = [tuple(EmbeddingMatrix(rng.standard_normal((int(rng.integers(1, 10)), dim)), modality)
-                  for modality in Modality) for _ in range(n)]
+    mats = [tuple(rng.standard_normal((int(rng.integers(1, 10)), dim)) for _ in range(4))
+            for _ in range(n)]
     return mats, [Label.SECURITY if i % 2 == 0 else Label.NON_SECURITY for i in range(n)]
 
 
@@ -421,6 +418,37 @@ def test_train_resume_advances_epochs(small_hp, offline_backends, tmp_path):
     assert more[0]["epoch"] == small_hp.epochs + 1
 
 
+@pytest.mark.parametrize("dim", [8, 128])  # at 128, more than one core runs the fusion pool
+def test_resumed_run_equals_a_straight_run(small_hp, tmp_path, dim):
+    # 2 epochs, a checkpoint reload, 2 more: the same parameters, moments, rng states,
+    # run log and best.json as 4 epochs in one call; only meta.hp.epochs tells them apart
+    hp = dataclasses.replace(small_hp, dim=dim, dropout=0.5)
+    split = _tiny_split(hp)
+    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    for out in (straight, resumed):
+        out.mkdir()
+    backends = hashed_backends(hp, ExplainerConfig(cache_dir=str(tmp_path / "cache")))
+    train(split, dataclasses.replace(hp, epochs=4), backends,
+          checkpoint_dir=str(straight), run_log_path=str(straight / "run_log.jsonl"))
+    two = dataclasses.replace(hp, epochs=2)
+    train(split, two, backends, checkpoint_dir=str(resumed),
+          run_log_path=str(resumed / "run_log.jsonl"))
+    state = load_checkpoint(resumed / "epoch_0002.ckpt")
+    train(split, two, backends, state=state, checkpoint_dir=str(resumed),
+          run_log_path=str(resumed / "run_log.jsonl"))
+
+    for name in ("run_log.jsonl", "best.json"):
+        assert (resumed / name).read_bytes() == (straight / name).read_bytes(), name
+    arrays, meta = load_arrays(straight / "epoch_0004.ckpt")
+    resumed_arrays, resumed_meta = load_arrays(resumed / "epoch_0004.ckpt")
+    assert arrays.keys() == resumed_arrays.keys()
+    for name, arr in arrays.items():
+        assert np.array_equal(resumed_arrays[name], arr), name
+    assert (meta["epoch"], meta["hp"]["epochs"], resumed_meta["hp"]["epochs"]) == (4, 4, 2)
+    resumed_meta["hp"]["epochs"] = 4
+    assert resumed_meta == meta
+
+
 def test_resume_repoints_best_only_when_beaten(small_hp, offline_backends, tmp_path):
     # best.json names the first epoch with the best score over the first run and the resume
     split, ckpt = _tiny_split(small_hp), tmp_path / "ckpt"
@@ -559,9 +587,12 @@ def test_checkpoint_written_by_an_earlier_version_loads(tmp_path):
     (lambda arrays, meta: arrays.update(
         {"adam_m.pt.ff_desc.w1": arrays["adam_m.pt.ff_desc.w1"].astype(np.float32)}),
      "adam_m.pt.ff_desc.w1 has dtype <f4, expected <f8"),
+    (lambda arrays, meta: arrays["pt.ff_desc.w1"].__setitem__((0, 0), np.nan),
+     "pt.ff_desc.w1 holds a non-finite value"),
 ], ids=["missing-array", "short-bias", "missing-meta-key", "missing-rng-stream", "hp-dim",
         "hp-num-heads", "classifier-length", "moment-shape", "adam-t-string", "sbcl-skipped-null",
-        "epoch-float", "epoch-bool", "has-ptformer-string", "parameter-dtype", "moment-dtype"])
+        "epoch-float", "epoch-bool", "has-ptformer-string", "parameter-dtype", "moment-dtype",
+        "parameter-nan"])
 def test_load_checkpoint_names_the_first_bad_entry(small_hp, tmp_path, edit, named):
     path = tmp_path / "edited.ckpt"
     save_checkpoint(path, init_train_state(small_hp))
@@ -592,15 +623,16 @@ def test_encode_sample_shape_contract_with_missing_texts(small_hp, offline_backe
     # a missing description must not change the four-matrix shape contract
     bare = make_sample(1, Label.SECURITY)
     mats = encode_sample(bare, offline_backends, small_hp)
-    assert [m.values.shape[1] for m in mats] == [small_hp.dim] * 4
-    assert mats[2].values.shape == (1, small_hp.dim)  # description sentinel row
-    assert np.all(mats[2].values == 0.0)
-    assert mats[3].seq_len > 1  # instruction text is always present
+    assert [m.shape[1] for m in mats] == [small_hp.dim] * 4
+    assert all(m.dtype == np.float64 and not m.flags.writeable for m in mats)
+    assert mats[2].shape == (1, small_hp.dim)  # description sentinel row
+    assert np.all(mats[2] == 0.0)
+    assert mats[3].shape[0] > 1  # instruction text is always present
 
     ablated = encode_sample(bare, offline_backends, small_hp,
                             TrainOptions(use_explanation=False, use_instruction=False))
-    assert ablated[1].values.shape == (1, small_hp.dim)
-    assert ablated[3].values.shape == (1, small_hp.dim)
+    assert ablated[1].shape == (1, small_hp.dim)
+    assert ablated[3].shape == (1, small_hp.dim)
 
 
 def test_validation_record_matches_predict(small_hp, offline_backends):

@@ -86,7 +86,7 @@ def test_patch_sample_validation_and_round_trip():
 
 def test_embedding_matrix_checks():
     m = EmbeddingMatrix(np.ones((3, 4)), Modality.PATCH)
-    assert m.seq_len == 3 and m.dim == 4
+    assert m.values.shape == (3, 4)
     assert not m.values.flags.writeable
     with pytest.raises(ValueError, match="finite"):
         EmbeddingMatrix(np.array([[np.nan, 1.0]]), Modality.PATCH)
@@ -98,6 +98,6 @@ def test_embedding_matrix_checks():
 
 def test_fused_embedding_checks():
     e = FusedEmbedding(np.arange(6.0), sample_id="x")
-    assert len(e) == 6
+    assert e.values.shape == (6,)
     with pytest.raises(ValueError, match="finite"):
         FusedEmbedding(np.array([np.inf]))
