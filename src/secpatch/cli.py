@@ -173,6 +173,13 @@ def _split(cfg: RunConfig):
     return split_dataset(samples, cfg.ratios, cfg.hp.seed, stratify=cfg.dataset.stratify)
 
 
+def _split_samples(cfg: RunConfig, name: str, purpose: str):
+    samples = getattr(_split(cfg), name)
+    if not samples:
+        raise ConfigError(f"{purpose} split {name!r} is empty")
+    return samples
+
+
 def _load_state(cfg: RunConfig, args):
     """(path, TrainState) of --checkpoint, else the configured one, else best.json's."""
     path = args.checkpoint or cfg.checkpoint
@@ -250,9 +257,7 @@ def cmd_train(cfg: RunConfig, args) -> dict:
 def cmd_eval(cfg: RunConfig, args) -> dict:
     path, state = _load_state(cfg, args)
     split_name = args.split or cfg.eval_split
-    samples = getattr(_split(cfg), split_name)
-    if not samples:
-        raise ConfigError(f"evaluation split {split_name!r} is empty")
+    samples = _split_samples(cfg, split_name, "evaluation")
     results = predict(samples, state, _backends(cfg, state))
     probs = [p for p, _ in results]
     y = [1 if s.label is Label.SECURITY else 0 for s in samples]
@@ -292,11 +297,9 @@ def cmd_visualize(cfg: RunConfig, args) -> dict:
         raise ConfigError(f"--components must be >= 1, got {components}")
     _, state = _load_state(cfg, args)
     split_name = args.split or cfg.pca.split
-    samples = getattr(_split(cfg), split_name)
-    if not samples:
-        raise ConfigError(f"visualization split {split_name!r} is empty")
+    samples = _split_samples(cfg, split_name, "visualization")
     vectors = fused_embeddings(samples, state, _backends(cfg, state))
-    result = pca_project(vectors, components)
+    result = pca_project([v.values for v in vectors], components)
     csv_path = os.path.join(cfg.output_dir, "pca.csv")
     export_pca_csv(csv_path, [s.id for s in samples], result.coordinates,
                    [s.label.value for s in samples])

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import FusedEmbedding, Label, LengthMismatch
+from .types import Label, LengthMismatch
 
 _DIST_EPS = 1e-12  # guards the distance gradient when two embeddings coincide
 
@@ -28,13 +28,9 @@ class Triplet:
             raise ValueError("anchor and positive must be distinct batch indices")
 
 
-def _as_vector(e) -> np.ndarray:
-    return e.values if isinstance(e, FusedEmbedding) else np.asarray(e, dtype=np.float64)
-
-
 def euclidean_distance(e_a, e_b) -> float:
-    a = _as_vector(e_a)
-    b = _as_vector(e_b)
+    a = np.asarray(e_a, dtype=np.float64)
+    b = np.asarray(e_b, dtype=np.float64)
     if a.shape != b.shape:
         raise LengthMismatch(f"embedding lengths differ: {a.shape} vs {b.shape}")
     return float(np.sqrt(np.sum((a - b) ** 2)))
@@ -57,7 +53,7 @@ def _mine(batch, labels, rng, anchor_mode):
         raise InsufficientClassMembers(
             Label.NON_SECURITY.value, "need >= 1 non-security sample to mine triplets")
 
-    x = np.stack([_as_vector(e) for e in batch])
+    x = np.stack([np.asarray(e, dtype=np.float64) for e in batch])
     distances = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1))
 
     if anchor_mode == "all":

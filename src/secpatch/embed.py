@@ -45,23 +45,33 @@ class EmbedderBackend:
         if type(dim) is not int or dim < 1:  # a bool is not an int
             raise ValueError(
                 f"{path}: precomputed file needs an int 'dim' >= 1 in meta, got {dim!r}")
-        for key, arr in arrays.items():
-            if arr.ndim != 2 or arr.shape[1] != dim:
-                raise ValueError(f"{path}: entry {key!r} has shape {arr.shape}, expected (*, {dim})")
-        return cls(kind=PRECOMPUTED_KIND, dim=dim, source_path=str(path), table=arrays)
+        table = {key: _checked_rows(arr, dim, f"{path}: entry {key!r}")
+                 for key, arr in arrays.items()}
+        return cls(kind=PRECOMPUTED_KIND, dim=dim, source_path=str(path), table=table)
 
 
 def save_precomputed(path, entries: dict, dim: int) -> None:
     """Persist sample-keyed embedding matrices for the precomputed_file backend.
 
-    Keys follow the convention "<sample_id>/<modality>".
+    Keys follow the convention "<sample_id>/<modality>"; every entry must be a
+    finite (rows, dim) matrix, or nothing is written.
     """
-    for key, arr in entries.items():
-        arr = np.asarray(arr)
-        if arr.ndim != 2 or arr.shape[1] != dim:
-            raise ValueError(f"entry {key!r} has shape {arr.shape}, expected (*, {dim})")
-    arrayio.save_arrays(path, {k: np.asarray(v, dtype=np.float64) for k, v in entries.items()},
-                        meta={"dim": dim, "format": "secpatch-embeddings"})
+    arrays = {key: _checked_rows(arr, dim, f"{path}: entry {key!r}")
+              for key, arr in entries.items()}
+    arrayio.save_arrays(path, arrays, meta={"dim": dim, "format": "secpatch-embeddings"})
+
+
+def _checked_rows(arr, dim: int, where: str) -> np.ndarray:
+    """A read-only float64 view of `arr` as finite rows of width `dim`; a ValueError
+    naming `where` otherwise. embed_* hands the loaded entries out without copying."""
+    rows = np.asarray(arr, dtype=np.float64).view()  # the caller's own array stays writable
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise ValueError(f"{where} has shape {rows.shape}, expected (*, {dim})")
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{where} row {int(np.argmin(finite))} holds a NaN or an infinity")
+    rows.flags.writeable = False
+    return rows
 
 
 @lru_cache(maxsize=1 << 16)
@@ -78,16 +88,19 @@ def _embed(tokens: tuple[int, ...], backend: EmbedderBackend, modality: Modality
            sample_id: str | None) -> EmbeddingMatrix:
     if not tokens:
         # sentinel zero row keeps downstream shapes valid for missing modalities
-        return EmbeddingMatrix(np.zeros((1, backend.dim)), modality)
-    if backend.kind == HASHED_KIND:
+        rows = np.zeros((1, backend.dim))
+    elif backend.kind == HASHED_KIND:
+        # unit rows: finite float64 by construction
         rows = np.stack([_token_row(backend.seed, backend.dim, t) for t in tokens])
-        return EmbeddingMatrix(rows, modality)
-    if sample_id is None:
-        raise ValueError("precomputed_file backend requires a sample_id")
-    key = f"{sample_id}/{modality.value}"
-    if key not in backend.table:
-        raise BackendMissingEntry(key)
-    return EmbeddingMatrix(backend.table[key], modality)
+    else:
+        if sample_id is None:
+            raise ValueError("precomputed_file backend requires a sample_id")
+        key = f"{sample_id}/{modality.value}"
+        if key not in backend.table:
+            raise BackendMissingEntry(key)
+        return EmbeddingMatrix(backend.table[key], modality)  # checked and frozen at load
+    rows.flags.writeable = False
+    return EmbeddingMatrix(rows, modality)
 
 
 def embed_patch(tokens: tuple[int, ...], backend: EmbedderBackend,

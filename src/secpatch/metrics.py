@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrayio import atomic_open
-from .types import FusedEmbedding, LengthMismatch
+from .types import LengthMismatch
 
 
 class SingleClassError(ValueError):
@@ -130,9 +130,11 @@ def pca_project(embeddings, components: int = 2) -> PCAResult:
     """
     if components < 1:
         raise ValueError("components must be >= 1")
-    x = np.stack([e.values if isinstance(e, FusedEmbedding) else np.asarray(e, dtype=np.float64)
-                  for e in embeddings])
+    x = np.stack([np.asarray(e, dtype=np.float64) for e in embeddings])
     n = x.shape[0]
+    finite = np.isfinite(x).reshape(n, -1).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"point {int(np.argmin(finite))} holds a NaN or an infinity")
     if n < components:
         raise ValueError(f"need at least {components} points, got {n}")
 

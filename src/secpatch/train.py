@@ -651,6 +651,8 @@ def predict(samples, state: TrainState, backends: PipelineBackends,
     """Probability and predicted label per sample; security when p >= threshold."""
     if threshold is None:
         threshold = state.options.threshold
+    elif not 0 <= threshold <= 1:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold!r}")
     results = []
     for sample in samples:
         prob = _score(_forward_sample(encode_sample(sample, backends, state.hp, state.options),

@@ -25,16 +25,6 @@ class LengthMismatch(ValueError):
     """Two sequences that must have equal length do not."""
 
 
-def _frozen_array(values, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-D array, got {arr.ndim}-D")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("array entries must be finite")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class PatchSample:
     """One commit: unified diff text, optional texts, and a binary security label."""
@@ -76,16 +66,11 @@ class PatchSample:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Token-level representation of one modality, shape (seq_len, dim), as the embedders
-    return it; the pipeline passes on its `values` alone."""
+    """Token-level rows of one modality, shape (seq_len, dim), as the embedders return them
+    (read-only, checked where they were made); the pipeline passes on `values` alone."""
 
     values: np.ndarray
     modality: Modality
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, 2))
-        if not isinstance(self.modality, Modality):
-            raise ValueError(f"modality must be a Modality, got {self.modality!r}")
 
 
 @dataclass(frozen=True)
@@ -94,9 +79,6 @@ class FusedEmbedding:
 
     values: np.ndarray
     sample_id: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, 1))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import (assert_grads_close, brute_force_triplets, central_difference,
                      loop_sbcl_loss_and_grad, scalar_euclidean)
-from secpatch import (FusedEmbedding, InsufficientClassMembers, Label, LengthMismatch,
-                      Triplet, euclidean_distance, mine_triplets, sbcl_batch_loss_and_grad,
-                      triplet_loss)
+from secpatch import (InsufficientClassMembers, Label, LengthMismatch, Triplet,
+                      euclidean_distance, mine_triplets, sbcl_batch_loss_and_grad, triplet_loss)
 
 S, N = Label.SECURITY, Label.NON_SECURITY
 
@@ -32,12 +31,6 @@ def test_euclidean_matches_scalar_oracle():
     rng = np.random.default_rng(1)
     a, b = rng.standard_normal(12), rng.standard_normal(12)
     assert abs(euclidean_distance(a, b) - scalar_euclidean(a, b)) <= 1e-12
-
-
-def test_euclidean_accepts_fused_embeddings():
-    a = FusedEmbedding(np.zeros(3))
-    b = FusedEmbedding(np.array([1.0, 2.0, 2.0]))
-    assert euclidean_distance(a, b) == 3.0
 
 
 def test_euclidean_length_mismatch():

@@ -20,6 +20,7 @@ def test_hashed_deterministic(hashed):
     np.testing.assert_array_equal(a.values, b.values)
     assert a.modality is Modality.PATCH
     assert a.values.shape == (3, 8)
+    assert a.values.dtype == np.float64 and not a.values.flags.writeable
 
 
 def test_hashed_rows_unit_norm(hashed):
@@ -37,6 +38,7 @@ def test_empty_sequence_sentinel(hashed):
     matrix = embed_patch((), hashed)
     assert matrix.values.shape == (1, 8)
     assert np.all(matrix.values == 0.0)
+    assert matrix.values.dtype == np.float64 and not matrix.values.flags.writeable
 
 
 def test_different_seeds_differ():
@@ -67,6 +69,7 @@ def test_precomputed_round_trip(tmp_path):
         "s1/explanation": np.ones((2, 4)),
     }
     save_precomputed(path, entries, dim=4)
+    assert entries["s1/patch"].flags.writeable  # saving leaves the caller's arrays alone
     backend = EmbedderBackend.precomputed_file(path)
     assert backend.dim == 4
     got = embed_patch((1, 2, 3), backend, sample_id="s1")
@@ -117,3 +120,33 @@ def test_precomputed_dim_must_be_a_positive_int(tmp_path, dim, width):
     with pytest.raises(ValueError, match=re.escape(f"{path}: precomputed file needs an int "
                                                    f"'dim' >= 1 in meta, got {dim!r}")):
         EmbedderBackend.precomputed_file(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_precomputed_file_rejects_non_finite_entry(tmp_path, bad):
+    path = tmp_path / "emb.bin"
+    entry = np.ones((3, 4))
+    entry[1, 2] = bad
+    save_arrays(path, {"s1/explanation": np.ones((1, 4)), "s1/patch": entry}, {"dim": 4})
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: entry 's1/patch' row 1 holds a NaN or an infinity")):
+        EmbedderBackend.precomputed_file(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
+def test_save_precomputed_refuses_non_finite_entry(tmp_path, bad):
+    path = tmp_path / "emb.bin"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: entry 's1/patch' row 0 holds a NaN or an infinity")):
+        save_precomputed(path, {"s1/patch": [[bad, 1.0]]}, dim=2)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("dtype", ["<f4", "<i8"])
+def test_precomputed_entries_embed_as_read_only_float64(tmp_path, dtype):
+    path = tmp_path / "emb.bin"
+    stored = (np.arange(12).reshape(3, 4) * 0.3 - 1.7).astype(dtype)
+    save_arrays(path, {"s1/patch": stored}, {"dim": 4})
+    rows = embed_patch((1, 2), EmbedderBackend.precomputed_file(path), sample_id="s1").values
+    assert rows.dtype == np.float64 and not rows.flags.writeable
+    np.testing.assert_array_equal(rows, stored.astype(np.float64))

@@ -161,6 +161,14 @@ def test_pca_requires_enough_points():
         pca_project(np.ones((3, 3)), components=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_pca_rejects_non_finite_point(bad):
+    points = np.random.default_rng(9).standard_normal((4, 3))
+    points[2, 1] = bad
+    with pytest.raises(ValueError, match="point 2 holds a NaN or an infinity"):
+        pca_project(points, components=2)
+
+
 def test_pca_csv_export(tmp_path):
     rng = np.random.default_rng(8)
     coords = rng.standard_normal((3, 2))

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR, make_sample
 from oracles import loop_class_cycle, scalar_bce, serial_batch_grads
-from secpatch import (ClassifierParams, DivergenceDetected, ExplainerConfig, FusedEmbedding,
-                      Label, LengthMismatch, TrainOptions, bce_loss, compute_metrics,
-                      default_hyperparams, encode_sample, hashed_backends, head_probability,
-                      init_train_state, load_checkpoint, make_synthetic_samples, predict,
-                      save_checkpoint, split_dataset, train)
+from secpatch import (ClassifierParams, DivergenceDetected, EmbedderBackend, ExplainerConfig,
+                      FusedEmbedding, Label, LengthMismatch, PipelineBackends, TrainOptions,
+                      bce_loss, compute_metrics, default_hyperparams, encode_sample,
+                      hashed_backends, head_probability, init_train_state, load_checkpoint,
+                      make_synthetic_samples, predict, save_checkpoint, split_dataset, train)
 from secpatch.arrayio import load_arrays, save_arrays
 from secpatch.train import (ADAM_EPS, InvalidCheckpoint, _compose_batches, _train_batch,
                             adamw_step, batch_loss_and_grads)
@@ -617,6 +617,28 @@ def test_predict_threshold_boundary_and_monotonicity(small_hp, offline_backends)
                                                            threshold=0.7)) if l is Label.SECURITY}
     assert high <= low
     assert all(0.0 < p < 1.0 for p in probs)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 1.5, -0.1, float("inf")])
+def test_predict_threshold_override_is_checked(small_hp, offline_backends, threshold):
+    # the same check as TrainOptions.threshold: NaN would label every patch non-security
+    message = re.escape(f"threshold must lie in [0, 1], got {threshold!r}")
+    with pytest.raises(ValueError, match=message):
+        predict([make_sample(1, Label.SECURITY)], init_train_state(small_hp), offline_backends,
+                threshold=threshold)
+
+
+def test_encode_sample_precomputed_rows_are_read_only_float64(small_hp, tmp_path):
+    sample = dataclasses.replace(make_sample(1, Label.SECURITY), description="fix a leak")
+    path = tmp_path / "emb.bin"
+    save_arrays(path, {f"{sample.id}/{m}": np.ones((2, small_hp.dim), dtype="<f4")
+                       for m in ("patch", "explanation", "description", "instruction")},
+                {"dim": small_hp.dim})
+    backend = EmbedderBackend.precomputed_file(path)
+    backends = PipelineBackends(patch_embedder=backend, text_embedder=backend)
+    mats = encode_sample(sample, backends, small_hp, TrainOptions(use_explanation=False))
+    assert all(m.dtype == np.float64 and not m.flags.writeable for m in mats)
+    assert [m.shape[0] for m in mats] == [2, 1, 2, 2]  # the ablated explanation is the sentinel
 
 
 def test_encode_sample_shape_contract_with_missing_texts(small_hp, offline_backends):

@@ -1,10 +1,8 @@
 import dataclasses
 
-import numpy as np
 import pytest
 
-from secpatch import (EmbeddingMatrix, FusedEmbedding, HyperParams, Label, Modality,
-                      PatchSample, config_from_dict, default_hyperparams)
+from secpatch import HyperParams, Label, PatchSample, config_from_dict, default_hyperparams
 
 
 def test_default_hyperparams_published_values():
@@ -83,21 +81,3 @@ def test_patch_sample_validation_and_round_trip():
     with pytest.raises(ValueError, match="label"):
         PatchSample(id="c", diff_text="+x", label="security")
 
-
-def test_embedding_matrix_checks():
-    m = EmbeddingMatrix(np.ones((3, 4)), Modality.PATCH)
-    assert m.values.shape == (3, 4)
-    assert not m.values.flags.writeable
-    with pytest.raises(ValueError, match="finite"):
-        EmbeddingMatrix(np.array([[np.nan, 1.0]]), Modality.PATCH)
-    with pytest.raises(ValueError):
-        EmbeddingMatrix(np.ones(3), Modality.PATCH)
-    with pytest.raises(ValueError, match="Modality"):
-        EmbeddingMatrix(np.ones((1, 2)), "patch")
-
-
-def test_fused_embedding_checks():
-    e = FusedEmbedding(np.arange(6.0), sample_id="x")
-    assert e.values.shape == (6,)
-    with pytest.raises(ValueError, match="finite"):
-        FusedEmbedding(np.array([np.inf]))
