@@ -8,8 +8,8 @@ import dataclasses
 import numpy as np
 
 from secpatch import (EmbedderBackend, HashTokenizer, Modality, cross_attention,
-                      default_hyperparams, embed_patch, embed_text, fuse, init_pt_former,
-                      instruction_text, self_attention, tokenize)
+                      default_hyperparams, embed_patch, embed_text, fuse_forward,
+                      init_pt_former, instruction_text, self_attention, tokenize)
 
 hp = dataclasses.replace(default_hyperparams(), dim=16, num_heads=4, dropout=0.0)
 vocab = HashTokenizer()
@@ -38,5 +38,6 @@ aligned, ca_weights = cross_attention(pa, updated, state.cross_attn, return_weig
 print("cross-attention maps patch rows onto the explanation:", aligned.shape)
 print("strongest explanation token per patch row:", np.argmax(ca_weights, axis=1))
 
-fused = fuse(pa, ex, desc, inst, state)
+# the forward pass training and scoring run; without dropout masks it is evaluation mode
+fused, _ = fuse_forward(pa, ex, desc, inst, state)
 print(f"fused vector length = 3 * dim = {fused.shape[0]}")

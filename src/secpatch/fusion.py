@@ -258,17 +258,6 @@ def fuse_backward(d_vector: np.ndarray, cache, state: PTFormerState) -> dict[str
     return grads
 
 
-def fuse(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndarray,
-         state: PTFormerState) -> np.ndarray:
-    """Evaluation-mode fusion of four (rows, dim) modality arrays into one vector of length 3*dim."""
-    dims = [m.shape[1] for m in (pa, ex, desc, inst)]
-    if len(set(dims)) != 1:
-        raise ValueError(f"all inputs must share dim, got {dims}")
-    if dims[0] != state.dim:
-        raise ValueError(f"input dim {dims[0]} does not match parameters dim {state.dim}")
-    return fuse_forward(pa, ex, desc, inst, state)[0]
-
-
 def pooled_concat(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray,
                   inst: np.ndarray) -> np.ndarray:
     """Attention-free fallback fusion: plain pooled concatenation, still 3*dim long.

@@ -59,15 +59,24 @@ def _tied_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _checked(probs, labels):
+    """Probabilities as float64 and labels as int64, equal in length; every label is 0 or 1."""
+    probs, labels = np.asarray(probs, dtype=np.float64), np.asarray(labels)
+    if probs.shape[0] != labels.shape[0]:
+        raise LengthMismatch(f"{probs.shape[0]} probabilities vs {labels.shape[0]} labels")
+    bad = labels[~np.isin(labels, (0, 1))]
+    if bad.size:
+        raise ValueError(f"labels must be 0 or 1, got {np.unique(bad).tolist()}")
+    return probs, labels.astype(np.int64)
+
+
 def auc_score(probs, labels) -> float:
     """Rank-statistic AUC: probability a random positive outranks a random negative.
 
-    Ties count one half. Raises SingleClassError when a class is absent.
+    Ties count one half. Raises SingleClassError when a class is absent, and
+    ValueError when a label is not 0 or 1.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if probs.shape[0] != labels.shape[0]:
-        raise LengthMismatch(f"{probs.shape[0]} probabilities vs {labels.shape[0]} labels")
+    probs, labels = _checked(probs, labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -82,14 +91,14 @@ def compute_metrics(probs, labels, threshold: float = 0.5) -> MetricsReport:
 
     +Recall is recall on the positive (security) class, -Recall on the
     negative class, and F1 is computed on the positive class. AUC is None
-    when only one class is present.
+    when only one class is present. Raises ValueError when a label is not 0
+    or 1, or the threshold is NaN.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if probs.shape[0] != labels.shape[0]:
-        raise LengthMismatch(f"{probs.shape[0]} probabilities vs {labels.shape[0]} labels")
+    probs, labels = _checked(probs, labels)
     if probs.shape[0] == 0:
         raise ValueError("cannot compute metrics on zero samples")
+    if np.isnan(threshold):
+        raise ValueError("threshold must be a number, got nan")
 
     preds = probs >= threshold
     pos = labels == 1

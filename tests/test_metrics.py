@@ -94,6 +94,20 @@ def test_metrics_input_validation():
         compute_metrics([], [], 0.5)
 
 
+@pytest.mark.parametrize("labels, bad", [([1, 0, -1], "-1"), ([2, 0, 1], "2"),
+                                         ([1, 0, 0.5], "0.5")])
+def test_labels_other_than_zero_and_one_are_rejected(labels, bad):
+    for metric in (auc_score, compute_metrics):
+        with pytest.raises(ValueError, match=rf"labels must be 0 or 1, got \[{bad}\]"):
+            metric([0.9, 0.2, 0.4], labels)
+
+
+def test_nan_threshold_is_rejected():
+    # NaN would label every sample negative; thresholds outside [0, 1] stay meaningful
+    with pytest.raises(ValueError, match="threshold must be a number, got nan"):
+        compute_metrics([0.9, 0.1], [1, 0], float("nan"))
+
+
 def test_report_invariants_enforced():
     with pytest.raises(ValueError, match="sum"):
         MetricsReport(auc=0.5, f1=0.5, plus_recall=0.5, minus_recall=0.5,

@@ -21,8 +21,9 @@ from oracles import loop_class_cycle, scalar_bce, serial_batch_grads
 from secpatch import (ClassifierParams, DivergenceDetected, EmbedderBackend, ExplainerConfig,
                       FusedEmbedding, Label, LengthMismatch, PipelineBackends, TrainOptions,
                       bce_loss, compute_metrics, default_hyperparams, encode_sample,
-                      hashed_backends, head_probability, init_train_state, load_checkpoint,
-                      make_synthetic_samples, predict, save_checkpoint, split_dataset, train)
+                      fused_embeddings, hashed_backends, head_probability, init_train_state,
+                      load_checkpoint, make_synthetic_samples, predict, save_checkpoint,
+                      split_dataset, train)
 from secpatch.arrayio import load_arrays, save_arrays
 from secpatch.train import (ADAM_EPS, InvalidCheckpoint, _compose_batches, _train_batch,
                             adamw_step, batch_loss_and_grads)
@@ -115,8 +116,7 @@ ACTIVE_LABELS = [Label.SECURITY, Label.SECURITY, Label.NON_SECURITY]
 
 def test_blend_modes():
     state = _pooled_state(1, loss_blend="sum")
-    loss, _ = batch_loss_and_grads(_pooled_mats(ACTIVE_POINTS), ACTIVE_LABELS, state,
-                                   training=False)
+    loss, _ = batch_loss_and_grads(_pooled_mats(ACTIVE_POINTS), ACTIVE_LABELS, state)
     assert loss.bce > 0.0 and loss.sbcl > 0.0
     assert loss.total == pytest.approx(loss.bce + loss.sbcl, abs=1e-12)
     with pytest.raises(ValueError):
@@ -135,7 +135,7 @@ def test_combined_loss_perfect_batch():
     state = _pooled_state(2)
     state.classifier.weight[0] = -2.0  # saturated logits: 40 for security, -60 otherwise
     state.classifier.bias[0] = 40.0
-    result, _ = batch_loss_and_grads(_pooled_mats(points), labels, state, training=False)
+    result, _ = batch_loss_and_grads(_pooled_mats(points), labels, state)
     assert result.total <= 1e-10
     assert not result.sbcl_skipped
 
@@ -144,8 +144,7 @@ def test_combined_loss_skips_unminable_batch():
     labels = [Label.SECURITY, Label.SECURITY]
     state = _pooled_state(3)
     state.classifier.bias[0] = 1.0
-    result, _ = batch_loss_and_grads(_pooled_mats(np.zeros((2, 3))), labels, state,
-                                     training=False)
+    result, _ = batch_loss_and_grads(_pooled_mats(np.zeros((2, 3))), labels, state)
     assert result.sbcl == 0.0
     assert result.sbcl_skipped
     assert result.total == pytest.approx(result.bce, abs=1e-12)
@@ -153,8 +152,7 @@ def test_combined_loss_skips_unminable_batch():
 
 def test_combined_loss_alpha_blend():
     state = _pooled_state(1, margin=0.0, loss_blend="alpha")
-    result, _ = batch_loss_and_grads(_pooled_mats(ACTIVE_POINTS), ACTIVE_LABELS, state,
-                                     training=False)
+    result, _ = batch_loss_and_grads(_pooled_mats(ACTIVE_POINTS), ACTIVE_LABELS, state)
     assert result.sbcl > 0.0
     assert result.total == pytest.approx(0.25 * result.bce + 0.75 * result.sbcl, abs=1e-12)
 
@@ -210,7 +208,7 @@ def test_batch_grads_match_serial_oracle_on_any_pool(monkeypatch, dropout, batch
     mats, labels = _ragged_batch(batch_size, 8, seed=batch_size)
     state = _ptformer_state(dropout)
     oracle_state = copy.deepcopy(state)
-    expected = serial_batch_grads(mats, labels, oracle_state, training=True)
+    expected = serial_batch_grads(mats, labels, oracle_state)
     drawn = {name: gen.bit_generator.state for name, gen in oracle_state.rngs.items()}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -220,7 +218,7 @@ def test_batch_grads_match_serial_oracle_on_any_pool(monkeypatch, dropout, batch
             run_state = copy.deepcopy(state)
             pool = ThreadPoolExecutor(workers) if workers else None
             try:
-                result = batch_loss_and_grads(mats, labels, run_state, True, pool=pool)
+                result = batch_loss_and_grads(mats, labels, run_state, pool=pool)
             finally:
                 if pool is not None:
                     pool.shutdown()
@@ -250,10 +248,10 @@ def test_worker_failure_propagates_and_the_pool_recovers(monkeypatch):
     with ThreadPoolExecutor(2) as pool:
         monkeypatch.setattr(train_module, "fuse_backward", third_call_fails)
         with pytest.raises(_Injected):
-            batch_loss_and_grads(mats, labels, state, True, pool=pool)
+            batch_loss_and_grads(mats, labels, state, pool=pool)
         monkeypatch.setattr(train_module, "fuse_backward", original)
-        expected = serial_batch_grads(mats, labels, copy.deepcopy(state), training=True)
-        _assert_same_bits(batch_loss_and_grads(mats, labels, state, True, pool=pool), expected)
+        expected = serial_batch_grads(mats, labels, copy.deepcopy(state))
+        _assert_same_bits(batch_loss_and_grads(mats, labels, state, pool=pool), expected)
 
 
 def test_train_shuts_its_pool_down_when_a_worker_fails(monkeypatch, small_hp, offline_backends):
@@ -639,6 +637,20 @@ def test_encode_sample_precomputed_rows_are_read_only_float64(small_hp, tmp_path
     mats = encode_sample(sample, backends, small_hp, TrainOptions(use_explanation=False))
     assert all(m.dtype == np.float64 and not m.flags.writeable for m in mats)
     assert [m.shape[0] for m in mats] == [2, 1, 2, 2]  # the ablated explanation is the sentinel
+
+
+@pytest.mark.parametrize("role", ["patch", "text"])
+def test_embedder_width_must_match_the_model(small_hp, offline_backends, role):
+    # rows enter train, predict and visualize through encode_sample, which names the embedder
+    wide = EmbedderBackend.hashed_projection(2 * small_hp.dim, seed=1)
+    backends = dataclasses.replace(offline_backends, **{f"{role}_embedder": wide})
+    split, state = _tiny_split(small_hp), init_train_state(small_hp)
+    message = f"{role} embedder has dim 16, but the model has dim 8"
+    for run in (lambda: predict(split.test, state, backends),
+                lambda: fused_embeddings(split.test, state, backends),
+                lambda: train(split, small_hp, backends)):
+        with pytest.raises(ValueError, match=message):
+            run()
 
 
 def test_encode_sample_shape_contract_with_missing_texts(small_hp, offline_backends):
