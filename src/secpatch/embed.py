@@ -91,7 +91,7 @@ def _embed(tokens: tuple[int, ...], backend: EmbedderBackend, modality: Modality
         rows = np.zeros((1, backend.dim))
     elif backend.kind == HASHED_KIND:
         # unit rows: finite float64 by construction
-        rows = np.stack([_token_row(backend.seed, backend.dim, t) for t in tokens])
+        rows = np.array([_token_row(backend.seed, backend.dim, t) for t in tokens])
     else:
         if sample_id is None:
             raise ValueError("precomputed_file backend requires a sample_id")

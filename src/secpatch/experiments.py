@@ -8,10 +8,10 @@ from typing import Literal, get_args
 import numpy as np
 
 from .dataset import DatasetSplit
-from .metrics import MetricsReport, compute_metrics
+from .metrics import MetricsReport
 from .seeding import derive_seed
-from .train import PipelineBackends, TrainOptions, predict, train
-from .types import HyperParams, Label
+from .train import PipelineBackends, TrainOptions, labelled_metrics, predict, train
+from .types import HyperParams
 
 AblationFlag = Literal["no_explanation", "no_instruction", "no_ptformer", "no_sbcl"]
 ABLATION_FLAGS = get_args(AblationFlag)
@@ -40,10 +40,7 @@ def options_for_flags(flags, base: TrainOptions = TrainOptions()) -> TrainOption
 
 
 def _evaluate(samples, state, backends) -> MetricsReport:
-    results = predict(samples, state, backends)
-    probs = [p for p, _ in results]
-    y = [1 if s.label is Label.SECURITY else 0 for s in samples]
-    return compute_metrics(probs, y, state.options.threshold)
+    return labelled_metrics([p for p, _ in predict(samples, state, backends)], samples, state)
 
 
 def run_ablation(flag_sets, split: DatasetSplit, hp: HyperParams, backends: PipelineBackends,

@@ -20,7 +20,7 @@ from .explain import ExplainerConfig, explain, instruction_text
 from .fusion import (PTFormerState, check_shapes, dropout_keep, from_named_parameters,
                      fuse_backward, fuse_forward, init_parameters, init_pt_former, model_sizes,
                      named_parameters, parameter, parameter_specs, pooled_concat)
-from .metrics import compute_metrics
+from .metrics import MetricsReport, compute_metrics
 from .seeding import derive_seed, substream
 from .types import (FusedEmbedding, HyperParams, Label, LengthMismatch, Modality,
                     PatchSample, config_from_dict)
@@ -35,7 +35,7 @@ CHECKPOINT_MAGIC = "secpatch-train"
 BEST_POINTER = "best.json"
 RNG_STREAMS = ("batching", "dropout", "mining")
 
-# training runs the per-sample fusion passes on one thread per core this process may use
+# training and evaluation run the per-sample fusion passes on one thread per usable core
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _THREADED_MIN_DIM = 128
@@ -507,7 +507,8 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
     `best.json` pointer to the best-scoring one; a resumed run repoints it
     only for an epoch that beats the score it already holds. Deterministic for
     a fixed seed, on any number of cores: a model at least _THREADED_MIN_DIM
-    wide runs its per-sample fusion passes on one thread per usable core.
+    wide runs its per-sample fusion passes, training and validation, on one
+    thread per usable core.
 
     Returns (final TrainState, list of per-epoch records).
     """
@@ -562,7 +563,7 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
                 n_batches += 1
             state.epoch = epoch
 
-            val_auc, val_f1 = _validation_metrics(split.validation, encoded, state)
+            val_auc, val_f1 = _validation_metrics(split.validation, encoded, state, pool)
             record = {
                 "epoch": epoch,
                 "L_BCE": sums["bce"] / n_batches,
@@ -628,13 +629,18 @@ def _train_batch(batch, encoded, state, pool=None):
     return loss
 
 
-def _validation_metrics(validation, encoded, state):
+def _validation_metrics(validation, encoded, state, pool=None):
     if not validation:
         return None, None
-    probs = [_score(_forward_sample(encoded[s.id], state), state) for s in validation]
-    y = [1 if s.label is Label.SECURITY else 0 for s in validation]
-    report = compute_metrics(probs, y, state.options.threshold)
+    vectors = _in_order(pool, _forward_sample, [(encoded[s.id], state) for s in validation])
+    report = labelled_metrics([_score(v, state) for v in vectors], validation, state)
     return report.auc, report.f1
+
+
+def labelled_metrics(probs, samples, state: TrainState) -> MetricsReport:
+    """compute_metrics of one probability per sample against the samples' labels."""
+    y = [1 if s.label is Label.SECURITY else 0 for s in samples]
+    return compute_metrics(probs, y, state.options.threshold)
 
 
 def _score(vector, state: TrainState) -> float:
@@ -643,10 +649,30 @@ def _score(vector, state: TrainState) -> float:
     return float(head_probability(vector, state.classifier))
 
 
+def _fused_vectors(samples, state: TrainState, backends: PipelineBackends):
+    """Fused vector per sample in evaluation mode, yielded in sample order.
+
+    The calling thread encodes _WORKERS samples at a time, and the chunk is
+    fused on the state's fusion pool before the next one is encoded. More
+    than one sample and a model that trains on threads (see _fusion_pool)
+    make a pool; otherwise everything runs on the calling thread. Evaluation
+    draws no random numbers, so every vector is the same bits either way.
+    """
+    samples = list(samples)
+    pool = _fusion_pool(state) if len(samples) > 1 else None
+    try:
+        for start in range(0, len(samples), _WORKERS):
+            chunk = [(encode_sample(s, backends, state.hp, state.options), state)
+                     for s in samples[start:start + _WORKERS]]
+            yield from _in_order(pool, _forward_sample, chunk)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
 def fused_embeddings(samples, state: TrainState, backends: PipelineBackends):
     """Fused vector per sample under the state's options (evaluation mode)."""
-    return [FusedEmbedding(_forward_sample(encode_sample(s, backends, state.hp, state.options),
-                                           state)) for s in samples]
+    return [FusedEmbedding(v) for v in _fused_vectors(samples, state, backends)]
 
 
 def predict(samples, state: TrainState, backends: PipelineBackends,
@@ -656,9 +682,5 @@ def predict(samples, state: TrainState, backends: PipelineBackends,
         threshold = state.options.threshold
     elif not 0 <= threshold <= 1:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold!r}")
-    results = []
-    for sample in samples:
-        prob = _score(_forward_sample(encode_sample(sample, backends, state.hp, state.options),
-                                      state), state)
-        results.append((prob, Label.SECURITY if prob >= threshold else Label.NON_SECURITY))
-    return results
+    probs = [_score(v, state) for v in _fused_vectors(samples, state, backends)]
+    return [(p, Label.SECURITY if p >= threshold else Label.NON_SECURITY) for p in probs]

@@ -200,6 +200,25 @@ def serial_batch_grads(mats, labels, state):
     return loss, grads
 
 
+def serial_evaluation(samples, state, backends):
+    """`train.fused_embeddings` and `predict`'s probabilities as one loop on one thread.
+
+    Each sample is encoded, fused in evaluation mode and scored by the head
+    before the next one is encoded. Returns (vectors, probabilities) for a
+    PT-Former state.
+    """
+    from secpatch.fusion import fuse_forward
+    from secpatch.train import encode_sample, head_probability
+
+    vectors, probs = [], []
+    for sample in samples:
+        vector, _ = fuse_forward(*encode_sample(sample, backends, state.hp, state.options),
+                                 state.pt_former)
+        vectors.append(vector)
+        probs.append(float(head_probability(vector, state.classifier)))
+    return vectors, probs
+
+
 def central_difference(fn, arrays: dict, eps: float = 1e-5) -> dict:
     """Central finite differences of scalar fn() w.r.t. every entry of every array.
 

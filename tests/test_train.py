@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, make_sample
-from oracles import loop_class_cycle, scalar_bce, serial_batch_grads
+from oracles import loop_class_cycle, scalar_bce, serial_batch_grads, serial_evaluation
 from secpatch import (ClassifierParams, DivergenceDetected, EmbedderBackend, ExplainerConfig,
                       FusedEmbedding, Label, LengthMismatch, PipelineBackends, TrainOptions,
                       bce_loss, compute_metrics, default_hyperparams, encode_sample,
@@ -25,8 +25,9 @@ from secpatch import (ClassifierParams, DivergenceDetected, EmbedderBackend, Exp
                       load_checkpoint, make_synthetic_samples, predict, save_checkpoint,
                       split_dataset, train)
 from secpatch.arrayio import load_arrays, save_arrays
-from secpatch.train import (ADAM_EPS, InvalidCheckpoint, _compose_batches, _train_batch,
-                            adamw_step, batch_loss_and_grads)
+from secpatch.train import (ADAM_EPS, InvalidCheckpoint, _compose_batches, _fusion_pool,
+                            _train_batch, _validation_metrics, adamw_step, batch_loss_and_grads,
+                            encode_samples)
 
 train_module = importlib.import_module("secpatch.train")  # the package re-exports train()
 
@@ -286,6 +287,114 @@ def test_train_artifacts_independent_of_worker_count(monkeypatch, small_hp, tmp_
 
 
 # ---------------------------------------------------------------------------
+# evaluation fusion passes on the same pool
+
+def _ragged_samples(n: int):
+    """n patches of 1 to 12 changed lines, labels alternating from security; every third
+    has no description."""
+    samples = []
+    for i in range(n):
+        lines = 1 + 5 * i % 12
+        diff = f"@@ -1,{lines} +1,{lines} @@\n" + "".join(
+            f"-old_{i}_{j} = a{j};\n+new_{i}_{j} = b{j} + {i};\n" for j in range(lines))
+        sample = make_sample(i, Label.SECURITY if i % 2 == 0 else Label.NON_SECURITY, diff)
+        if i % 3:
+            sample = dataclasses.replace(sample, description=f"change {i} " * (1 + i))
+        samples.append(sample)
+    return samples
+
+
+def _threaded_eval_setup(tmp_path):
+    """A PT-Former state wide enough to make a fusion pool, with a non-zero head."""
+    hp = dataclasses.replace(default_hyperparams(), dim=128, num_heads=4, seed=5)
+    state = init_train_state(hp)
+    state.classifier.weight[:] = 0.1 * np.random.default_rng(6).standard_normal(3 * hp.dim)
+    return state, hashed_backends(hp, ExplainerConfig(cache_dir=str(tmp_path / "cache")))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_evaluation_matches_the_one_thread_loop_on_any_pool(monkeypatch, tmp_path, workers):
+    # 7 samples: no pool, or pools whose last chunk is short, with the interpreter switching
+    # threads as often as it can; vectors, scores and validation metrics keep their bits
+    state, backends = _threaded_eval_setup(tmp_path)
+    samples = _ragged_samples(7)
+    vectors, probs = serial_evaluation(samples, state, backends)
+    expected = compute_metrics(probs, [1 if s.label is Label.SECURITY else 0 for s in samples],
+                               state.options.threshold)
+    encoded = encode_samples(samples, backends, state.hp, state.options)
+
+    original, threads = train_module.fuse_forward, []
+
+    def recorded(*args):
+        threads.append(threading.current_thread().name)
+        return original(*args)
+
+    monkeypatch.setattr(train_module, "fuse_forward", recorded)
+    monkeypatch.setattr(train_module, "_WORKERS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fused = fused_embeddings(samples, state, backends)
+        results = predict(samples, state, backends)
+        pool = _fusion_pool(state)  # the pool train() holds for its epochs
+        try:
+            metrics = _validation_metrics(samples, encoded, state, pool)
+        finally:
+            if pool is not None:
+                pool.shutdown()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(fused) == len(vectors)
+    assert all(np.array_equal(f.values, v) for f, v in zip(fused, vectors))
+    assert [p for p, _ in results] == probs
+    assert metrics == (expected.auc, expected.f1)
+    assert len(threads) == 3 * len(samples)
+    if workers == 1:
+        assert set(threads) == {threading.main_thread().name}
+    else:
+        assert all(name.startswith("secpatch-fusion") for name in threads)
+
+
+@pytest.mark.parametrize("run", [predict, fused_embeddings])
+def test_evaluation_worker_failure_reaches_the_caller(monkeypatch, tmp_path, run):
+    state, backends = _threaded_eval_setup(tmp_path)
+    original, calls, lock = train_module.fuse_forward, itertools.count(1), threading.Lock()
+    failed_on = []
+
+    def third_call_fails(*args):
+        with lock:
+            call = next(calls)
+        if call == 3:
+            failed_on.append(threading.current_thread().name)
+            raise _Injected("forward pass of the third sample")
+        return original(*args)
+
+    monkeypatch.setattr(train_module, "_WORKERS", 2)
+    monkeypatch.setattr(train_module, "fuse_forward", third_call_fails)
+    with pytest.raises(_Injected):
+        run(_ragged_samples(5), state, backends)
+    assert failed_on[0].startswith("secpatch-fusion")
+    assert not [t for t in threading.enumerate() if t.name.startswith("secpatch-fusion")]
+
+
+def test_single_patch_predict_makes_no_pool(monkeypatch, tmp_path):
+    state, backends = _threaded_eval_setup(tmp_path)
+    real, made = train_module.ThreadPoolExecutor, []
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "_WORKERS", 2)
+    monkeypatch.setattr(train_module, "ThreadPoolExecutor", counted)
+    samples = _ragged_samples(2)
+    predict(samples[:1], state, backends)
+    assert made == []
+    predict(samples, state, backends)  # two samples at this width do make one
+    assert len(made) == 1
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 
 def test_adamw_zero_gradients_zero_decay_is_noop():
@@ -405,6 +514,44 @@ def test_train_checkpoints_independent_of_blas_threads(tmp_path):
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("no os.sched_setaffinity: the one-core child cannot be pinned")
     assert _train_child(tmp_path / "one_core", "2", "one-core") == reference
+
+
+_BLAS_FUSION_RUN = """
+import dataclasses, hashlib, sys
+import numpy as np
+from secpatch import default_hyperparams
+from secpatch.fusion import fuse_backward, fuse_forward, init_pt_former
+hp = dataclasses.replace(default_hyperparams(), dim=256, num_heads=4)
+pt = init_pt_former(hp, 3)
+rng = np.random.default_rng(4)
+mats = [rng.standard_normal((rows, hp.dim)) for rows in (64, int(sys.argv[1]), 12, 29)]
+vector, cache = fuse_forward(*mats, pt)
+grads = fuse_backward(rng.standard_normal(vector.shape), cache, pt)
+print(hashlib.sha256(vector.tobytes()).hexdigest(),
+      hashlib.sha256(b"".join(grads[name].tobytes() for name in sorted(grads))).hexdigest())
+"""
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "OpenBLAS's threaded dgemm rounds the batched attention-score matmul "
+    "((4, n, 64) @ (4, 64, n)) differently from its one-thread dgemm for an explanation "
+    "of 100 to 400 rows at dim 256, so fuse_forward and fuse_backward depend on "
+    "OPENBLAS_NUM_THREADS there"))
+def test_fusion_passes_independent_of_blas_threads_on_long_explanations():
+    if len(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()) < 2:
+        pytest.skip("fewer than two usable cores: OpenBLAS runs one thread whatever it is asked")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        for rows in ("100", "300", "400"):
+            done = subprocess.run([sys.executable, "-c", _BLAS_FUSION_RUN, rows], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests[threads, rows] = done.stdout
+    for rows in ("100", "300", "400"):
+        assert digests["2", rows] == digests["1", rows], f"{rows}-row explanation"
 
 
 def test_train_resume_advances_epochs(small_hp, offline_backends, tmp_path):
