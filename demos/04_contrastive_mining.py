@@ -5,8 +5,7 @@ Run from the repository root:  python3 demos/04_contrastive_mining.py
 
 import numpy as np
 
-from secpatch import (Label, euclidean_distance, mine_triplets, sbcl_batch_loss_and_grad,
-                      triplet_loss)
+from secpatch import Label, mine_triplets, sbcl_batch_loss_and_grad
 
 # A toy batch of already-fused embeddings: 3 security, 3 non-security.
 rng = np.random.default_rng(0)
@@ -18,9 +17,9 @@ labels = [Label.SECURITY] * 3 + [Label.NON_SECURITY] * 3
 triplets = mine_triplets(batch, labels)
 print("each security sample anchors one triplet:")
 for t in triplets:
-    d_ap = euclidean_distance(batch[t.anchor], batch[t.positive])
-    d_an = euclidean_distance(batch[t.anchor], batch[t.negative])
-    loss = triplet_loss(batch[t.anchor], batch[t.positive], batch[t.negative], margin=0.5)
+    d_ap = np.linalg.norm(batch[t.anchor] - batch[t.positive])
+    d_an = np.linalg.norm(batch[t.anchor] - batch[t.negative])
+    loss = max(0.0, d_ap - d_an + 0.5)  # hinge with margin 0.5
     print(f"  anchor {t.anchor}: hardest positive {t.positive} (d={d_ap:.2f}), "
           f"hardest negative {t.negative} (d={d_an:.2f}) -> loss {loss:.3f}")
 

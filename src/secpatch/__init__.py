@@ -7,8 +7,7 @@ contrastive objective. Everything runs on numpy with deterministic seeds.
 """
 
 from .arrayio import CorruptContainer, TruncatedContainer
-from .contrastive import (InsufficientClassMembers, Triplet, euclidean_distance,
-                          mine_triplets, sbcl_batch_loss_and_grad, triplet_loss)
+from .contrastive import InsufficientClassMembers, Triplet, mine_triplets, sbcl_batch_loss_and_grad
 from .dataset import (DatasetSplit, EmptyClass, HashTokenizer, SchemaError, load_dataset,
                       save_dataset, split_dataset, tokenize)
 from .diffs import Hunk, LineTag, MalformedDiff, ParsedDiff, parse_unified_diff, serialize_diff

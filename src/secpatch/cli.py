@@ -237,6 +237,7 @@ def cmd_explain(cfg: RunConfig, args) -> dict:
 
 
 def cmd_train(cfg: RunConfig, args) -> dict:
+    split, backends = _split(cfg), _backends(cfg)  # config errors come before any artifact
     checkpoint_dir = os.path.join(cfg.output_dir, "checkpoints")
     run_log = os.path.join(cfg.output_dir, "run_log.jsonl")
     run_meta = {
@@ -247,7 +248,7 @@ def cmd_train(cfg: RunConfig, args) -> dict:
         "notes": {"temperature": "stored hyperparameter; unused by the loss"},
     }
     write_json(os.path.join(cfg.output_dir, "run_meta.json"), run_meta)
-    state, records = train(_split(cfg), cfg.hp, _backends(cfg), options=cfg.training,
+    state, records = train(split, cfg.hp, backends, options=cfg.training,
                            checkpoint_dir=checkpoint_dir, run_log_path=run_log)
     final = os.path.join(checkpoint_dir, f"epoch_{state.epoch:04d}.ckpt")
     return {"checkpoint": final, "best_pointer": os.path.join(checkpoint_dir, BEST_POINTER),

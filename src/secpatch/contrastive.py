@@ -28,14 +28,6 @@ class Triplet:
             raise ValueError("anchor and positive must be distinct batch indices")
 
 
-def euclidean_distance(e_a, e_b) -> float:
-    a = np.asarray(e_a, dtype=np.float64)
-    b = np.asarray(e_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise LengthMismatch(f"embedding lengths differ: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
 def _mine(batch, labels, rng, anchor_mode):
     """(x, pairwise distances, anchors, positives, negatives) as in mine_triplets."""
     if anchor_mode not in ("all", "random_one"):
@@ -81,13 +73,6 @@ def mine_triplets(batch, labels, rng=None, anchor_mode: str = "all") -> list[Tri
     """
     _, _, anchors, positives, negatives = _mine(batch, labels, rng, anchor_mode)
     return [Triplet(int(a), int(p), int(n)) for a, p, n in zip(anchors, positives, negatives)]
-
-
-def triplet_loss(e_a, e_p, e_n, margin: float) -> float:
-    """Hinge loss max(0, d(a,p) - d(a,n) + margin)."""
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    return max(0.0, euclidean_distance(e_a, e_p) - euclidean_distance(e_a, e_n) + margin)
 
 
 def sbcl_batch_loss_and_grad(batch, labels, margin: float, rng=None,

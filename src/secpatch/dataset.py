@@ -48,10 +48,12 @@ def load_dataset(path) -> list[PatchSample]:
 
     Each record needs id, diff and label ("security" / "non-security");
     message, explanation and source are optional; every present text field
-    must be a string (or null where optional). Records are returned in file
-    order. Raises SchemaError naming the offending record index and field.
+    must be a string (or null where optional). Ids are unique. Records are
+    returned in file order. Raises SchemaError naming the offending record
+    index and field.
     """
     samples: list[PatchSample] = []
+    first_index: dict[str, int] = {}
     index = 0
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -78,7 +80,12 @@ def load_dataset(path) -> list[PatchSample]:
                     f"record {index}: label must be one of {sorted(_LABEL_VALUES)}, "
                     f"got {record['label']!r}",
                 )
-            samples.append(PatchSample.from_dict(record))
+            sample = PatchSample.from_dict(record)
+            if sample.id in first_index:
+                raise SchemaError(index, "id", f"record {index}: id {sample.id!r} repeats "
+                                               f"record {first_index[sample.id]}")
+            first_index[sample.id] = index
+            samples.append(sample)
             index += 1
     return samples
 
@@ -120,53 +127,40 @@ def split_dataset(samples, ratios, seed: int, stratify: bool = True) -> DatasetS
     """Deterministic train/validation/test split.
 
     With stratify=True each split's class proportions stay within one sample
-    of the global proportions. Ratios must be positive and sum to 1.
+    of the global proportions; stratify=False splits all samples as one group.
+    Ratios must be positive and sum to 1.
     """
     check_ratios(ratios)
     samples = list(samples)
     rng = substream(seed, "split")
     targets = _largest_remainder(len(samples), ratios)
-    parts: list[list[PatchSample]] = [[], [], []]
-
-    if not stratify:
-        order = rng.permutation(len(samples))
-        shuffled = [samples[i] for i in order]
-        start = 0
-        for s, size in enumerate(targets):
-            parts[s] = shuffled[start:start + size]
-            start += size
-    else:
-        groups = {label: [s for s in samples if s.label is label] for label in Label}
-        for label, members in groups.items():
+    if stratify:
+        groups = [[s for s in samples if s.label is label] for label in Label]
+        for label, members in zip(Label, groups):
             if samples and not members:
                 raise EmptyClass(f"cannot stratify: class {label.value!r} has no samples")
-        allocated = [0, 0, 0]
-        counts = {}
-        extras = {}
-        for label in Label:
-            n_c = len(groups[label])
-            exact = [r * n_c for r in ratios]
-            base = [math.floor(x) for x in exact]
-            counts[label] = base
-            extras[label] = (n_c - sum(base), [x - b for x, b in zip(exact, base)])
-            for s in range(3):
-                allocated[s] += base[s]
-        # hand out per-class leftovers to whichever split is furthest below target
-        for label in Label:
-            leftover, fracs = extras[label]
-            for _ in range(leftover):
-                s = max(range(3), key=lambda s: (targets[s] - allocated[s], fracs[s], -s))
-                counts[label][s] += 1
-                allocated[s] += 1
-        for label in Label:
-            members = groups[label]
-            order = rng.permutation(len(members))
-            shuffled = [members[i] for i in order]
-            start = 0
-            for s in range(3):
-                parts[s].extend(shuffled[start:start + counts[label][s]])
-                start += counts[label][s]
-
+    else:
+        groups = [samples]
+    allocated = [0, 0, 0]
+    shares = []  # per group: (counts per split, leftover, fractional parts)
+    for members in groups:
+        exact = [r * len(members) for r in ratios]
+        base = [math.floor(x) for x in exact]
+        shares.append((base, len(members) - sum(base), [x - b for x, b in zip(exact, base)]))
+        allocated = [a + b for a, b in zip(allocated, base)]
+    # hand out per-group leftovers to whichever split is furthest below target
+    for counts, leftover, fracs in shares:
+        for _ in range(leftover):
+            s = max(range(3), key=lambda s: (targets[s] - allocated[s], fracs[s], -s))
+            counts[s] += 1
+            allocated[s] += 1
+    parts: list[list[PatchSample]] = [[], [], []]
+    for members, (counts, _, _) in zip(groups, shares):
+        shuffled = [members[i] for i in rng.permutation(len(members))]
+        start = 0
+        for s in range(3):
+            parts[s].extend(shuffled[start:start + counts[s]])
+            start += counts[s]
     return DatasetSplit(tuple(parts[0]), tuple(parts[1]), tuple(parts[2]), seed)
 
 

@@ -1,5 +1,6 @@
 """Classification head, combined objective, AdamW optimization loop, and checkpointing."""
 
+import contextlib
 import contextvars
 import ctypes
 import json
@@ -249,16 +250,18 @@ def _in_order(pool: ThreadPoolExecutor | None, fn, args: list):
         yield pending.popleft().result()
 
 
-def _fusion_pool(state: TrainState) -> ThreadPoolExecutor | None:
-    """One thread per usable core for the state's fusion passes, or None for the calling thread.
+def _fusion_pool(state: TrainState, n_samples: int):
+    """Context giving the fusion pool for `n_samples` samples, or None for the calling thread.
 
-    None on one core, without PT-Former, and for a model narrower than
-    _THREADED_MIN_DIM, whose numpy calls are too short to keep the
-    interpreter lock released: there, threads contend for the lock and run
-    slower than one thread.
+    The pool has one thread per usable core and is shut down when the
+    context exits. None for fewer than 2 samples, on one core, without
+    PT-Former, and for a model narrower than _THREADED_MIN_DIM, whose numpy
+    calls are too short to keep the interpreter lock released: there,
+    threads contend for the lock and run slower than one thread.
     """
-    if _WORKERS == 1 or state.pt_former is None or state.hp.dim < _THREADED_MIN_DIM:
-        return None
+    if (n_samples < 2 or _WORKERS == 1 or state.pt_former is None
+            or state.hp.dim < _THREADED_MIN_DIM):
+        return contextlib.nullcontext()
     _share_one_malloc_arena()
     return ThreadPoolExecutor(_WORKERS, thread_name_prefix="secpatch-fusion")
 
@@ -542,12 +545,11 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
     encoded.update(encode_samples(split.validation, backends, hp, options))
 
     records = []
-    log_fh = open(run_log_path, "a", encoding="utf-8") if run_log_path else None
-    if log_fh is not None and not resuming:
-        log_fh.truncate(0)  # a rerun of the same config reproduces the log byte for byte
     last_checkpoint = None
-    pool = _fusion_pool(state)
-    try:
+    log = open(run_log_path, "a", encoding="utf-8") if run_log_path else contextlib.nullcontext()
+    with log as log_fh, _fusion_pool(state, len(train_samples)) as pool:
+        if log_fh is not None and not resuming:
+            log_fh.truncate(0)  # a rerun of the same config reproduces the log byte for byte
         for _ in range(hp.epochs):
             epoch = state.epoch + 1
             sums = {"bce": 0.0, "sbcl": 0.0, "total": 0.0}
@@ -586,11 +588,6 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
                     arrayio.write_json(pointer_path, {
                         "epoch": epoch, "path": os.path.basename(last_checkpoint),
                         "score": score, "seed": hp.seed})
-    finally:
-        if pool is not None:
-            pool.shutdown()
-        if log_fh is not None:
-            log_fh.close()
     return state, records
 
 
@@ -653,21 +650,16 @@ def _fused_vectors(samples, state: TrainState, backends: PipelineBackends):
     """Fused vector per sample in evaluation mode, yielded in sample order.
 
     The calling thread encodes _WORKERS samples at a time, and the chunk is
-    fused on the state's fusion pool before the next one is encoded. More
-    than one sample and a model that trains on threads (see _fusion_pool)
-    make a pool; otherwise everything runs on the calling thread. Evaluation
-    draws no random numbers, so every vector is the same bits either way.
+    fused on the state's fusion pool (see _fusion_pool) before the next one
+    is encoded. Evaluation draws no random numbers, so every vector is the
+    same bits whether a pool runs it or the calling thread.
     """
     samples = list(samples)
-    pool = _fusion_pool(state) if len(samples) > 1 else None
-    try:
+    with _fusion_pool(state, len(samples)) as pool:
         for start in range(0, len(samples), _WORKERS):
             chunk = [(encode_sample(s, backends, state.hp, state.options), state)
                      for s in samples[start:start + _WORKERS]]
             yield from _in_order(pool, _forward_sample, chunk)
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
 
 def fused_embeddings(samples, state: TrainState, backends: PipelineBackends):

@@ -11,9 +11,9 @@ import time
 import numpy as np
 
 from oracles import (brute_force_triplets, central_difference, loop_confusion,
-                     pair_count_auc, pca_eigh_reconstruction_error)
+                     pair_count_auc, pca_eigh_reconstruction_error, scalar_euclidean)
 from secpatch import (ExplainerConfig, HashTokenizer, Label, TrainOptions, auc_score, bce_loss, compute_metrics, cross_attention,
-                      default_hyperparams, euclidean_distance, hashed_backends,
+                      default_hyperparams, hashed_backends,
                       init_train_state, load_dataset, make_synthetic_samples, mine_triplets,
                       options_for_flags, pca_project, parse_unified_diff, predict,
                       run_ablation, sbcl_batch_loss_and_grad, self_attention,
@@ -76,8 +76,8 @@ def _check_full_objective_gradients(loss_blend, coeff_bce, coeff_sbcl):
     # exclusion: stay away from hinge kinks
     fused = fused_matrix()
     for t in mine_triplets(fused, labels):
-        gap = (euclidean_distance(fused[t.anchor], fused[t.positive])
-               - euclidean_distance(fused[t.anchor], fused[t.negative]) + hp.margin)
+        gap = (scalar_euclidean(fused[t.anchor], fused[t.positive])
+               - scalar_euclidean(fused[t.anchor], fused[t.negative]) + hp.margin)
         assert abs(gap) > 1e-3, "fixture sits on a hinge kink; pick another seed"
 
     # analytic gradients from the function every training step calls
@@ -128,8 +128,8 @@ def test_loss_identities():
         assert loss1 >= 0.0 and loss2 >= 0.0
         assert loss2 >= loss1  # margin monotonicity
         separated = all(
-            euclidean_distance(batch[t.anchor], batch[t.negative])
-            >= euclidean_distance(batch[t.anchor], batch[t.positive]) + m1
+            scalar_euclidean(batch[t.anchor], batch[t.negative])
+            >= scalar_euclidean(batch[t.anchor], batch[t.positive]) + m1
             for t in mine_triplets(batch, labels))
         assert (loss1 == 0.0) == separated
     _passed("loss identities (1000 batches)")

@@ -103,7 +103,8 @@ def test_end_to_end_pipeline(workspace, capsys):
     code, stdout, _ = _run(["--config", config, "ablate", "--flags", "no_sbcl"], capsys)
     assert code == 0
     table_path = json.loads(stdout)["ablation_table"]
-    table = json.loads(open(table_path, encoding="utf-8").read())
+    with open(table_path, encoding="utf-8") as fh:
+        table = json.load(fh)
     assert [row["flags"] for row in table["rows"]] == [[], ["no_sbcl"]]
     assert table["rows"][1]["final_epoch"]["L_SBCL"] == 0.0
 
@@ -195,6 +196,15 @@ def test_precomputed_embeddings_of_another_dim_are_a_config_error(workspace, cap
     record = json.loads(stderr)
     assert record["error"] == "ConfigError"
     assert "have dim 4, but the checkpoint has dim 16" in record["message"]
+
+    fresh = tmp / "fresh_out"
+    code, _, stderr = _run(["--config", config, "--out", str(fresh),
+                            "--set", "embedder.kind=precomputed_file",
+                            "--set", f"embedder.patch_path={path}",
+                            "--set", f"embedder.text_path={path}", "train"], capsys)
+    assert code == 2
+    assert "have dim 4, but hyperparams has dim 16" in json.loads(stderr)["message"]
+    assert list(fresh.iterdir()) == []  # no artifact before the config error
 
 
 def test_bad_config_is_config_error(tmp_path, capsys):

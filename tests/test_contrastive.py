@@ -7,35 +7,14 @@ from hypothesis import strategies as st
 
 from oracles import (assert_grads_close, brute_force_triplets, central_difference,
                      loop_sbcl_loss_and_grad, scalar_euclidean)
-from secpatch import (InsufficientClassMembers, Label, LengthMismatch, Triplet,
-                      euclidean_distance, mine_triplets, sbcl_batch_loss_and_grad, triplet_loss)
+from secpatch import (InsufficientClassMembers, Label, LengthMismatch, Triplet, mine_triplets,
+                      sbcl_batch_loss_and_grad)
 
 S, N = Label.SECURITY, Label.NON_SECURITY
 
 
 def _labels(mask):
     return [S if flag else N for flag in mask]
-
-
-def test_euclidean_three_four_five():
-    assert euclidean_distance([0, 0, 0, 0], [3, 4, 0, 0]) == 5.0
-
-
-def test_euclidean_identity():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(7)
-    assert euclidean_distance(x, x) == 0.0
-
-
-def test_euclidean_matches_scalar_oracle():
-    rng = np.random.default_rng(1)
-    a, b = rng.standard_normal(12), rng.standard_normal(12)
-    assert abs(euclidean_distance(a, b) - scalar_euclidean(a, b)) <= 1e-12
-
-
-def test_euclidean_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        euclidean_distance([1.0], [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -118,25 +97,12 @@ def test_triplet_dataclass_validation():
 # ---------------------------------------------------------------------------
 # losses
 
-def test_triplet_loss_margin_satisfied():
-    a, p, n = [0.0, 0.0], [0.2, 0.0], [1.0, 0.0]
-    assert triplet_loss(a, p, n, margin=0.5) == 0.0
-
-
-def test_triplet_loss_direct_arithmetic():
-    a, p, n = [0.0], [0.9], [0.3]
-    assert triplet_loss(a, p, n, margin=0.5) == pytest.approx(1.1, abs=1e-12)
-
-
-def test_triplet_loss_degenerate_anchor_equals_positive():
-    a = [1.0, 2.0]
-    n = [4.0, 6.0]  # distance 5 >= margin
-    assert triplet_loss(a, a, n, margin=0.5) == 0.0
-
-
-def test_triplet_loss_rejects_negative_margin():
+def test_batch_loss_rejects_negative_margin_and_length_mismatch():
+    batch = np.array([[0.0], [1.0], [2.0]])
     with pytest.raises(ValueError, match="margin"):
-        triplet_loss([0.0], [1.0], [2.0], margin=-0.1)
+        sbcl_batch_loss_and_grad(batch, _labels([1, 1, 0]), margin=-0.1)
+    with pytest.raises(LengthMismatch, match="3 embeddings vs 2 labels"):
+        sbcl_batch_loss_and_grad(batch, _labels([1, 0]), margin=0.5)
 
 
 def test_batch_loss_perfectly_separated():
@@ -159,8 +125,8 @@ def test_batch_loss_gradient_matches_finite_differences():
 
     # stay away from hinge kinks so central differences are valid
     for t in mine_triplets(batch, labels):
-        gap = (euclidean_distance(batch[t.anchor], batch[t.positive])
-               - euclidean_distance(batch[t.anchor], batch[t.negative]) + margin)
+        gap = (scalar_euclidean(batch[t.anchor], batch[t.positive])
+               - scalar_euclidean(batch[t.anchor], batch[t.negative]) + margin)
         assert abs(gap) > 1e-3
 
     _, analytic = sbcl_batch_loss_and_grad(batch, labels, margin)
@@ -212,8 +178,8 @@ def test_batch_loss_nonnegative_and_zero_iff_separated(seed):
     loss = sbcl_batch_loss_and_grad(batch, labels, margin)[0]
     assert loss >= 0.0
     separated = all(
-        euclidean_distance(batch[t.anchor], batch[t.negative])
-        >= euclidean_distance(batch[t.anchor], batch[t.positive]) + margin
+        scalar_euclidean(batch[t.anchor], batch[t.negative])
+        >= scalar_euclidean(batch[t.anchor], batch[t.positive]) + margin
         for t in mine_triplets(batch, labels))
     assert (loss == 0.0) == separated
 

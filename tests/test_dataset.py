@@ -1,10 +1,11 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_sample
+from conftest import DATA_DIR, make_sample
 from secpatch import (EmptyClass, HashTokenizer, Label, SchemaError, load_dataset,
                       save_dataset, split_dataset, tokenize)
 
@@ -83,6 +84,14 @@ def test_records_of_the_wrong_type_name_index_and_field(tmp_path, line, field):
     assert (err.value.index, err.value.field) == (1, field)
 
 
+def test_repeated_id_names_both_records(tmp_path):
+    path = tmp_path / "ds.jsonl"
+    _write_jsonl(path, [_record(0), _record(1), _record(0, label="non-security")])
+    with pytest.raises(SchemaError, match="record 2: id 'r0' repeats record 0") as err:
+        load_dataset(path)
+    assert (err.value.index, err.value.field) == (2, "id")
+
+
 def test_class_counts_from_fixture(tmp_path):
     path = tmp_path / "ds.jsonl"
     _write_jsonl(path, [_record(0, label="security"),
@@ -137,6 +146,27 @@ def test_split_single_class_raises_empty_class():
         split_dataset(samples, (0.8, 0.1, 0.1), seed=1)
     unstratified = split_dataset(samples, (0.8, 0.1, 0.1), seed=1, stratify=False)
     assert len(unstratified.train) == 8
+
+
+@pytest.mark.parametrize("stratify", [False, True])
+def test_split_order_is_pinned(stratify):
+    # ordered part indices recorded from the split routine for a grid of sizes,
+    # ratios and seeds; sample i is security when i % 3 == 0
+    with open(os.path.join(DATA_DIR, "split_pins.json"), encoding="utf-8") as fh:
+        cases = [case for case in json.load(fh) if case["stratify"] is stratify]
+    assert len(cases) == 6 * 3 * 3
+    for case in cases:
+        samples = [make_sample(i, Label.SECURITY if i % 3 == 0 else Label.NON_SECURITY)
+                   for i in range(case["n"])]
+        if case["parts"] == "EmptyClass":
+            assert stratify and case["n"] == 1
+            with pytest.raises(EmptyClass):
+                split_dataset(samples, case["ratios"], case["seed"], stratify=stratify)
+            continue
+        split = split_dataset(samples, case["ratios"], case["seed"], stratify=stratify)
+        got = [[int(s.id[1:]) for s in part] for part in (split.train, split.validation,
+                                                           split.test)]
+        assert got == case["parts"], case
 
 
 @given(n_security=st.integers(0, 25), n_non=st.integers(0, 25), seed=st.integers(0, 2**31))

@@ -336,12 +336,8 @@ def test_evaluation_matches_the_one_thread_loop_on_any_pool(monkeypatch, tmp_pat
     try:
         fused = fused_embeddings(samples, state, backends)
         results = predict(samples, state, backends)
-        pool = _fusion_pool(state)  # the pool train() holds for its epochs
-        try:
+        with _fusion_pool(state, len(samples)) as pool:  # the pool train() holds for its epochs
             metrics = _validation_metrics(samples, encoded, state, pool)
-        finally:
-            if pool is not None:
-                pool.shutdown()
     finally:
         sys.setswitchinterval(interval)
     assert len(fused) == len(vectors)
