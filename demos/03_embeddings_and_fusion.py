@@ -7,22 +7,20 @@ import dataclasses
 
 import numpy as np
 
-from secpatch import (EmbedderBackend, HashTokenizer, Modality, cross_attention,
+from secpatch import (EmbedderBackend, Modality, cross_attention,
                       default_hyperparams, embed_patch, embed_text, fuse_forward,
                       init_pt_former, instruction_text, self_attention, tokenize)
 
 hp = dataclasses.replace(default_hyperparams(), dim=16, num_heads=4, dropout=0.0)
-vocab = HashTokenizer()
 backend = EmbedderBackend.hashed_projection(hp.dim, seed=1)
 
 diff = "@@ -1,1 +1,2 @@\n-strcpy(buf, s);\n+strncpy(buf, s, sizeof(buf));\n+buf[15] = 0;\n"
-e_pa = embed_patch(tokenize(diff, vocab, hp.max_tokens), backend)
-e_ex = embed_text(tokenize("bounds the copy to the buffer size", vocab, hp.max_tokens),
-                  backend, Modality.EXPLANATION)
-e_desc = embed_text(tokenize("fix overflow", vocab, hp.max_tokens), backend,
-                    Modality.DESCRIPTION)
-e_inst = embed_text(tokenize(instruction_text(), vocab, hp.max_tokens), backend,
-                    Modality.INSTRUCTION)
+# every text goes through the one hashed tokenizer, cut to the first max_tokens ids
+e_pa = embed_patch(tokenize(diff, hp.max_tokens), backend)
+e_ex = embed_text(tokenize("bounds the copy to the buffer size", hp.max_tokens), backend,
+                  Modality.EXPLANATION)
+e_desc = embed_text(tokenize("fix overflow", hp.max_tokens), backend, Modality.DESCRIPTION)
+e_inst = embed_text(tokenize(instruction_text(), hp.max_tokens), backend, Modality.INSTRUCTION)
 print("modality matrix shapes:",
       {m.modality.value: m.values.shape for m in (e_pa, e_ex, e_desc, e_inst)})
 

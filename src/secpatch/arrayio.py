@@ -88,8 +88,8 @@ def load_arrays(path) -> tuple[dict, dict]:
 
     Raises TruncatedContainer when the file ends before a length its header
     gives (checked before each read, so a corrupt length never allocates more
-    than the file holds) and CorruptContainer for any other malformed field
-    and for bytes left over after the last array.
+    than the file holds) and CorruptContainer for any other malformed field,
+    for a repeated array name and for bytes left over after the last array.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -117,6 +117,8 @@ def load_arrays(path) -> tuple[dict, dict]:
             arrays = {}
             for _ in range(unpack("<I")):
                 name = read(unpack("<H")).decode("utf-8")
+                if name in arrays:
+                    raise ValueError(f"array name {name!r} repeats")
                 dtype = read(unpack("<B")).decode("ascii")
                 if dtype not in _ALLOWED_DTYPES:
                     raise ValueError(f"dtype {dtype!r} is not one of {sorted(_ALLOWED_DTYPES)}")

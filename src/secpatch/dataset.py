@@ -34,9 +34,15 @@ class DatasetSplit:
     seed: int
 
     def __post_init__(self):
-        ids = [s.id for part in (self.train, self.validation, self.test) for s in part]
-        if len(ids) != len(set(ids)):
-            raise ValueError("split parts must be disjoint by sample id")
+        part_of: dict[str, str] = {}
+        for part in ("train", "validation", "test"):
+            for sample in getattr(self, part):
+                if sample.id in part_of:
+                    first = part_of[sample.id]
+                    where = f"twice in {part}" if first == part else f"in {first} and {part}"
+                    raise ValueError(f"split parts must be disjoint by sample id: "
+                                     f"{sample.id!r} is {where}")
+                part_of[sample.id] = part
 
     @property
     def all_samples(self) -> tuple[PatchSample, ...]:
@@ -46,11 +52,11 @@ class DatasetSplit:
 def load_dataset(path) -> list[PatchSample]:
     """Load patch samples from a line-delimited JSON file.
 
-    Each record needs id, diff and label ("security" / "non-security");
-    message, explanation and source are optional; every present text field
-    must be a string (or null where optional). Ids are unique. Records are
-    returned in file order. Raises SchemaError naming the offending record
-    index and field.
+    Each record needs id (a string or an integer), diff and label
+    ("security" / "non-security"); message, explanation and source are
+    optional; every present text field must be a string (or null where
+    optional). Ids are unique. Records are returned in file order. Raises
+    SchemaError naming the offending record index and field.
     """
     samples: list[PatchSample] = []
     first_index: dict[str, int] = {}
@@ -70,6 +76,9 @@ def load_dataset(path) -> list[PatchSample]:
             for field in ("id", "diff", "label"):
                 if field not in record or record[field] in (None, ""):
                     raise SchemaError(index, field)
+            if isinstance(record["id"], bool) or not isinstance(record["id"], (str, int)):
+                raise SchemaError(index, "id", f"record {index}: id must be a string or an "
+                                               f"integer, got {record['id']!r}")
             for field in ("diff", "label", "message", "explanation", "source"):
                 if not isinstance(record.get(field, ""), (str, type(None))):
                     raise SchemaError(index, field, f"record {index}: {field} must be a string, "
@@ -80,7 +89,11 @@ def load_dataset(path) -> list[PatchSample]:
                     f"record {index}: label must be one of {sorted(_LABEL_VALUES)}, "
                     f"got {record['label']!r}",
                 )
-            sample = PatchSample.from_dict(record)
+            sample = PatchSample(id=str(record["id"]), diff_text=record["diff"],
+                                 label=_LABEL_VALUES[record["label"]],
+                                 description=record.get("message"),
+                                 explanation=record.get("explanation"),
+                                 source=record.get("source") or "")
             if sample.id in first_index:
                 raise SchemaError(index, "id", f"record {index}: id {sample.id!r} repeats "
                                                f"record {first_index[sample.id]}")
@@ -94,7 +107,10 @@ def save_dataset(samples, path) -> None:
     """Write samples as one JSON record per line (inverse of load_dataset)."""
     with atomic_open(path, "w", encoding="utf-8") as fh:
         for sample in samples:
-            fh.write(json.dumps(sample.to_dict(), sort_keys=True))
+            record = {"id": sample.id, "diff": sample.diff_text, "label": sample.label.value,
+                      "message": sample.description, "explanation": sample.explanation,
+                      "source": sample.source}
+            fh.write(json.dumps(record, sort_keys=True))
             fh.write("\n")
 
 
@@ -183,8 +199,11 @@ class HashTokenizer:
         return int.from_bytes(digest, "little") % VOCAB_SIZE
 
 
-def tokenize(text: str, vocab, max_tokens: int) -> tuple[int, ...]:
-    """Encode text with the given tokenizer; the first max_tokens ids."""
+_TOKENIZER = HashTokenizer()  # the one tokenizer every text of the pipeline goes through
+
+
+def tokenize(text: str, max_tokens: int) -> tuple[int, ...]:
+    """The first max_tokens ids of text under the pipeline's HashTokenizer."""
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
-    return tuple(vocab.encode(text)[:max_tokens])
+    return tuple(_TOKENIZER.encode(text)[:max_tokens])

@@ -48,14 +48,13 @@ def run_ablation(flag_sets, split: DatasetSplit, hp: HyperParams, backends: Pipe
     """Train and evaluate once per flag combination, same seed throughout.
 
     The full model (empty flag set) is always included as the first row so the
-    table reads as deltas against it. Evaluation uses the test split, falling
+    table reads as deltas against it; each further distinct set of flags trains
+    once, in the order first given. Evaluation uses the test split, falling
     back to the train split when no test samples exist. Every flag set is
     checked before the first cell trains.
     """
     eval_samples = split.test if split.test else split.train
-    requested = [tuple(sorted(flags)) for flags in flag_sets]
-    if () not in requested:
-        requested = [()] + requested
+    requested = dict.fromkeys([()] + [tuple(sorted(set(flags))) for flags in flag_sets])
     cells = [(flags, options_for_flags(flags, base_options)) for flags in requested]
 
     rows = []

@@ -42,25 +42,19 @@ def _non_security_diff(i: int) -> str:
     )
 
 
+_CLASSES = (  # by i % 2: the diff for index i, the label, the descriptions
+    (_security_diff, Label.SECURITY, _SECURITY_DESCRIPTIONS),
+    (_non_security_diff, Label.NON_SECURITY, _NON_SECURITY_DESCRIPTIONS),
+)
+
+
 def make_synthetic_samples(n: int = 64, seed: int = 11, source: str = "synthetic") -> list[PatchSample]:
     """Generate n samples, half security and half not, with class-distinct token sets."""
     rng = np.random.default_rng(seed)
     samples = []
     for i in range(n):
-        if i % 2 == 0:
-            samples.append(PatchSample(
-                id=f"syn-{i:04d}",
-                diff_text=_security_diff(i),
-                label=Label.SECURITY,
-                description=_SECURITY_DESCRIPTIONS[int(rng.integers(len(_SECURITY_DESCRIPTIONS)))],
-                source=source,
-            ))
-        else:
-            samples.append(PatchSample(
-                id=f"syn-{i:04d}",
-                diff_text=_non_security_diff(i),
-                label=Label.NON_SECURITY,
-                description=_NON_SECURITY_DESCRIPTIONS[int(rng.integers(len(_NON_SECURITY_DESCRIPTIONS)))],
-                source=source,
-            ))
+        make_diff, label, descriptions = _CLASSES[i % 2]
+        description = descriptions[int(rng.integers(len(descriptions)))]
+        samples.append(PatchSample(f"syn-{i:04d}", make_diff(i), label, description,
+                                   source=source))
     return samples

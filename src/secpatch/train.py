@@ -15,7 +15,7 @@ import numpy as np
 
 from . import arrayio
 from .contrastive import InsufficientClassMembers, sbcl_batch_loss_and_grad
-from .dataset import HashTokenizer, class_counts, tokenize
+from .dataset import class_counts, tokenize
 from .embed import EmbedderBackend, embed_patch, embed_text
 from .explain import ExplainerConfig, explain, instruction_text
 from .fusion import (PTFormerState, check_shapes, dropout_keep, from_named_parameters,
@@ -30,9 +30,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 PROB_EPS = 1e-12
-_TOKENIZER = HashTokenizer()
 
 CHECKPOINT_MAGIC = "secpatch-train"
+CHECKPOINT_VERSION = 1
 BEST_POINTER = "best.json"
 RNG_STREAMS = ("batching", "dropout", "mining")
 
@@ -202,13 +202,13 @@ def encode_sample(sample: PatchSample, backends: PipelineBackends, hp: HyperPara
     description = sample.description or ""
     instruction = instruction_text() if options.use_instruction else ""
 
-    e_pa = embed_patch(tokenize(sample.diff_text, _TOKENIZER, hp.max_tokens),
+    e_pa = embed_patch(tokenize(sample.diff_text, hp.max_tokens),
                        backends.patch_embedder, sample.id)
-    e_ex = embed_text(tokenize(explanation, _TOKENIZER, hp.max_tokens),
+    e_ex = embed_text(tokenize(explanation, hp.max_tokens),
                       backends.text_embedder, Modality.EXPLANATION, sample.id)
-    e_desc = embed_text(tokenize(description, _TOKENIZER, hp.max_tokens),
+    e_desc = embed_text(tokenize(description, hp.max_tokens),
                         backends.text_embedder, Modality.DESCRIPTION, sample.id)
-    e_inst = embed_text(tokenize(instruction, _TOKENIZER, hp.max_tokens),
+    e_inst = embed_text(tokenize(instruction, hp.max_tokens),
                         backends.text_embedder, Modality.INSTRUCTION, sample.id)
     return e_pa.values, e_ex.values, e_desc.values, e_inst.values
 
@@ -397,7 +397,7 @@ def save_checkpoint(path, state: TrainState) -> None:
         arrays[f"adam_v.{name}"] = state.adam_v[name]
     meta = {
         "format": CHECKPOINT_MAGIC,
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "epoch": state.epoch,
         "adam_t": state.adam_t,
         "hp": asdict(state.hp),
@@ -424,7 +424,8 @@ class _Progress:
 def load_checkpoint(path) -> TrainState:
     """Rebuild the TrainState that save_checkpoint wrote to `path`.
 
-    Raises InvalidCheckpoint naming the first missing meta key, array or rng
+    Raises InvalidCheckpoint for a version other than the int
+    CHECKPOINT_VERSION, naming the first missing meta key, array or rng
     stream, the first counter that is not an int (`has_ptformer`: a bool),
     the first array whose shape disagrees with the stored hyperparameters and
     options (dim, num_heads, ff_hidden, a 3 * dim classifier) or, for an
@@ -435,6 +436,8 @@ def load_checkpoint(path) -> TrainState:
     if meta.get("format") != CHECKPOINT_MAGIC:
         raise InvalidCheckpoint(path, "not a training checkpoint")
     arrays, meta = _Entries(arrays, path, "array"), _Entries(meta, path, "meta key")
+    if type(meta["version"]) is not int or meta["version"] != CHECKPOINT_VERSION:  # True == 1
+        raise InvalidCheckpoint(path, f"unsupported checkpoint version {meta['version']!r}")
     try:
         hp = config_from_dict(HyperParams, meta["hp"], "hp")
         options = config_from_dict(TrainOptions, meta["options"], "options")
@@ -667,12 +670,8 @@ def fused_embeddings(samples, state: TrainState, backends: PipelineBackends):
     return [FusedEmbedding(v) for v in _fused_vectors(samples, state, backends)]
 
 
-def predict(samples, state: TrainState, backends: PipelineBackends,
-            threshold: float | None = None):
-    """Probability and predicted label per sample; security when p >= threshold."""
-    if threshold is None:
-        threshold = state.options.threshold
-    elif not 0 <= threshold <= 1:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold!r}")
+def predict(samples, state: TrainState, backends: PipelineBackends):
+    """Probability and predicted label per sample; security when p >= state.options.threshold."""
+    threshold = state.options.threshold
     probs = [_score(v, state) for v in _fused_vectors(samples, state, backends)]
     return [(p, Label.SECURITY if p >= threshold else Label.NON_SECURITY) for p in probs]

@@ -42,27 +42,6 @@ class PatchSample:
         if not isinstance(self.label, Label):
             raise ValueError(f"sample {self.id!r}: label must be a Label, got {self.label!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "diff": self.diff_text,
-            "message": self.description,
-            "explanation": self.explanation,
-            "label": self.label.value,
-            "source": self.source,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "PatchSample":
-        return cls(
-            id=str(record["id"]),
-            diff_text=record["diff"],
-            label=Label(record["label"]),
-            description=record.get("message"),
-            explanation=record.get("explanation"),
-            source=record.get("source", "") or "",
-        )
-
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:

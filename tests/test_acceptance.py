@@ -243,7 +243,7 @@ def test_ingestion_criteria(sock_fasync_text):
     vocab = HashTokenizer()
     text = " ".join(f"token{i}" for i in range(600))
     assert len(vocab.encode(text)) == 600
-    assert len(tokenize(text, vocab, 512)) == 512
+    assert len(tokenize(text, 512)) == 512
     _passed("ingestion (3 hunks / 3 added; 600 -> 512 tokens)")
 
 

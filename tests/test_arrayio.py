@@ -83,6 +83,23 @@ def test_deeply_nested_meta_is_named(tmp_path):
     assert info.value.offset == len(arrayio.MAGIC) + 8
 
 
+def test_repeated_array_name_is_named_at_its_second_occurrence(tmp_path):
+    def entry(name: bytes, value: float) -> bytes:  # one (1,) <f8 array, laid out as save_arrays
+        return (struct.pack("<H", len(name)) + name + struct.pack("<B", 3) + b"<f8"
+                + struct.pack("<BQd", 1, 1, value))
+
+    head = arrayio.MAGIC + struct.pack("<II", arrayio.VERSION, 2) + b"{}" + struct.pack("<I", 2)
+    path = tmp_path / "hand.bin"
+    path.write_bytes(head + entry(b"w", 1.0) + entry(b"x", 2.0))
+    assert {name: arr.tolist() for name, arr in load_arrays(path)[0].items()} == {
+        "w": [1.0], "x": [2.0]}  # the hand layout is a well-formed container
+    path.write_bytes(head + entry(b"w", 1.0) + entry(b"w", 2.0))
+    with pytest.raises(CorruptContainer, match="array name 'w' repeats") as info:
+        load_arrays(path)
+    assert not isinstance(info.value, TruncatedContainer)
+    assert info.value.offset == len(head + entry(b"w", 1.0)) + 2
+
+
 # ---------------------------------------------------------------------------
 # crash-safe writes
 

@@ -1,5 +1,7 @@
-"""The benchmark's tracer wraps program functions by module and name; each one must exist."""
+"""The benchmark reads program names by module and name; each one must exist."""
 
+import ast
+import glob
 import importlib
 import importlib.util
 import os
@@ -25,3 +27,34 @@ def test_every_traced_hook_and_cache_resolves(monkeypatch):
     assert not missing, f"the tracer wraps names the program no longer has: {missing}"
     module, attr = spans.TOKEN_ROW_CACHE
     assert hasattr(getattr(importlib.import_module(module), attr, None), "cache_info")
+
+
+def _names_the_benchmark_reads():
+    """(module, name) of every `from secpatch.<m> import <name>` in perfbench/*.py, and of
+    every `<alias>.<name>` read off a module bound as `<alias> = importlib.import_module(...)`."""
+    names = set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("secpatch"):
+                names.update((node.module, alias.name) for alias in node.names)
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                  and ast.unparse(node.value.func) == "importlib.import_module"
+                  and isinstance(node.value.args[0], ast.Constant)):
+                aliases.update((target.id, node.value.args[0].value) for target in node.targets
+                               if isinstance(target, ast.Name))
+        names.update((aliases[node.value.id], node.attr) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in aliases)
+    return names
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    names = _names_the_benchmark_reads()
+    # one name found each way, so an empty walk cannot pass
+    assert {("secpatch.dataset", "HashTokenizer"), ("secpatch.train", "init_train_state")} <= names
+    missing = [f"{module}.{name}" for module, name in sorted(names)
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"the benchmark reads names the program no longer has: {missing}"

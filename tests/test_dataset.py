@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, make_sample
-from secpatch import (EmptyClass, HashTokenizer, Label, SchemaError, load_dataset,
+from secpatch import (DatasetSplit, EmptyClass, HashTokenizer, Label, SchemaError, load_dataset,
                       save_dataset, split_dataset, tokenize)
 
 
@@ -75,13 +76,23 @@ def test_invalid_json_line(tmp_path):
     (json.dumps(_record(1) | {"message": 5}), "message"),
     (json.dumps(_record(1) | {"explanation": ["why"]}), "explanation"),
     (json.dumps(_record(1) | {"source": {"repo": "x"}}), "source"),
-], ids=["int", "null", "list", "diff", "label", "message", "explanation", "source"])
+    (json.dumps(_record(1) | {"id": True}), "id"),
+    (json.dumps(_record(1) | {"id": 2.5}), "id"),
+    (json.dumps(_record(1) | {"id": {"a": 1}}), "id"),
+], ids=["int", "null", "list", "diff", "label", "message", "explanation", "source", "id-bool",
+        "id-float", "id-object"])
 def test_records_of_the_wrong_type_name_index_and_field(tmp_path, line, field):
     path = tmp_path / "ds.jsonl"
     path.write_text(json.dumps(_record(0)) + "\n" + line + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="record 1: ") as err:
         load_dataset(path)
     assert (err.value.index, err.value.field) == (1, field)
+
+
+def test_integer_id_loads_as_its_decimal_string(tmp_path):
+    path = tmp_path / "ds.jsonl"
+    _write_jsonl(path, [_record(0) | {"id": 7}, _record(1) | {"id": "7x"}])
+    assert [s.id for s in load_dataset(path)] == ["7", "7x"]
 
 
 def test_repeated_id_names_both_records(tmp_path):
@@ -106,6 +117,8 @@ def test_class_counts_from_fixture(tmp_path):
 def test_save_load_round_trip(tmp_path):
     samples = [make_sample(i, Label.SECURITY if i % 2 else Label.NON_SECURITY)
                for i in range(6)]
+    samples.append(dataclasses.replace(make_sample(6, Label.SECURITY), description="msg",
+                                       explanation="bounds the copy", source="proj"))
     path = tmp_path / "ds.jsonl"
     save_dataset(samples, path)
     assert load_dataset(path) == samples
@@ -169,6 +182,19 @@ def test_split_order_is_pinned(stratify):
         assert got == case["parts"], case
 
 
+def test_split_names_a_repeated_id_and_the_parts_that_hold_it():
+    s0, twin = make_sample(0, Label.SECURITY), make_sample(0, Label.NON_SECURITY)
+    samples = [s0, twin, make_sample(1, Label.SECURITY), make_sample(2, Label.NON_SECURITY)]
+    parts = "(train|validation|test)"
+    with pytest.raises(ValueError, match=f"by sample id: 's0' is (twice in {parts}|in {parts} "
+                                         f"and {parts})$"):
+        split_dataset(samples, (0.5, 0.25, 0.25), seed=0)
+    with pytest.raises(ValueError, match="by sample id: 's0' is twice in validation$"):
+        DatasetSplit((), (s0, twin), (), seed=0)
+    with pytest.raises(ValueError, match="by sample id: 's0' is in train and test$"):
+        DatasetSplit((s0,), (samples[2],), (twin,), seed=0)
+
+
 @given(n_security=st.integers(0, 25), n_non=st.integers(0, 25), seed=st.integers(0, 2**31))
 @settings(max_examples=60, deadline=None)
 def test_split_partitions_input(n_security, n_non, seed):
@@ -185,20 +211,18 @@ def test_split_partitions_input(n_security, n_non, seed):
 # tokenization
 
 def test_tokenize_truncates_to_prefix():
-    vocab = HashTokenizer()
     text = " ".join(f"tok{i}" for i in range(600))
-    full = vocab.encode(text)
-    ids = tokenize(text, vocab, 512)
+    full = HashTokenizer().encode(text)
+    ids = tokenize(text, 512)
     assert ids == tuple(full[:512])  # a tuple of the first 512 ids
 
 
 def test_tokenize_boundary_and_empty():
-    vocab = HashTokenizer()
     text = " ".join(f"tok{i}" for i in range(512))
-    assert len(tokenize(text, vocab, 512)) == 512
-    assert len(tokenize("", vocab, 512)) == 0
+    assert len(tokenize(text, 512)) == 512
+    assert len(tokenize("", 512)) == 0
     with pytest.raises(ValueError):
-        tokenize("x", vocab, 0)
+        tokenize("x", 0)
 
 
 def test_hash_tokenizer_stable_across_instances():
@@ -211,5 +235,5 @@ def test_hash_tokenizer_stable_across_instances():
 @given(st.text(max_size=400), st.integers(1, 64))
 @settings(max_examples=80, deadline=None)
 def test_tokenize_length_bound(text, max_tokens):
-    ids = tokenize(text, HashTokenizer(), max_tokens)
+    ids = tokenize(text, max_tokens)
     assert len(ids) <= max_tokens

@@ -41,6 +41,11 @@ def test_run_ablation_baseline_first_and_toggle_semantics(tiny_hp, tiny_split, t
     assert rows[1].flags == ("no_sbcl",)
     assert all(record["L_SBCL"] == 0.0 for record in rows[1].epochs)
     assert any(record["L_SBCL"] != 0.0 for record in rows[0].epochs)
+    # the baseline leads wherever () is given, and a repeated flag set trains once
+    again = run_ablation([("no_sbcl",), (), ("no_sbcl",), ("no_sbcl", "no_sbcl")], tiny_split,
+                         tiny_hp, tiny_backends)
+    assert [row.flags for row in again] == [(), ("no_sbcl",)]
+    assert [row.epochs for row in again] == [row.epochs for row in rows]
 
 
 def test_run_ablation_checks_every_flag_before_training(tiny_hp, tiny_split, tiny_backends,

@@ -730,10 +730,17 @@ def test_checkpoint_written_by_an_earlier_version_loads(tmp_path):
      "adam_m.pt.ff_desc.w1 has dtype <f4, expected <f8"),
     (lambda arrays, meta: arrays["pt.ff_desc.w1"].__setitem__((0, 0), np.nan),
      "pt.ff_desc.w1 holds a non-finite value"),
+    (lambda arrays, meta: meta.update(version=2), "unsupported checkpoint version 2"),
+    (lambda arrays, meta: meta.update(version="banana"),
+     "unsupported checkpoint version 'banana'"),
+    (lambda arrays, meta: meta.update(version=True), "unsupported checkpoint version True"),
+    (lambda arrays, meta: meta.update(version=1.0), "unsupported checkpoint version 1.0"),
+    (lambda arrays, meta: meta.pop("version"), "missing meta key 'version'"),
 ], ids=["missing-array", "short-bias", "missing-meta-key", "missing-rng-stream", "hp-dim",
         "hp-num-heads", "classifier-length", "moment-shape", "adam-t-string", "sbcl-skipped-null",
         "epoch-float", "epoch-bool", "has-ptformer-string", "parameter-dtype", "moment-dtype",
-        "parameter-nan"])
+        "parameter-nan", "version-2", "version-string", "version-bool", "version-float",
+        "missing-version"])
 def test_load_checkpoint_names_the_first_bad_entry(small_hp, tmp_path, edit, named):
     path = tmp_path / "edited.ckpt"
     save_checkpoint(path, init_train_state(small_hp))
@@ -746,27 +753,33 @@ def test_load_checkpoint_names_the_first_bad_entry(small_hp, tmp_path, edit, nam
 
 def test_predict_threshold_boundary_and_monotonicity(small_hp, offline_backends):
     split = _tiny_split(small_hp)
+
+    def at(state, threshold):  # predict labels at the state's TrainOptions.threshold
+        return dataclasses.replace(state, options=TrainOptions(threshold=threshold))
+
     fresh = init_train_state(small_hp)  # zero classifier: every probability is 0.5
-    results = predict(split.train, fresh, offline_backends, threshold=0.5)
+    results = predict(split.train, at(fresh, 0.5), offline_backends)
     assert all(p == 0.5 and label is Label.SECURITY for p, label in results)
 
     state, _ = train(split, small_hp, offline_backends)
     probs = [p for p, _ in predict(split.train, state, offline_backends)]
-    low = {s.id for s, (p, l) in zip(split.train, predict(split.train, state, offline_backends,
-                                                          threshold=0.3)) if l is Label.SECURITY}
-    high = {s.id for s, (p, l) in zip(split.train, predict(split.train, state, offline_backends,
-                                                           threshold=0.7)) if l is Label.SECURITY}
+
+    def flagged(threshold):
+        results = predict(split.train, at(state, threshold), offline_backends)
+        return {s.id for s, (_, label) in zip(split.train, results) if label is Label.SECURITY}
+
+    low, high = flagged(0.3), flagged(0.7)
     assert high <= low
     assert all(0.0 < p < 1.0 for p in probs)
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), 1.5, -0.1, float("inf")])
-def test_predict_threshold_override_is_checked(small_hp, offline_backends, threshold):
-    # the same check as TrainOptions.threshold: NaN would label every patch non-security
+def test_predict_threshold_override_is_checked(threshold):
+    # predict labels at TrainOptions.threshold, checked there alone: NaN would label every
+    # patch non-security
     message = re.escape(f"threshold must lie in [0, 1], got {threshold!r}")
     with pytest.raises(ValueError, match=message):
-        predict([make_sample(1, Label.SECURITY)], init_train_state(small_hp), offline_backends,
-                threshold=threshold)
+        TrainOptions(threshold=threshold)
 
 
 def test_encode_sample_precomputed_rows_are_read_only_float64(small_hp, tmp_path):
