@@ -68,7 +68,7 @@ def load_dataset(path) -> list[PatchSample]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
                 raise SchemaError(index, "record", f"record {index}: invalid JSON ({exc})") from exc
             if not isinstance(record, dict):
                 raise SchemaError(index, "record",

@@ -79,8 +79,9 @@ def test_invalid_json_line(tmp_path):
     (json.dumps(_record(1) | {"id": True}), "id"),
     (json.dumps(_record(1) | {"id": 2.5}), "id"),
     (json.dumps(_record(1) | {"id": {"a": 1}}), "id"),
+    ('{"id": ' + "7" * 5000 + ', "diff": "x", "label": "security"}', "record"),
 ], ids=["int", "null", "list", "diff", "label", "message", "explanation", "source", "id-bool",
-        "id-float", "id-object"])
+        "id-float", "id-object", "int-past-the-digit-limit"])
 def test_records_of_the_wrong_type_name_index_and_field(tmp_path, line, field):
     path = tmp_path / "ds.jsonl"
     path.write_text(json.dumps(_record(0)) + "\n" + line + "\n", encoding="utf-8")
