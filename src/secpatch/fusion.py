@@ -2,31 +2,30 @@
 
 The fusion block runs shared multi-head self-attention over each text
 modality, single-head cross-attention from the patch onto the updated
-explanation (both through one scaled dot-product attention kernel), a
-feed-forward block per branch, then mean-pools and concatenates the three
-branches into one fixed-length vector. The second dense layer of each block is
-affine, so it runs on the mean-pooled hidden row: mean(h) @ w2 + b2 is the
-same vector as mean(h @ w2 + b2) at the cost of one row.
+explanation, a feed-forward block per branch, then mean-pools and
+concatenates the three branches into one fixed-length vector. The second
+dense layer of each block is affine, so it runs on the mean-pooled hidden
+row: mean(h) @ w2 + b2 is the same vector as mean(h @ w2 + b2) at the cost
+of one row.
 
-The patch branch (cross-attention, then ff_pa_ex's first layer) runs in one
-of two orders of the same products. Direct: scores (pa @ W_q) @ kᵀ, first
-layer (A @ v) @ w1, where A is the (patch, explanation) attention weights.
-Folded: pa @ (W_q @ kᵀ) and A @ (v @ w1), and in the backward pass
-W_q's gradient Mᵀ @ k and d_k = M @ W_q with M = d_scoresᵀ @ pa; every
-patch-row × dim² product becomes a patch-row × explanation-row × dim one.
-`fold_patch_branch` picks the order with fewer forward-plus-backward
-multiply-adds from the row counts and widths alone, so training and
-evaluation, a batch and a single patch all take the same order for a
-sample and see the same bits. Dropout and the rectifier act on the
-(patch, hidden) rows in both orders. Forward functions
-return caches consumed by exact reverse-mode backward functions; no autograd
-framework is involved. A feed-forward cache keeps the rectifier gate and the
-dropout keep-mask as bool arrays, an eighth of the float64 pre-activation and
-scaled mask they stand for; the backward pass rebuilds the scale
-keep / (1 - rate) with the forward pass's arithmetic, so gradients are the
-same bits. Dropout masks are drawn by `dropout_keep` apart from the forward
-pass, so a caller can draw every sample's masks in order and then run the
-forward passes in any order or on any thread.
+The patch branch (cross-attention, then ff_pa_ex's first layer) multiplies
+in folded order: scores pa @ (W_q @ kᵀ) and first layer A @ (v @ w1), where
+A is the (patch, explanation) attention weights, for the textbook
+(pa @ W_q) @ kᵀ and (A @ v) @ w1; in the backward pass W_q's gradient is
+Mᵀ @ k and d_k = M @ W_q with M = d_scoresᵀ @ pa. Every patch-row × dim²
+product becomes a patch-row × explanation-row × dim one. Dropout and the
+rectifier act on the (patch, hidden) rows of A @ (v @ w1) + b1. The public
+`self_attention` and `cross_attention` run one scaled dot-product attention
+kernel in the textbook order; the fusion pass's self-attention runs it too.
+
+Forward functions return caches consumed by exact reverse-mode backward
+functions; no autograd framework is involved. A feed-forward cache keeps the
+rectifier gate and the dropout keep-mask as bool arrays, an eighth of the
+float64 pre-activation and scaled mask they stand for; the backward pass
+rebuilds the scale keep / (1 - rate) with the forward pass's arithmetic, so
+gradients are the same bits. Dropout masks are drawn by `dropout_keep` apart
+from the forward pass, so a caller can draw every sample's masks in order and
+then run the forward passes in any order or on any thread.
 """
 
 import math
@@ -208,14 +207,6 @@ def _ff_backward(d_y: np.ndarray, cache, params: FeedForwardParams):
 # ---------------------------------------------------------------------------
 # full fusion pipeline
 
-def fold_patch_branch(p: int, e: int, dim: int, hidden: int) -> bool:
-    """Whether a patch branch of p patch rows onto e explanation rows runs in folded order:
-    when its forward-plus-backward matmul multiply-adds, 7ed² + 3edh + 2ped + 3peh, are
-    fewer than the direct order's, 2pd² + 3pdh + 6ped + 4ed² (d = dim, h = hidden)."""
-    d, h = dim, hidden
-    return 7*e*d*d + 3*e*d*h + 2*p*e*d + 3*p*e*h < 2*p*d*d + 3*p*d*h + 6*p*e*d + 4*e*d*d
-
-
 NO_DROPOUT = (None, None, None)
 
 
@@ -248,23 +239,18 @@ def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndar
     ex_hat, c_sa_ex = _attention_forward(ex, ex, state.self_attn)
     desc_hat, c_sa_desc = _attention_forward(desc, desc, state.self_attn)
     inst_hat, c_sa_inst = _attention_forward(inst, inst, state.self_attn)
-    ca, ff = state.cross_attn, state.ff_pa_ex
-    folded = fold_patch_branch(len(pa), len(ex), state.dim, ff.w1.shape[1])
-    if folded:  # A @ (v @ w1) for (A @ v) @ w1: _ff_forward's input is A, its w1 is v @ w1
-        k, v = ex_hat @ ca.w_k, ex_hat @ ca.w_v
-        v_w1 = v @ ff.w1
-        attn = softmax(pa @ (ca.w_q @ k.T) / math.sqrt(state.dim))
-        f_pa_ex, c_ff1 = _ff_forward(attn, replace(ff, w1=v_w1), keep[0], rate)
-        c_ca = (pa, ex_hat, k, v, v_w1)
-    else:
-        pa_ex, c_ca = _attention_forward(pa, ex_hat, ca.one_head())
-        f_pa_ex, c_ff1 = _ff_forward(pa_ex, ff, keep[0], rate)
+    ca = state.cross_attn
+    # A @ (v @ w1) for (A @ v) @ w1: _ff_forward's input is A, its w1 is v @ w1
+    k, v = ex_hat @ ca.w_k, ex_hat @ ca.w_v
+    v_w1 = v @ state.ff_pa_ex.w1
+    attn = softmax(pa @ (ca.w_q @ k.T) / math.sqrt(state.dim))
+    f_pa_ex, c_ff1 = _ff_forward(attn, replace(state.ff_pa_ex, w1=v_w1), keep[0], rate)
     f_desc, c_ff2 = _ff_forward(desc_hat, state.ff_desc, keep[1], rate)
     f_inst, c_ff3 = _ff_forward(inst_hat, state.ff_inst, keep[2], rate)
     vector = np.concatenate([f_pa_ex, f_desc, f_inst])
     cache = {
         "sa_ex": c_sa_ex, "sa_desc": c_sa_desc, "sa_inst": c_sa_inst,
-        "folded": folded, "ca": c_ca, "ff1": c_ff1, "ff2": c_ff2, "ff3": c_ff3,
+        "ca": (pa, ex_hat, k, v, v_w1), "ff1": c_ff1, "ff2": c_ff2, "ff3": c_ff3,
     }
     return vector, cache
 
@@ -274,19 +260,14 @@ def fuse_backward(d_vector: np.ndarray, cache, state: PTFormerState) -> dict[str
     dim = state.dim
     d1, d2, d3 = d_vector[:dim], d_vector[dim:2 * dim], d_vector[2 * dim:]
     ca, ff = state.cross_attn, state.ff_pa_ex
-    if cache["folded"]:
-        pa, ex_hat, k, v, v_w1 = cache["ca"]
-        d_attn, g_ff1 = _ff_backward(d1, cache["ff1"], replace(ff, w1=v_w1))
-        d_v_w1 = g_ff1["w1"]  # Aᵀ @ d_z
-        g_ff1["w1"] = v.T @ d_v_w1
-        d_v = d_v_w1 @ ff.w1.T
-        m = _scores_backward(cache["ff1"][0], d_attn, dim).T @ pa  # (e, dim)
-        d_k = m @ ca.w_q
-        g_ca = {"w_q": m.T @ k, "w_k": ex_hat.T @ d_k, "w_v": ex_hat.T @ d_v}
-    else:
-        d_pa_ex, g_ff1 = _ff_backward(d1, cache["ff1"], ff)
-        g_ca, d_k, d_v = _attention_backward(d_pa_ex, cache["ca"])
-        g_ca, d_k, d_v = {name: g[0] for name, g in g_ca.items()}, d_k[0], d_v[0]
+    pa, ex_hat, k, v, v_w1 = cache["ca"]
+    d_attn, g_ff1 = _ff_backward(d1, cache["ff1"], replace(ff, w1=v_w1))
+    d_v_w1 = g_ff1["w1"]  # Aᵀ @ d_z
+    g_ff1["w1"] = v.T @ d_v_w1
+    d_v = d_v_w1 @ ff.w1.T
+    m = _scores_backward(cache["ff1"][0], d_attn, dim).T @ pa  # (e, dim)
+    d_k = m @ ca.w_q
+    g_ca = {"w_q": m.T @ k, "w_k": ex_hat.T @ d_k, "w_v": ex_hat.T @ d_v}
     d_ex_hat = d_k @ ca.w_k.T + d_v @ ca.w_v.T
     d_desc_hat, g_ff2 = _ff_backward(d2, cache["ff2"], state.ff_desc)
     d_inst_hat, g_ff3 = _ff_backward(d3, cache["ff3"], state.ff_inst)

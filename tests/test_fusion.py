@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import itertools
 import math
 
@@ -9,10 +8,8 @@ import pytest
 from oracles import assert_grads_close, central_difference, loop_attention, rowwise_feed_forward
 from secpatch import (cross_attention, default_hyperparams, fuse_forward, init_pt_former,
                       named_parameters, pooled_concat, self_attention)
-from secpatch.fusion import (NO_DROPOUT, dropout_keep, fold_patch_branch, from_named_parameters,
-                             fuse_backward, parameter_specs)
-
-fusion_module = importlib.import_module("secpatch.fusion")
+from secpatch.fusion import (NO_DROPOUT, dropout_keep, from_named_parameters, fuse_backward,
+                             parameter_specs)
 
 
 @pytest.fixture
@@ -281,7 +278,8 @@ def _rowwise_fused(raw, state, rng=None):
 
 @pytest.mark.parametrize("training", [False, True])
 @pytest.mark.parametrize("dim,heads,rows", [(8, 2, (5, 4, 3, 4)), (16, 4, (9, 1, 6, 2)),
-                                           (8, 2, (3, 6, 3, 4))])
+                                           (8, 2, (3, 6, 3, 4)), (256, 4, (9, 4, 3, 5)),
+                                           (256, 4, (3, 11, 4, 2))])
 def test_fuse_forward_matches_rowwise_oracle(training, dim, heads, rows):
     hp = dataclasses.replace(default_hyperparams(), dim=dim, num_heads=heads, dropout=0.5)
     state = init_pt_former(hp, rng_seed=dim + 20)
@@ -309,28 +307,19 @@ def test_pooled_concat_shape_and_values():
 # ---------------------------------------------------------------------------
 # gradients
 
-def _check_finite_differences(state, rows, folded):
+def test_fuse_backward_matches_finite_differences(state8):
     rng = np.random.default_rng(14)
-    raw = _inputs(rng, rows=rows)
+    raw = _inputs(rng)
     probe = rng.standard_normal(24)
 
     def objective():
-        vec, _ = fuse_forward(*raw, state)
+        vec, _ = fuse_forward(*raw, state8)
         return float(vec @ probe)
 
-    vec, cache = fuse_forward(*raw, state)
-    assert cache["folded"] is folded
-    analytic = fuse_backward(probe, cache, state)
-    numeric = central_difference(objective, named_parameters(state))
+    vec, cache = fuse_forward(*raw, state8)
+    analytic = fuse_backward(probe, cache, state8)
+    numeric = central_difference(objective, named_parameters(state8))
     assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-7)
-
-
-def test_fuse_backward_matches_finite_differences(state8):
-    _check_finite_differences(state8, (5, 4, 3, 4), folded=True)
-
-
-def test_fuse_backward_matches_finite_differences_in_direct_order(state8):
-    _check_finite_differences(state8, (3, 6, 3, 4), folded=False)  # fewer patch rows than e
 
 
 def test_fuse_backward_matches_finite_differences_with_dropout(hp8):
@@ -343,7 +332,7 @@ def test_fuse_backward_matches_finite_differences_with_dropout(hp8):
         return fuse_forward(*raw, state, dropout_keep(*raw, state, np.random.default_rng(7)))
 
     vec, cache = forward()
-    assert cache["folded"]  # the patch branch's mask acts on the (patch rows, hidden) units
+    # the patch branch's mask acts on its (patch rows, hidden) units
     assert cache["ff1"][2].shape == (5, 8) and np.any(cache["ff1"][2] == 0.0)
     analytic = fuse_backward(probe, cache, state)
     numeric = central_difference(lambda: float(forward()[0] @ probe), named_parameters(state))
@@ -366,51 +355,3 @@ def test_pt_former_gradients_zero_and_linear(state8):
             np.testing.assert_allclose(doubled[name], 2.0 * single[name], rtol=1e-12,
                                        err_msg=name)
 
-
-# ---------------------------------------------------------------------------
-# the patch branch's two orders
-
-def test_fold_rule_counts_multiply_adds():
-    # at hidden = dim: folded 10ed² + 5ped against direct 5pd² + 4ed² + 6ped, ties direct
-    assert fold_patch_branch(5, 4, 8, 8) and not fold_patch_branch(3, 6, 8, 8)
-    assert fold_patch_branch(512, 40, 256, 256) and fold_patch_branch(512, 90, 256, 256)
-    assert not any(fold_patch_branch(64, e, 256, 256) for e in (100, 300, 400))
-    assert not fold_patch_branch(24, 40, 8, 8) and fold_patch_branch(25, 40, 8, 8)  # 64,000 each
-    # the hidden width counts apart from dim: folding pays p·e·h where direct pays p·d·h
-    assert fold_patch_branch(20, 10, 8, 2) and not fold_patch_branch(20, 10, 8, 64)
-
-
-def _in_order(monkeypatch, folded, raw, state, keep, probe):
-    """The fused vector and every gradient with the patch branch forced into one order."""
-    monkeypatch.setattr(fusion_module, "fold_patch_branch", lambda *shape: folded)
-    vector, cache = fuse_forward(*raw, state, keep)
-    assert cache["folded"] is folded
-    return {"vector": vector} | fuse_backward(probe, cache, state)
-
-
-@pytest.mark.parametrize("dropout", [0.0, 0.5])
-@pytest.mark.parametrize("dim, heads", [(8, 2), (256, 4)])
-@pytest.mark.parametrize("rows", [(9, 4, 3, 5), (3, 11, 4, 2), (7, 1, 2, 3)],
-                         ids=["p>e", "p<e", "e=1"])
-def test_patch_branch_orders_agree(monkeypatch, dropout, dim, heads, rows):
-    """Both orders give the same vector and gradients to 1e-12 of each array's largest entry.
-
-    Rows are unit-norm like the embedders'; e = 1 is the zero sentinel row of an
-    empty explanation. Entries near zero differ by more than 1e-12 of themselves,
-    so the bound is on the array, not elementwise.
-    """
-    hp = dataclasses.replace(default_hyperparams(), dim=dim, num_heads=heads, dropout=dropout)
-    state = init_pt_former(hp, rng_seed=dim + 1)
-    for block in (state.ff_pa_ex, state.ff_desc, state.ff_inst):
-        block.b1[:] = np.linspace(-0.5, 0.5, block.b1.shape[0])
-    rng = np.random.default_rng(dim)
-    raw = [m / np.linalg.norm(m, axis=1, keepdims=True) for m in _inputs(rng, dim, rows)]
-    if rows[1] == 1:
-        raw[1] = np.zeros((1, dim))
-    keep = dropout_keep(*raw, state, np.random.default_rng(2))
-    probe = rng.standard_normal(3 * dim)
-    direct = _in_order(monkeypatch, False, raw, state, keep, probe)
-    folded = _in_order(monkeypatch, True, raw, state, keep, probe)
-    assert direct.keys() == folded.keys() == {"vector"} | named_parameters(state).keys()
-    for name, ref in direct.items():
-        assert np.abs(folded[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name

@@ -25,7 +25,6 @@ from secpatch import (ClassifierParams, DivergenceDetected, EmbedderBackend, Exp
                       load_checkpoint, make_synthetic_samples, predict, save_checkpoint,
                       split_dataset, train)
 from secpatch.arrayio import load_arrays, save_arrays
-from secpatch.fusion import fold_patch_branch
 from secpatch.train import (ADAM_EPS, InvalidCheckpoint, _compose_batches, _fusion_pool,
                             _train_batch, _validation_metrics, adamw_step, batch_loss_and_grads,
                             encode_samples)
@@ -374,34 +373,6 @@ def test_evaluation_worker_failure_reaches_the_caller(monkeypatch, tmp_path, run
     assert not [t for t in threading.enumerate() if t.name.startswith("secpatch-fusion")]
 
 
-def test_evaluation_of_a_batch_mixing_both_patch_orders_equals_single_patch_calls(
-        monkeypatch, tmp_path):
-    # the patch branch's order is chosen per sample from its shapes alone, so a sample
-    # fused on the pool among samples of the other order keeps the bits of a call of its own
-    state, backends = _threaded_eval_setup(tmp_path)
-    samples = _ragged_samples(6)
-    for i in (1, 4):  # explanations longer than their patches take the direct order
-        samples[i] = dataclasses.replace(samples[i], explanation=f"reason {i} " * 100)
-    encoded = encode_samples(samples, backends, state.hp, state.options).values()
-    orders = [fold_patch_branch(len(pa), len(ex), state.hp.dim, state.hp.dim)
-              for pa, ex, _, _ in encoded]
-    assert orders == [False, False, True, True, False, True]
-    original, threads = train_module.fuse_forward, []
-
-    def recorded(*args):
-        threads.append(threading.current_thread().name)
-        return original(*args)
-
-    monkeypatch.setattr(train_module, "fuse_forward", recorded)
-    monkeypatch.setattr(train_module, "_WORKERS", 2)
-    fused = fused_embeddings(samples, state, backends)
-    results = predict(samples, state, backends)
-    assert all(name.startswith("secpatch-fusion") for name in threads)
-    for sample, vector, result in zip(samples, fused, results):
-        assert np.array_equal(fused_embeddings([sample], state, backends)[0].values, vector.values)
-        assert predict([sample], state, backends) == [result]
-
-
 def test_single_patch_predict_makes_no_pool(monkeypatch, tmp_path):
     state, backends = _threaded_eval_setup(tmp_path)
     real, made = train_module.ThreadPoolExecutor, []
@@ -552,14 +523,14 @@ rng = np.random.default_rng(4)
 mats = [rng.standard_normal((int(rows), hp.dim)) for rows in (*sys.argv[1:3], 12, 29)]
 vector, cache = fuse_forward(*mats, pt)
 grads = fuse_backward(rng.standard_normal(vector.shape), cache, pt)
-print(cache["folded"], hashlib.sha256(vector.tobytes()).hexdigest(),
+print(hashlib.sha256(vector.tobytes()).hexdigest(),
       hashlib.sha256(b"".join(grads[name].tobytes() for name in sorted(grads))).hexdigest())
 """
 
 
 def _fusion_digests(shapes):
-    """Per (patch rows, explanation rows): the order and the digests of _BLAS_FUSION_RUN's
-    fused vector and gradients, in fresh interpreters at OPENBLAS_NUM_THREADS 1 and 2."""
+    """Per (patch rows, explanation rows): the digests of _BLAS_FUSION_RUN's fused vector
+    and gradients, in fresh interpreters at OPENBLAS_NUM_THREADS 1 and 2."""
     if len(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()) < 2:
         pytest.skip("fewer than two usable cores: OpenBLAS runs one thread whatever it is asked")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -576,11 +547,10 @@ def _fusion_digests(shapes):
 
 
 def test_folded_patch_branch_independent_of_blas_threads():
-    # the folded order's matmuls (patch 512 onto explanations of 40 and 90 rows) keep their bits
+    # the patch branch's folded matmuls (patch 512 onto explanations of 40 and 90 rows)
     shapes = [(512, 40), (512, 90)]
     digests = _fusion_digests(shapes)
     for rows in shapes:
-        assert digests["1", rows].startswith("True ")
         assert digests["2", rows] == digests["1", rows], f"{rows} rows"
 
 
@@ -590,7 +560,7 @@ def test_folded_patch_branch_independent_of_blas_threads():
     "of 100 to 400 rows at dim 256, so fuse_forward and fuse_backward depend on "
     "OPENBLAS_NUM_THREADS there"))
 def test_fusion_passes_independent_of_blas_threads_on_long_explanations():
-    shapes = [(64, 100), (64, 300), (64, 400)]  # direct order; test_fusion pins the rule
+    shapes = [(64, 100), (64, 300), (64, 400)]
     digests = _fusion_digests(shapes)
     for rows in shapes:
         assert digests["2", rows] == digests["1", rows], f"{rows[1]}-row explanation"
