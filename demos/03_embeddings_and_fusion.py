@@ -28,11 +28,11 @@ print("modality matrix shapes:",
 pa, ex, desc, inst = (m.values for m in (e_pa, e_ex, e_desc, e_inst))
 state = init_pt_former(hp, rng_seed=0)
 
-updated, weights = self_attention(ex, state.self_attn, return_weights=True)
+updated, weights = self_attention(ex, state.self_attn)
 print("self-attention keeps the shape:", updated.shape,
       "| every weight row sums to", float(weights.sum(axis=-1).round(12).max()))
 
-aligned, ca_weights = cross_attention(pa, updated, state.cross_attn, return_weights=True)
+aligned, ca_weights = cross_attention(pa, updated, state.cross_attn)
 print("cross-attention maps patch rows onto the explanation:", aligned.shape)
 print("strongest explanation token per patch row:", np.argmax(ca_weights, axis=1))
 

@@ -15,8 +15,8 @@ A is the (patch, explanation) attention weights, for the textbook
 Mᵀ @ k and d_k = M @ W_q with M = d_scoresᵀ @ pa. Every patch-row × dim²
 product becomes a patch-row × explanation-row × dim one. Dropout and the
 rectifier act on the (patch, hidden) rows of A @ (v @ w1) + b1. The public
-`self_attention` and `cross_attention` run one scaled dot-product attention
-kernel in the textbook order; the fusion pass's self-attention runs it too.
+`cross_attention` returns A @ v, its A from the fusion pass's own code; the
+public `self_attention` runs the kernel the fusion pass runs on each text.
 
 Forward functions return caches consumed by exact reverse-mode backward
 functions; no autograd framework is involved. A feed-forward cache keeps the
@@ -57,10 +57,6 @@ class CrossAttentionParams:
     w_q: np.ndarray = parameter("dim", "dim")
     w_k: np.ndarray = parameter("dim", "dim")
     w_v: np.ndarray = parameter("dim", "dim")
-
-    def one_head(self) -> AttentionParams:
-        """The same matrices as (1, dim, dim) views, the layout the attention kernel takes."""
-        return AttentionParams(w_q=self.w_q[None], w_k=self.w_k[None], w_v=self.w_v[None])
 
 
 @dataclass
@@ -109,44 +105,42 @@ def init_pt_former(hp: HyperParams, rng_seed: int, ff_hidden: int | None = None)
                            np.random.default_rng(rng_seed), dropout_rate=hp.dropout)
 
 
-def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = scores - scores.max(axis=axis, keepdims=True)
+def softmax(scores: np.ndarray) -> np.ndarray:
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
-# scaled dot-product attention, shared by self- and cross-attention
+# scaled dot-product attention: multi-head self-attention, single-head cross-attention
 
-def _attention_forward(x_q: np.ndarray, x_kv: np.ndarray, params: AttentionParams):
-    """Multi-head attention from x_q rows onto x_kv rows; heads concatenated in order.
+def _attention_forward(x: np.ndarray, params: AttentionParams):
+    """Multi-head self-attention over the rows of x; heads concatenated in order.
 
     `params` holds (heads, dim, head_dim) projections. Scores are scaled by
     1/sqrt(dim), the model width, not by 1/sqrt(head_dim).
     """
-    q = x_q @ params.w_q                                  # (heads, n_q, head_dim)
-    k = x_kv @ params.w_k                                 # (heads, n_kv, head_dim)
-    v = x_kv @ params.w_v
-    attn = softmax(q @ k.transpose(0, 2, 1) / math.sqrt(x_q.shape[1]))  # (heads, n_q, n_kv)
+    q = x @ params.w_q                                    # (heads, n, head_dim)
+    k = x @ params.w_k
+    v = x @ params.w_v
+    attn = softmax(q @ k.transpose(0, 2, 1) / math.sqrt(x.shape[1]))  # (heads, n, n)
     heads, n, head_dim = q.shape
     out = (attn @ v).transpose(1, 0, 2).reshape(n, heads * head_dim)
-    return out, (x_q, x_kv, q, k, v, attn)
+    return out, (x, q, k, v, attn)
 
 
-def _attention_backward(d_out: np.ndarray, cache):
-    """Projection gradients plus d_k and d_v; x_q is a frozen embedding and gets no gradient."""
-    x_q, x_kv, q, k, v, attn = cache
+def _attention_backward(d_out: np.ndarray, cache) -> dict[str, np.ndarray]:
+    """Projection gradients; x is a frozen embedding and gets no gradient."""
+    x, q, k, v, attn = cache
     heads, n, head_dim = q.shape
     d_heads = d_out.reshape(n, heads, head_dim).transpose(1, 0, 2)
 
     d_v = attn.transpose(0, 2, 1) @ d_heads
     d_attn = d_heads @ v.transpose(0, 2, 1)
-    d_scores = _scores_backward(attn, d_attn, x_q.shape[1])
+    d_scores = _scores_backward(attn, d_attn, x.shape[1])
     d_q = d_scores @ k
     d_k = d_scores.transpose(0, 2, 1) @ q
-
-    grads = {"w_q": x_q.T @ d_q, "w_k": x_kv.T @ d_k, "w_v": x_kv.T @ d_v}
-    return grads, d_k, d_v
+    return {"w_q": x.T @ d_q, "w_k": x.T @ d_k, "w_v": x.T @ d_v}
 
 
 def _scores_backward(attn: np.ndarray, d_attn: np.ndarray, width: int) -> np.ndarray:
@@ -154,19 +148,24 @@ def _scores_backward(attn: np.ndarray, d_attn: np.ndarray, width: int) -> np.nda
     return attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) / math.sqrt(width)
 
 
-def self_attention(x: np.ndarray, params: AttentionParams, return_weights: bool = False):
-    """Multi-head scaled dot-product self-attention over the rows of x; output shape equals x's."""
-    out, cache = _attention_forward(x, x, params)
-    return (out, cache[5]) if return_weights else out
+def _cross_weights(pa: np.ndarray, ex: np.ndarray, params: CrossAttentionParams):
+    """(A, k, v): k = ex @ W_k, v = ex @ W_v and A = softmax(pa @ (W_q @ kᵀ) / sqrt(dim))."""
+    k, v = ex @ params.w_k, ex @ params.w_v
+    return softmax(pa @ (params.w_q @ k.T) / math.sqrt(params.w_q.shape[0])), k, v
 
 
-def cross_attention(pa: np.ndarray, ex: np.ndarray, params: CrossAttentionParams,
-                    return_weights: bool = False):
-    """Single-head attention from patch rows onto explanation rows; output (patch_len, dim)."""
+def self_attention(x: np.ndarray, params: AttentionParams):
+    """Multi-head self-attention over x's rows: (output shaped like x, weights (heads, n, n))."""
+    out, cache = _attention_forward(x, params)
+    return out, cache[-1]
+
+
+def cross_attention(pa: np.ndarray, ex: np.ndarray, params: CrossAttentionParams):
+    """Single-head attention from patch onto explanation rows: (A @ v, A), A as in fuse_forward."""
     if pa.shape[1] != ex.shape[1]:
         raise ValueError(f"dim mismatch: patch {pa.shape[1]} vs explanation {ex.shape[1]}")
-    out, cache = _attention_forward(pa, ex, params.one_head())
-    return (out, cache[5][0]) if return_weights else out
+    attn, _, v = _cross_weights(pa, ex, params)
+    return attn @ v, attn
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +235,12 @@ def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndar
     the default applies no dropout (evaluation).
     """
     rate = state.dropout_rate
-    ex_hat, c_sa_ex = _attention_forward(ex, ex, state.self_attn)
-    desc_hat, c_sa_desc = _attention_forward(desc, desc, state.self_attn)
-    inst_hat, c_sa_inst = _attention_forward(inst, inst, state.self_attn)
-    ca = state.cross_attn
+    ex_hat, c_sa_ex = _attention_forward(ex, state.self_attn)
+    desc_hat, c_sa_desc = _attention_forward(desc, state.self_attn)
+    inst_hat, c_sa_inst = _attention_forward(inst, state.self_attn)
     # A @ (v @ w1) for (A @ v) @ w1: _ff_forward's input is A, its w1 is v @ w1
-    k, v = ex_hat @ ca.w_k, ex_hat @ ca.w_v
+    attn, k, v = _cross_weights(pa, ex_hat, state.cross_attn)
     v_w1 = v @ state.ff_pa_ex.w1
-    attn = softmax(pa @ (ca.w_q @ k.T) / math.sqrt(state.dim))
     f_pa_ex, c_ff1 = _ff_forward(attn, replace(state.ff_pa_ex, w1=v_w1), keep[0], rate)
     f_desc, c_ff2 = _ff_forward(desc_hat, state.ff_desc, keep[1], rate)
     f_inst, c_ff3 = _ff_forward(inst_hat, state.ff_inst, keep[2], rate)
@@ -272,9 +269,9 @@ def fuse_backward(d_vector: np.ndarray, cache, state: PTFormerState) -> dict[str
     d_desc_hat, g_ff2 = _ff_backward(d2, cache["ff2"], state.ff_desc)
     d_inst_hat, g_ff3 = _ff_backward(d3, cache["ff3"], state.ff_inst)
 
-    g_sa_ex, _, _ = _attention_backward(d_ex_hat, cache["sa_ex"])
-    g_sa_desc, _, _ = _attention_backward(d_desc_hat, cache["sa_desc"])
-    g_sa_inst, _, _ = _attention_backward(d_inst_hat, cache["sa_inst"])
+    g_sa_ex = _attention_backward(d_ex_hat, cache["sa_ex"])
+    g_sa_desc = _attention_backward(d_desc_hat, cache["sa_desc"])
+    g_sa_inst = _attention_backward(d_inst_hat, cache["sa_inst"])
 
     grads = {f"self_attn.{k}": g_sa_ex[k] + g_sa_desc[k] + g_sa_inst[k] for k in g_sa_ex}
     grads |= {f"cross_attn.{k}": g for k, g in g_ca.items()}

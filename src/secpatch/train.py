@@ -426,11 +426,11 @@ def load_checkpoint(path) -> TrainState:
 
     Raises InvalidCheckpoint for a version other than the int
     CHECKPOINT_VERSION, naming the first missing meta key, array or rng
-    stream, the first counter that is not an int (`has_ptformer`: a bool),
-    the first array whose shape disagrees with the stored hyperparameters and
-    options (dim, num_heads, ff_hidden, a 3 * dim classifier) or, for an
-    AdamW moment, with its parameter, and the first array that is not <f8 or
-    holds a NaN or an infinity.
+    stream, the first counter that is not an int (`has_ptformer`: a bool,
+    equal to `options.use_ptformer`), the first array whose shape disagrees
+    with the stored hyperparameters and options (dim, num_heads, ff_hidden, a
+    3 * dim classifier) or, for an AdamW moment, with its parameter, and the
+    first array that is not <f8 or holds a NaN or an infinity.
     """
     arrays, meta = arrayio.load_arrays(path)
     if meta.get("format") != CHECKPOINT_MAGIC:
@@ -443,6 +443,9 @@ def load_checkpoint(path) -> TrainState:
         options = config_from_dict(TrainOptions, meta["options"], "options")
         progress = config_from_dict(_Progress, {f.name: meta[f.name] for f in fields(_Progress)},
                                     "meta")
+        if progress.has_ptformer != options.use_ptformer:
+            raise ValueError(f"meta.has_ptformer {progress.has_ptformer} contradicts "
+                             f"options.use_ptformer {options.use_ptformer}")
         specs = parameter_specs(ClassifierParams, "classifier.")
         if progress.has_ptformer:
             specs = parameter_specs(PTFormerState, "pt.") | specs

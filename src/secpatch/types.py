@@ -98,8 +98,11 @@ class HyperParams:
             raise ValueError("dim must be >= 1")
         if self.dim % self.num_heads != 0:
             raise ValueError(f"dim {self.dim} not divisible by num_heads {self.num_heads}")
-        if self.batch_size_train < 1 or self.batch_size_eval < 1:
-            raise ValueError("batch sizes must be >= 1")
+        if self.batch_size_train < 2:  # a batch is ceil(b/2) security samples, floor(b/2) others
+            raise ValueError("batch_size_train must be >= 2: a batch of 1 holds only a security "
+                             "sample, so the negative class and SBCL never train")
+        if self.batch_size_eval < 1:
+            raise ValueError("batch_size_eval must be >= 1")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
 

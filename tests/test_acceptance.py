@@ -165,21 +165,21 @@ def test_attention_contracts():
     rng = np.random.default_rng(19)
 
     e = rng.standard_normal((3, 8))
-    base, weights = self_attention(e, state.self_attn, return_weights=True)
+    base, weights = self_attention(e, state.self_attn)
     assert np.all(np.abs(weights.sum(axis=-1) - 1.0) <= 1e-12)
 
     for perm in itertools.permutations(range(3)):
-        shuffled = self_attention(e[list(perm)], state.self_attn)
+        shuffled, _ = self_attention(e[list(perm)], state.self_attn)
         np.testing.assert_allclose(shuffled, base[list(perm)], atol=1e-10)
 
     single = rng.standard_normal((1, 8))
-    out_single = self_attention(single, state.self_attn)
+    out_single, _ = self_attention(single, state.self_attn)
     expected = np.concatenate([single @ state.self_attn.w_v[h] for h in range(2)], axis=1)
     np.testing.assert_allclose(out_single, expected, atol=1e-12)
 
     pa = rng.standard_normal((4, 8))
     ex1 = rng.standard_normal((1, 8))
-    out_ca, weights_ca = cross_attention(pa, ex1, state.cross_attn, return_weights=True)
+    out_ca, weights_ca = cross_attention(pa, ex1, state.cross_attn)
     assert np.all(np.abs(weights_ca.sum(axis=-1) - 1.0) <= 1e-12)
     expected_row = (ex1 @ state.cross_attn.w_v)[0]
     for row in out_ca:

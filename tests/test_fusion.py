@@ -91,7 +91,7 @@ def test_ff_hidden_override(hp8):
 def test_self_attention_shape_and_weight_rows(state8):
     rng = np.random.default_rng(0)
     e = rng.standard_normal((6, 8))
-    out, weights = self_attention(e, state8.self_attn, return_weights=True)
+    out, weights = self_attention(e, state8.self_attn)
     assert out.shape == e.shape
     assert weights.shape == (2, 6, 6)
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
@@ -101,7 +101,7 @@ def test_self_attention_shape_and_weight_rows(state8):
 def test_self_attention_single_token_is_value_projection(state8):
     rng = np.random.default_rng(1)
     e = rng.standard_normal((1, 8))
-    out = self_attention(e, state8.self_attn)
+    out, _ = self_attention(e, state8.self_attn)
     expected = np.concatenate([e @ state8.self_attn.w_v[h] for h in range(2)], axis=1)
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -109,9 +109,9 @@ def test_self_attention_single_token_is_value_projection(state8):
 def test_self_attention_permutation_equivariant(state8):
     rng = np.random.default_rng(2)
     e = rng.standard_normal((3, 8))
-    base = self_attention(e, state8.self_attn)
+    base, _ = self_attention(e, state8.self_attn)
     for perm in itertools.permutations(range(3)):
-        out = self_attention(e[list(perm)], state8.self_attn)
+        out, _ = self_attention(e[list(perm)], state8.self_attn)
         np.testing.assert_allclose(out, base[list(perm)], atol=1e-10)
 
 
@@ -120,7 +120,7 @@ def test_self_attention_matches_per_head_loop_oracle(dim, heads, rows):
     hp = dataclasses.replace(default_hyperparams(), dim=dim, num_heads=heads)
     params = init_pt_former(hp, rng_seed=dim).self_attn
     e = np.random.default_rng(dim + 1).standard_normal((rows, dim))
-    out, weights = self_attention(e, params, return_weights=True)
+    out, weights = self_attention(e, params)
     assert weights.shape == (heads, rows, rows)
     expected = loop_attention(e, e, params.w_q, params.w_k, params.w_v)
     np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-12)
@@ -133,7 +133,7 @@ def test_cross_attention_shape_and_rows(state8):
     rng = np.random.default_rng(3)
     pa = rng.standard_normal((5, 8))
     ex = rng.standard_normal((7, 8))
-    out, weights = cross_attention(pa, ex, state8.cross_attn, return_weights=True)
+    out, weights = cross_attention(pa, ex, state8.cross_attn)
     assert out.shape == (5, 8)
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -142,7 +142,7 @@ def test_cross_attention_singleton_key(state8):
     rng = np.random.default_rng(4)
     pa = rng.standard_normal((4, 8))
     ex = rng.standard_normal((1, 8))
-    out = cross_attention(pa, ex, state8.cross_attn)
+    out, _ = cross_attention(pa, ex, state8.cross_attn)
     expected_row = ex @ state8.cross_attn.w_v
     for row in out:
         np.testing.assert_allclose(row, expected_row[0], atol=1e-12)
@@ -153,8 +153,8 @@ def test_cross_attention_key_scaling_keeps_rows_normalized(state8):
     pa = rng.standard_normal((3, 8))
     ex = rng.standard_normal((4, 8))
     scaled = ex * 3.0
-    _, w_base = cross_attention(pa, ex, state8.cross_attn, return_weights=True)
-    _, w_scaled = cross_attention(pa, scaled, state8.cross_attn, return_weights=True)
+    _, w_base = cross_attention(pa, ex, state8.cross_attn)
+    _, w_scaled = cross_attention(pa, scaled, state8.cross_attn)
     assert not np.allclose(w_base, w_scaled)
     np.testing.assert_allclose(w_scaled.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -164,7 +164,7 @@ def test_cross_attention_identity_weights_scalar_oracle():
     params = CrossAttentionParams(w_q=np.eye(2), w_k=np.eye(2), w_v=np.eye(2))
     pa = np.array([[1.0, 0.0], [0.0, 2.0]])
     ex = np.array([[1.0, 1.0], [2.0, 0.0]])
-    out = cross_attention(pa, ex, params)
+    out, _ = cross_attention(pa, ex, params)
 
     expected = np.zeros((2, 2))
     for i in range(2):
@@ -187,10 +187,22 @@ def test_cross_attention_matches_per_head_loop_oracle(dim, patch_rows, ex_rows):
     rng = np.random.default_rng(dim + 2)
     pa = rng.standard_normal((patch_rows, dim))
     ex = rng.standard_normal((ex_rows, dim))
-    out, weights = cross_attention(pa, ex, params, return_weights=True)
+    out, weights = cross_attention(pa, ex, params)
     assert weights.shape == (patch_rows, ex_rows)
     expected = loop_attention(pa, ex, params.w_q[None], params.w_k[None], params.w_v[None])
     np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim,heads,rows", [(8, 2, (5, 4, 3, 4)), (256, 4, (9, 4, 3, 5))])
+def test_cross_attention_weights_are_the_fusion_pass_weights(dim, heads, rows):
+    # the public functions run the pipeline's code: the weights are fuse_forward's A, bit for bit
+    hp = dataclasses.replace(default_hyperparams(), dim=dim, num_heads=heads, dropout=0.0)
+    state = init_pt_former(hp, rng_seed=dim + 3)
+    pa, ex, desc, inst = _inputs(np.random.default_rng(dim + 4), dim, rows)
+    _, cache = fuse_forward(pa, ex, desc, inst, state)
+    ex_hat, _ = self_attention(ex, state.self_attn)
+    _, weights = cross_attention(pa, ex_hat, state.cross_attn)
+    assert np.array_equal(weights, cache["ff1"][0])  # A, the patch branch's feed-forward input
 
 
 def test_cross_attention_dim_mismatch():
@@ -307,18 +319,24 @@ def test_pooled_concat_shape_and_values():
 # ---------------------------------------------------------------------------
 # gradients
 
-def test_fuse_backward_matches_finite_differences(state8):
+@pytest.mark.parametrize("rows,ff_hidden", [((5, 4, 3, 4), None), ((3, 6, 3, 4), None),
+                                             ((4, 1, 3, 4), None), ((5, 4, 3, 4), 5)],
+                         ids=["patch-longer", "explanation-longer", "one-explanation-row",
+                              "hidden-5"])
+def test_fuse_backward_matches_finite_differences(hp8, rows, ff_hidden):
+    # the folded order's v @ w1 is (explanation rows, hidden): cover p < e, e = 1, hidden != dim
+    state = init_pt_former(hp8, rng_seed=123, ff_hidden=ff_hidden)
     rng = np.random.default_rng(14)
-    raw = _inputs(rng)
+    raw = _inputs(rng, rows=rows)
     probe = rng.standard_normal(24)
 
     def objective():
-        vec, _ = fuse_forward(*raw, state8)
+        vec, _ = fuse_forward(*raw, state)
         return float(vec @ probe)
 
-    vec, cache = fuse_forward(*raw, state8)
-    analytic = fuse_backward(probe, cache, state8)
-    numeric = central_difference(objective, named_parameters(state8))
+    vec, cache = fuse_forward(*raw, state)
+    analytic = fuse_backward(probe, cache, state)
+    numeric = central_difference(objective, named_parameters(state))
     assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-7)
 
 

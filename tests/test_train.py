@@ -752,11 +752,13 @@ def test_checkpoint_written_by_an_earlier_version_loads(tmp_path):
     (lambda arrays, meta: meta.update(version=True), "unsupported checkpoint version True"),
     (lambda arrays, meta: meta.update(version=1.0), "unsupported checkpoint version 1.0"),
     (lambda arrays, meta: meta.pop("version"), "missing meta key 'version'"),
+    (lambda arrays, meta: meta.update(has_ptformer=False),
+     "meta.has_ptformer False contradicts options.use_ptformer True"),
 ], ids=["missing-array", "short-bias", "missing-meta-key", "missing-rng-stream", "hp-dim",
         "hp-num-heads", "classifier-length", "moment-shape", "adam-t-string", "sbcl-skipped-null",
         "epoch-float", "epoch-bool", "has-ptformer-string", "parameter-dtype", "moment-dtype",
         "parameter-nan", "version-2", "version-string", "version-bool", "version-float",
-        "missing-version"])
+        "missing-version", "has-ptformer-contradicts-options"])
 def test_load_checkpoint_names_the_first_bad_entry(small_hp, tmp_path, edit, named):
     path = tmp_path / "edited.ckpt"
     save_checkpoint(path, init_train_state(small_hp))

@@ -57,6 +57,16 @@ def test_hyperparams_invariants_rejected_not_clamped(field, value):
         dataclasses.replace(default_hyperparams(), **{field: value})
 
 
+def test_hyperparams_reject_a_training_batch_too_small_to_hold_both_classes():
+    # a batch is ceil(b/2) security samples and floor(b/2) others: at 1 the others never train
+    with pytest.raises(ValueError, match="batch_size_train must be >= 2: .*SBCL never train"):
+        dataclasses.replace(default_hyperparams(), batch_size_train=1)
+    assert dataclasses.replace(default_hyperparams(), batch_size_train=2).batch_size_train == 2
+    with pytest.raises(ValueError, match="batch_size_eval must be >= 1"):
+        dataclasses.replace(default_hyperparams(), batch_size_eval=0)
+    assert dataclasses.replace(default_hyperparams(), batch_size_eval=1).batch_size_eval == 1
+
+
 def test_hyperparams_round_trip():
     hp = default_hyperparams()
     assert config_from_dict(HyperParams, dataclasses.asdict(hp), "hyperparams") == hp
