@@ -59,7 +59,8 @@ def write_json(path, record) -> None:
 
 
 def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
-    """Write named arrays and an optional JSON-serializable meta dict."""
+    """Write named arrays, little-endian, and an optional JSON-serializable meta dict; an array
+    of a dtype outside _ALLOWED_DTYPES raises a ValueError naming it, and nothing is written."""
     meta_bytes = json.dumps(meta or {}, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_open(path) as fh:
         fh.write(MAGIC)
@@ -70,7 +71,10 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
         for name in sorted(arrays):
             arr = np.ascontiguousarray(arrays[name])
             dtype = arr.dtype.newbyteorder("<")
-            arr = arr.astype(dtype if dtype.str in _ALLOWED_DTYPES else "<f8", copy=False)
+            if dtype.str not in _ALLOWED_DTYPES:
+                raise ValueError(f"array {name!r} has dtype {arr.dtype.str}, not one of "
+                                 f"{sorted(_ALLOWED_DTYPES)}")
+            arr = arr.astype(dtype, copy=False)
             name_bytes = name.encode("utf-8")
             fh.write(struct.pack("<H", len(name_bytes)))
             fh.write(name_bytes)

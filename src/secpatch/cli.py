@@ -112,8 +112,8 @@ def load_config(path: str, seed: int | None = None, out: str | None = None,
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"config file {path} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be an object, got {raw!r}")
 
@@ -277,8 +277,13 @@ def cmd_predict(cfg: RunConfig, args) -> dict:
     if diff_path is not None:
         if not os.path.exists(diff_path):
             raise MissingArtifact(diff_path, "diff file")
-        with open(diff_path, encoding="utf-8") as fh:
-            diff_text = fh.read()
+        try:
+            with open(diff_path, encoding="utf-8") as fh:
+                diff_text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"diff file {diff_path} is not UTF-8: {exc}") from exc
+        if not diff_text:
+            raise ConfigError(f"diff file {diff_path} is empty")
         # label is a placeholder; scoring never reads it
         sample = PatchSample(id=os.path.basename(diff_path), diff_text=diff_text,
                              label=Label.NON_SECURITY)

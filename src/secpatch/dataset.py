@@ -56,16 +56,23 @@ def load_dataset(path) -> list[PatchSample]:
     ("security" / "non-security"); message, explanation and source are
     optional; every present text field must be a string (or null where
     optional). Ids are unique. Records are returned in file order. Raises
-    SchemaError naming the offending record index and field.
+    SchemaError naming the offending record index and field; a record that is
+    not UTF-8 fails as field "record".
     """
     samples: list[PatchSample] = []
     first_index: dict[str, int] = {}
     index = 0
-    with open(path, encoding="utf-8") as fh:
+    # a byte that is not UTF-8 decodes to a lone surrogate, caught in the record that holds it
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise SchemaError(index, "record", f"record {index}: byte "
+                                  f"0x{ord(line[exc.start]) - 0xDC00:02x} is not UTF-8") from exc
             try:
                 record = json.loads(line)
             except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit

@@ -91,7 +91,10 @@ def parse_unified_diff(text: str) -> ParsedDiff:
             new_count = int(header.group(4)) if header.group(4) is not None else 1
             i += 1
             body, i = _consume_hunk_body(lines, i, old_count, new_count)
-            hunks.append(Hunk(old_start, old_count, new_start, new_count, tuple(body)))
+            try:
+                hunks.append(Hunk(old_start, old_count, new_start, new_count, tuple(body)))
+            except ValueError as exc:  # the body's counts contradict the header
+                raise MalformedDiff(str(exc)) from exc
             continue
 
         git = GIT_HEADER_RE.match(line)
@@ -126,20 +129,14 @@ def _consume_hunk_body(lines, i, old_count, new_count):
         if line.startswith("+"):
             tag, content = LineTag.ADDED, line[1:]
             new_seen += 1
-            if new_seen > new_count:
-                raise MalformedDiff("hunk body has more new lines than the header declares")
         elif line.startswith("-"):
             tag, content = LineTag.REMOVED, line[1:]
             old_seen += 1
-            if old_seen > old_count:
-                raise MalformedDiff("hunk body has more old lines than the header declares")
         elif line.startswith(" ") or line == "":
             # git may strip a blank context line down to the empty string
             tag, content = LineTag.CONTEXT, line[1:]
             old_seen += 1
             new_seen += 1
-            if old_seen > old_count or new_seen > new_count:
-                raise MalformedDiff("hunk body has more context lines than the header declares")
         else:
             raise MalformedDiff(f"unexpected line inside hunk body: {line!r}")
         body.append((tag, content))

@@ -39,8 +39,14 @@ def options_for_flags(flags, base: TrainOptions = TrainOptions()) -> TrainOption
     return dataclasses.replace(base, **{f"use_{flag.removeprefix('no_')}": False for flag in flags})
 
 
-def _evaluate(samples, state, backends) -> MetricsReport:
-    return labelled_metrics([p for p, _ in predict(samples, state, backends)], samples, state)
+def _train_and_score(split, eval_samples, hp, backends, options, out_dir=None):
+    """Train on `split`, with the run log and checkpoints under `out_dir` when given, then score
+    `eval_samples`: (per-epoch records, MetricsReport)."""
+    run_log = os.path.join(out_dir, "run_log.jsonl") if out_dir is not None else None
+    state, records = train(split, hp, backends, options=options, checkpoint_dir=out_dir,
+                           run_log_path=run_log)
+    probs = [p for p, _ in predict(eval_samples, state, backends)]
+    return records, labelled_metrics(probs, eval_samples, state)
 
 
 def run_ablation(flag_sets, split: DatasetSplit, hp: HyperParams, backends: PipelineBackends,
@@ -59,15 +65,9 @@ def run_ablation(flag_sets, split: DatasetSplit, hp: HyperParams, backends: Pipe
 
     rows = []
     for flags, options in cells:
-        cell_dir = None
-        run_log = None
-        if out_dir is not None:
-            cell_dir = os.path.join(out_dir, "-".join(flags) if flags else "full")
-            run_log = os.path.join(cell_dir, "run_log.jsonl")
-        state, records = train(split, hp, backends, options=options,
-                               checkpoint_dir=cell_dir, run_log_path=run_log)
-        rows.append(AblationRow(flags=flags, metrics=_evaluate(eval_samples, state, backends),
-                                epochs=tuple(records)))
+        cell_dir = os.path.join(out_dir, "-".join(flags) or "full") if out_dir is not None else None
+        records, metrics = _train_and_score(split, eval_samples, hp, backends, options, cell_dir)
+        rows.append(AblationRow(flags=flags, metrics=metrics, epochs=tuple(records)))
     return rows
 
 
@@ -83,13 +83,10 @@ def cross_dataset_eval(train_ds: DatasetSplit, test_ds: DatasetSplit, hp: HyperP
                        backends: PipelineBackends,
                        options: TrainOptions = TrainOptions()) -> CrossDatasetResult:
     """Train on one dataset's train split, evaluate on the other's test split."""
-    state, _ = train(train_ds, hp, backends, options=options)
     eval_samples = test_ds.test if test_ds.test else test_ds.all_samples
-    return CrossDatasetResult(
-        train_source=_sources(train_ds.all_samples),
-        test_source=_sources(eval_samples),
-        metrics=_evaluate(eval_samples, state, backends),
-    )
+    _, metrics = _train_and_score(train_ds, eval_samples, hp, backends, options)
+    return CrossDatasetResult(train_source=_sources(train_ds.all_samples),
+                              test_source=_sources(eval_samples), metrics=metrics)
 
 
 def repeated_runs(k: int, split: DatasetSplit, hp: HyperParams, backends: PipelineBackends,
@@ -101,8 +98,7 @@ def repeated_runs(k: int, split: DatasetSplit, hp: HyperParams, backends: Pipeli
     values = {"AUC": [], "F1": [], "+Recall": [], "-Recall": []}
     for i in range(k):
         run_hp = dataclasses.replace(hp, seed=derive_seed(hp.seed, f"repeat-{i}"))
-        state, _ = train(split, run_hp, backends, options=options)
-        report = _evaluate(eval_samples, state, backends).to_record()
+        report = _train_and_score(split, eval_samples, run_hp, backends, options)[1].to_record()
         for key in values:
             if report[key] is not None:
                 values[key].append(report[key])

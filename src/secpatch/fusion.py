@@ -74,7 +74,6 @@ class PTFormerState:
     ff_pa_ex: FeedForwardParams
     ff_desc: FeedForwardParams
     ff_inst: FeedForwardParams
-    dropout_rate: float
 
     def __post_init__(self):
         """All blocks agree on dim, head count and hidden width; the heads make up dim."""
@@ -102,7 +101,7 @@ def init_pt_former(hp: HyperParams, rng_seed: int, ff_hidden: int | None = None)
     width defaults to dim.
     """
     return init_parameters(PTFormerState, model_sizes(hp, ff_hidden),
-                           np.random.default_rng(rng_seed), dropout_rate=hp.dropout)
+                           np.random.default_rng(rng_seed))
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -206,44 +205,41 @@ def _ff_backward(d_y: np.ndarray, cache, params: FeedForwardParams):
 # ---------------------------------------------------------------------------
 # full fusion pipeline
 
-NO_DROPOUT = (None, None, None)
+NO_DROPOUT = (0.0, None, None, None)
 
 
 def dropout_keep(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndarray,
-                 state: PTFormerState, rng):
-    """Bool keep-masks of the three feed-forward branches for one training `fuse_forward`.
-
-    One uniform per hidden unit of every row, drawn from `rng` in branch order
-    (patch-explanation, which has the patch's rows, then description, then
-    instruction); a unit is kept when its draw is >= the dropout rate.
-    NO_DROPOUT, drawing nothing, when the state has no dropout.
-    """
-    if not state.dropout_rate > 0.0:
+                 state: PTFormerState, rate: float, rng):
+    """(rate, patch-explanation mask, description mask, instruction mask) for one training
+    `fuse_forward`: one uniform per hidden unit of every row, drawn from `rng` in that branch
+    order (the patch-explanation branch has the patch's rows); a unit is kept when its
+    draw is at least `rate`. NO_DROPOUT, drawing nothing, when rate is 0."""
+    if not rate > 0.0:
         return NO_DROPOUT
     if rng is None:
         raise ValueError("dropout requires an rng during training")
-    return tuple(rng.random((len(x), block.w1.shape[1])) >= state.dropout_rate
-                 for x, block in ((pa, state.ff_pa_ex), (desc, state.ff_desc),
-                                  (inst, state.ff_inst)))
+    return (rate, *(rng.random((len(x), block.w1.shape[1])) >= rate
+                    for x, block in ((pa, state.ff_pa_ex), (desc, state.ff_desc),
+                                     (inst, state.ff_inst))))
 
 
 def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndarray,
                  state: PTFormerState, keep=NO_DROPOUT):
     """Raw-array fusion; returns (vector of length 3*dim, cache for the backward pass).
 
-    `keep` holds the branches' dropout masks from `dropout_keep` in training;
-    the default applies no dropout (evaluation).
+    `keep` holds the dropout rate and the branches' masks from `dropout_keep`
+    in training; the default applies no dropout (evaluation).
     """
-    rate = state.dropout_rate
+    rate, keep_pa_ex, keep_desc, keep_inst = keep
     ex_hat, c_sa_ex = _attention_forward(ex, state.self_attn)
     desc_hat, c_sa_desc = _attention_forward(desc, state.self_attn)
     inst_hat, c_sa_inst = _attention_forward(inst, state.self_attn)
     # A @ (v @ w1) for (A @ v) @ w1: _ff_forward's input is A, its w1 is v @ w1
     attn, k, v = _cross_weights(pa, ex_hat, state.cross_attn)
     v_w1 = v @ state.ff_pa_ex.w1
-    f_pa_ex, c_ff1 = _ff_forward(attn, replace(state.ff_pa_ex, w1=v_w1), keep[0], rate)
-    f_desc, c_ff2 = _ff_forward(desc_hat, state.ff_desc, keep[1], rate)
-    f_inst, c_ff3 = _ff_forward(inst_hat, state.ff_inst, keep[2], rate)
+    f_pa_ex, c_ff1 = _ff_forward(attn, replace(state.ff_pa_ex, w1=v_w1), keep_pa_ex, rate)
+    f_desc, c_ff2 = _ff_forward(desc_hat, state.ff_desc, keep_desc, rate)
+    f_inst, c_ff3 = _ff_forward(inst_hat, state.ff_inst, keep_inst, rate)
     vector = np.concatenate([f_pa_ex, f_desc, f_inst])
     cache = {
         "sa_ex": c_sa_ex, "sa_desc": c_sa_desc, "sa_inst": c_sa_inst,
@@ -298,13 +294,13 @@ def parameter_specs(cls, prefix: str = "") -> dict:
     """Declared shape and init of every trainable array under dataclass `cls`, in order.
 
     Keys are `prefix` plus the dotted field path, e.g. "ff_desc.w1"; nested
-    parameter dataclasses are walked, other fields (dropout_rate) are skipped.
+    parameter dataclasses are walked.
     """
     specs = {}
     for f in fields(cls):
         if is_dataclass(f.type):
             specs |= parameter_specs(f.type, f"{prefix}{f.name}.")
-        elif "shape" in f.metadata:
+        else:
             specs[prefix + f.name] = f.metadata
     return specs
 
@@ -314,15 +310,13 @@ def named_parameters(params, prefix: str = "") -> dict[str, np.ndarray]:
     return {prefix + name: attrgetter(name)(params) for name in parameter_specs(type(params))}
 
 
-def from_named_parameters(cls, arrays, prefix: str = "", **scalars):
-    """Inverse of named_parameters: a `cls` holding `arrays`; `scalars` fill the other fields."""
-    values = {f.name: from_named_parameters(f.type, arrays, f"{prefix}{f.name}.")
-              if is_dataclass(f.type) else arrays[prefix + f.name]
-              for f in fields(cls) if f.name not in scalars}
-    return cls(**values, **scalars)
+def from_named_parameters(cls, arrays, prefix: str = ""):
+    """Inverse of named_parameters: a `cls` holding `arrays`."""
+    return cls(**{f.name: from_named_parameters(f.type, arrays, f"{prefix}{f.name}.")
+                  if is_dataclass(f.type) else arrays[prefix + f.name] for f in fields(cls)})
 
 
-def init_parameters(cls, sizes: dict, rng, **scalars):
+def init_parameters(cls, sizes: dict, rng):
     """A `cls` whose arrays follow their declared init, drawn from `rng` in declaration order."""
     arrays = {}
     for name, spec in parameter_specs(cls).items():
@@ -330,7 +324,7 @@ def init_parameters(cls, sizes: dict, rng, **scalars):
         arrays[name] = np.zeros(shape) if spec["init"] == "zeros" else rng.standard_normal(shape)
         if spec["init"] == "he":
             arrays[name] *= math.sqrt(2.0 / shape[0])
-    return from_named_parameters(cls, arrays, **scalars)
+    return from_named_parameters(cls, arrays)
 
 
 def check_shapes(arrays, specs: dict, sizes: dict | None = None) -> dict:

@@ -289,7 +289,7 @@ def batch_loss_and_grads(mats, labels, state: TrainState,
 
     `mats` holds one (patch, explanation, description, instruction) tuple of
     arrays per sample, as `encode_sample` returns it. Runs the fusion forward
-    pass (with the state's dropout), the classifier head, L_BCE and L_SBCL
+    pass (with dropout at `state.hp.dropout`), the classifier head, L_BCE and L_SBCL
     blended per `state.options.loss_blend`, and the backward pass. A batch
     that cannot be mined contributes zero contrastive loss and reports
     `sbcl_skipped`. Gradients are keyed like the optimizer's parameters and
@@ -305,7 +305,7 @@ def batch_loss_and_grads(mats, labels, state: TrainState,
     if pt is None:
         fused = np.stack([_forward_sample(sample_mats, state) for sample_mats in mats])
     else:
-        keeps = [dropout_keep(*m, pt, state.rngs["dropout"]) for m in mats]
+        keeps = [dropout_keep(*m, pt, hp.dropout, state.rngs["dropout"]) for m in mats]
         vectors, caches = zip(*_in_order(pool, lambda m, keep: fuse_forward(*m, pt, keep),
                                          list(zip(mats, keeps))))
         fused = np.stack(vectors)
@@ -463,7 +463,7 @@ def load_checkpoint(path) -> TrainState:
         for name, gen in rngs.items():
             gen.bit_generator.state = saved[name]
         state = TrainState(
-            pt_former=from_named_parameters(PTFormerState, arrays, "pt.", dropout_rate=hp.dropout)
+            pt_former=from_named_parameters(PTFormerState, arrays, "pt.")
             if progress.has_ptformer else None,
             classifier=from_named_parameters(ClassifierParams, arrays, "classifier."),
             hp=hp, options=options, adam_m={}, adam_v={}, adam_t=progress.adam_t,

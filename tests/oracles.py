@@ -165,12 +165,12 @@ def serial_batch_grads(mats, labels, state):
     options, hp, pt = state.options, state.hp, state.pt_former
     vectors, caches = [], []
     for pa, ex, desc, inst in mats:
-        keep = (None, None, None)
-        if pt.dropout_rate > 0.0:
-            keep = tuple(state.rngs["dropout"].random((len(x), block.w1.shape[1]))
-                         >= pt.dropout_rate
-                         for x, block in ((pa, pt.ff_pa_ex), (desc, pt.ff_desc),
-                                          (inst, pt.ff_inst)))
+        keep = (0.0, None, None, None)
+        if hp.dropout > 0.0:
+            keep = (hp.dropout, *(state.rngs["dropout"].random((len(x), block.w1.shape[1]))
+                                  >= hp.dropout
+                                  for x, block in ((pa, pt.ff_pa_ex), (desc, pt.ff_desc),
+                                                   (inst, pt.ff_inst))))
         vector, cache = fuse_forward(pa, ex, desc, inst, pt, keep)
         vectors.append(vector)
         caches.append(cache)

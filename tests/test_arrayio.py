@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import stat
 import struct
 import sys
@@ -29,6 +30,28 @@ def test_round_trip_bit_exact(tmp_path):
     for name, arr in arrays.items():
         assert loaded[name].dtype == arr.dtype and loaded[name].shape == arr.shape
         np.testing.assert_array_equal(loaded[name], arr)
+
+
+@pytest.mark.parametrize("values", [np.array([1 + 2j]), np.array([2 ** 53 + 1], dtype=np.uint64),
+                                    np.array([True, False]), np.array([0.5], dtype=np.float16)],
+                         ids=["complex128", "uint64", "bool", "float16"])
+def test_save_arrays_refuses_a_dtype_it_does_not_store(tmp_path, values):
+    # a cast to <f8 would drop the imaginary part, round 2**53 + 1 and turn bools into floats
+    path = tmp_path / "full.bin"
+    _small_container(path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=f"array 'z' has dtype {re.escape(values.dtype.str)}"):
+        save_arrays(path, {"a": np.ones(2), "z": values})
+    assert path.read_bytes() == before and os.listdir(tmp_path) == ["full.bin"]
+
+
+def test_save_arrays_stores_an_allowed_kind_little_endian(tmp_path):
+    path = tmp_path / "big.bin"
+    values = np.array([1.5, -2.25, 1e300], dtype=">f8")
+    save_arrays(path, {"w": values})
+    loaded = load_arrays(path)[0]["w"]
+    assert loaded.dtype.str == "<f8"
+    np.testing.assert_array_equal(loaded, values)
 
 
 def test_truncation_at_every_offset_is_named(tmp_path):
@@ -216,6 +239,33 @@ def test_only_arrayio_opens_files_for_writing():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and "tempfile" in (
                     [a.name for a in node.names] + [getattr(node, "module", None)]):
                 found.append(f"{path.name}:{node.lineno} imports tempfile")
+    assert found == []
+
+
+def _text_opens_without_utf8(tree, filename):
+    """`open()`/`atomic_open()` calls in text mode that do not pass encoding="utf-8"."""
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id in ("open", "atomic_open")):
+            continue
+        keywords = {kw.arg: kw.value for kw in call.keywords}
+        if filename == "arrayio.py" and None in keywords:  # atomic_open's **open_kwargs
+            continue
+        default = "r" if call.func.id == "open" else "wb"
+        mode = call.args[1] if len(call.args) > 1 else keywords.get("mode", ast.Constant(default))
+        encoding = keywords.get("encoding")
+        if not isinstance(mode, ast.Constant):
+            yield f"{filename}:{call.lineno} opens with a computed mode"
+        elif "b" not in mode.value and not (isinstance(encoding, ast.Constant)
+                                            and encoding.value == "utf-8"):
+            yield f"{filename}:{call.lineno} opens mode {mode.value!r} without encoding='utf-8'"
+
+
+def test_every_text_open_names_utf8():
+    # the default encoding follows the locale, so a file could read differently per machine
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _text_opens_without_utf8(ast.parse(path.read_text(encoding="utf-8")), path.name)
     assert found == []
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -7,15 +8,17 @@ import numpy as np
 import pytest
 
 from secpatch.cli import load_config, main
-from secpatch.embed import save_precomputed
+from secpatch.dataset import load_dataset
+from secpatch.embed import EmbedderBackend, save_precomputed
+from secpatch.explain import ExplainerConfig
+from secpatch.train import PipelineBackends, load_checkpoint, predict
 
 from conftest import DATA_DIR
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.fixture
-def workspace(tmp_path):
+def _workspace(tmp_path):
     dataset = tmp_path / "synthetic64.jsonl"
     shutil.copy(os.path.join(DATA_DIR, "synthetic64.jsonl"), dataset)
     out = tmp_path / "out"
@@ -28,6 +31,11 @@ def workspace(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     return {"config": str(config_path), "out": out, "tmp": tmp_path}
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    return _workspace(tmp_path)
 
 
 def _run(args, capsys):
@@ -351,3 +359,133 @@ def test_readme_configs_load(tmp_path, monkeypatch):
         path = tmp_path / f"readme_{i}.json"
         path.write_text(block, encoding="utf-8")
         load_config(str(path), out=str(tmp_path / f"out_{i}"))
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A workspace whose model trained for one epoch, and the checkpoint it wrote."""
+    space = _workspace(tmp_path_factory.mktemp("trained"))
+    assert main(["--config", space["config"], "--set", "hyperparams.epochs=1", "train"]) == 0
+    return space | {"checkpoint": str(space["out"] / "checkpoints" / "epoch_0001.ckpt")}
+
+
+def _file(path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
+def _two_samples(tmp) -> str:
+    """A dataset of one sample per class: every one of them lands in the train split."""
+    with open(os.path.join(DATA_DIR, "synthetic64.jsonl"), "rb") as fh:
+        return _file(tmp / "two.jsonl", fh.readline() + fh.readline())
+
+
+# (id, argv from (test dir, config and --out flags, checkpoint), exit code, error kind, what the
+# message must hold, "{tmp}" standing for the test dir)
+ERROR_PATHS = [
+    ("config-not-json", lambda tmp, base, ckpt: ["--config", _file(tmp / "c.json", b"{"), "ingest"],
+     2, "ConfigError", "config file {tmp}/c.json is not UTF-8 JSON: Expecting"),
+    ("config-not-utf8",
+     lambda tmp, base, ckpt: ["--config", _file(tmp / "c.json", b'{"output_dir": "caf\xe9"}'),
+                              "ingest"],
+     2, "ConfigError", "config file {tmp}/c.json is not UTF-8 JSON: 'utf-8' codec can't decode"),
+    ("dataset-missing",
+     lambda tmp, base, ckpt: [*base, "--set", f"dataset.path={tmp}/absent.jsonl", "ingest"],
+     2, "ConfigError", "path not found: {tmp}/absent.jsonl"),
+    ("dataset-not-utf8",
+     lambda tmp, base, ckpt: [*base, "--set", "dataset.path=" + _file(
+         tmp / "d.jsonl", b'{"id": "caf\xe9", "diff": "x", "label": "security"}\n'), "ingest"],
+     1, "SchemaError", "record 0: byte 0xe9 is not UTF-8"),
+    ("precomputed-missing",
+     lambda tmp, base, ckpt: [*base, "--set", "embedder.kind=precomputed_file",
+                              "--set", f"embedder.patch_path={tmp}/absent.arr", "train"],
+     2, "ConfigError", "patch_path must point to an existing file"),
+    ("set-without-equals", lambda tmp, base, ckpt: [*base, "--set", "hyperparams.seed", "ingest"],
+     2, "ConfigError", "--set expects key=value, got 'hyperparams.seed'"),
+    ("set-through-non-object",
+     lambda tmp, base, ckpt: [*base, "--set", "hyperparams.seed.x=1", "ingest"],
+     2, "ConfigError", "cannot set hyperparams.seed.x: seed is not an object"),
+    ("output-dir-under-a-file",
+     lambda tmp, base, ckpt: [*base, "--out", _file(tmp / "f", b"") + "/out", "ingest"],
+     2, "ConfigError", "cannot create output_dir {tmp}/f/out"),
+    ("empty-eval-split",
+     lambda tmp, base, ckpt: [*base, "--set", f"dataset.path={_two_samples(tmp)}", "eval",
+                              "--checkpoint", ckpt, "--split", "test"],
+     2, "ConfigError", "evaluation split 'test' is empty"),
+    ("checkpoint-missing",
+     lambda tmp, base, ckpt: [*base, "eval", "--checkpoint", f"{tmp}/absent.ckpt"],
+     3, "MissingArtifact", "missing checkpoint: {tmp}/absent.ckpt"),
+    ("diff-missing",
+     lambda tmp, base, ckpt: [*base, "predict", "--checkpoint", ckpt, "--diff", f"{tmp}/a.diff"],
+     3, "MissingArtifact", "missing diff file: {tmp}/a.diff"),
+    ("diff-not-utf8",
+     lambda tmp, base, ckpt: [*base, "predict", "--checkpoint", ckpt, "--diff",
+                              _file(tmp / "p.diff", b"@@ -1 +1 @@\n-a\n+caf\xe9\n")],
+     2, "ConfigError", "diff file {tmp}/p.diff is not UTF-8"),
+    ("diff-empty",
+     lambda tmp, base, ckpt: [*base, "predict", "--checkpoint", ckpt, "--diff",
+                              _file(tmp / "p.diff", b"")],
+     2, "ConfigError", "diff file {tmp}/p.diff is empty"),
+    ("id-unknown",
+     lambda tmp, base, ckpt: [*base, "predict", "--checkpoint", ckpt, "--id", "syn-9999"],
+     2, "ConfigError", "sample id not found in dataset: 'syn-9999'"),
+]
+
+
+@pytest.mark.parametrize("argv, code, kind, message", [case[1:] for case in ERROR_PATHS],
+                         ids=[case[0] for case in ERROR_PATHS])
+def test_error_paths_exit_with_a_named_error(trained, tmp_path, capsys, argv, code, kind, message):
+    base = ["--config", trained["config"], "--out", str(tmp_path / "out")]
+    result = _run(argv(tmp_path, base, trained["checkpoint"]), capsys)
+    record = json.loads(result[2])
+    assert (result[0], record["error"]) == (code, kind), record
+    assert message.format(tmp=tmp_path) in record["message"]
+    assert not (tmp_path / "out").exists() or os.listdir(tmp_path / "out") == []
+
+
+def test_explain_keeps_provided_explanations_and_names_failed_samples(workspace, capsys,
+                                                                     monkeypatch):
+    def refused(url, payload, headers, timeout):  # stands in for the network
+        raise ConnectionRefusedError("refused")
+
+    # the package's `explain` attribute is the function, so the module is fetched by name
+    monkeypatch.setattr(importlib.import_module("secpatch.explain"), "_default_transport", refused)
+    lines = (workspace["tmp"] / "synthetic64.jsonl").read_text(encoding="utf-8").splitlines()[:3]
+    records = [json.loads(line) for line in lines]
+    records[1]["explanation"] = "a provided summary"
+    dataset = workspace["tmp"] / "three.jsonl"
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    code, stdout, _ = _run(["--config", workspace["config"], "--set", f"dataset.path={dataset}",
+                            "--set", "explainer.backend=external_service",
+                            "--set", "explainer.endpoint=http://localhost:9/v1",
+                            "--set", "explainer.max_retries=1", "explain"], capsys)
+    assert code == 0
+    summary = json.loads(stdout)
+    assert (summary["provided"], summary["generated"], summary["cache_hits"]) == (1, 0, 0)
+    assert summary["failures"] == [records[0]["id"], records[2]["id"]]
+    augmented = load_dataset(summary["augmented_path"])
+    assert [s.explanation for s in augmented] == [None, "a provided summary", None]
+
+
+def test_precomputed_embeddings_train_and_evaluate(workspace, capsys):
+    # the CLI trains on and scores with rows from precomputed files, as the library does
+    samples = load_dataset(workspace["tmp"] / "synthetic64.jsonl")
+    rng = np.random.default_rng(3)
+    path = workspace["tmp"] / "embeddings.arr"
+    save_precomputed(path, {f"{s.id}/{modality}": rng.standard_normal((3, 16)) for s in samples
+                            for modality in ("patch", "explanation", "description",
+                                             "instruction")}, dim=16)
+    flags = ["--config", workspace["config"], "--set", "embedder.kind=precomputed_file",
+             "--set", f"embedder.patch_path={path}", "--set", f"embedder.text_path={path}"]
+    assert _run([*flags, "train"], capsys)[0] == 0
+    code, stdout, stderr = _run([*flags, "eval", "--split", "train"], capsys)
+    assert code == 0, stderr
+    assert json.loads(stdout)["n"] == 51
+    checkpoint = json.loads(stdout)["checkpoint"]  # the one best.json names
+    code, stdout, stderr = _run([*flags, "predict", "--id", samples[0].id], capsys)
+    assert code == 0, stderr
+    backend = EmbedderBackend.precomputed_file(path)
+    explainer = ExplainerConfig(cache_dir=str(workspace["out"] / "explain_cache"))
+    expected = predict(samples[:1], load_checkpoint(checkpoint),
+                       PipelineBackends(backend, backend, explainer))[0][0]
+    assert json.loads(stdout)["probability"] == expected

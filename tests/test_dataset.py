@@ -90,6 +90,22 @@ def test_records_of_the_wrong_type_name_index_and_field(tmp_path, line, field):
     assert (err.value.index, err.value.field) == (1, field)
 
 
+@pytest.mark.parametrize("bad", [300, 301], ids=["past-the-first-8kb", "last"])
+def test_a_byte_that_is_not_utf8_names_its_record(tmp_path, bad):
+    # blank lines do not count, and a Latin-1 "é" far past the decoder's first chunk still
+    # blames the record that holds it
+    lines = [json.dumps(_record(i, message="fix " * 10)).encode("utf-8") for i in range(302)]
+    lines[bad] = lines[bad].replace(b"fix", b"caf\xe9", 1)
+    path = tmp_path / "ds.jsonl"
+    path.write_bytes(b"\n\n".join(lines[:150]) + b"\n \r\n" + b"\r\n".join(lines[150:]) + b"\n")
+    with pytest.raises(SchemaError, match=f"record {bad}: byte 0xe9 is not UTF-8") as err:
+        load_dataset(path)
+    assert (err.value.index, err.value.field) == (bad, "record")
+    lines[bad] = json.dumps(_record(bad)).encode("utf-8")
+    path.write_bytes(b"\r\n".join(lines))  # the same layout in UTF-8 loads
+    assert [s.id for s in load_dataset(path)] == [f"r{i}" for i in range(302)]
+
+
 def test_integer_id_loads_as_its_decimal_string(tmp_path):
     path = tmp_path / "ds.jsonl"
     _write_jsonl(path, [_record(0) | {"id": 7}, _record(1) | {"id": "7x"}])

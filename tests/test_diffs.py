@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,3 +144,51 @@ def test_parse_raises_only_malformed_diff(text):
         parse_unified_diff(text)
     except ValueError:  # MalformedDiff is a ValueError
         pass
+
+
+def _random_hunk(rng: random.Random):
+    """(header, body lines, expected (tag, text) lines, header agrees with body) of one hunk.
+
+    A non-empty body ends in a change line, so a body the header undercounts leaves that line
+    outside any hunk; texts hold no "+" or "-", so no leftover line reads as a file header.
+    """
+    body, expected = [], []
+    for i in range(rng.randrange(6)):
+        if rng.random() < 0.1:
+            body.append("\\ No newline at end of file")
+        tag = rng.choice("+-") if i == 0 else rng.choice(" +-")  # built last line first
+        text = "".join(rng.choice("ab c_{};") for _ in range(rng.randrange(5)))
+        if tag == " " and rng.random() < 0.2:
+            body.append("")  # a blank context line stripped of its space
+            expected.append((LineTag.CONTEXT, ""))
+        else:
+            body.append(tag + text)
+            expected.append(({" ": LineTag.CONTEXT, "+": LineTag.ADDED,
+                              "-": LineTag.REMOVED}[tag], text))
+    body.reverse()
+    expected.reverse()
+    context = sum(1 for tag, _ in expected if tag is LineTag.CONTEXT)
+    added = sum(1 for tag, _ in expected if tag is LineTag.ADDED)
+    removed = sum(1 for tag, _ in expected if tag is LineTag.REMOVED)
+    old, new = context + removed, context + added
+    if rng.random() < 0.5:
+        old, new = max(0, old + rng.randint(-2, 2)), max(0, new + rng.randint(-2, 2))
+    header = f"@@ -{rng.randrange(1, 90)},{old} +{rng.randrange(1, 90)},{new} @@"
+    return header, body, expected, (old, new) == (context + removed, context + added)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parser_accepts_exactly_the_hunks_whose_counts_match_their_header(seed):
+    # the oracle counts each body itself: context + removed against the header's old count,
+    # context + added against its new count; the text has no trailing newline, so the body
+    # is every line up to the next header or the end
+    rng = random.Random(seed)
+    for _ in range(500):
+        hunks = [_random_hunk(rng) for _ in range(rng.randint(1, 3))]
+        text = "\n".join(line for header, body, _, _ in hunks for line in (header, *body))
+        if all(agrees for *_, agrees in hunks):
+            parsed = parse_unified_diff(text)
+            assert [list(h.lines) for h in parsed.hunks] == [e for _, _, e, _ in hunks], text
+        else:
+            with pytest.raises(MalformedDiff):
+                parse_unified_diff(text)

@@ -40,7 +40,7 @@ def test_init_deterministic(hp8):
 def test_named_parameters_round_trip(state8):
     named = named_parameters(state8)
     assert list(named) == list(parameter_specs(type(state8)))
-    rebuilt = from_named_parameters(type(state8), named, dropout_rate=state8.dropout_rate)
+    rebuilt = from_named_parameters(type(state8), named)
     assert all(arr is named[name] for name, arr in named_parameters(rebuilt).items())
     assert list(named_parameters(state8, "pt.")) == [f"pt.{name}" for name in named]
 
@@ -262,16 +262,16 @@ def test_fuse_training_with_dropout_needs_rng(hp8):
     state = init_pt_former(dataclasses.replace(hp8, dropout=0.5), rng_seed=0)
     raw = _inputs(np.random.default_rng(12))
     with pytest.raises(ValueError, match="rng"):
-        dropout_keep(*raw, state, None)
-    out, _ = fuse_forward(*raw, state, dropout_keep(*raw, state, np.random.default_rng(3)))
+        dropout_keep(*raw, state, 0.5, None)
+    out, _ = fuse_forward(*raw, state, dropout_keep(*raw, state, 0.5, np.random.default_rng(3)))
     assert np.all(np.isfinite(out))
 
 
-def _rowwise_fused(raw, state, rng=None):
+def _rowwise_fused(raw, state, rate=0.0, rng=None):
     """Fused vector from the loop attention oracle and the row-wise feed-forward oracle.
 
-    With an rng, each branch draws its dropout mask in branch order, one
-    uniform per hidden unit of every row, as training does.
+    With an rng, each branch draws its dropout mask at `rate` in branch order,
+    one uniform per hidden unit of every row, as training does.
     """
     pa, ex, desc, inst = raw
     sa, ca = state.self_attn, state.cross_attn
@@ -282,8 +282,8 @@ def _rowwise_fused(raw, state, rng=None):
     for x, block in ((pa_ex, state.ff_pa_ex), (desc_hat, state.ff_desc), (inst_hat, state.ff_inst)):
         mask = None
         if rng is not None:
-            keep = rng.random((len(x), block.w1.shape[1])) >= state.dropout_rate
-            mask = keep / (1.0 - state.dropout_rate)
+            keep = rng.random((len(x), block.w1.shape[1])) >= rate
+            mask = keep / (1.0 - rate)
         parts.append(rowwise_feed_forward(x, block.w1, block.b1, block.w2, block.b2, mask))
     return np.concatenate(parts)
 
@@ -300,9 +300,9 @@ def test_fuse_forward_matches_rowwise_oracle(training, dim, heads, rows):
         block.b2[:] = np.linspace(1.0, -1.0, block.b2.shape[0])
     raw = _inputs(np.random.default_rng(dim), dim, rows)
     rng, oracle_rng = (np.random.default_rng(5), np.random.default_rng(5)) if training else (None, None)
-    keep = dropout_keep(*raw, state, rng) if training else NO_DROPOUT
+    keep = dropout_keep(*raw, state, hp.dropout, rng) if training else NO_DROPOUT
     vector, _ = fuse_forward(*raw, state, keep)
-    np.testing.assert_allclose(vector, _rowwise_fused(raw, state, oracle_rng),
+    np.testing.assert_allclose(vector, _rowwise_fused(raw, state, hp.dropout, oracle_rng),
                                rtol=1e-10, atol=1e-12)
 
 
@@ -347,7 +347,7 @@ def test_fuse_backward_matches_finite_differences_with_dropout(hp8):
     probe = rng.standard_normal(24)
 
     def forward():
-        return fuse_forward(*raw, state, dropout_keep(*raw, state, np.random.default_rng(7)))
+        return fuse_forward(*raw, state, dropout_keep(*raw, state, 0.5, np.random.default_rng(7)))
 
     vec, cache = forward()
     # the patch branch's mask acts on its (patch rows, hidden) units

@@ -473,6 +473,20 @@ def test_train_deterministic_and_checkpoints_identical(small_hp, tmp_path):
         assert (ckpt_a / name).read_bytes() == (ckpt_b / name).read_bytes(), name
 
 
+def test_train_without_validation_logs_null_metrics(small_hp, offline_backends, tmp_path):
+    # no validation split: val_AUC and val_F1 are null, and best.json scores epochs by -L
+    split = dataclasses.replace(_tiny_split(small_hp), validation=())
+    hp = dataclasses.replace(small_hp, epochs=3)
+    ckpt, log = tmp_path / "ckpt", tmp_path / "log.jsonl"
+    _, records = train(split, hp, offline_backends, checkpoint_dir=str(ckpt), run_log_path=str(log))
+    logged = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    assert logged == records and len(records) == 3
+    assert all(r["val_AUC"] is None and r["val_F1"] is None for r in records)
+    best = max(records, key=lambda r: -r["L"])
+    pointer = json.loads((ckpt / "best.json").read_text(encoding="utf-8"))
+    assert (pointer["epoch"], pointer["score"]) == (best["epoch"], -best["L"])
+
+
 _BLAS_RUN = """
 import dataclasses, os, sys
 if sys.argv[2] == "one-core":  # before secpatch counts the cores it may use
