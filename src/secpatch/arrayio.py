@@ -1,5 +1,5 @@
-"""The one crash-safe writer for every artifact, and the versioned binary container
-(named arrays plus a JSON meta block) for checkpoints and precomputed embeddings.
+"""The one crash-safe writer and the one JSON parser for every artifact, and the versioned
+binary container (named arrays plus a JSON meta block) for checkpoints and precomputed embeddings.
 
 The container is fixed-endian and carries no timestamps, so identical content
 always produces identical bytes.
@@ -49,6 +49,15 @@ def atomic_open(path, mode: str = "wb", **open_kwargs):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def json_value(data: bytes | str):
+    """The JSON value in `data`, bytes decoding as strict UTF-8; every failure, be it bad UTF-8,
+    bad JSON, an integer past the digit limit or too deep a nesting, raises a ValueError."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply: {exc}") from exc
 
 
 def write_json(path, record) -> None:
@@ -115,7 +124,7 @@ def load_arrays(path) -> tuple[dict, dict]:
                 raise ValueError(f"bad magic {magic!r}")
             if (version := unpack("<I")) != VERSION:
                 raise ValueError(f"unsupported version {version}")
-            meta = json.loads(read(unpack("<I")).decode("utf-8"))
+            meta = json_value(read(unpack("<I")))
             if not isinstance(meta, dict):
                 raise ValueError(f"meta is a JSON {type(meta).__name__}, not an object")
             arrays = {}
@@ -133,6 +142,6 @@ def load_arrays(path) -> tuple[dict, dict]:
                 raise CorruptContainer(path, end, f"{size - end} bytes after the last array")
         except CorruptContainer:
             raise
-        except (ValueError, RecursionError) as exc:  # decode and JSON errors are ValueErrors
+        except ValueError as exc:  # decode and JSON errors are ValueErrors
             raise CorruptContainer(path, start, str(exc)) from exc
         return arrays, meta

@@ -7,7 +7,7 @@ import os
 import sys
 from typing import Literal, get_args
 
-from .arrayio import write_json
+from .arrayio import json_value, write_json
 from .dataset import check_ratios, class_counts, load_dataset, save_dataset, split_dataset
 from .embed import EmbedderBackend
 from .experiments import ABLATION_FLAGS, AblationFlag, run_ablation
@@ -41,7 +41,7 @@ class DatasetConfig:
 
     def __post_init__(self):
         check_ratios(self.ratios)
-        if not os.path.exists(self.path):
+        if not os.path.isfile(self.path):
             raise ValueError(f"path not found: {self.path}")
 
 
@@ -53,7 +53,7 @@ class EmbedderConfig:
 
     def __post_init__(self):
         for key in ("patch_path", "text_path"):
-            if self.kind == "precomputed_file" and not os.path.exists(getattr(self, key) or ""):
+            if self.kind == "precomputed_file" and not os.path.isfile(getattr(self, key) or ""):
                 raise ValueError(f"{key} must point to an existing file")
 
 
@@ -107,12 +107,12 @@ def _parsed(cls, record, section: str = ""):
 def load_config(path: str, seed: int | None = None, out: str | None = None,
                 overrides: list[str] | None = None) -> RunConfig:
     """Parse and validate the JSON run configuration; flags win over file values."""
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except ValueError as exc:  # not UTF-8, or not JSON
+        with open(path, "rb") as fh:
+            raw = json_value(fh.read())
+    except ValueError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be an object, got {raw!r}")
@@ -123,8 +123,8 @@ def load_config(path: str, seed: int | None = None, out: str | None = None,
         if not sep:
             raise ConfigError(f"--set expects key=value, got {setting!r}")
         try:
-            settings.append((key, json.loads(text)))
-        except json.JSONDecodeError:
+            settings.append((key, json_value(text)))
+        except ValueError:  # a value that is not JSON is a string
             settings.append((key, text))
     settings += [("output_dir", out)] if out is not None else []
     settings += [("hyperparams.seed", seed)] if seed is not None else []
@@ -185,10 +185,10 @@ def _load_state(cfg: RunConfig, args):
     path = args.checkpoint or cfg.checkpoint
     if path is None:
         pointer_path = os.path.join(cfg.output_dir, "checkpoints", BEST_POINTER)
-        if not os.path.exists(pointer_path):
+        if not os.path.isfile(pointer_path):
             raise MissingArtifact(pointer_path, "checkpoint pointer")
         path = os.path.join(os.path.dirname(pointer_path), read_best_pointer(pointer_path)["path"])
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise MissingArtifact(path, "checkpoint")
     return path, load_checkpoint(path)
 
@@ -275,7 +275,7 @@ def cmd_predict(cfg: RunConfig, args) -> dict:
         raise ConfigError("predict needs exactly one of --diff or --id")
     _, state = _load_state(cfg, args)
     if diff_path is not None:
-        if not os.path.exists(diff_path):
+        if not os.path.isfile(diff_path):
             raise MissingArtifact(diff_path, "diff file")
         try:
             with open(diff_path, encoding="utf-8") as fh:

@@ -6,7 +6,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .arrayio import atomic_open
+from .arrayio import atomic_open, json_value
 from .seeding import substream
 from .types import Label, PatchSample
 
@@ -74,8 +74,8 @@ def load_dataset(path) -> list[PatchSample]:
                 raise SchemaError(index, "record", f"record {index}: byte "
                                   f"0x{ord(line[exc.start]) - 0xDC00:02x} is not UTF-8") from exc
             try:
-                record = json.loads(line)
-            except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+                record = json_value(line)
+            except ValueError as exc:
                 raise SchemaError(index, "record", f"record {index}: invalid JSON ({exc})") from exc
             if not isinstance(record, dict):
                 raise SchemaError(index, "record",

@@ -9,7 +9,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 
-from .arrayio import atomic_open
+from .arrayio import atomic_open, json_value
 from .diffs import LineTag, MalformedDiff, parse_unified_diff
 from .types import PatchSample
 
@@ -189,7 +189,7 @@ def _call_service(prompt: str, cfg: ExplainerConfig, transport, sleep) -> str:
     for attempt in range(1, cfg.max_retries + 1):
         try:
             raw = send(cfg.endpoint, payload, headers, cfg.timeout)
-            text = json.loads(raw.decode("utf-8"))["choices"][0]["message"]["content"]
+            text = json_value(raw)["choices"][0]["message"]["content"]
         except OSError as exc:  # URLError, HTTPError and timeouts
             transient = not isinstance(exc, urllib.error.HTTPError) or exc.code >= 500 \
                 or exc.code in (408, 429)

@@ -426,7 +426,8 @@ def load_checkpoint(path) -> TrainState:
 
     Raises InvalidCheckpoint for a version other than the int
     CHECKPOINT_VERSION, naming the first missing meta key, array or rng
-    stream, the first counter that is not an int (`has_ptformer`: a bool,
+    stream, the first rng stream whose state the generator does not take
+    as stored, the first counter that is not an int (`has_ptformer`: a bool,
     equal to `options.use_ptformer`), the first array whose shape disagrees
     with the stored hyperparameters and options (dim, num_heads, ff_hidden, a
     3 * dim classifier) or, for an AdamW moment, with its parameter, and the
@@ -461,7 +462,14 @@ def load_checkpoint(path) -> TrainState:
         saved = _Entries(meta["rng"], path, "rng stream")
         rngs = {name: np.random.default_rng(0) for name in RNG_STREAMS}
         for name, gen in rngs.items():
-            gen.bit_generator.state = saved[name]
+            stored = saved[name]
+            try:  # the setter casts what it can, so a state that casts must read back as stored
+                gen.bit_generator.state = stored
+                if gen.bit_generator.state != stored:
+                    raise ValueError(f"reads back as {gen.bit_generator.state}")
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
+                raise InvalidCheckpoint(path, f"rng.{name} is not a generator state: "
+                                              f"{exc!r}") from exc
         state = TrainState(
             pt_former=from_named_parameters(PTFormerState, arrays, "pt.")
             if progress.has_ptformer else None,
@@ -605,16 +613,17 @@ def read_best_pointer(pointer_path) -> dict:
     pointer), or its `score` is not a finite number.
     """
     try:
-        with open(pointer_path, encoding="utf-8") as fh:
-            pointer = json.load(fh)
-    except ValueError as exc:  # not UTF-8, or not JSON
+        with open(pointer_path, "rb") as fh:
+            pointer = arrayio.json_value(fh.read())
+    except ValueError as exc:
         raise InvalidCheckpoint(pointer_path, f"pointer is not JSON: {exc}") from exc
     name = pointer.get("path") if isinstance(pointer, dict) else None
     if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
         raise InvalidCheckpoint(pointer_path, "pointer 'path' must be a file name in the same "
                                               f"directory, got {pointer!r}")
     score = pointer.get("score")
-    if isinstance(score, bool) or not isinstance(score, (int, float)) or not math.isfinite(score):
+    if isinstance(score, bool) or not isinstance(score, (int, float)) \
+            or not -math.inf < score < math.inf:  # math.isfinite overflows on a huge int
         raise InvalidCheckpoint(pointer_path, f"pointer 'score' must be a finite number, "
                                               f"got {score!r}")
     return pointer

@@ -1,6 +1,6 @@
 """Shared domain types: samples, embeddings, hyperparameters, the strict config loader."""
 
-import math
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from types import UnionType
@@ -135,8 +135,9 @@ def config_from_dict(cls, record, section: str = ""):
 
     Rejects a non-object, unknown keys, missing required keys and any value not
     of its field's annotated type: a bool is not an int, an int passes as a
-    float, a float must be finite (JSON's NaN and Infinity are refused), a JSON
-    list becomes a tuple and a dataclass-typed field recurses.
+    float, a float must be finite (JSON's NaN and Infinity, and an int too large
+    for a float, are refused), a JSON list becomes a tuple and a dataclass-typed
+    field recurses.
     """
     where, prefix = section or "config", f"{section}." if section else ""
     if not isinstance(record, dict):
@@ -170,7 +171,7 @@ def _typed(tp, value, key: str):
         if isinstance(value, str) and value in args:
             return value
     elif origin is None and (type(value) is tp or (tp is float and type(value) is int)):
-        if tp is not float or math.isfinite(value):
+        if tp is not float or abs(value) <= sys.float_info.max:  # NaN compares False
             return value
         raise ValueError(f"{key} must be finite, got {value!r}")
     name = tp.__name__ if origin is None else str(tp).replace("typing.Literal", "one of ")

@@ -106,6 +106,16 @@ def test_deeply_nested_meta_is_named(tmp_path):
     assert info.value.offset == len(arrayio.MAGIC) + 8
 
 
+def test_unsupported_version_is_named(tmp_path):
+    path = tmp_path / "v2.bin"
+    save_arrays(path, {"alpha": np.arange(3, dtype="<i4")})
+    data = path.read_bytes()
+    path.write_bytes(arrayio.MAGIC + struct.pack("<I", 2) + data[len(arrayio.MAGIC) + 4:])
+    with pytest.raises(CorruptContainer, match=re.escape(
+            f"{path}: corrupt array container at byte offset 8: unsupported version 2")):
+        load_arrays(path)
+
+
 def test_repeated_array_name_is_named_at_its_second_occurrence(tmp_path):
     def entry(name: bytes, value: float) -> bytes:  # one (1,) <f8 array, laid out as save_arrays
         return (struct.pack("<H", len(name)) + name + struct.pack("<B", 3) + b"<f8"
@@ -239,6 +249,35 @@ def test_only_arrayio_opens_files_for_writing():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and "tempfile" in (
                     [a.name for a in node.names] + [getattr(node, "module", None)]):
                 found.append(f"{path.name}:{node.lineno} imports tempfile")
+    assert found == []
+
+
+_JSON_PARSERS = {"load", "loads", "JSONDecoder", "JSONDecodeError"}
+
+
+def _json_parse_sites(node, func=None):
+    """(enclosing function, line, name) for each use in `node` of json's parsers, of
+    JSONDecodeError or of RecursionError."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+                and child.value.id == "json" and child.attr in _JSON_PARSERS):
+            yield func, child.lineno, f"json.{child.attr}"
+        elif isinstance(child, ast.Name) and child.id in ("JSONDecodeError", "RecursionError"):
+            yield func, child.lineno, child.id
+        elif isinstance(child, ast.ImportFrom) and child.module == "json":
+            yield from ((func, child.lineno, f"json.{alias.name}") for alias in child.names
+                        if alias.name in _JSON_PARSERS)
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _json_parse_sites(child, inner)
+
+
+def test_only_json_value_parses_json():
+    # one owner for "bytes or text -> a JSON value, or a ValueError"; json.dumps is free
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for func, line, name in _json_parse_sites(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.name, func) != ("arrayio.py", "json_value"):
+                found.append(f"{path.name}:{line} {func}() uses {name}")
     assert found == []
 
 

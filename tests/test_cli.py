@@ -380,6 +380,20 @@ def _two_samples(tmp) -> str:
         return _file(tmp / "two.jsonl", fh.readline() + fh.readline())
 
 
+DEEP = b"[" * 100_000 + b"]" * 100_000  # nested past the interpreter's recursion limit
+
+
+def _pointer(tmp, data: bytes | None) -> list[str]:
+    """--out flags for a run dir whose checkpoints/best.json holds `data`, or is a directory."""
+    pointer = tmp / "run" / "checkpoints" / "best.json"
+    pointer.parent.mkdir(parents=True)
+    if data is None:
+        pointer.mkdir()
+    else:
+        pointer.write_bytes(data)
+    return ["--out", str(tmp / "run")]
+
+
 # (id, argv from (test dir, config and --out flags, checkpoint), exit code, error kind, what the
 # message must hold, "{tmp}" standing for the test dir)
 ERROR_PATHS = [
@@ -389,6 +403,21 @@ ERROR_PATHS = [
      lambda tmp, base, ckpt: ["--config", _file(tmp / "c.json", b'{"output_dir": "caf\xe9"}'),
                               "ingest"],
      2, "ConfigError", "config file {tmp}/c.json is not UTF-8 JSON: 'utf-8' codec can't decode"),
+    ("config-nested-too-deep",
+     lambda tmp, base, ckpt: ["--config", _file(tmp / "c.json", DEEP), "ingest"],
+     2, "ConfigError", "config file {tmp}/c.json is not UTF-8 JSON: JSON nested too deeply"),
+    ("config-a-directory", lambda tmp, base, ckpt: ["--config", str(tmp), "ingest"],
+     2, "ConfigError", "config file not found: {tmp}"),
+    ("set-nested-too-deep",
+     lambda tmp, base, ckpt: [*base, "--set", "hyperparams.seed=" + DEEP.decode(), "ingest"],
+     2, "ConfigError", "hyperparams.seed must be int, got '[[["),
+    ("dataset-a-directory", lambda tmp, base, ckpt: [*base, "--set", f"dataset.path={tmp}",
+                                                     "ingest"],
+     2, "ConfigError", "path not found: {tmp}"),
+    ("dataset-nested-too-deep",
+     lambda tmp, base, ckpt: [*base, "--set", "dataset.path=" + _file(
+         tmp / "d.jsonl", b'{"id": ' + DEEP + b"}\n"), "ingest"],
+     1, "SchemaError", "record 0: invalid JSON (JSON nested too deeply"),
     ("dataset-missing",
      lambda tmp, base, ckpt: [*base, "--set", f"dataset.path={tmp}/absent.jsonl", "ingest"],
      2, "ConfigError", "path not found: {tmp}/absent.jsonl"),
@@ -400,6 +429,17 @@ ERROR_PATHS = [
      lambda tmp, base, ckpt: [*base, "--set", "embedder.kind=precomputed_file",
                               "--set", f"embedder.patch_path={tmp}/absent.arr", "train"],
      2, "ConfigError", "patch_path must point to an existing file"),
+    ("precomputed-a-directory",
+     lambda tmp, base, ckpt: [*base, "--set", "embedder.kind=precomputed_file",
+                              "--set", f"embedder.patch_path={tmp}",
+                              "--set", f"embedder.text_path={tmp}", "train"],
+     2, "ConfigError", "patch_path must point to an existing file"),
+    ("set-int-past-float-range",
+     lambda tmp, base, ckpt: [*base, "--set", "hyperparams.learning_rate=1" + "0" * 400, "ingest"],
+     2, "ConfigError", "hyperparams.learning_rate must be finite"),
+    ("set-int-past-digit-limit",  # where the interpreter has a digit limit, the text is a string
+     lambda tmp, base, ckpt: [*base, "--set", "eval_split=" + "1" * 5000, "ingest"],
+     2, "ConfigError", "eval_split must be one of "),
     ("set-without-equals", lambda tmp, base, ckpt: [*base, "--set", "hyperparams.seed", "ingest"],
      2, "ConfigError", "--set expects key=value, got 'hyperparams.seed'"),
     ("set-through-non-object",
@@ -415,6 +455,17 @@ ERROR_PATHS = [
     ("checkpoint-missing",
      lambda tmp, base, ckpt: [*base, "eval", "--checkpoint", f"{tmp}/absent.ckpt"],
      3, "MissingArtifact", "missing checkpoint: {tmp}/absent.ckpt"),
+    ("checkpoint-a-directory",
+     lambda tmp, base, ckpt: [*base, "eval", "--checkpoint", str(tmp)],
+     3, "MissingArtifact", "missing checkpoint: {tmp}"),
+    ("pointer-a-directory", lambda tmp, base, ckpt: [*base, *_pointer(tmp, None), "eval"],
+     3, "MissingArtifact", "missing checkpoint pointer: {tmp}/run/checkpoints/best.json"),
+    ("pointer-nested-too-deep", lambda tmp, base, ckpt: [*base, *_pointer(tmp, DEEP), "eval"],
+     1, "InvalidCheckpoint", "best.json: invalid checkpoint: pointer is not JSON: JSON nested "
+                             "too deeply"),
+    ("diff-a-directory",
+     lambda tmp, base, ckpt: [*base, "predict", "--checkpoint", ckpt, "--diff", str(tmp)],
+     3, "MissingArtifact", "missing diff file: {tmp}"),
     ("diff-missing",
      lambda tmp, base, ckpt: [*base, "predict", "--checkpoint", ckpt, "--diff", f"{tmp}/a.diff"],
      3, "MissingArtifact", "missing diff file: {tmp}/a.diff"),
@@ -465,6 +516,23 @@ def test_explain_keeps_provided_explanations_and_names_failed_samples(workspace,
     assert summary["failures"] == [records[0]["id"], records[2]["id"]]
     augmented = load_dataset(summary["augmented_path"])
     assert [s.explanation for s in augmented] == [None, "a provided summary", None]
+
+
+def test_explain_counts_a_reply_nested_too_deep_as_a_failure(workspace, capsys, monkeypatch):
+    def deep(url, payload, headers, timeout):  # stands in for the network
+        return b'{"choices": ' + DEEP + b"}"
+
+    monkeypatch.setattr(importlib.import_module("secpatch.explain"), "_default_transport", deep)
+    lines = (workspace["tmp"] / "synthetic64.jsonl").read_bytes().splitlines(keepends=True)
+    dataset = workspace["tmp"] / "two.jsonl"
+    dataset.write_bytes(b"".join(lines[:2]))
+    code, stdout, stderr = _run(["--config", workspace["config"],
+                                 "--set", f"dataset.path={dataset}",
+                                 "--set", "explainer.backend=external_service",
+                                 "--set", "explainer.endpoint=http://localhost:9/v1", "explain"],
+                                capsys)
+    assert code == 0, stderr
+    assert json.loads(stdout)["failures"] == [json.loads(line)["id"] for line in lines[:2]]
 
 
 def test_precomputed_embeddings_train_and_evaluate(workspace, capsys):

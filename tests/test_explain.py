@@ -90,6 +90,19 @@ def test_cache_corruption_detected(tmp_path):
         explain(sample, cfg)
 
 
+@pytest.mark.parametrize("entry", [b"a summary\nsha256=", b"a summary\n"],
+                         ids=["no-trailing-newline", "no-trailer-line"])
+def test_short_cache_entry_is_corrupt(tmp_path, entry):
+    cfg = ExplainerConfig(cache_dir=str(tmp_path / "cache"))
+    sample = make_sample(1, Label.SECURITY)
+    explain(sample, cfg)
+    (name,) = os.listdir(cfg.cache_dir)
+    with open(os.path.join(cfg.cache_dir, name), "wb") as fh:
+        fh.write(entry)
+    with pytest.raises(CacheCorrupt, match=name):
+        explain(sample, cfg)
+
+
 def test_external_backend_uses_cache_without_network(tmp_path):
     calls = []
 

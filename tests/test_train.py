@@ -22,8 +22,8 @@ from secpatch import (ClassifierParams, DivergenceDetected, EmbedderBackend, Exp
                       FusedEmbedding, Label, LengthMismatch, PipelineBackends, TrainOptions,
                       bce_loss, compute_metrics, default_hyperparams, encode_sample,
                       fused_embeddings, hashed_backends, head_probability, init_train_state,
-                      load_checkpoint, make_synthetic_samples, predict, save_checkpoint,
-                      split_dataset, train)
+                      load_checkpoint, load_dataset, make_synthetic_samples, predict,
+                      save_checkpoint, save_precomputed, split_dataset, train)
 from secpatch.arrayio import load_arrays, save_arrays
 from secpatch.train import (ADAM_EPS, InvalidCheckpoint, _compose_batches, _fusion_pool,
                             _train_batch, _validation_metrics, adamw_step, batch_loss_and_grads,
@@ -768,11 +768,19 @@ def test_checkpoint_written_by_an_earlier_version_loads(tmp_path):
     (lambda arrays, meta: meta.pop("version"), "missing meta key 'version'"),
     (lambda arrays, meta: meta.update(has_ptformer=False),
      "meta.has_ptformer False contradicts options.use_ptformer True"),
+    (lambda arrays, meta: meta["rng"]["batching"].pop("has_uint32"),
+     "rng.batching is not a generator state: KeyError('has_uint32')"),
+    (lambda arrays, meta: meta["rng"]["dropout"]["state"].update(state=-1),
+     "rng.dropout is not a generator state: OverflowError("),
+    (lambda arrays, meta: meta["rng"]["mining"]["state"].update(state=1.5),
+     "rng.mining is not a generator state: ValueError(\"reads back as {'bit_generator': "
+     "'PCG64', 'state': {'state': 1,"),
 ], ids=["missing-array", "short-bias", "missing-meta-key", "missing-rng-stream", "hp-dim",
         "hp-num-heads", "classifier-length", "moment-shape", "adam-t-string", "sbcl-skipped-null",
         "epoch-float", "epoch-bool", "has-ptformer-string", "parameter-dtype", "moment-dtype",
         "parameter-nan", "version-2", "version-string", "version-bool", "version-float",
-        "missing-version", "has-ptformer-contradicts-options"])
+        "missing-version", "has-ptformer-contradicts-options", "rng-key-missing",
+        "rng-state-negative", "rng-state-float"])
 def test_load_checkpoint_names_the_first_bad_entry(small_hp, tmp_path, edit, named):
     path = tmp_path / "edited.ckpt"
     save_checkpoint(path, init_train_state(small_hp))
@@ -781,6 +789,22 @@ def test_load_checkpoint_names_the_first_bad_entry(small_hp, tmp_path, edit, nam
     save_arrays(path, arrays, meta)
     with pytest.raises(InvalidCheckpoint, match=re.escape(f"{path}: invalid checkpoint: {named}")):
         load_checkpoint(path)
+
+
+def test_load_checkpoint_refuses_a_precomputed_embedding_file(tmp_path):
+    path = tmp_path / "embeddings.arr"
+    save_precomputed(path, {"a/patch": np.ones((1, 8))}, dim=8)
+    with pytest.raises(InvalidCheckpoint, match=re.escape(
+            f"{path}: invalid checkpoint: not a training checkpoint")):
+        load_checkpoint(path)
+
+
+def test_train_on_an_empty_dataset_file_names_the_empty_split(small_hp, offline_backends,
+                                                              tmp_path):
+    (tmp_path / "empty.jsonl").write_bytes(b"")
+    split = split_dataset(load_dataset(tmp_path / "empty.jsonl"), (0.8, 0.1, 0.1), seed=1)
+    with pytest.raises(ValueError, match="^train split is empty$"):
+        train(split, small_hp, offline_backends)
 
 
 def test_predict_threshold_boundary_and_monotonicity(small_hp, offline_backends):
