@@ -173,11 +173,22 @@ def _split(cfg: RunConfig):
     return split_dataset(samples, cfg.ratios, cfg.hp.seed, stratify=cfg.dataset.stratify)
 
 
-def _split_samples(cfg: RunConfig, name: str, purpose: str):
-    samples = getattr(_split(cfg), name)
+def _split_samples(split, name: str, purpose: str):
+    samples = getattr(split, name)
     if not samples:
         raise ConfigError(f"{purpose} split {name!r} is empty")
     return samples
+
+
+def _training_split(cfg: RunConfig):
+    """The configured split; a ConfigError unless its train part holds both classes."""
+    split = _split(cfg)
+    counts = class_counts(_split_samples(split, "train", "training"))
+    missing = [label.value for label, count in counts.items() if count == 0]
+    if missing:
+        raise ConfigError(f"training split 'train' has no {missing[0]!r} sample; training "
+                          f"needs both classes")
+    return split
 
 
 def _load_state(cfg: RunConfig, args):
@@ -237,7 +248,7 @@ def cmd_explain(cfg: RunConfig, args) -> dict:
 
 
 def cmd_train(cfg: RunConfig, args) -> dict:
-    split, backends = _split(cfg), _backends(cfg)  # config errors come before any artifact
+    split, backends = _training_split(cfg), _backends(cfg)  # config errors before any artifact
     checkpoint_dir = os.path.join(cfg.output_dir, "checkpoints")
     run_log = os.path.join(cfg.output_dir, "run_log.jsonl")
     run_meta = {
@@ -258,7 +269,7 @@ def cmd_train(cfg: RunConfig, args) -> dict:
 def cmd_eval(cfg: RunConfig, args) -> dict:
     path, state = _load_state(cfg, args)
     split_name = args.split or cfg.eval_split
-    samples = _split_samples(cfg, split_name, "evaluation")
+    samples = _split_samples(_split(cfg), split_name, "evaluation")
     results = predict(samples, state, _backends(cfg, state))
     probs = [p for p, _ in results]
     y = [1 if s.label is Label.SECURITY else 0 for s in samples]
@@ -303,7 +314,7 @@ def cmd_visualize(cfg: RunConfig, args) -> dict:
         raise ConfigError(f"--components must be >= 1, got {components}")
     _, state = _load_state(cfg, args)
     split_name = args.split or cfg.pca.split
-    samples = _split_samples(cfg, split_name, "visualization")
+    samples = _split_samples(_split(cfg), split_name, "visualization")
     vectors = fused_embeddings(samples, state, _backends(cfg, state))
     result = pca_project([v.values for v in vectors], components)
     csv_path = os.path.join(cfg.output_dir, "pca.csv")
@@ -321,8 +332,8 @@ def cmd_ablate(cfg: RunConfig, args) -> dict:
     if args.flags is not None:
         combos = [[flag for flag in combo.split(",") if flag] for combo in args.flags]
         sets = _parsed(AblationConfig, {"flag_sets": combos}, "ablation").flag_sets
-    rows = run_ablation(sets, _split(cfg), cfg.hp, _backends(cfg), base_options=cfg.training,
-                        out_dir=os.path.join(cfg.output_dir, "ablation"))
+    rows = run_ablation(sets, _training_split(cfg), cfg.hp, _backends(cfg),
+                        base_options=cfg.training, out_dir=os.path.join(cfg.output_dir, "ablation"))
     table = {
         "seed": cfg.hp.seed,
         "rows": [{

@@ -210,7 +210,10 @@ _TOKENIZER = HashTokenizer()  # the one tokenizer every text of the pipeline goe
 
 
 def tokenize(text: str, max_tokens: int) -> tuple[int, ...]:
-    """The first max_tokens ids of text under the pipeline's HashTokenizer."""
+    """The first max_tokens ids of text under the pipeline's HashTokenizer; each distinct
+    token among them is hashed once."""
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
-    return tuple(_TOKENIZER.encode(text)[:max_tokens])
+    tokens = _TOKEN_RE.findall(text)[:max_tokens]
+    ids = {token: _TOKENIZER._token_id(token) for token in dict.fromkeys(tokens)}
+    return tuple(map(ids.__getitem__, tokens))

@@ -18,6 +18,10 @@ rectifier act on the (patch, hidden) rows of A @ (v @ w1) + b1. The public
 `cross_attention` returns A @ v, its A from the fusion pass's own code; the
 public `self_attention` runs the kernel the fusion pass runs on each text.
 
+The instruction branch up to its dropout is `instruction_forward`. A caller
+whose samples hold one instruction matrix runs it once and passes the result
+to each `fuse_forward`, which otherwise runs it itself.
+
 Forward functions return caches consumed by exact reverse-mode backward
 functions; no autograd framework is involved. A feed-forward cache keeps the
 rectifier gate and the dropout keep-mask as bool arrays, an eighth of the
@@ -171,18 +175,25 @@ def cross_attention(pa: np.ndarray, ex: np.ndarray, params: CrossAttentionParams
 # feed-forward: two dense layers with a rectifier, dropout on the hidden units,
 # and the mean over rows taken between the two layers
 
-def _ff_forward(x: np.ndarray, params: FeedForwardParams, keep, rate: float):
-    """Pooled branch output (dim,) and the cache for `_ff_backward`.
-
-    `keep` is the bool dropout mask of the hidden units, or None for no
-    dropout; kept units are scaled by 1 / (1 - rate).
-    """
-    h = x @ params.w1  # one (n, hidden) array, the pre-activation until the rectifier
+def _ff_hidden(x: np.ndarray, params: FeedForwardParams):
+    """(rectified hidden rows max(x @ w1 + b1, 0), rectifier gate), both (n, hidden)."""
+    h = x @ params.w1  # the pre-activation until the rectifier
     h += params.b1
     active = h > 0.0
     np.maximum(h, 0.0, out=h)
+    return h, active
+
+
+def _ff_forward(x: np.ndarray, params: FeedForwardParams, keep, rate: float, hidden=None):
+    """Pooled branch output (dim,) and the cache for `_ff_backward`.
+
+    `keep` is the bool dropout mask of the hidden units, or None for no
+    dropout; kept units are scaled by 1 / (1 - rate). `hidden` is
+    `_ff_hidden(x, params)` when the caller has it; it is not written to.
+    """
+    h, active = _ff_hidden(x, params) if hidden is None else hidden
     if keep is not None:
-        h *= keep / (1.0 - rate)
+        h = h * (keep / (1.0 - rate))
     h_mean = h.mean(axis=0)
     y = h_mean @ params.w2 + params.b2
     return y, (x, active, keep, rate, h_mean)
@@ -223,23 +234,39 @@ def dropout_keep(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndar
                                      (inst, state.ff_inst))))
 
 
+def instruction_forward(inst: np.ndarray, state: PTFormerState):
+    """The instruction branch up to its dropout, as `fuse_forward` takes it: (self-attention
+    output, its cache, ff_inst's (rectified hidden rows, rectifier gate)). Every array it
+    makes is read-only, so samples whose instruction matrices hold the same bytes can share
+    one result in training too: each applies its own dropout mask and backward pass."""
+    inst_hat, c_sa_inst = _attention_forward(inst, state.self_attn)
+    hidden = _ff_hidden(inst_hat, state.ff_inst)
+    for arr in (inst_hat, *c_sa_inst[1:], *hidden):
+        arr.flags.writeable = False
+    return inst_hat, c_sa_inst, hidden
+
+
 def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndarray,
-                 state: PTFormerState, keep=NO_DROPOUT):
+                 state: PTFormerState, keep=NO_DROPOUT, inst_branch=None):
     """Raw-array fusion; returns (vector of length 3*dim, cache for the backward pass).
 
     `keep` holds the dropout rate and the branches' masks from `dropout_keep`
-    in training; the default applies no dropout (evaluation).
+    in training; the default applies no dropout (evaluation). `inst_branch`
+    is `instruction_forward(inst, state)` when the caller shares one across
+    samples; it is computed here when None.
     """
     rate, keep_pa_ex, keep_desc, keep_inst = keep
+    if inst_branch is None:
+        inst_branch = instruction_forward(inst, state)
+    inst_hat, c_sa_inst, inst_hidden = inst_branch
     ex_hat, c_sa_ex = _attention_forward(ex, state.self_attn)
     desc_hat, c_sa_desc = _attention_forward(desc, state.self_attn)
-    inst_hat, c_sa_inst = _attention_forward(inst, state.self_attn)
     # A @ (v @ w1) for (A @ v) @ w1: _ff_forward's input is A, its w1 is v @ w1
     attn, k, v = _cross_weights(pa, ex_hat, state.cross_attn)
     v_w1 = v @ state.ff_pa_ex.w1
     f_pa_ex, c_ff1 = _ff_forward(attn, replace(state.ff_pa_ex, w1=v_w1), keep_pa_ex, rate)
     f_desc, c_ff2 = _ff_forward(desc_hat, state.ff_desc, keep_desc, rate)
-    f_inst, c_ff3 = _ff_forward(inst_hat, state.ff_inst, keep_inst, rate)
+    f_inst, c_ff3 = _ff_forward(inst_hat, state.ff_inst, keep_inst, rate, inst_hidden)
     vector = np.concatenate([f_pa_ex, f_desc, f_inst])
     cache = {
         "sa_ex": c_sa_ex, "sa_desc": c_sa_desc, "sa_inst": c_sa_inst,

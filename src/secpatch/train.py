@@ -6,7 +6,7 @@ import ctypes
 import json
 import math
 import os
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import islice
@@ -18,9 +18,10 @@ from .contrastive import InsufficientClassMembers, sbcl_batch_loss_and_grad
 from .dataset import class_counts, tokenize
 from .embed import EmbedderBackend, embed_patch, embed_text
 from .explain import ExplainerConfig, explain, instruction_text
-from .fusion import (PTFormerState, check_shapes, dropout_keep, from_named_parameters,
-                     fuse_backward, fuse_forward, init_parameters, init_pt_former, model_sizes,
-                     named_parameters, parameter, parameter_specs, pooled_concat)
+from .fusion import (NO_DROPOUT, PTFormerState, check_shapes, dropout_keep,
+                     from_named_parameters, fuse_backward, fuse_forward, init_parameters,
+                     init_pt_former, instruction_forward, model_sizes, named_parameters,
+                     parameter, parameter_specs, pooled_concat)
 from .metrics import MetricsReport, compute_metrics
 from .seeding import derive_seed, substream
 from .types import (FusedEmbedding, HyperParams, Label, LengthMismatch, Modality,
@@ -220,11 +221,38 @@ def encode_samples(samples, backends, hp, options=TrainOptions()) -> dict:
 # ---------------------------------------------------------------------------
 # forward pass and joint objective
 
-def _forward_sample(mats, state: TrainState) -> np.ndarray:
-    """Fused vector of one encoded sample in evaluation mode."""
+def _forward_sample(mats, state: TrainState, inst_branch=None) -> np.ndarray:
+    """Fused vector of one encoded sample in evaluation mode; `inst_branch` as in
+    `fuse_forward`."""
     if state.pt_former is not None:
-        return fuse_forward(*mats, state.pt_former)[0]
+        return fuse_forward(*mats, state.pt_former, NO_DROPOUT, inst_branch)[0]
     return pooled_concat(*mats)
+
+
+def _instruction_branches(mats, state: TrainState, pool, kept: dict) -> list:
+    """The instruction branch each encoded sample of `mats` passes to `fuse_forward`, in
+    order: None where the sample's own pass is to run it, and for all without PT-Former.
+
+    Matrices are the same when their shape, dtype and bytes are (`np.array_equal`
+    would also match -0.0 with 0.0). The calling thread runs `instruction_forward`
+    once for each matrix that two or more samples hold, and for every matrix when
+    there is no `pool`; one that a single sample holds stays in that sample's pass,
+    so distinct matrices still spread over the pool. Branches in `kept` are reused,
+    and on return `kept` holds those of `mats`. It never outlives the call, since
+    the optimizer updates the weights in place.
+    """
+    if state.pt_former is None:
+        return [None] * len(mats)
+    keys = [(m[3].shape, m[3].dtype.str, m[3].tobytes()) for m in mats]
+    repeats = Counter(keys)
+    earlier = kept.copy()
+    kept.clear()
+    for sample_mats, key in zip(mats, keys):
+        if key in earlier:
+            kept[key] = earlier[key]
+        elif key not in kept and (pool is None or repeats[key] > 1):
+            kept[key] = instruction_forward(sample_mats[3], state.pt_former)
+    return [kept.get(key) for key in keys]
 
 
 def _in_order(pool: ThreadPoolExecutor | None, fn, args: list):
@@ -299,15 +327,18 @@ def batch_loss_and_grads(mats, labels, state: TrainState,
     The per-sample fusion passes run on `pool`, or on the calling thread when
     it is None. Every sample's dropout masks are drawn here first, in sample
     order, and the per-sample gradients are summed here in sample order, so
-    the result is the same bits whatever runs them.
+    the result is the same bits whatever runs them. Samples with the same
+    instruction matrix share one instruction branch up to its dropout (see
+    `_instruction_branches`); each applies its own mask and backward pass.
     """
     options, hp, pt = state.options, state.hp, state.pt_former
     if pt is None:
         fused = np.stack([_forward_sample(sample_mats, state) for sample_mats in mats])
     else:
         keeps = [dropout_keep(*m, pt, hp.dropout, state.rngs["dropout"]) for m in mats]
-        vectors, caches = zip(*_in_order(pool, lambda m, keep: fuse_forward(*m, pt, keep),
-                                         list(zip(mats, keeps))))
+        work = list(zip(mats, keeps, _instruction_branches(mats, state, pool, {})))
+        vectors, caches = zip(*_in_order(
+            pool, lambda m, keep, branch: fuse_forward(*m, pt, keep, branch), work))
         fused = np.stack(vectors)
     y = np.array([1.0 if label is Label.SECURITY else 0.0 for label in labels])
     probs = head_probability(fused, state.classifier)
@@ -644,7 +675,7 @@ def _train_batch(batch, encoded, state, pool=None):
 def _validation_metrics(validation, encoded, state, pool=None):
     if not validation:
         return None, None
-    vectors = _in_order(pool, _forward_sample, [(encoded[s.id], state) for s in validation])
+    vectors = _fuse_chunks((encoded[s.id] for s in validation), state, pool)
     report = labelled_metrics([_score(v, state) for v in vectors], validation, state)
     return report.auc, report.f1
 
@@ -661,20 +692,31 @@ def _score(vector, state: TrainState) -> float:
     return float(head_probability(vector, state.classifier))
 
 
-def _fused_vectors(samples, state: TrainState, backends: PipelineBackends):
-    """Fused vector per sample in evaluation mode, yielded in sample order.
+def _fuse_chunks(mats, state: TrainState, pool):
+    """Evaluation-mode fused vector of each encoded sample of the iterable `mats`, in order.
 
-    The calling thread encodes _WORKERS samples at a time, and the chunk is
-    fused on the state's fusion pool (see _fusion_pool) before the next one
-    is encoded. Evaluation draws no random numbers, so every vector is the
-    same bits whether a pool runs it or the calling thread.
+    `mats` is drawn _WORKERS samples at a time, and the chunk is fused on
+    `pool` (the calling thread when None) before the next one is drawn. The
+    chunk's shared instruction branches (see `_instruction_branches`) run
+    first; one that the next chunk uses again is kept for it. Evaluation draws
+    no random numbers, so every vector is the same bits whether a pool runs it
+    or the calling thread.
     """
+    mats, kept = iter(mats), {}
+    while chunk := list(islice(mats, _WORKERS)):
+        branches = _instruction_branches(chunk, state, pool, kept)
+        yield from _in_order(pool, _forward_sample,
+                             [(m, state, branch) for m, branch in zip(chunk, branches)])
+
+
+def _fused_vectors(samples, state: TrainState, backends: PipelineBackends):
+    """Fused vector per sample in evaluation mode, yielded in sample order: the calling
+    thread encodes one chunk of `_fuse_chunks` while the state's fusion pool (see
+    _fusion_pool) is idle."""
     samples = list(samples)
     with _fusion_pool(state, len(samples)) as pool:
-        for start in range(0, len(samples), _WORKERS):
-            chunk = [(encode_sample(s, backends, state.hp, state.options), state)
-                     for s in samples[start:start + _WORKERS]]
-            yield from _in_order(pool, _forward_sample, chunk)
+        yield from _fuse_chunks((encode_sample(s, backends, state.hp, state.options)
+                                 for s in samples), state, pool)
 
 
 def fused_embeddings(samples, state: TrainState, backends: PipelineBackends):

@@ -1,11 +1,15 @@
 """The benchmark reads program names by module and name; each one must exist."""
 
 import ast
+import dataclasses
 import glob
 import importlib
 import importlib.util
 import os
 import sys
+
+from secpatch import (ExplainerConfig, default_hyperparams, hashed_backends, init_train_state,
+                      make_synthetic_samples)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -58,3 +62,31 @@ def test_every_name_the_benchmark_imports_resolves():
     missing = [f"{module}.{name}" for module, name in sorted(names)
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"the benchmark reads names the program no longer has: {missing}"
+
+
+def test_the_tracer_sees_each_fusion_pass_with_its_four_matrices(monkeypatch, tmp_path):
+    # the observers read fuse_forward's first four arguments and its state, and pair each
+    # fuse_backward with its forward pass by the cache; a shared instruction branch, passed
+    # after them, must leave one traced pass per sample with every matrix's rows
+    spans = _spans(monkeypatch)
+    train = importlib.import_module("secpatch.train")
+    hp = dataclasses.replace(default_hyperparams(), dim=8, num_heads=2, dropout=0.5, seed=3)
+    backends = hashed_backends(hp, ExplainerConfig(cache_dir=str(tmp_path / "cache")))
+    samples = make_synthetic_samples(6, seed=2)
+    state = init_train_state(hp)
+    encoded = train.encode_samples(samples, backends, hp, state.options)
+    batch = samples[:4]
+    rows = {s.id: sum(m.shape[0] for m in encoded[s.id]) for s in samples}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        train.predict(samples, state, backends)
+        train._train_batch(batch, encoded, state)
+    finally:
+        assert tracer.restore() == []
+    metrics = tracer.layer_metrics()
+    assert metrics["fusion.forward_calls"] == len(samples) + len(batch)
+    assert metrics["fusion.forward_rows"] == sum(rows.values()) + sum(rows[s.id] for s in batch)
+    assert tracer.calls["fuse_backward"] == len(batch)
+    coverage = tracer.coverage("paper-score")
+    assert coverage["flags"] == [] and coverage["errors"] == {}

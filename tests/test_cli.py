@@ -380,6 +380,15 @@ def _two_samples(tmp) -> str:
         return _file(tmp / "two.jsonl", fh.readline() + fh.readline())
 
 
+def _security_only(tmp) -> list[str]:
+    """--set flags for a dataset of four security samples, split without stratifying: the
+    train split holds one class."""
+    with open(os.path.join(DATA_DIR, "synthetic64.jsonl"), "rb") as fh:
+        lines = [line for line in fh if json.loads(line)["label"] == "security"][:4]
+    return ["--set", f"dataset.path={_file(tmp / 'security.jsonl', b''.join(lines))}",
+            "--set", "dataset.stratify=false"]
+
+
 DEEP = b"[" * 100_000 + b"]" * 100_000  # nested past the interpreter's recursion limit
 
 
@@ -452,6 +461,20 @@ ERROR_PATHS = [
      lambda tmp, base, ckpt: [*base, "--set", f"dataset.path={_two_samples(tmp)}", "eval",
                               "--checkpoint", ckpt, "--split", "test"],
      2, "ConfigError", "evaluation split 'test' is empty"),
+    ("empty-train-split",
+     lambda tmp, base, ckpt: [*base, "--set", f"dataset.path={_file(tmp / 'e.jsonl', b'')}",
+                              "train"],
+     2, "ConfigError", "training split 'train' is empty"),
+    ("empty-train-split-ablate",
+     lambda tmp, base, ckpt: [*base, "--set", f"dataset.path={_file(tmp / 'e.jsonl', b'')}",
+                              "ablate", "--flags", "no_sbcl"],
+     2, "ConfigError", "training split 'train' is empty"),
+    ("one-class-train-split",
+     lambda tmp, base, ckpt: [*base, *_security_only(tmp), "train"],
+     2, "ConfigError", "training split 'train' has no 'non-security' sample"),
+    ("one-class-train-split-ablate",
+     lambda tmp, base, ckpt: [*base, *_security_only(tmp), "ablate"],
+     2, "ConfigError", "training split 'train' has no 'non-security' sample"),
     ("checkpoint-missing",
      lambda tmp, base, ckpt: [*base, "eval", "--checkpoint", f"{tmp}/absent.ckpt"],
      3, "MissingArtifact", "missing checkpoint: {tmp}/absent.ckpt"),

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -247,6 +248,23 @@ def test_hash_tokenizer_stable_across_instances():
     b = HashTokenizer().encode("strcpy(buf, input); // fix")
     assert a == b
     assert len(a) > 4  # punctuation splits into separate tokens
+
+
+def test_tokenize_matches_the_encode_prefix_oracle(synthetic_path):
+    # tokenize hashes each distinct token once; its ids must be encode's prefix, on every
+    # text of the corpus, on texts longer than the budget and on runs of repeated tokens
+    rng = np.random.default_rng(22)
+    texts = [text for sample in load_dataset(synthetic_path)
+             for text in (sample.diff_text, sample.description or "")]
+    vocabulary = ["if", "(", ")", "buf", "len", ";", "+", "kfree", "é", "0x1f"]
+    texts += [" ".join(rng.choice(vocabulary, size=int(n))) for n in rng.integers(1, 900, 40)]
+    texts += ["x " * 700, "a b a b a " * 120, texts[0] * 6]
+    for text in texts:
+        full = HashTokenizer().encode(text)
+        for n in (1, 7, int(rng.integers(1, 1000)), len(full), len(full) + 1, 512):
+            if n >= 1:
+                assert tokenize(text, n) == tuple(full[:n]), (text[:40], n)
+    assert any(len(HashTokenizer().encode(text)) > 512 for text in texts)
 
 
 @given(st.text(max_size=400), st.integers(1, 64))

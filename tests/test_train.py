@@ -25,11 +25,13 @@ from secpatch import (ClassifierParams, DivergenceDetected, EmbedderBackend, Exp
                       load_checkpoint, load_dataset, make_synthetic_samples, predict,
                       save_checkpoint, save_precomputed, split_dataset, train)
 from secpatch.arrayio import load_arrays, save_arrays
+from secpatch.fusion import dropout_keep, fuse_backward, fuse_forward, instruction_forward
 from secpatch.train import (ADAM_EPS, InvalidCheckpoint, _compose_batches, _fusion_pool,
                             _train_batch, _validation_metrics, adamw_step, batch_loss_and_grads,
                             encode_samples)
 
 train_module = importlib.import_module("secpatch.train")  # the package re-exports train()
+fusion_module = importlib.import_module("secpatch.fusion")
 
 
 def _classifier(weight, bias=0.0):
@@ -201,16 +203,29 @@ def _assert_same_bits(result, expected):
         assert np.array_equal(grads[name], grad), name
 
 
-@pytest.mark.parametrize("dropout", [0.0, 0.5])
-@pytest.mark.parametrize("batch_size", [1, 2, 3, 17])
-def test_batch_grads_match_serial_oracle_on_any_pool(monkeypatch, dropout, batch_size):
-    # no pool, and pools with fewer, as many and more workers than samples and than cores,
-    # with the interpreter switching threads as often as it can: the bits never change
-    mats, labels = _ragged_batch(batch_size, 8, seed=batch_size)
+def _counted_instruction_runs(monkeypatch):
+    """The calling thread's name for every instruction_forward run from here on, whether
+    train shares the branch or fuse_forward runs its own."""
+    runs = []
+
+    def counted(inst, pt):
+        runs.append(threading.current_thread().name)
+        return instruction_forward(inst, pt)
+
+    monkeypatch.setattr(fusion_module, "instruction_forward", counted)
+    monkeypatch.setattr(train_module, "instruction_forward", counted)
+    return runs
+
+
+def _check_batch_against_serial_oracle(monkeypatch, mats, labels, dropout):
+    """Run batch_loss_and_grads with no pool and on pools of 1, 2 and 8 workers, with the
+    interpreter switching threads as often as it can; returns the instruction_forward
+    runs. Each result must be the serial oracle's bits, with the same draws."""
     state = _ptformer_state(dropout)
     oracle_state = copy.deepcopy(state)
     expected = serial_batch_grads(mats, labels, oracle_state)
     drawn = {name: gen.bit_generator.state for name, gen in oracle_state.rngs.items()}
+    runs = _counted_instruction_runs(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -227,6 +242,29 @@ def test_batch_grads_match_serial_oracle_on_any_pool(monkeypatch, dropout, batch
             assert {name: gen.bit_generator.state for name, gen in run_state.rngs.items()} == drawn
     finally:
         sys.setswitchinterval(interval)
+    return runs
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("batch_size", [1, 2, 3, 17])
+def test_batch_grads_match_serial_oracle_on_any_pool(monkeypatch, dropout, batch_size):
+    # no pool, and pools with fewer, as many and more workers than samples and than cores:
+    # the bits never change
+    mats, labels = _ragged_batch(batch_size, 8, seed=batch_size)
+    runs = _check_batch_against_serial_oracle(monkeypatch, mats, labels, dropout)
+    assert len(runs) == 4 * batch_size  # every instruction matrix differs: nothing is shared
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("copies", [False, True], ids=["one-object", "equal-copies"])
+def test_batch_grads_match_serial_oracle_with_a_shared_instruction(monkeypatch, dropout, copies):
+    # every sample holds the same instruction matrix, as under the hashed embedder: the
+    # shared branch runs once per batch on the calling thread, and the bits never change
+    mats, labels = _ragged_batch(5, 8, seed=21)
+    inst = mats[0][3]
+    mats = [(pa, ex, desc, inst.copy() if copies else inst) for pa, ex, desc, _ in mats]
+    runs = _check_batch_against_serial_oracle(monkeypatch, mats, labels, dropout)
+    assert runs == [threading.main_thread().name] * 4
 
 
 class _Injected(RuntimeError):
@@ -388,6 +426,120 @@ def test_single_patch_predict_makes_no_pool(monkeypatch, tmp_path):
     assert made == []
     predict(samples, state, backends)  # two samples at this width do make one
     assert len(made) == 1
+
+
+# ---------------------------------------------------------------------------
+# the instruction branch: one run per distinct instruction matrix, shared by its samples
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_evaluation_runs_the_instruction_branch_once_per_call(monkeypatch, tmp_path, workers):
+    state, backends = _threaded_eval_setup(tmp_path)
+    samples = _ragged_samples(7)
+    vectors, probs = serial_evaluation(samples, state, backends)
+    encoded = encode_samples(samples, backends, state.hp, state.options)
+    runs = _counted_instruction_runs(monkeypatch)
+    monkeypatch.setattr(train_module, "_WORKERS", workers)
+    fused = fused_embeddings(samples, state, backends)
+    assert len(runs) == 1
+    assert [p for p, _ in predict(samples, state, backends)] == probs
+    assert len(runs) == 2
+    with _fusion_pool(state, len(samples)) as pool:
+        _validation_metrics(samples, encoded, state, pool)
+    assert runs == [threading.main_thread().name] * 3
+    assert all(np.array_equal(f.values, v) for f, v in zip(fused, vectors))
+
+
+def test_training_runs_the_instruction_branch_once_per_batch_and_validation(
+        monkeypatch, small_hp, offline_backends):
+    monkeypatch.setattr(train_module, "_THREADED_MIN_DIM", 1)
+    monkeypatch.setattr(train_module, "_WORKERS", 2)
+    runs, calls = _counted_instruction_runs(monkeypatch), []
+    for name in ("batch_loss_and_grads", "_validation_metrics"):
+        def counted(*args, name=name, original=getattr(train_module, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(train_module, name, counted)
+    split = _tiny_split(small_hp)
+    train(split, dataclasses.replace(small_hp, dropout=0.5), offline_backends)
+    assert split.validation and calls.count("_validation_metrics") == small_hp.epochs
+    assert calls.count("batch_loss_and_grads") >= small_hp.epochs
+    assert runs == [threading.main_thread().name] * len(calls)
+
+
+def _precomputed_backends(tmp_path, samples, instructions, dim: int) -> PipelineBackends:
+    """A precomputed embedder holding random patch rows and the given instruction matrix
+    for each sample."""
+    rng = np.random.default_rng(len(samples))
+    entries = {}
+    for sample, inst in zip(samples, instructions):
+        entries[f"{sample.id}/patch"] = rng.standard_normal((3, dim))
+        entries[f"{sample.id}/description"] = rng.standard_normal((2, dim))
+        entries[f"{sample.id}/instruction"] = inst
+    path = tmp_path / "embeddings.arr"
+    save_precomputed(path, entries, dim)
+    backend = EmbedderBackend.precomputed_file(path)
+    return PipelineBackends(patch_embedder=backend, text_embedder=backend)
+
+
+@pytest.mark.parametrize("pair", ["two-random", "zero-and-negative-zero"])
+def test_instruction_branch_is_shared_only_by_equal_bytes(monkeypatch, tmp_path, pair):
+    # two distinct matrices over 7 samples run twice per call, on the calling thread;
+    # -0.0 and 0.0 compare equal as numbers but are different bytes, so they are not shared
+    state, _ = _threaded_eval_setup(tmp_path)
+    dim = state.hp.dim
+    one = np.random.default_rng(1).standard_normal((4, dim))
+    other = np.random.default_rng(2).standard_normal((4, dim))
+    if pair != "two-random":
+        one, other = np.zeros((4, dim)), np.full((4, dim), -0.0)
+        assert np.array_equal(one, other)
+    samples = _ragged_samples(7)
+    backends = _precomputed_backends(tmp_path, samples, [one] * 3 + [other] * 4, dim)
+    vectors, probs = serial_evaluation(samples, state, backends)
+    runs = _counted_instruction_runs(monkeypatch)
+    monkeypatch.setattr(train_module, "_WORKERS", 3)  # chunks of 3, 3 and 1 samples
+    assert [p for p, _ in predict(samples, state, backends)] == probs
+    fused = fused_embeddings(samples, state, backends)
+    assert all(np.array_equal(f.values, v) for f, v in zip(fused, vectors))
+    assert runs == [threading.main_thread().name] * 2 * 2
+
+
+def test_an_instruction_matrix_of_one_sample_runs_in_its_fusion_pass(monkeypatch, tmp_path):
+    # a precomputed embedder may give every sample its own instruction matrix: those run
+    # in the samples' own fusion passes, spread over the pool, not one by one on the caller
+    state, _ = _threaded_eval_setup(tmp_path)
+    samples = _ragged_samples(7)
+    rng = np.random.default_rng(3)
+    instructions = [rng.standard_normal((4, state.hp.dim)) for _ in samples]
+    backends = _precomputed_backends(tmp_path, samples, instructions, state.hp.dim)
+    vectors, probs = serial_evaluation(samples, state, backends)
+    runs = _counted_instruction_runs(monkeypatch)
+    monkeypatch.setattr(train_module, "_WORKERS", 2)
+    assert [p for p, _ in predict(samples, state, backends)] == probs
+    assert len(runs) == len(samples)
+    assert all(name.startswith("secpatch-fusion") for name in runs)
+
+
+def test_shared_instruction_branch_is_read_only_and_unchanged_by_backward():
+    mats, _ = _ragged_batch(3, 8, seed=4)
+    pt = _ptformer_state(0.5).pt_former
+    inst = mats[0][3]
+    branch = instruction_forward(inst, pt)
+    inst_hat, (x, *attention), hidden = branch
+    shared = [inst_hat, *attention, *hidden]
+    assert x is inst and not any(a.flags.writeable for a in shared)
+    before = [a.tobytes() for a in shared]
+    rng = np.random.default_rng(3)
+    for pa, ex, desc, _ in mats:
+        keep = dropout_keep(pa, ex, desc, inst, pt, 0.5, rng)
+        d_vector = rng.standard_normal(3 * pt.dim)
+        vector, cache = fuse_forward(pa, ex, desc, inst, pt, keep, branch)
+        own_vector, own_cache = fuse_forward(pa, ex, desc, inst, pt, keep)
+        assert vector.tobytes() == own_vector.tobytes()
+        grads, own_grads = fuse_backward(d_vector, cache, pt), fuse_backward(d_vector,
+                                                                              own_cache, pt)
+        assert all(grads[name].tobytes() == own_grads[name].tobytes() for name in own_grads)
+    assert [a.tobytes() for a in shared] == before
 
 
 # ---------------------------------------------------------------------------
