@@ -11,10 +11,9 @@ of one row.
 The patch branch (cross-attention, then ff_pa_ex's first layer) multiplies
 in folded order: scores pa @ (W_q @ kᵀ) and first layer A @ (v @ w1), where
 A is the (patch, explanation) attention weights, for the textbook
-(pa @ W_q) @ kᵀ and (A @ v) @ w1; in the backward pass W_q's gradient is
-Mᵀ @ k and d_k = M @ W_q with M = d_scoresᵀ @ pa. Every patch-row × dim²
-product becomes a patch-row × explanation-row × dim one. Dropout and the
-rectifier act on the (patch, hidden) rows of A @ (v @ w1) + b1. The public
+(pa @ W_q) @ kᵀ and (A @ v) @ w1. Every patch-row × dim² product becomes a
+patch-row × explanation-row × dim one. Dropout and the rectifier act on the
+(patch, hidden) rows of A @ (v @ w1) + b1. The public
 `cross_attention` returns A @ v, its A from the fusion pass's own code; the
 public `self_attention` runs the kernel the fusion pass runs on each text.
 
@@ -23,11 +22,20 @@ whose samples hold one instruction matrix runs it once and passes the result
 to each `fuse_forward`, which otherwise runs it itself.
 
 Forward functions return caches consumed by exact reverse-mode backward
-functions; no autograd framework is involved. A feed-forward cache keeps the
-rectifier gate and the dropout keep-mask as bool arrays, an eighth of the
-float64 pre-activation and scaled mask they stand for; the backward pass
-rebuilds the scale keep / (1 - rate) with the forward pass's arithmetic, so
-gradients are the same bits. Dropout masks are drawn by `dropout_keep` apart
+functions; no autograd framework is involved. The backward pass has two
+parts. `fuse_backward` runs per sample and returns what depends on that
+sample alone (`BackwardPartials`); `finish_backward` turns the batch's summed
+partials into parameter gradients once. The per-sample part reads the
+cross-attention's weights only as the products W_qk = W_q @ W_kᵀ and
+W_vf = W_v @ ff_pa_ex.w1 (`fold_cross`, formed once per batch), so a sample
+pays 4 explanation-row × dim² products where the weight pairs would pay 8.
+The instruction branch's backward runs once per shared branch on its summed
+rows, and each second layer's weight gradient is one product over the batch.
+
+A feed-forward cache keeps the rectifier gate and the dropout keep-mask as
+bool arrays, an eighth of the float64 pre-activation and scaled mask they
+stand for; the backward pass rebuilds the scale keep / (1 - rate) with the
+forward pass's arithmetic. Dropout masks are drawn by `dropout_keep` apart
 from the forward pass, so a caller can draw every sample's masks in order and
 then run the forward passes in any order or on any thread.
 """
@@ -199,18 +207,13 @@ def _ff_forward(x: np.ndarray, params: FeedForwardParams, keep, rate: float, hid
     return y, (x, active, keep, rate, h_mean)
 
 
-def _ff_backward(d_y: np.ndarray, cache, params: FeedForwardParams):
-    """Input gradient (n, dim) and parameter gradients from the pooled gradient d_y (dim,)."""
-    x, active, keep, rate, h_mean = cache
-    grads = {"w2": np.outer(h_mean, d_y), "b2": d_y.copy()}  # callers accumulate in place
-    d_h = (params.w2 @ d_y) / x.shape[0]  # the same for every row; broadcasts below
+def _ff_backward(d_y: np.ndarray, cache, w2: np.ndarray) -> np.ndarray:
+    """Gradient (n, hidden) at the first layer's output rows from the pooled gradient d_y."""
+    x, active, keep, rate, _ = cache
+    d_h = (w2 @ d_y) / x.shape[0]  # the same for every row; broadcasts below
     if keep is not None:
         d_h = d_h * (keep / (1.0 - rate))
-    d_z = d_h * active
-    grads["w1"] = x.T @ d_z
-    grads["b1"] = d_z.sum(axis=0)
-    d_x = d_z @ params.w1.T
-    return d_x, grads
+    return d_h * active
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +265,7 @@ def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndar
     ex_hat, c_sa_ex = _attention_forward(ex, state.self_attn)
     desc_hat, c_sa_desc = _attention_forward(desc, state.self_attn)
     # A @ (v @ w1) for (A @ v) @ w1: _ff_forward's input is A, its w1 is v @ w1
-    attn, k, v = _cross_weights(pa, ex_hat, state.cross_attn)
+    attn, _, v = _cross_weights(pa, ex_hat, state.cross_attn)
     v_w1 = v @ state.ff_pa_ex.w1
     f_pa_ex, c_ff1 = _ff_forward(attn, replace(state.ff_pa_ex, w1=v_w1), keep_pa_ex, rate)
     f_desc, c_ff2 = _ff_forward(desc_hat, state.ff_desc, keep_desc, rate)
@@ -270,37 +273,101 @@ def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndar
     vector = np.concatenate([f_pa_ex, f_desc, f_inst])
     cache = {
         "sa_ex": c_sa_ex, "sa_desc": c_sa_desc, "sa_inst": c_sa_inst,
-        "ca": (pa, ex_hat, k, v, v_w1), "ff1": c_ff1, "ff2": c_ff2, "ff3": c_ff3,
+        "ca": (pa, ex_hat, v_w1), "ff1": c_ff1, "ff2": c_ff2, "ff3": c_ff3,
     }
     return vector, cache
 
 
-def fuse_backward(d_vector: np.ndarray, cache, state: PTFormerState) -> dict[str, np.ndarray]:
-    """Gradients of every fusion parameter given the gradient on the fused vector."""
+def fold_cross(state: PTFormerState):
+    """(W_q @ W_kᵀ, W_v @ ff_pa_ex.w1): the products in which `fuse_backward` reads the
+    cross-attention's weights. The optimizer updates the weights in place, so a caller folds
+    again after every step."""
+    ca = state.cross_attn
+    return ca.w_q @ ca.w_k.T, ca.w_v @ state.ff_pa_ex.w1
+
+
+@dataclass
+class BackwardPartials:
+    """The fusion gradients' parts that depend on one sample, or on a batch's samples once
+    `add`ed together in sample order; `finish_backward` makes them parameter gradients.
+
+    `sums` holds the parameter gradients of the sample's own rows (self-attention on the
+    explanation and description, ff_pa_ex's b1, ff_desc's first layer) and those of the
+    folded products, "cross_attn.w_qk" and "ff_pa_ex.w_vf". `pooled` holds, per second
+    layer, each sample's (mean-pooled hidden row, pooled gradient) in sample order.
+    `instruction` maps each instruction branch, by the identity of its self-attention
+    cache, to ((its output rows, that cache), the summed gradient at ff_inst's first layer
+    output rows), in order of first appearance.
+    """
+
+    sums: dict[str, np.ndarray]
+    pooled: dict[str, list]
+    instruction: dict[int, tuple]
+
+    def add(self, other: "BackwardPartials") -> None:
+        """Add `other`'s partials into these, in place; its arrays are not written to."""
+        for name, grad in other.sums.items():
+            self.sums[name] += grad
+        for branch, rows in other.pooled.items():
+            self.pooled[branch] += rows
+        for key, (branch_cache, d_z) in other.instruction.items():
+            if key in self.instruction:
+                summed = self.instruction[key][1]
+                summed += d_z
+            else:
+                self.instruction[key] = (branch_cache, d_z.copy())
+
+
+def fuse_backward(d_vector: np.ndarray, cache, state: PTFormerState,
+                  folded=None) -> BackwardPartials:
+    """One sample's gradient partials, given the gradient on its fused vector.
+
+    `folded` is `fold_cross(state)`; a caller with many samples forms it once, and it is
+    formed here when None.
+    """
     dim = state.dim
+    w_qk, w_vf = fold_cross(state) if folded is None else folded
     d1, d2, d3 = d_vector[:dim], d_vector[dim:2 * dim], d_vector[2 * dim:]
-    ca, ff = state.cross_attn, state.ff_pa_ex
-    pa, ex_hat, k, v, v_w1 = cache["ca"]
-    d_attn, g_ff1 = _ff_backward(d1, cache["ff1"], replace(ff, w1=v_w1))
-    d_v_w1 = g_ff1["w1"]  # Aᵀ @ d_z
-    g_ff1["w1"] = v.T @ d_v_w1
-    d_v = d_v_w1 @ ff.w1.T
-    m = _scores_backward(cache["ff1"][0], d_attn, dim).T @ pa  # (e, dim)
-    d_k = m @ ca.w_q
-    g_ca = {"w_q": m.T @ k, "w_k": ex_hat.T @ d_k, "w_v": ex_hat.T @ d_v}
-    d_ex_hat = d_k @ ca.w_k.T + d_v @ ca.w_v.T
-    d_desc_hat, g_ff2 = _ff_backward(d2, cache["ff2"], state.ff_desc)
-    d_inst_hat, g_ff3 = _ff_backward(d3, cache["ff3"], state.ff_inst)
-
+    pa, ex_hat, v_w1 = cache["ca"]
+    attn, desc_hat, inst_hat = cache["ff1"][0], cache["ff2"][0], cache["ff3"][0]
+    d_z1 = _ff_backward(d1, cache["ff1"], state.ff_pa_ex.w2)
+    d_vf = attn.T @ d_z1  # the gradient at ex_hat @ W_vf
+    m = _scores_backward(attn, d_z1 @ v_w1.T, dim).T @ pa  # (e, dim)
+    d_ex_hat = m @ w_qk + d_vf @ w_vf.T
+    d_z2 = _ff_backward(d2, cache["ff2"], state.ff_desc.w2)
     g_sa_ex = _attention_backward(d_ex_hat, cache["sa_ex"])
-    g_sa_desc = _attention_backward(d_desc_hat, cache["sa_desc"])
-    g_sa_inst = _attention_backward(d_inst_hat, cache["sa_inst"])
+    g_sa_desc = _attention_backward(d_z2 @ state.ff_desc.w1.T, cache["sa_desc"])
 
-    grads = {f"self_attn.{k}": g_sa_ex[k] + g_sa_desc[k] + g_sa_inst[k] for k in g_sa_ex}
-    grads |= {f"cross_attn.{k}": g for k, g in g_ca.items()}
-    for branch, g in (("ff_pa_ex", g_ff1), ("ff_desc", g_ff2), ("ff_inst", g_ff3)):
-        grads |= {f"{branch}.{k}": v for k, v in g.items()}
-    return grads
+    sums = {f"self_attn.{k}": g_sa_ex[k] + g_sa_desc[k] for k in g_sa_ex}
+    sums |= {"cross_attn.w_qk": m.T @ ex_hat, "ff_pa_ex.w_vf": ex_hat.T @ d_vf,
+             "ff_pa_ex.b1": d_z1.sum(axis=0), "ff_desc.w1": desc_hat.T @ d_z2,
+             "ff_desc.b1": d_z2.sum(axis=0)}
+    pooled = {branch: [(cache[c][4], d_y)] for branch, c, d_y in
+              (("ff_pa_ex", "ff1", d1), ("ff_desc", "ff2", d2), ("ff_inst", "ff3", d3))}
+    d_z3 = _ff_backward(d3, cache["ff3"], state.ff_inst.w2)
+    instruction = {id(cache["sa_inst"]): ((inst_hat, cache["sa_inst"]), d_z3)}
+    return BackwardPartials(sums, pooled, instruction)
+
+
+def finish_backward(partials: BackwardPartials, state: PTFormerState) -> dict[str, np.ndarray]:
+    """Gradients of every fusion parameter, keyed like `named_parameters`, from the
+    partials of a batch's `fuse_backward` calls added in sample order. Takes the partials'
+    arrays over: they must not be used afterwards."""
+    ca, ff, inst = state.cross_attn, state.ff_pa_ex, state.ff_inst
+    grads = dict(partials.sums)
+    g_qk, g_vf = grads.pop("cross_attn.w_qk"), grads.pop("ff_pa_ex.w_vf")
+    grads |= {"cross_attn.w_q": g_qk @ ca.w_k, "cross_attn.w_k": g_qk.T @ ca.w_q,
+              "cross_attn.w_v": g_vf @ ff.w1.T, "ff_pa_ex.w1": ca.w_v.T @ g_vf,
+              "ff_inst.w1": np.zeros_like(inst.w1), "ff_inst.b1": np.zeros_like(inst.b1)}
+    for (inst_hat, c_sa_inst), z in partials.instruction.values():
+        grads["ff_inst.w1"] += inst_hat.T @ z
+        grads["ff_inst.b1"] += z.sum(axis=0)
+        for k, g in _attention_backward(z @ inst.w1.T, c_sa_inst).items():
+            grads[f"self_attn.{k}"] += g
+    for branch, rows in partials.pooled.items():
+        h_mean, d_y = (np.stack(column) for column in zip(*rows))
+        grads[f"{branch}.w2"], grads[f"{branch}.b2"] = h_mean.T @ d_y, d_y.sum(axis=0)
+    return {name: grads[name] for name in parameter_specs(PTFormerState)}
 
 
 def pooled_concat(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray,

@@ -18,10 +18,10 @@ from .contrastive import InsufficientClassMembers, sbcl_batch_loss_and_grad
 from .dataset import class_counts, tokenize
 from .embed import EmbedderBackend, embed_patch, embed_text
 from .explain import ExplainerConfig, explain, instruction_text
-from .fusion import (NO_DROPOUT, PTFormerState, check_shapes, dropout_keep,
-                     from_named_parameters, fuse_backward, fuse_forward, init_parameters,
-                     init_pt_former, instruction_forward, model_sizes, named_parameters,
-                     parameter, parameter_specs, pooled_concat)
+from .fusion import (NO_DROPOUT, PTFormerState, check_shapes, dropout_keep, finish_backward,
+                     fold_cross, from_named_parameters, fuse_backward, fuse_forward,
+                     init_parameters, init_pt_former, instruction_forward, model_sizes,
+                     named_parameters, parameter, parameter_specs, pooled_concat)
 from .metrics import MetricsReport, compute_metrics
 from .seeding import derive_seed, substream
 from .types import (FusedEmbedding, HyperParams, Label, LengthMismatch, Modality,
@@ -326,10 +326,12 @@ def batch_loss_and_grads(mats, labels, state: TrainState,
 
     The per-sample fusion passes run on `pool`, or on the calling thread when
     it is None. Every sample's dropout masks are drawn here first, in sample
-    order, and the per-sample gradients are summed here in sample order, so
-    the result is the same bits whatever runs them. Samples with the same
-    instruction matrix share one instruction branch up to its dropout (see
-    `_instruction_branches`); each applies its own mask and backward pass.
+    order, and the per-sample gradient partials are added here in sample
+    order, then finished once (`fusion.finish_backward`), so the result is the
+    same bits whatever runs them. Samples with the same instruction matrix
+    share one instruction branch up to its dropout (see
+    `_instruction_branches`); each applies its own mask, and the branch's
+    backward pass runs once on the samples' summed gradient.
     """
     options, hp, pt = state.options, state.hp, state.pt_former
     if pt is None:
@@ -371,12 +373,13 @@ def batch_loss_and_grads(mats, labels, state: TrainState,
     if pt is not None:
         work = list(zip(d_fused, caches))
         del caches  # so each cache is freed once its backward pass is done
-        per_sample = _in_order(pool, lambda d_vec, cache: fuse_backward(d_vec, cache, pt), work)
-        pt_grads = next(per_sample)
-        for sample_grads in per_sample:
-            for name, grad in sample_grads.items():
-                pt_grads[name] += grad
-        for name, grad in pt_grads.items():
+        folded = fold_cross(pt)
+        per_sample = _in_order(pool, lambda d_vec, cache: fuse_backward(d_vec, cache, pt, folded),
+                               work)
+        partials = next(per_sample)
+        for sample_partials in per_sample:
+            partials.add(sample_partials)
+        for name, grad in finish_backward(partials, pt).items():
             grads[f"pt.{name}"] = grad
     return loss, grads
 

@@ -149,21 +149,71 @@ def rowwise_feed_forward(x, w1, b1, w2, b2, mask=None):
     return (h @ w2 + b2).mean(axis=0)
 
 
-def serial_batch_grads(mats, labels, state):
+def textbook_fuse_backward(d_vector, cache, state):
+    """Every fusion parameter's gradient from one `fuse_forward` cache, each weight on its
+    own: W_q, W_k, W_v and ff_pa_ex's w1 from the sample's k = ex_hat @ W_k and
+    v = ex_hat @ W_v (8 explanation-row × dim² products), the instruction branch's
+    backward pass on this sample's gradient alone, and each second layer's w2 as the outer
+    product of the sample's pooled hidden row and pooled gradient."""
+    from dataclasses import replace
+
+    from secpatch.fusion import _attention_backward, _scores_backward
+
+    def ff_backward(d_y, ff_cache, params):
+        x, active, keep, rate, h_mean = ff_cache
+        grads = {"w2": np.outer(h_mean, d_y), "b2": d_y.copy()}
+        d_h = (params.w2 @ d_y) / x.shape[0]
+        if keep is not None:
+            d_h = d_h * (keep / (1.0 - rate))
+        d_z = d_h * active
+        grads["w1"] = x.T @ d_z
+        grads["b1"] = d_z.sum(axis=0)
+        return d_z @ params.w1.T, grads
+
+    dim = state.dim
+    d1, d2, d3 = d_vector[:dim], d_vector[dim:2 * dim], d_vector[2 * dim:]
+    ca, ff = state.cross_attn, state.ff_pa_ex
+    pa, ex_hat, v_w1 = cache["ca"]
+    k, v = ex_hat @ ca.w_k, ex_hat @ ca.w_v
+    d_attn, g_ff1 = ff_backward(d1, cache["ff1"], replace(ff, w1=v_w1))
+    d_v_w1 = g_ff1["w1"]  # Aᵀ @ d_z
+    g_ff1["w1"] = v.T @ d_v_w1
+    d_v = d_v_w1 @ ff.w1.T
+    m = _scores_backward(cache["ff1"][0], d_attn, dim).T @ pa
+    d_k = m @ ca.w_q
+    g_ca = {"w_q": m.T @ k, "w_k": ex_hat.T @ d_k, "w_v": ex_hat.T @ d_v}
+    d_ex_hat = d_k @ ca.w_k.T + d_v @ ca.w_v.T
+    d_desc_hat, g_ff2 = ff_backward(d2, cache["ff2"], state.ff_desc)
+    d_inst_hat, g_ff3 = ff_backward(d3, cache["ff3"], state.ff_inst)
+    g_sa = [_attention_backward(d, cache[c]) for d, c in
+            ((d_ex_hat, "sa_ex"), (d_desc_hat, "sa_desc"), (d_inst_hat, "sa_inst"))]
+    grads = {f"self_attn.{k}": g_sa[0][k] + g_sa[1][k] + g_sa[2][k] for k in g_sa[0]}
+    grads |= {f"cross_attn.{k}": g for k, g in g_ca.items()}
+    for branch, g in (("ff_pa_ex", g_ff1), ("ff_desc", g_ff2), ("ff_inst", g_ff3)):
+        grads |= {f"{branch}.{k}": value for k, value in g.items()}
+    return grads
+
+
+def serial_batch_grads(mats, labels, state, textbook=False):
     """`train.batch_loss_and_grads` as one loop on one thread, for a PT-Former state.
 
     Each sample's forward pass draws its dropout masks as it goes (branch
-    order, one uniform per hidden unit of every row), then each sample's
-    backward pass runs and its gradients are added left to right. Returns
-    (LossBreakdown, grads) and draws from the state's dropout and mining streams.
+    order, one uniform per hidden unit of every row); samples whose instruction
+    matrices hold the same shape, dtype and bytes share one `instruction_forward`
+    result. Then each sample's `fuse_backward` runs, and its partials are added
+    left to right and finished once, as the trainer does. With `textbook`, each
+    sample's `textbook_fuse_backward` gradients are added left to right instead.
+    Returns (LossBreakdown, grads) and draws from the state's dropout and mining
+    streams.
     """
     from secpatch.contrastive import InsufficientClassMembers, sbcl_batch_loss_and_grad
-    from secpatch.fusion import fuse_backward, fuse_forward
+    from secpatch.fusion import (finish_backward, fold_cross, fuse_backward, fuse_forward,
+                                 instruction_forward)
     from secpatch.train import LossBreakdown, bce_loss, head_probability
     from secpatch.types import Label
 
     options, hp, pt = state.options, state.hp, state.pt_former
-    vectors, caches = [], []
+    vectors, caches, branches = [], [], {}
     for pa, ex, desc, inst in mats:
         keep = (0.0, None, None, None)
         if hp.dropout > 0.0:
@@ -171,7 +221,10 @@ def serial_batch_grads(mats, labels, state):
                                   >= hp.dropout
                                   for x, block in ((pa, pt.ff_pa_ex), (desc, pt.ff_desc),
                                                    (inst, pt.ff_inst))))
-        vector, cache = fuse_forward(pa, ex, desc, inst, pt, keep)
+        key = (inst.shape, inst.dtype.str, inst.tobytes())
+        if key not in branches:
+            branches[key] = instruction_forward(inst, pt)
+        vector, cache = fuse_forward(pa, ex, desc, inst, pt, keep, branches[key])
         vectors.append(vector)
         caches.append(cache)
     fused = np.stack(vectors)
@@ -192,10 +245,17 @@ def serial_batch_grads(mats, labels, state):
     grads = {"classifier.weight": fused.T @ d_logits,
              "classifier.bias": np.array([d_logits.sum()])}
     d_fused = np.outer(d_logits, state.classifier.weight) + c_sbcl * d_sbcl
-    total = fuse_backward(d_fused[0], caches[0], pt)
-    for d_vector, cache in zip(d_fused[1:], caches[1:]):
-        for name, grad in fuse_backward(d_vector, cache, pt).items():
-            total[name] += grad
+    if textbook:
+        total = textbook_fuse_backward(d_fused[0], caches[0], pt)
+        for d_vector, cache in zip(d_fused[1:], caches[1:]):
+            for name, grad in textbook_fuse_backward(d_vector, cache, pt).items():
+                total[name] += grad
+    else:
+        folded = fold_cross(pt)
+        partials = fuse_backward(d_fused[0], caches[0], pt, folded)
+        for d_vector, cache in zip(d_fused[1:], caches[1:]):
+            partials.add(fuse_backward(d_vector, cache, pt, folded))
+        total = finish_backward(partials, pt)
     grads |= {f"pt.{name}": grad for name, grad in total.items()}
     return loss, grads
 

@@ -51,7 +51,17 @@ def test_gradient_fidelity_full_objective():
     _passed(f"gradient fidelity (sum and alpha blends, rel tol 1e-4, {elapsed:.1f}s)")
 
 
-def _check_full_objective_gradients(loss_blend, coeff_bce, coeff_sbcl):
+def test_gradient_fidelity_full_objective_with_one_instruction_matrix():
+    """As above, with every sample holding one instruction matrix, as under the hashed
+    embedder: the batch finishes that branch's backward pass once, on the summed gradient."""
+    started = time.time()
+    _check_full_objective_gradients("sum", 1.0, 1.0, shared_instruction=True)
+    elapsed = time.time() - started
+    assert elapsed < 60.0, f"gradient check took {elapsed:.1f}s"
+    _passed(f"gradient fidelity (one instruction matrix, rel tol 1e-4, {elapsed:.1f}s)")
+
+
+def _check_full_objective_gradients(loss_blend, coeff_bce, coeff_sbcl, shared_instruction=False):
     hp = dataclasses.replace(default_hyperparams(), dim=8, num_heads=2, dropout=0.0,
                              margin=0.5, alpha=0.3, seed=3)
     state = init_train_state(hp, TrainOptions(loss_blend=loss_blend))
@@ -63,6 +73,8 @@ def _check_full_objective_gradients(loss_blend, coeff_bce, coeff_sbcl):
     y = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     batch = [tuple(rng.standard_normal((int(rng.integers(2, 6)), 8)) for _ in range(4))
              for _ in range(6)]
+    if shared_instruction:
+        batch = [(*mats[:3], batch[0][3]) for mats in batch]
 
     def fused_matrix():
         return np.stack([fuse_forward(*mats, state.pt_former)[0] for mats in batch])

@@ -8,8 +8,8 @@ import pytest
 from oracles import assert_grads_close, central_difference, loop_attention, rowwise_feed_forward
 from secpatch import (cross_attention, default_hyperparams, fuse_forward, init_pt_former,
                       named_parameters, pooled_concat, self_attention)
-from secpatch.fusion import (NO_DROPOUT, dropout_keep, from_named_parameters, fuse_backward,
-                             parameter_specs)
+from secpatch.fusion import (NO_DROPOUT, dropout_keep, finish_backward, from_named_parameters,
+                             fuse_backward, parameter_specs)
 
 
 @pytest.fixture
@@ -317,7 +317,11 @@ def test_pooled_concat_shape_and_values():
 
 
 # ---------------------------------------------------------------------------
-# gradients
+# gradients: one sample's partials through the batch step that finishes them
+
+def _gradients(d_vector, cache, state):
+    return finish_backward(fuse_backward(d_vector, cache, state), state)
+
 
 @pytest.mark.parametrize("rows,ff_hidden", [((5, 4, 3, 4), None), ((3, 6, 3, 4), None),
                                              ((4, 1, 3, 4), None), ((5, 4, 3, 4), 5)],
@@ -335,7 +339,7 @@ def test_fuse_backward_matches_finite_differences(hp8, rows, ff_hidden):
         return float(vec @ probe)
 
     vec, cache = fuse_forward(*raw, state)
-    analytic = fuse_backward(probe, cache, state)
+    analytic = _gradients(probe, cache, state)
     numeric = central_difference(objective, named_parameters(state))
     assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-7)
 
@@ -352,7 +356,7 @@ def test_fuse_backward_matches_finite_differences_with_dropout(hp8):
     vec, cache = forward()
     # the patch branch's mask acts on its (patch rows, hidden) units
     assert cache["ff1"][2].shape == (5, 8) and np.any(cache["ff1"][2] == 0.0)
-    analytic = fuse_backward(probe, cache, state)
+    analytic = _gradients(probe, cache, state)
     numeric = central_difference(lambda: float(forward()[0] @ probe), named_parameters(state))
     assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-7)
 
@@ -364,11 +368,12 @@ def test_pt_former_gradients_zero_and_linear(state8):
         upstream = rng.standard_normal(24)
         _, cache = fuse_forward(*raw, state8)
 
-        zeros = fuse_backward(np.zeros(24), cache, state8)
+        zeros = _gradients(np.zeros(24), cache, state8)
+        assert list(zeros) == list(named_parameters(state8))
         assert all(np.all(g == 0.0) for g in zeros.values())
 
-        single = fuse_backward(upstream, cache, state8)
-        doubled = fuse_backward(2.0 * upstream, cache, state8)
+        single = _gradients(upstream, cache, state8)
+        doubled = _gradients(2.0 * upstream, cache, state8)
         for name in single:
             np.testing.assert_allclose(doubled[name], 2.0 * single[name], rtol=1e-12,
                                        err_msg=name)

@@ -25,7 +25,8 @@ from secpatch import (ClassifierParams, DivergenceDetected, EmbedderBackend, Exp
                       load_checkpoint, load_dataset, make_synthetic_samples, predict,
                       save_checkpoint, save_precomputed, split_dataset, train)
 from secpatch.arrayio import load_arrays, save_arrays
-from secpatch.fusion import dropout_keep, fuse_backward, fuse_forward, instruction_forward
+from secpatch.fusion import (dropout_keep, finish_backward, fuse_backward, fuse_forward,
+                             instruction_forward)
 from secpatch.train import (ADAM_EPS, InvalidCheckpoint, _compose_batches, _fusion_pool,
                             _train_batch, _validation_metrics, adamw_step, batch_loss_and_grads,
                             encode_samples)
@@ -187,11 +188,11 @@ def _ragged_batch(n: int, dim: int, seed: int):
     return mats, [Label.SECURITY if i % 2 == 0 else Label.NON_SECURITY for i in range(n)]
 
 
-def _ptformer_state(dropout: float):
-    hp = dataclasses.replace(default_hyperparams(), dim=8, num_heads=2, dropout=dropout,
+def _ptformer_state(dropout: float, dim: int = 8, heads: int = 2):
+    hp = dataclasses.replace(default_hyperparams(), dim=dim, num_heads=heads, dropout=dropout,
                              margin=0.5, seed=5)
     state = init_train_state(hp)
-    state.classifier.weight[:] = 0.1 * np.random.default_rng(6).standard_normal(24)
+    state.classifier.weight[:] = 0.1 * np.random.default_rng(6).standard_normal(3 * dim)
     return state
 
 
@@ -267,6 +268,46 @@ def test_batch_grads_match_serial_oracle_with_a_shared_instruction(monkeypatch, 
     assert runs == [threading.main_thread().name] * 4
 
 
+def _instruction_case(mats, case: str):
+    """`mats` with their instruction matrices replaced per `case`; returns (mats, number of
+    distinct matrices)."""
+    inst = mats[0][3].copy()
+    if case == "all-distinct":
+        return mats, len(mats)
+    if case == "signed-zero":  # -0.0 and 0.0 are equal values but not equal bytes
+        inst[0, 0] = 0.0
+        negative = inst.copy()
+        negative[0, 0] = -0.0
+        held = [inst if i % 2 == 0 else negative.copy() for i in range(len(mats))]
+        return [(*m[:3], h) for m, h in zip(mats, held)], 2
+    return [(*m[:3], inst.copy() if case == "equal-copies" else inst) for m in mats], 1
+
+
+@pytest.mark.parametrize("case", ["one-object", "equal-copies", "all-distinct", "signed-zero"])
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("dim, heads", [(8, 2), (256, 4)])
+def test_batch_grads_equal_the_sum_of_textbook_per_sample_grads(monkeypatch, dim, heads,
+                                                                  dropout, case):
+    # the batch step regroups sums that the textbook backward takes per sample: the folded
+    # cross-attention products, one instruction backward per branch and one product per
+    # second layer give each gradient within 1e-12 of its array's largest entry
+    mats, labels = _ragged_batch(6, dim, seed=dim + 7)
+    mats, distinct = _instruction_case(mats, case)
+    state = _ptformer_state(dropout, dim, heads)
+    expected_loss, expected = serial_batch_grads(mats, labels, copy.deepcopy(state),
+                                                 textbook=True)
+    runs = _counted_instruction_runs(monkeypatch)
+    monkeypatch.setattr(train_module, "_WORKERS", 2)
+    with ThreadPoolExecutor(2) as pool:
+        loss, grads = batch_loss_and_grads(mats, labels, state, pool=pool)
+    assert len(runs) == distinct  # equal bytes share a branch; -0.0 and 0.0 do not
+    assert loss == expected_loss
+    assert grads.keys() == expected.keys()
+    for name, grad in expected.items():
+        np.testing.assert_allclose(grads[name], grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(grad).max(), err_msg=name)
+
+
 class _Injected(RuntimeError):
     pass
 
@@ -276,12 +317,12 @@ def test_worker_failure_propagates_and_the_pool_recovers(monkeypatch):
     state = _ptformer_state(0.5)
     original, calls, lock = train_module.fuse_backward, itertools.count(1), threading.Lock()
 
-    def third_call_fails(d_vector, cache, pt):
+    def third_call_fails(*args):
         with lock:
             call = next(calls)
         if call == 3:
             raise _Injected("backward pass of the third sample")
-        return original(d_vector, cache, pt)
+        return original(*args)
 
     monkeypatch.setattr(train_module, "_WORKERS", 2)
     with ThreadPoolExecutor(2) as pool:
@@ -297,7 +338,7 @@ def test_train_shuts_its_pool_down_when_a_worker_fails(monkeypatch, small_hp, of
     monkeypatch.setattr(train_module, "_WORKERS", 2)
     monkeypatch.setattr(train_module, "_THREADED_MIN_DIM", 1)
 
-    def fails(d_vector, cache, pt):
+    def fails(*args):
         raise _Injected("backward pass")
 
     monkeypatch.setattr(train_module, "fuse_backward", fails)
@@ -536,8 +577,8 @@ def test_shared_instruction_branch_is_read_only_and_unchanged_by_backward():
         vector, cache = fuse_forward(pa, ex, desc, inst, pt, keep, branch)
         own_vector, own_cache = fuse_forward(pa, ex, desc, inst, pt, keep)
         assert vector.tobytes() == own_vector.tobytes()
-        grads, own_grads = fuse_backward(d_vector, cache, pt), fuse_backward(d_vector,
-                                                                              own_cache, pt)
+        grads, own_grads = (finish_backward(fuse_backward(d_vector, c, pt), pt)
+                            for c in (cache, own_cache))
         assert all(grads[name].tobytes() == own_grads[name].tobytes() for name in own_grads)
     assert [a.tobytes() for a in shared] == before
 
@@ -682,13 +723,13 @@ _BLAS_FUSION_RUN = """
 import dataclasses, hashlib, sys
 import numpy as np
 from secpatch import default_hyperparams
-from secpatch.fusion import fuse_backward, fuse_forward, init_pt_former
+from secpatch.fusion import finish_backward, fuse_backward, fuse_forward, init_pt_former
 hp = dataclasses.replace(default_hyperparams(), dim=256, num_heads=4)
 pt = init_pt_former(hp, 3)
 rng = np.random.default_rng(4)
 mats = [rng.standard_normal((int(rows), hp.dim)) for rows in (*sys.argv[1:3], 12, 29)]
 vector, cache = fuse_forward(*mats, pt)
-grads = fuse_backward(rng.standard_normal(vector.shape), cache, pt)
+grads = finish_backward(fuse_backward(rng.standard_normal(vector.shape), cache, pt), pt)
 print(hashlib.sha256(vector.tobytes()).hexdigest(),
       hashlib.sha256(b"".join(grads[name].tobytes() for name in sorted(grads))).hexdigest())
 """
