@@ -34,21 +34,32 @@ class TruncatedContainer(CorruptContainer):
 
 
 @contextlib.contextmanager
-def atomic_open(path, mode: str = "wb", **open_kwargs):
-    """Yield a handle on a new temp file beside `path`, then fsync it and rename it over `path`.
+def atomic_open(path, mode: str = "wb", *, durable: bool = True, **open_kwargs):
+    """Yield a handle on a new temp file beside `path`, then rename it over `path`.
 
-    On any exception the temp file is unlinked and `path` keeps its old content."""
+    A durable write fsyncs the file before the rename and its directory after it, so
+    the new content outlives a power cut once this returns. `durable=False` calls no
+    fsync, for files that carry their own checksum and can be made again (explain
+    cache entries): after a crash such a file may be torn or empty. On any exception
+    the temp file is unlinked and `path` keeps its old content."""
     tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
     fh = open(tmp, mode.replace("w", "x"), **open_kwargs)  # like open(): 0666 & ~umask
     try:
         with fh:
             yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
+            if durable:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    if durable:  # the rename itself is a change to the directory
+        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def json_value(data: bytes | str):

@@ -1,4 +1,4 @@
-"""Patch explanation generation: prompt text, durable content-addressed cache, stub and HTTP backends."""
+"""Patch explanation generation: prompt text, checksummed content-addressed cache, stub and HTTP backends."""
 
 import hashlib
 import json
@@ -163,7 +163,9 @@ def _write_cache_entry(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     body = text.encode("utf-8")
     payload = body + b"\nsha256=" + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
-    with atomic_open(path) as fh:  # concurrent writers for one key are interchangeable
+    # no fsync: a torn entry fails its checksum, and concurrent writers of one key are
+    # interchangeable
+    with atomic_open(path, durable=False) as fh:
         fh.write(payload)
 
 

@@ -249,6 +249,13 @@ def instruction_forward(inst: np.ndarray, state: PTFormerState):
     return inst_hat, c_sa_inst, hidden
 
 
+def instruction_weights(state: PTFormerState) -> tuple:
+    """The arrays `instruction_forward` reads: the self-attention's projections and ff_inst's
+    first layer."""
+    return (state.self_attn.w_q, state.self_attn.w_k, state.self_attn.w_v, state.ff_inst.w1,
+            state.ff_inst.b1)
+
+
 def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndarray,
                  state: PTFormerState, keep=NO_DROPOUT, inst_branch=None):
     """Raw-array fusion; returns (vector of length 3*dim, cache for the backward pass).

@@ -8,7 +8,7 @@ import math
 import os
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 
 import numpy as np
@@ -20,8 +20,8 @@ from .embed import EmbedderBackend, embed_patch, embed_text
 from .explain import ExplainerConfig, explain, instruction_text
 from .fusion import (NO_DROPOUT, PTFormerState, check_shapes, dropout_keep, finish_backward,
                      fold_cross, from_named_parameters, fuse_backward, fuse_forward,
-                     init_parameters, init_pt_former, instruction_forward, model_sizes,
-                     named_parameters, parameter, parameter_specs, pooled_concat)
+                     init_parameters, init_pt_former, instruction_forward, instruction_weights,
+                     model_sizes, named_parameters, parameter, parameter_specs, pooled_concat)
 from .metrics import MetricsReport, compute_metrics
 from .seeding import derive_seed, substream
 from .types import (FusedEmbedding, HyperParams, Label, LengthMismatch, Modality,
@@ -42,6 +42,9 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _THREADED_MIN_DIM = 128
 _M_ARENA_MAX = -8  # glibc's mallopt parameter for the arena limit
+# a new object at every optimizer step; module-level, since states may share one
+# PTFormerState and a step through one makes every state's kept branches stale
+_step_token = object()
 
 
 class DivergenceDetected(RuntimeError):
@@ -136,6 +139,9 @@ class TrainState:
     epoch: int
     rngs: dict
     sbcl_skipped: int = 0
+    # evaluation-mode instruction branches of the current weights, never checkpointed
+    # (see _kept_branches)
+    kept_branches: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +244,7 @@ def _instruction_branches(mats, state: TrainState, pool, kept: dict) -> list:
     once for each matrix that two or more samples hold, and for every matrix when
     there is no `pool`; one that a single sample holds stays in that sample's pass,
     so distinct matrices still spread over the pool. Branches in `kept` are reused,
-    and on return `kept` holds those of `mats`. It never outlives the call, since
-    the optimizer updates the weights in place.
+    and on return `kept` holds those of `mats`.
     """
     if state.pt_former is None:
         return [None] * len(mats)
@@ -253,6 +258,30 @@ def _instruction_branches(mats, state: TrainState, pool, kept: dict) -> list:
         elif key not in kept and (pool is None or repeats[key] > 1):
             kept[key] = instruction_forward(sample_mats[3], state.pt_former)
     return [kept.get(key) for key in keys]
+
+
+def _kept_branches(state: TrainState) -> dict:
+    """The evaluation-mode instruction branches `state` keeps for its current weights, as
+    `_instruction_branches` takes them.
+
+    A kept record names the optimizer step it was made after, the PTFormerState and
+    the arrays `instruction_forward` reads (`fusion.instruction_weights`). It starts
+    empty after any optimizer step, for another PTFormerState, and when one of those
+    arrays is another object or writable (as in a deep copy). The arrays stay
+    read-only while it is kept, so an in-place edit raises instead of scoring with a
+    stale branch; `_train_batch` makes them writable for its step. Two calls at once
+    can each start a record and lose the other's entries, never read a wrong one.
+    """
+    pt, record = state.pt_former, state.kept_branches
+    if pt is None:
+        return {}
+    weights = instruction_weights(pt)
+    if (record is None or record[0] is not _step_token or record[1] is not pt
+            or any(a is not b or a.flags.writeable for a, b in zip(weights, record[2]))):
+        for arr in weights:
+            arr.flags.writeable = False
+        record = state.kept_branches = (_step_token, pt, weights, {})
+    return record[3]
 
 
 def _in_order(pool: ThreadPoolExecutor | None, fn, args: list):
@@ -664,11 +693,19 @@ def read_best_pointer(pointer_path) -> dict:
 
 
 def _train_batch(batch, encoded, state, pool=None):
-    """One AdamW step on the batch's joint objective; returns its LossBreakdown."""
+    """One AdamW step on the batch's joint objective; returns its LossBreakdown.
+
+    The one writer of weights: before the step it makes every kept instruction branch
+    stale (see _kept_branches) and the arrays they read writable again."""
+    global _step_token
     loss, grads = batch_loss_and_grads([encoded[s.id] for s in batch], [s.label for s in batch],
                                        state, pool)
     state.sbcl_skipped += loss.sbcl_skipped
     if grads is not None:
+        _step_token, state.kept_branches = object(), None
+        if state.pt_former is not None:
+            for arr in instruction_weights(state.pt_former):
+                arr.flags.writeable = True
         state.adam_t += 1
         adamw_step(_trainable_params(state), grads, state.adam_m, state.adam_v, state.adam_t,
                    state.hp.learning_rate, state.hp.weight_decay)
@@ -701,11 +738,11 @@ def _fuse_chunks(mats, state: TrainState, pool):
     `mats` is drawn _WORKERS samples at a time, and the chunk is fused on
     `pool` (the calling thread when None) before the next one is drawn. The
     chunk's shared instruction branches (see `_instruction_branches`) run
-    first; one that the next chunk uses again is kept for it. Evaluation draws
-    no random numbers, so every vector is the same bits whether a pool runs it
-    or the calling thread.
+    first, unless the state keeps them from an earlier chunk or call of the same
+    weights (see `_kept_branches`). Evaluation draws no random numbers, so every
+    vector is the same bits whether a pool runs it or the calling thread.
     """
-    mats, kept = iter(mats), {}
+    mats, kept = iter(mats), _kept_branches(state)
     while chunk := list(islice(mats, _WORKERS)):
         branches = _instruction_branches(chunk, state, pool, kept)
         yield from _in_order(pool, _forward_sample,

@@ -192,6 +192,22 @@ def test_crash_mid_write_keeps_previous_file(tmp_path, monkeypatch, writer):
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_products_fsync_file_then_directory_and_cache_entries_fsync_nothing(tmp_path,
+                                                                            monkeypatch, writer):
+    synced, real_fsync = [], os.fsync
+
+    def recorded(fd):
+        synced.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recorded)
+    path = tmp_path / "artifact"
+    WRITERS[writer](path, 1)
+    expected = [] if writer == "explain_cache" else [path.stat().st_ino, tmp_path.stat().st_ino]
+    assert synced == expected
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
 def test_new_file_mode_follows_umask(tmp_path, writer):
     old = os.umask(0o027)
     try:
@@ -250,6 +266,24 @@ def test_only_arrayio_opens_files_for_writing():
                     [a.name for a in node.names] + [getattr(node, "module", None)]):
                 found.append(f"{path.name}:{node.lineno} imports tempfile")
     assert found == []
+
+
+def _calls_naming(node, keyword: str, func=None):
+    """(enclosing function, the keyword's value) for each call in `node` passing `keyword`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield from ((func, ast.unparse(kw.value)) for kw in child.keywords
+                        if kw.arg == keyword)
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _calls_naming(child, keyword, inner)
+
+
+def test_only_explain_cache_entries_skip_the_fsync():
+    # every product keeps atomic_open's durable default
+    found = [(path.name, func, value) for path in sorted(SRC.glob("*.py"))
+             for func, value in _calls_naming(ast.parse(path.read_text(encoding="utf-8")),
+                                              "durable")]
+    assert found == [("explain.py", "_write_cache_entry", "False")]
 
 
 _JSON_PARSERS = {"load", "loads", "JSONDecoder", "JSONDecodeError"}

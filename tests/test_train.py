@@ -473,21 +473,105 @@ def test_single_patch_predict_makes_no_pool(monkeypatch, tmp_path):
 # the instruction branch: one run per distinct instruction matrix, shared by its samples
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_evaluation_runs_the_instruction_branch_once_per_call(monkeypatch, tmp_path, workers):
+def test_evaluation_runs_the_instruction_branch_once_per_weight_version(monkeypatch, tmp_path,
+                                                                        workers):
+    # on unchanged weights, every evaluation call after the first reuses the kept branch
     state, backends = _threaded_eval_setup(tmp_path)
     samples = _ragged_samples(7)
     vectors, probs = serial_evaluation(samples, state, backends)
+    expected = compute_metrics(probs, [1 if s.label is Label.SECURITY else 0 for s in samples],
+                               state.options.threshold)
     encoded = encode_samples(samples, backends, state.hp, state.options)
     runs = _counted_instruction_runs(monkeypatch)
     monkeypatch.setattr(train_module, "_WORKERS", workers)
     fused = fused_embeddings(samples, state, backends)
-    assert len(runs) == 1
     assert [p for p, _ in predict(samples, state, backends)] == probs
-    assert len(runs) == 2
     with _fusion_pool(state, len(samples)) as pool:
-        _validation_metrics(samples, encoded, state, pool)
-    assert runs == [threading.main_thread().name] * 3
+        assert _validation_metrics(samples, encoded, state, pool) == (expected.auc, expected.f1)
+    assert [p for p, _ in predict(samples[:1], state, backends)] == probs[:1]
+    assert runs == [threading.main_thread().name]
     assert all(np.array_equal(f.values, v) for f, v in zip(fused, vectors))
+
+
+def _trained_without_validation(hp, backends, tmp_path):
+    """(split without validation, state after one epoch, its checkpoint directory)."""
+    split = dataclasses.replace(_tiny_split(hp), validation=())
+    ckpt = tmp_path / "ckpt"
+    state, _ = train(split, dataclasses.replace(hp, epochs=1), backends, checkpoint_dir=str(ckpt))
+    return split, state, ckpt
+
+
+def test_a_step_a_load_or_a_new_pt_former_runs_the_instruction_branch_again(
+        monkeypatch, small_hp, offline_backends, tmp_path):
+    split, state, ckpt = _trained_without_validation(small_hp, offline_backends, tmp_path)
+    samples = split.train
+    runs = _counted_instruction_runs(monkeypatch)
+
+    def scored(run_state, new_runs):
+        probs = [p for p, _ in predict(samples, run_state, offline_backends)]
+        assert len(runs) == new_runs
+        assert [p for p, _ in predict(samples, run_state, offline_backends)] == probs
+        assert len(runs) == new_runs  # kept for the same weights
+        runs.clear()
+        return probs
+
+    before = scored(state, 1)
+    state, _ = train(split, dataclasses.replace(small_hp, epochs=1), offline_backends,
+                     state=state, checkpoint_dir=str(ckpt))
+    runs.clear()  # the step's own batch forward
+    after = scored(state, 1)
+    assert after != before
+    assert scored(load_checkpoint(ckpt / "epoch_0002.ckpt"), 1) == after
+    state.pt_former = dataclasses.replace(state.pt_former)
+    assert scored(state, 1) == after
+    state.pt_former = copy.deepcopy(state.pt_former)  # writable copies of the weights
+    assert scored(state, 1) == after
+
+
+def test_a_step_through_another_state_makes_a_shared_pt_formers_branch_stale(
+        small_hp, offline_backends, tmp_path):
+    split, state, ckpt = _trained_without_validation(small_hp, offline_backends, tmp_path)
+    other = dataclasses.replace(state)  # shares the PT-Former's arrays
+    predict(split.train, other, offline_backends)
+    state, _ = train(split, dataclasses.replace(small_hp, epochs=1), offline_backends,
+                     state=state, checkpoint_dir=str(ckpt))
+    probs = predict(split.train, state, offline_backends)  # the arrays are read-only again
+    assert predict(split.train, other, offline_backends) == probs
+
+
+@pytest.mark.parametrize("name", ["self_attn.w_q", "self_attn.w_k", "self_attn.w_v",
+                                  "ff_inst.w1", "ff_inst.b1"])
+def test_a_weight_the_kept_branch_reads_cannot_be_edited_in_place(tmp_path, name):
+    state, backends = _threaded_eval_setup(tmp_path)
+    samples = _ragged_samples(2)
+    probs = predict(samples, state, backends)
+    block, attr = name.split(".")
+    weight = getattr(getattr(state.pt_former, block), attr)
+    with pytest.raises(ValueError, match="read-only"):
+        weight.flat[0] += 1.0
+    state.pt_former.ff_desc.w1.flat[0] += 0.0  # a weight the branch does not read
+    assert predict(samples, state, backends) == probs
+    weight.flags.writeable = True  # by hand: the kept branch is not read again
+    weight.flat[0] += 1.0
+    edited = predict(samples, state, backends)
+    assert edited != probs
+    assert predict(samples, dataclasses.replace(state), backends) == edited  # nothing kept
+
+
+def test_kept_branches_hold_one_chunk_of_per_sample_instructions(monkeypatch, tmp_path):
+    state, _ = _threaded_eval_setup(tmp_path)
+    samples = _ragged_samples(20)
+    rng = np.random.default_rng(3)
+    instructions = [rng.standard_normal((4, state.hp.dim)) for _ in samples]
+    backends = _precomputed_backends(tmp_path, samples, instructions, state.hp.dim)
+    _, probs = serial_evaluation(samples, state, backends)
+    monkeypatch.setattr(train_module, "_WORKERS", 3)
+    monkeypatch.setattr(train_module, "_THREADED_MIN_DIM", 10 ** 9)  # every branch on the caller
+    for sample, prob in zip(samples, probs):
+        assert predict([sample], state, backends)[0][0] == prob
+        assert len(state.kept_branches[-1]) == 1
+    assert [p for p, _ in predict(samples, state, backends)] == probs
+    assert len(state.kept_branches[-1]) == 20 % 3  # the last chunk's
 
 
 def test_training_runs_the_instruction_branch_once_per_batch_and_validation(
@@ -543,6 +627,19 @@ def test_instruction_branch_is_shared_only_by_equal_bytes(monkeypatch, tmp_path,
     fused = fused_embeddings(samples, state, backends)
     assert all(np.array_equal(f.values, v) for f, v in zip(fused, vectors))
     assert runs == [threading.main_thread().name] * 2 * 2
+
+
+def test_kept_instruction_branch_is_not_shared_by_negative_zero(monkeypatch, tmp_path):
+    # a branch kept from one call serves the next only for the same bytes
+    state, _ = _threaded_eval_setup(tmp_path)
+    samples = _ragged_samples(2)
+    zero, negative_zero = np.zeros((4, state.hp.dim)), np.full((4, state.hp.dim), -0.0)
+    backends = _precomputed_backends(tmp_path, samples, [zero, negative_zero], state.hp.dim)
+    _, probs = serial_evaluation(samples, state, backends)
+    runs = _counted_instruction_runs(monkeypatch)
+    for i in (0, 1, 1, 0):
+        assert predict([samples[i]], state, backends)[0][0] == probs[i]
+    assert len(runs) == 3
 
 
 def test_an_instruction_matrix_of_one_sample_runs_in_its_fusion_pass(monkeypatch, tmp_path):
