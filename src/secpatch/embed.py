@@ -6,6 +6,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import arrayio
+from .dataset import VOCAB_SIZE
 from .types import EmbeddingMatrix, Modality
 
 PRECOMPUTED_KIND = "precomputed_file"
@@ -33,6 +34,8 @@ class EmbedderBackend:
             raise ValueError(f"unknown embedder kind: {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        if self.kind == HASHED_KIND and (type(self.seed) is not int or self.seed < 0):
+            raise ValueError(f"hashed_projection seed must be an int >= 0, got {self.seed!r}")
 
     @classmethod
     def hashed_projection(cls, dim: int, seed: int) -> "EmbedderBackend":
@@ -74,10 +77,72 @@ def _checked_rows(arr, dim: int, where: str) -> np.ndarray:
     return rows
 
 
+_U32 = 0xFFFFFFFF
+
+
+@lru_cache(maxsize=4)  # the few seeds in use: 2 MiB each
+def _seed_words(seed: int) -> np.ndarray:
+    """SeedSequence([seed, t]).generate_state(4, np.uint64) for every token id t, as a
+    read-only (VOCAB_SIZE, 4) uint64 table.
+
+    numpy's SeedSequence algorithm with its pool of four 32-bit words, run on every id
+    at once; all arithmetic is mod 2**32. The entropy is the seed's 32-bit words, least
+    significant first (0 gives one word), then the id as one word.
+    """
+    u = np.uint32
+    entropy = [np.full(VOCAB_SIZE, seed >> shift & _U32, u)
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.arange(VOCAB_SIZE, dtype=u))
+    h = 0x43b0d7e5
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ u(h)
+        h = h * 0x931e8875 & _U32
+        v = v * u(h)
+        return v ^ (v >> u(16))
+
+    def mix(x, y):
+        r = x * u(0xca01f9dd) - y * u(0x4973f715)
+        return r ^ (r >> u(16))
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(VOCAB_SIZE, u))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h, out = 0x8b51f9dd, []
+    for i in range(8):
+        v = pool[i % 4] ^ u(h)
+        h = h * 0x58f38ded & _U32
+        v = v * u(h)
+        out.append((v ^ (v >> u(16))).astype(np.uint64))
+    # output words 2j and 2j + 1 are the low and high halves of uint64 word j
+    words = np.stack([out[j] | (out[j + 1] << np.uint64(32)) for j in range(0, 8, 2)], axis=1)
+    words.flags.writeable = False
+    return words
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 the four uint64 words a SeedSequence would generate for it; PCG64 asks
+    for nothing else."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 @lru_cache(maxsize=1 << 16)
 def _token_row(seed: int, dim: int, token_id: int) -> np.ndarray:
-    """Reproducible pseudo-random unit vector for one token id."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, token_id]))
+    """Reproducible pseudo-random unit vector for one token id: the normalized draw of
+    default_rng(SeedSequence([seed, token_id])), from the precomputed seed words."""
+    rng = np.random.Generator(np.random.PCG64(_SeedWords(_seed_words(seed)[token_id])))
     row = rng.standard_normal(dim)
     row /= np.linalg.norm(row)
     row.flags.writeable = False
@@ -90,6 +155,9 @@ def _embed(tokens: tuple[int, ...], backend: EmbedderBackend, modality: Modality
         # sentinel zero row keeps downstream shapes valid for missing modalities
         rows = np.zeros((1, backend.dim))
     elif backend.kind == HASHED_KIND:
+        if min(tokens) < 0 or max(tokens) >= VOCAB_SIZE:
+            bad = next(t for t in tokens if not 0 <= t < VOCAB_SIZE)
+            raise ValueError(f"token id {bad} is outside the vocabulary [0, {VOCAB_SIZE})")
         # unit rows: finite float64 by construction
         rows = np.array([_token_row(backend.seed, backend.dim, t) for t in tokens])
     else:

@@ -8,14 +8,18 @@ dense layer of each block is affine, so it runs on the mean-pooled hidden
 row: mean(h) @ w2 + b2 is the same vector as mean(h @ w2 + b2) at the cost
 of one row.
 
-The patch branch (cross-attention, then ff_pa_ex's first layer) multiplies
-in folded order: scores pa @ (W_q @ kᵀ) and first layer A @ (v @ w1), where
-A is the (patch, explanation) attention weights, for the textbook
-(pa @ W_q) @ kᵀ and (A @ v) @ w1. Every patch-row × dim² product becomes a
-patch-row × explanation-row × dim one. Dropout and the rectifier act on the
-(patch, hidden) rows of A @ (v @ w1) + b1. The public
-`cross_attention` returns A @ v, its A from the fusion pass's own code; the
-public `self_attention` runs the kernel the fusion pass runs on each text.
+The patch branch (cross-attention, then ff_pa_ex's first layer) reads the
+cross-attention's weights only as the folded pair W_qk = W_q @ W_kᵀ and
+W_vf = W_v @ ff_pa_ex.w1 (`fold_cross`): scores pa @ (W_qk @ ex_hatᵀ) and
+first layer A @ (ex_hat @ W_vf), where A is the (patch, explanation)
+attention weights, for the textbook (pa @ W_q) @ (ex_hat @ W_k)ᵀ and
+(A @ (ex_hat @ W_v)) @ w1. Neither k nor v is formed, and every patch-row ×
+dim² product becomes a patch-row × explanation-row × dim one. Dropout and
+the rectifier act on the (patch, hidden) rows of A @ (ex_hat @ W_vf) + b1.
+A caller forms the pair once per batch, or once per weight version in
+evaluation, and passes it to every pass. The public `cross_attention`
+returns A @ (ex @ W_v), its A from the fusion pass's own code; the public
+`self_attention` runs the kernel the fusion pass runs on each text.
 
 The instruction branch up to its dropout is `instruction_forward`. A caller
 whose samples hold one instruction matrix runs it once and passes the result
@@ -25,10 +29,9 @@ Forward functions return caches consumed by exact reverse-mode backward
 functions; no autograd framework is involved. The backward pass has two
 parts. `fuse_backward` runs per sample and returns what depends on that
 sample alone (`BackwardPartials`); `finish_backward` turns the batch's summed
-partials into parameter gradients once. The per-sample part reads the
-cross-attention's weights only as the products W_qk = W_q @ W_kᵀ and
-W_vf = W_v @ ff_pa_ex.w1 (`fold_cross`, formed once per batch), so a sample
-pays 4 explanation-row × dim² products where the weight pairs would pay 8.
+partials into parameter gradients once. The per-sample part reads the folded
+pair too, so a sample pays 4 explanation-row × dim² products where the
+weight pairs would pay 8.
 The instruction branch's backward runs once per shared branch on its summed
 rows, and each second layer's weight gradient is one product over the batch.
 
@@ -159,10 +162,9 @@ def _scores_backward(attn: np.ndarray, d_attn: np.ndarray, width: int) -> np.nda
     return attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) / math.sqrt(width)
 
 
-def _cross_weights(pa: np.ndarray, ex: np.ndarray, params: CrossAttentionParams):
-    """(A, k, v): k = ex @ W_k, v = ex @ W_v and A = softmax(pa @ (W_q @ kᵀ) / sqrt(dim))."""
-    k, v = ex @ params.w_k, ex @ params.w_v
-    return softmax(pa @ (params.w_q @ k.T) / math.sqrt(params.w_q.shape[0])), k, v
+def _cross_weights(pa: np.ndarray, ex: np.ndarray, w_qk: np.ndarray) -> np.ndarray:
+    """A = softmax(pa @ (W_qk @ exᵀ) / sqrt(dim)), with W_qk = W_q @ W_kᵀ."""
+    return softmax(pa @ (w_qk @ ex.T) / math.sqrt(w_qk.shape[0]))
 
 
 def self_attention(x: np.ndarray, params: AttentionParams):
@@ -172,11 +174,12 @@ def self_attention(x: np.ndarray, params: AttentionParams):
 
 
 def cross_attention(pa: np.ndarray, ex: np.ndarray, params: CrossAttentionParams):
-    """Single-head attention from patch onto explanation rows: (A @ v, A), A as in fuse_forward."""
+    """Single-head attention from patch onto explanation rows: (A @ (ex @ W_v), A), A as in
+    fuse_forward."""
     if pa.shape[1] != ex.shape[1]:
         raise ValueError(f"dim mismatch: patch {pa.shape[1]} vs explanation {ex.shape[1]}")
-    attn, _, v = _cross_weights(pa, ex, params)
-    return attn @ v, attn
+    attn = _cross_weights(pa, ex, params.w_q @ params.w_k.T)
+    return attn @ (ex @ params.w_v), attn
 
 
 # ---------------------------------------------------------------------------
@@ -249,31 +252,34 @@ def instruction_forward(inst: np.ndarray, state: PTFormerState):
     return inst_hat, c_sa_inst, hidden
 
 
-def instruction_weights(state: PTFormerState) -> tuple:
-    """The arrays `instruction_forward` reads: the self-attention's projections and ff_inst's
-    first layer."""
+def kept_weights(state: PTFormerState) -> tuple:
+    """The arrays whose products a caller keeps across forward passes: those
+    `instruction_forward` reads (the self-attention's projections and ff_inst's first
+    layer) and those `fold_cross` reads (the cross-attention's and ff_pa_ex's w1)."""
     return (state.self_attn.w_q, state.self_attn.w_k, state.self_attn.w_v, state.ff_inst.w1,
-            state.ff_inst.b1)
+            state.ff_inst.b1, state.cross_attn.w_q, state.cross_attn.w_k, state.cross_attn.w_v,
+            state.ff_pa_ex.w1)
 
 
 def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndarray,
-                 state: PTFormerState, keep=NO_DROPOUT, inst_branch=None):
+                 state: PTFormerState, keep=NO_DROPOUT, inst_branch=None, folded=None):
     """Raw-array fusion; returns (vector of length 3*dim, cache for the backward pass).
 
     `keep` holds the dropout rate and the branches' masks from `dropout_keep`
     in training; the default applies no dropout (evaluation). `inst_branch`
     is `instruction_forward(inst, state)` when the caller shares one across
-    samples; it is computed here when None.
+    samples, and `folded` is `fold_cross(state)`; each is computed here when None.
     """
     rate, keep_pa_ex, keep_desc, keep_inst = keep
     if inst_branch is None:
         inst_branch = instruction_forward(inst, state)
+    w_qk, w_vf = fold_cross(state) if folded is None else folded
     inst_hat, c_sa_inst, inst_hidden = inst_branch
     ex_hat, c_sa_ex = _attention_forward(ex, state.self_attn)
     desc_hat, c_sa_desc = _attention_forward(desc, state.self_attn)
-    # A @ (v @ w1) for (A @ v) @ w1: _ff_forward's input is A, its w1 is v @ w1
-    attn, _, v = _cross_weights(pa, ex_hat, state.cross_attn)
-    v_w1 = v @ state.ff_pa_ex.w1
+    # A @ (ex_hat @ W_vf) for (A @ v) @ w1: _ff_forward's input is A, its w1 is ex_hat @ W_vf
+    attn = _cross_weights(pa, ex_hat, w_qk)
+    v_w1 = ex_hat @ w_vf
     f_pa_ex, c_ff1 = _ff_forward(attn, replace(state.ff_pa_ex, w1=v_w1), keep_pa_ex, rate)
     f_desc, c_ff2 = _ff_forward(desc_hat, state.ff_desc, keep_desc, rate)
     f_inst, c_ff3 = _ff_forward(inst_hat, state.ff_inst, keep_inst, rate, inst_hidden)
@@ -286,9 +292,9 @@ def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndar
 
 
 def fold_cross(state: PTFormerState):
-    """(W_q @ W_kᵀ, W_v @ ff_pa_ex.w1): the products in which `fuse_backward` reads the
-    cross-attention's weights. The optimizer updates the weights in place, so a caller folds
-    again after every step."""
+    """(W_q @ W_kᵀ, W_v @ ff_pa_ex.w1): the products in which `fuse_forward` and
+    `fuse_backward` read the cross-attention's weights. The optimizer updates the weights in
+    place, so a caller folds again after every step."""
     ca = state.cross_attn
     return ca.w_q @ ca.w_k.T, ca.w_v @ state.ff_pa_ex.w1
 

@@ -20,7 +20,7 @@ from .embed import EmbedderBackend, embed_patch, embed_text
 from .explain import ExplainerConfig, explain, instruction_text
 from .fusion import (NO_DROPOUT, PTFormerState, check_shapes, dropout_keep, finish_backward,
                      fold_cross, from_named_parameters, fuse_backward, fuse_forward,
-                     init_parameters, init_pt_former, instruction_forward, instruction_weights,
+                     init_parameters, init_pt_former, instruction_forward, kept_weights,
                      model_sizes, named_parameters, parameter, parameter_specs, pooled_concat)
 from .metrics import MetricsReport, compute_metrics
 from .seeding import derive_seed, substream
@@ -43,7 +43,7 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 _THREADED_MIN_DIM = 128
 _M_ARENA_MAX = -8  # glibc's mallopt parameter for the arena limit
 # a new object at every optimizer step; module-level, since states may share one
-# PTFormerState and a step through one makes every state's kept branches stale
+# PTFormerState and a step through one makes every state's kept record stale
 _step_token = object()
 
 
@@ -139,8 +139,8 @@ class TrainState:
     epoch: int
     rngs: dict
     sbcl_skipped: int = 0
-    # evaluation-mode instruction branches of the current weights, never checkpointed
-    # (see _kept_branches)
+    # the folded cross-attention pair and evaluation-mode instruction branches of the
+    # current weights, never checkpointed (see _kept_branches)
     kept_branches: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -227,11 +227,11 @@ def encode_samples(samples, backends, hp, options=TrainOptions()) -> dict:
 # ---------------------------------------------------------------------------
 # forward pass and joint objective
 
-def _forward_sample(mats, state: TrainState, inst_branch=None) -> np.ndarray:
-    """Fused vector of one encoded sample in evaluation mode; `inst_branch` as in
-    `fuse_forward`."""
+def _forward_sample(mats, state: TrainState, inst_branch=None, folded=None) -> np.ndarray:
+    """Fused vector of one encoded sample in evaluation mode; `inst_branch` and `folded` as
+    in `fuse_forward`."""
     if state.pt_former is not None:
-        return fuse_forward(*mats, state.pt_former, NO_DROPOUT, inst_branch)[0]
+        return fuse_forward(*mats, state.pt_former, NO_DROPOUT, inst_branch, folded)[0]
     return pooled_concat(*mats)
 
 
@@ -260,28 +260,30 @@ def _instruction_branches(mats, state: TrainState, pool, kept: dict) -> list:
     return [kept.get(key) for key in keys]
 
 
-def _kept_branches(state: TrainState) -> dict:
-    """The evaluation-mode instruction branches `state` keeps for its current weights, as
-    `_instruction_branches` takes them.
+def _kept_branches(state: TrainState):
+    """(folded pair, instruction branches) that `state` keeps for its current weights: the
+    `fold_cross` result `fuse_forward` takes, and the evaluation-mode instruction branches
+    as `_instruction_branches` takes them.
 
     A kept record names the optimizer step it was made after, the PTFormerState and
-    the arrays `instruction_forward` reads (`fusion.instruction_weights`). It starts
-    empty after any optimizer step, for another PTFormerState, and when one of those
-    arrays is another object or writable (as in a deep copy). The arrays stay
-    read-only while it is kept, so an in-place edit raises instead of scoring with a
-    stale branch; `_train_batch` makes them writable for its step. Two calls at once
-    can each start a record and lose the other's entries, never read a wrong one.
+    the arrays the pair and the branches are made from (`fusion.kept_weights`). A new
+    record, with a new pair and no branches, starts after any optimizer step, for
+    another PTFormerState, and when one of those arrays is another object or writable
+    (as in a deep copy). The arrays stay read-only while it is kept, so an in-place
+    edit raises instead of scoring with a stale product; `_train_batch` makes them
+    writable for its step. Two calls at once can each start a record and lose the
+    other's entries, never read a wrong one.
     """
     pt, record = state.pt_former, state.kept_branches
     if pt is None:
-        return {}
-    weights = instruction_weights(pt)
+        return None, {}
+    weights = kept_weights(pt)
     if (record is None or record[0] is not _step_token or record[1] is not pt
             or any(a is not b or a.flags.writeable for a, b in zip(weights, record[2]))):
         for arr in weights:
             arr.flags.writeable = False
-        record = state.kept_branches = (_step_token, pt, weights, {})
-    return record[3]
+        record = state.kept_branches = (_step_token, pt, weights, fold_cross(pt), {})
+    return record[3:]
 
 
 def _in_order(pool: ThreadPoolExecutor | None, fn, args: list):
@@ -366,10 +368,11 @@ def batch_loss_and_grads(mats, labels, state: TrainState,
     if pt is None:
         fused = np.stack([_forward_sample(sample_mats, state) for sample_mats in mats])
     else:
+        folded = fold_cross(pt)  # one pair for every forward and backward pass of the batch
         keeps = [dropout_keep(*m, pt, hp.dropout, state.rngs["dropout"]) for m in mats]
         work = list(zip(mats, keeps, _instruction_branches(mats, state, pool, {})))
         vectors, caches = zip(*_in_order(
-            pool, lambda m, keep, branch: fuse_forward(*m, pt, keep, branch), work))
+            pool, lambda m, keep, branch: fuse_forward(*m, pt, keep, branch, folded), work))
         fused = np.stack(vectors)
     y = np.array([1.0 if label is Label.SECURITY else 0.0 for label in labels])
     probs = head_probability(fused, state.classifier)
@@ -402,7 +405,6 @@ def batch_loss_and_grads(mats, labels, state: TrainState,
     if pt is not None:
         work = list(zip(d_fused, caches))
         del caches  # so each cache is freed once its backward pass is done
-        folded = fold_cross(pt)
         per_sample = _in_order(pool, lambda d_vec, cache: fuse_backward(d_vec, cache, pt, folded),
                                work)
         partials = next(per_sample)
@@ -695,8 +697,8 @@ def read_best_pointer(pointer_path) -> dict:
 def _train_batch(batch, encoded, state, pool=None):
     """One AdamW step on the batch's joint objective; returns its LossBreakdown.
 
-    The one writer of weights: before the step it makes every kept instruction branch
-    stale (see _kept_branches) and the arrays they read writable again."""
+    The one writer of weights: before the step it makes every kept record stale (see
+    _kept_branches) and the arrays it is made from writable again."""
     global _step_token
     loss, grads = batch_loss_and_grads([encoded[s.id] for s in batch], [s.label for s in batch],
                                        state, pool)
@@ -704,7 +706,7 @@ def _train_batch(batch, encoded, state, pool=None):
     if grads is not None:
         _step_token, state.kept_branches = object(), None
         if state.pt_former is not None:
-            for arr in instruction_weights(state.pt_former):
+            for arr in kept_weights(state.pt_former):
                 arr.flags.writeable = True
         state.adam_t += 1
         adamw_step(_trainable_params(state), grads, state.adam_m, state.adam_v, state.adam_t,
@@ -739,14 +741,15 @@ def _fuse_chunks(mats, state: TrainState, pool):
     `pool` (the calling thread when None) before the next one is drawn. The
     chunk's shared instruction branches (see `_instruction_branches`) run
     first, unless the state keeps them from an earlier chunk or call of the same
-    weights (see `_kept_branches`). Evaluation draws no random numbers, so every
-    vector is the same bits whether a pool runs it or the calling thread.
+    weights; every pass reads the folded pair kept for those weights (see
+    `_kept_branches`). Evaluation draws no random numbers, so every vector is the
+    same bits whether a pool runs it or the calling thread.
     """
-    mats, kept = iter(mats), _kept_branches(state)
+    mats, (folded, kept) = iter(mats), _kept_branches(state)
     while chunk := list(islice(mats, _WORKERS)):
         branches = _instruction_branches(chunk, state, pool, kept)
         yield from _in_order(pool, _forward_sample,
-                             [(m, state, branch) for m, branch in zip(chunk, branches)])
+                             [(m, state, branch, folded) for m, branch in zip(chunk, branches)])
 
 
 def _fused_vectors(samples, state: TrainState, backends: PipelineBackends):

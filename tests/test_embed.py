@@ -3,9 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from secpatch import (BackendMissingEntry, EmbedderBackend, Modality, embed_patch, embed_text,
-                      save_precomputed)
+from secpatch import (BackendMissingEntry, EmbedderBackend, Modality, default_hyperparams,
+                      embed_patch, embed_text, save_precomputed, tokenize)
 from secpatch.arrayio import save_arrays
+from secpatch.dataset import VOCAB_SIZE
+from secpatch.embed import _seed_words, _token_row
+from secpatch.seeding import derive_seed
 
 
 @pytest.fixture
@@ -55,6 +58,67 @@ def test_text_modalities_share_values(hashed):
     np.testing.assert_array_equal(ex.values, desc.values)
     assert ex.modality is Modality.EXPLANATION
     assert desc.modality is Modality.DESCRIPTION
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None], ids=str)
+def test_hashed_seed_must_be_a_non_negative_int(seed):
+    with pytest.raises(ValueError, match=re.escape(
+            f"hashed_projection seed must be an int >= 0, got {seed!r}")):
+        EmbedderBackend.hashed_projection(8, seed)
+
+
+@pytest.mark.parametrize("tokens, bad", [((3, 70000, 5), 70000), ((2 ** 40,), 2 ** 40),
+                                         ((4, -1, VOCAB_SIZE), -1),
+                                         ((0, VOCAB_SIZE - 1, VOCAB_SIZE), VOCAB_SIZE)])
+def test_hashed_token_ids_must_be_in_the_vocabulary(hashed, tokens, bad):
+    with pytest.raises(ValueError, match=re.escape(
+            f"token id {bad} is outside the vocabulary [0, {VOCAB_SIZE})")):
+        embed_patch(tokens, hashed)
+
+
+def _seed_sequence_words(seed: int, token_id: int) -> np.ndarray:
+    return np.random.SeedSequence([seed, token_id]).generate_state(4, np.uint64)
+
+
+def test_seed_words_are_seed_sequence_words_for_every_id_of_the_pipeline_seeds():
+    for name in ("embed-patch", "embed-text"):
+        seed = derive_seed(default_hyperparams().seed, name)
+        table = _seed_words(seed)
+        assert table.shape == (VOCAB_SIZE, 4) and table.dtype == np.uint64
+        assert not table.flags.writeable
+        expected = np.array([_seed_sequence_words(seed, t) for t in range(VOCAB_SIZE)])
+        assert np.array_equal(table, expected), name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 96 + 5])
+def test_seed_words_are_seed_sequence_words_for_any_seed(seed):
+    # 2**96 + 5 has four 32-bit words, so with the id the entropy outgrows the pool of four
+    table = _seed_words(seed)
+    ids = [0, 1, VOCAB_SIZE - 1, *np.random.default_rng(seed % 1000).integers(VOCAB_SIZE, size=200)]
+    for t in ids:
+        assert np.array_equal(table[t], _seed_sequence_words(seed, int(t))), t
+
+
+@pytest.mark.parametrize("dim", [8, 256])
+def test_token_rows_are_the_seed_sequence_generators_rows(dim):
+    seed = derive_seed(3, "embed-text")
+    for t in (0, 1, 4242, VOCAB_SIZE - 1):
+        row = np.random.default_rng(np.random.SeedSequence([seed, t])).standard_normal(dim)
+        row /= np.linalg.norm(row)
+        assert _token_row(seed, dim, t).tobytes() == row.tobytes(), t
+
+
+def test_embedding_a_fresh_text_moves_the_token_row_cache():
+    # the cache perfbench reads is the one _embed uses: a miss per new id, a hit per repeat
+    backend = EmbedderBackend.hashed_projection(8, seed=derive_seed(12345, "fresh"))
+    tokens = tokenize("fresh words, fresh rows: rows of fresh words", 64)
+    distinct = len(set(tokens))
+    assert distinct < len(tokens)
+    before = _token_row.cache_info()
+    embed_text(tokens, backend, Modality.DESCRIPTION)
+    after = _token_row.cache_info()
+    assert after.misses - before.misses == distinct
+    assert after.hits - before.hits == len(tokens) - distinct
 
 
 def test_embed_text_rejects_patch_modality(hashed):

@@ -25,8 +25,8 @@ from secpatch import (ClassifierParams, DivergenceDetected, EmbedderBackend, Exp
                       load_checkpoint, load_dataset, make_synthetic_samples, predict,
                       save_checkpoint, save_precomputed, split_dataset, train)
 from secpatch.arrayio import load_arrays, save_arrays
-from secpatch.fusion import (dropout_keep, finish_backward, fuse_backward, fuse_forward,
-                             instruction_forward)
+from secpatch.fusion import (dropout_keep, finish_backward, fold_cross, fuse_backward,
+                             fuse_forward, instruction_forward)
 from secpatch.train import (ADAM_EPS, InvalidCheckpoint, _compose_batches, _fusion_pool,
                             _train_batch, _validation_metrics, adamw_step, batch_loss_and_grads,
                             encode_samples)
@@ -216,6 +216,36 @@ def _counted_instruction_runs(monkeypatch):
     monkeypatch.setattr(fusion_module, "instruction_forward", counted)
     monkeypatch.setattr(train_module, "instruction_forward", counted)
     return runs
+
+
+def _counted_folds(monkeypatch):
+    """Every `fold_cross` result from here on, whether train forms the pair or fuse_forward
+    or fuse_backward does."""
+    folds = []
+
+    def counted(pt):
+        folds.append(fold_cross(pt))
+        return folds[-1]
+
+    monkeypatch.setattr(fusion_module, "fold_cross", counted)
+    monkeypatch.setattr(train_module, "fold_cross", counted)
+    return folds
+
+
+def test_a_training_batch_folds_the_cross_attention_once_for_every_pass(monkeypatch):
+    mats, labels = _ragged_batch(5, 8, seed=9)
+    state = _ptformer_state(0.5)
+    folds, passed = _counted_folds(monkeypatch), []
+    for name in ("fuse_forward", "fuse_backward"):
+        def recorded(*args, original=getattr(train_module, name)):
+            passed.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(train_module, name, recorded)
+    _, grads = batch_loss_and_grads(mats, labels, state)
+    assert grads is not None
+    assert len(folds) == 1 and len(passed) == 2 * len(mats)
+    assert all(folded is folds[0] for folded in passed)
 
 
 def _check_batch_against_serial_oracle(monkeypatch, mats, labels, dropout):
@@ -482,7 +512,7 @@ def test_evaluation_runs_the_instruction_branch_once_per_weight_version(monkeypa
     expected = compute_metrics(probs, [1 if s.label is Label.SECURITY else 0 for s in samples],
                                state.options.threshold)
     encoded = encode_samples(samples, backends, state.hp, state.options)
-    runs = _counted_instruction_runs(monkeypatch)
+    runs, folds = _counted_instruction_runs(monkeypatch), _counted_folds(monkeypatch)
     monkeypatch.setattr(train_module, "_WORKERS", workers)
     fused = fused_embeddings(samples, state, backends)
     assert [p for p, _ in predict(samples, state, backends)] == probs
@@ -490,6 +520,7 @@ def test_evaluation_runs_the_instruction_branch_once_per_weight_version(monkeypa
         assert _validation_metrics(samples, encoded, state, pool) == (expected.auc, expected.f1)
     assert [p for p, _ in predict(samples[:1], state, backends)] == probs[:1]
     assert runs == [threading.main_thread().name]
+    assert len(folds) == 1  # the folded cross-attention pair is kept with the branch
     assert all(np.array_equal(f.values, v) for f, v in zip(fused, vectors))
 
 
@@ -540,7 +571,8 @@ def test_a_step_through_another_state_makes_a_shared_pt_formers_branch_stale(
 
 
 @pytest.mark.parametrize("name", ["self_attn.w_q", "self_attn.w_k", "self_attn.w_v",
-                                  "ff_inst.w1", "ff_inst.b1"])
+                                  "ff_inst.w1", "ff_inst.b1", "cross_attn.w_q", "cross_attn.w_k",
+                                  "cross_attn.w_v", "ff_pa_ex.w1"])
 def test_a_weight_the_kept_branch_reads_cannot_be_edited_in_place(tmp_path, name):
     state, backends = _threaded_eval_setup(tmp_path)
     samples = _ragged_samples(2)
@@ -579,6 +611,7 @@ def test_training_runs_the_instruction_branch_once_per_batch_and_validation(
     monkeypatch.setattr(train_module, "_THREADED_MIN_DIM", 1)
     monkeypatch.setattr(train_module, "_WORKERS", 2)
     runs, calls = _counted_instruction_runs(monkeypatch), []
+    folds = _counted_folds(monkeypatch)
     for name in ("batch_loss_and_grads", "_validation_metrics"):
         def counted(*args, name=name, original=getattr(train_module, name)):
             calls.append(name)
@@ -590,6 +623,7 @@ def test_training_runs_the_instruction_branch_once_per_batch_and_validation(
     assert split.validation and calls.count("_validation_metrics") == small_hp.epochs
     assert calls.count("batch_loss_and_grads") >= small_hp.epochs
     assert runs == [threading.main_thread().name] * len(calls)
+    assert len(folds) == len(calls)  # one folded pair per batch, one per validation
 
 
 def _precomputed_backends(tmp_path, samples, instructions, dim: int) -> PipelineBackends:
