@@ -58,7 +58,7 @@ def parameter(*shape, init: str = "normal"):
     return field(metadata={"shape": shape, "init": init})
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttentionParams:
     """Per-head projection matrices; heads * head_dim = dim."""
 
@@ -67,14 +67,14 @@ class AttentionParams:
     w_v: np.ndarray = parameter("heads", "dim", "head_dim")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrossAttentionParams:
     w_q: np.ndarray = parameter("dim", "dim")
     w_k: np.ndarray = parameter("dim", "dim")
     w_v: np.ndarray = parameter("dim", "dim")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeedForwardParams:
     w1: np.ndarray = parameter("dim", "hidden", init="he")
     b1: np.ndarray = parameter("hidden", init="zeros")
@@ -82,7 +82,7 @@ class FeedForwardParams:
     b2: np.ndarray = parameter("dim", init="zeros")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PTFormerState:
     self_attn: AttentionParams        # shared across the three text modalities
     cross_attn: CrossAttentionParams
@@ -252,15 +252,6 @@ def instruction_forward(inst: np.ndarray, state: PTFormerState):
     return inst_hat, c_sa_inst, hidden
 
 
-def kept_weights(state: PTFormerState) -> tuple:
-    """The arrays whose products a caller keeps across forward passes: those
-    `instruction_forward` reads (the self-attention's projections and ff_inst's first
-    layer) and those `fold_cross` reads (the cross-attention's and ff_pa_ex's w1)."""
-    return (state.self_attn.w_q, state.self_attn.w_k, state.self_attn.w_v, state.ff_inst.w1,
-            state.ff_inst.b1, state.cross_attn.w_q, state.cross_attn.w_k, state.cross_attn.w_v,
-            state.ff_pa_ex.w1)
-
-
 def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndarray,
                  state: PTFormerState, keep=NO_DROPOUT, inst_branch=None, folded=None):
     """Raw-array fusion; returns (vector of length 3*dim, cache for the backward pass).
@@ -293,8 +284,8 @@ def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndar
 
 def fold_cross(state: PTFormerState):
     """(W_q @ W_kᵀ, W_v @ ff_pa_ex.w1): the products in which `fuse_forward` and
-    `fuse_backward` read the cross-attention's weights. The optimizer updates the weights in
-    place, so a caller folds again after every step."""
+    `fuse_backward` read the cross-attention's weights. The optimizer's step makes a new
+    PTFormerState, so a caller folds once per state."""
     ca = state.cross_attn
     return ca.w_q @ ca.w_k.T, ca.w_v @ state.ff_pa_ex.w1
 

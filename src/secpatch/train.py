@@ -20,7 +20,7 @@ from .embed import EmbedderBackend, embed_patch, embed_text
 from .explain import ExplainerConfig, explain, instruction_text
 from .fusion import (NO_DROPOUT, PTFormerState, check_shapes, dropout_keep, finish_backward,
                      fold_cross, from_named_parameters, fuse_backward, fuse_forward,
-                     init_parameters, init_pt_former, instruction_forward, kept_weights,
+                     init_parameters, init_pt_former, instruction_forward,
                      model_sizes, named_parameters, parameter, parameter_specs, pooled_concat)
 from .metrics import MetricsReport, compute_metrics
 from .seeding import derive_seed, substream
@@ -42,9 +42,6 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _THREADED_MIN_DIM = 128
 _M_ARENA_MAX = -8  # glibc's mallopt parameter for the arena limit
-# a new object at every optimizer step; module-level, since states may share one
-# PTFormerState and a step through one makes every state's kept record stale
-_step_token = object()
 
 
 class DivergenceDetected(RuntimeError):
@@ -139,8 +136,8 @@ class TrainState:
     epoch: int
     rngs: dict
     sbcl_skipped: int = 0
-    # the folded cross-attention pair and evaluation-mode instruction branches of the
-    # current weights, never checkpointed (see _kept_branches)
+    # the folded cross-attention pair and evaluation-mode instruction branches of
+    # pt_former, never checkpointed (see _kept_branches)
     kept_branches: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -261,29 +258,26 @@ def _instruction_branches(mats, state: TrainState, pool, kept: dict) -> list:
 
 
 def _kept_branches(state: TrainState):
-    """(folded pair, instruction branches) that `state` keeps for its current weights: the
+    """(folded pair, instruction branches) that `state` keeps for its PTFormerState: the
     `fold_cross` result `fuse_forward` takes, and the evaluation-mode instruction branches
     as `_instruction_branches` takes them.
 
-    A kept record names the optimizer step it was made after, the PTFormerState and
-    the arrays the pair and the branches are made from (`fusion.kept_weights`). A new
-    record, with a new pair and no branches, starts after any optimizer step, for
-    another PTFormerState, and when one of those arrays is another object or writable
-    (as in a deep copy). The arrays stay read-only while it is kept, so an in-place
-    edit raises instead of scoring with a stale product; `_train_batch` makes them
-    writable for its step. Two calls at once can each start a record and lose the
-    other's entries, never read a wrong one.
+    A PTFormerState is frozen and an optimizer step makes a new one, so the state object
+    names its weights. A kept record holds the PTFormerState and its arrays, which it
+    makes read-only, so an in-place edit raises instead of scoring with a stale product.
+    A new record, with a new pair and no branches, starts for another PTFormerState and
+    when one of the arrays is writable again. Two calls at once can each start a record
+    and lose the other's entries, never read a wrong one.
     """
     pt, record = state.pt_former, state.kept_branches
     if pt is None:
         return None, {}
-    weights = kept_weights(pt)
-    if (record is None or record[0] is not _step_token or record[1] is not pt
-            or any(a is not b or a.flags.writeable for a, b in zip(weights, record[2]))):
-        for arr in weights:
+    if record is None or record[0] is not pt or any(a.flags.writeable for a in record[1]):
+        arrays = tuple(named_parameters(pt).values())
+        for arr in arrays:
             arr.flags.writeable = False
-        record = state.kept_branches = (_step_token, pt, weights, fold_cross(pt), {})
-    return record[3:]
+        record = state.kept_branches = (pt, arrays, fold_cross(pt), {})
+    return record[2:]
 
 
 def _in_order(pool: ThreadPoolExecutor | None, fn, args: list):
@@ -427,7 +421,8 @@ def _trainable_params(state: TrainState) -> dict:
 
 def adamw_step(params: dict, grads: dict, m: dict, v: dict, t: int,
                learning_rate: float, weight_decay: float) -> None:
-    """One decoupled-weight-decay Adam update, in place."""
+    """One decoupled-weight-decay Adam update: `params`, `m` and `v` map each name to a new
+    array, and the arrays passed in are not written to."""
     bias1 = 1.0 - ADAM_BETA1 ** t
     bias2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
@@ -435,7 +430,7 @@ def adamw_step(params: dict, grads: dict, m: dict, v: dict, t: int,
         m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
         v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * (g * g)
         update = (m[name] / bias1) / (np.sqrt(v[name] / bias2) + ADAM_EPS)
-        p -= learning_rate * update + learning_rate * weight_decay * p
+        params[name] = p - (learning_rate * update + learning_rate * weight_decay * p)
 
 
 def init_train_state(hp: HyperParams, options: TrainOptions = TrainOptions()) -> TrainState:
@@ -697,20 +692,22 @@ def read_best_pointer(pointer_path) -> dict:
 def _train_batch(batch, encoded, state, pool=None):
     """One AdamW step on the batch's joint objective; returns its LossBreakdown.
 
-    The one writer of weights: before the step it makes every kept record stale (see
-    _kept_branches) and the arrays it is made from writable again."""
-    global _step_token
+    The step makes new arrays, and `state` takes new `pt_former` and `classifier` objects
+    holding them. The old objects keep their weights for whatever else holds them; the
+    state lets go of them, and of its kept record, before the step, so each old array
+    nothing else holds is freed once its replacement is made."""
     loss, grads = batch_loss_and_grads([encoded[s.id] for s in batch], [s.label for s in batch],
                                        state, pool)
     state.sbcl_skipped += loss.sbcl_skipped
     if grads is not None:
-        _step_token, state.kept_branches = object(), None
-        if state.pt_former is not None:
-            for arr in kept_weights(state.pt_former):
-                arr.flags.writeable = True
+        params, has_pt = _trainable_params(state), state.pt_former is not None
+        state.pt_former = state.classifier = state.kept_branches = None
         state.adam_t += 1
-        adamw_step(_trainable_params(state), grads, state.adam_m, state.adam_v, state.adam_t,
+        adamw_step(params, grads, state.adam_m, state.adam_v, state.adam_t,
                    state.hp.learning_rate, state.hp.weight_decay)
+        if has_pt:
+            state.pt_former = from_named_parameters(PTFormerState, params, "pt.")
+        state.classifier = from_named_parameters(ClassifierParams, params, "classifier.")
     return loss
 
 

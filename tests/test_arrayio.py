@@ -315,6 +315,30 @@ def test_only_json_value_parses_json():
     assert found == []
 
 
+def _unlocking_sites(tree, filename):
+    """`global` statements, `setflags` calls, and `.writeable` set to anything but False,
+    in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            yield f"{filename}:{node.lineno} global {', '.join(node.names)}"
+        elif isinstance(node, ast.Attribute) and node.attr == "setflags":
+            yield f"{filename}:{node.lineno} calls setflags"
+        elif isinstance(node, ast.Assign) and not (isinstance(node.value, ast.Constant)
+                                                   and node.value.value is False):
+            yield from (f"{filename}:{node.lineno} sets {ast.unparse(target)}"
+                        for target in node.targets
+                        if isinstance(target, ast.Attribute) and target.attr == "writeable")
+
+
+def test_no_module_state_is_rebound_and_no_array_is_made_writable():
+    # an optimizer step makes new weight arrays, so nothing unlocks a read-only array, and
+    # a kept record is checked against the objects it holds, not a module-level token
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _unlocking_sites(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert found == []
+
+
 def _text_opens_without_utf8(tree, filename):
     """`open()`/`atomic_open()` calls in text mode that do not pass encoding="utf-8"."""
     for call in ast.walk(tree):

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,8 +26,9 @@ from secpatch import (ClassifierParams, DivergenceDetected, EmbedderBackend, Exp
                       load_checkpoint, load_dataset, make_synthetic_samples, predict,
                       save_checkpoint, save_precomputed, split_dataset, train)
 from secpatch.arrayio import load_arrays, save_arrays
-from secpatch.fusion import (dropout_keep, finish_backward, fold_cross, fuse_backward,
-                             fuse_forward, instruction_forward)
+from secpatch.fusion import (PTFormerState, dropout_keep, finish_backward, fold_cross,
+                             fuse_backward, fuse_forward, instruction_forward, named_parameters,
+                             parameter_specs)
 from secpatch.train import (ADAM_EPS, InvalidCheckpoint, _compose_batches, _fusion_pool,
                             _train_batch, _validation_metrics, adamw_step, batch_loss_and_grads,
                             encode_samples)
@@ -559,29 +561,35 @@ def test_a_step_a_load_or_a_new_pt_former_runs_the_instruction_branch_again(
     assert scored(state, 1) == after
 
 
-def test_a_step_through_another_state_makes_a_shared_pt_formers_branch_stale(
+def test_a_copy_sharing_a_pt_former_keeps_its_weights_when_the_other_state_steps(
         small_hp, offline_backends, tmp_path):
+    # a step gives the stepped state new weight objects; the copy keeps the old ones
     split, state, ckpt = _trained_without_validation(small_hp, offline_backends, tmp_path)
-    other = dataclasses.replace(state)  # shares the PT-Former's arrays
-    predict(split.train, other, offline_backends)
+    other = dataclasses.replace(state)  # shares the PTFormerState and the classifier
+    before = predict(split.train, other, offline_backends)  # and keeps a record for them
     state, _ = train(split, dataclasses.replace(small_hp, epochs=1), offline_backends,
                      state=state, checkpoint_dir=str(ckpt))
-    probs = predict(split.train, state, offline_backends)  # the arrays are read-only again
-    assert predict(split.train, other, offline_backends) == probs
+    after = predict(split.train, state, offline_backends)
+    assert after != before
+    assert predict(split.train, other, offline_backends) == before
+    assert predict(split.train, load_checkpoint(ckpt / "epoch_0001.ckpt"),
+                   offline_backends) == before
+    assert predict(split.train, load_checkpoint(ckpt / "epoch_0002.ckpt"),
+                   offline_backends) == after
 
 
-@pytest.mark.parametrize("name", ["self_attn.w_q", "self_attn.w_k", "self_attn.w_v",
-                                  "ff_inst.w1", "ff_inst.b1", "cross_attn.w_q", "cross_attn.w_k",
-                                  "cross_attn.w_v", "ff_pa_ex.w1"])
+@pytest.mark.parametrize("name", list(parameter_specs(PTFormerState)))
 def test_a_weight_the_kept_branch_reads_cannot_be_edited_in_place(tmp_path, name):
     state, backends = _threaded_eval_setup(tmp_path)
     samples = _ragged_samples(2)
     probs = predict(samples, state, backends)
     block, attr = name.split(".")
-    weight = getattr(getattr(state.pt_former, block), attr)
+    for obj, field_name in ((state.pt_former, block), (getattr(state.pt_former, block), attr)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field_name, getattr(obj, field_name))
+    weight = named_parameters(state.pt_former)[name]
     with pytest.raises(ValueError, match="read-only"):
         weight.flat[0] += 1.0
-    state.pt_former.ff_desc.w1.flat[0] += 0.0  # a weight the branch does not read
     assert predict(samples, state, backends) == probs
     weight.flags.writeable = True  # by hand: the kept branch is not read again
     weight.flat[0] += 1.0
@@ -717,12 +725,23 @@ def test_shared_instruction_branch_is_read_only_and_unchanged_by_backward():
 # ---------------------------------------------------------------------------
 # optimizer
 
+def _adamw_step_on_values(params, grads, m, v, **kwargs):
+    """adamw_step, checking that every array passed in keeps its bytes and that each
+    parameter name maps to a new array afterwards."""
+    passed = [(arr, arr.tobytes()) for d in (params, grads, m, v) for arr in d.values()]
+    old = dict(params)
+    adamw_step(params, grads, m, v, **kwargs)
+    assert all(arr.tobytes() == before for arr, before in passed)
+    assert all(params[name] is not arr for name, arr in old.items())
+
+
 def test_adamw_zero_gradients_zero_decay_is_noop():
     params = {"w": np.array([1.0, -2.0, 3.0])}
     m = {"w": np.zeros(3)}
     v = {"w": np.zeros(3)}
     before = params["w"].copy()
-    adamw_step(params, {"w": np.zeros(3)}, m, v, t=1, learning_rate=0.1, weight_decay=0.0)
+    _adamw_step_on_values(params, {"w": np.zeros(3)}, m, v, t=1, learning_rate=0.1,
+                          weight_decay=0.0)
     np.testing.assert_array_equal(params["w"], before)
 
 
@@ -731,7 +750,8 @@ def test_adamw_zero_learning_rate_is_noop():
     m = {"w": np.zeros(2)}
     v = {"w": np.zeros(2)}
     before = params["w"].copy()
-    adamw_step(params, {"w": np.ones(2)}, m, v, t=1, learning_rate=0.0, weight_decay=0.01)
+    _adamw_step_on_values(params, {"w": np.ones(2)}, m, v, t=1, learning_rate=0.0,
+                          weight_decay=0.01)
     np.testing.assert_array_equal(params["w"], before)
 
 
@@ -739,8 +759,33 @@ def test_adamw_decoupled_decay_direction():
     params = {"w": np.array([10.0])}
     m = {"w": np.zeros(1)}
     v = {"w": np.zeros(1)}
-    adamw_step(params, {"w": np.zeros(1)}, m, v, t=1, learning_rate=0.1, weight_decay=0.5)
+    _adamw_step_on_values(params, {"w": np.zeros(1)}, m, v, t=1, learning_rate=0.1,
+                          weight_decay=0.5)
     assert params["w"][0] == pytest.approx(10.0 - 0.1 * 0.5 * 10.0, abs=ADAM_EPS)
+
+
+def test_a_step_frees_the_weights_it_replaces(monkeypatch):
+    # nothing else holds the state's weights, so each old array goes once its successor
+    # exists: when the step reads a parameter's gradient, the weights of the parameters
+    # before it are gone
+    mats, labels = _ragged_batch(4, 8, seed=2)
+    batch = [make_sample(i, label) for i, label in enumerate(labels)]
+    state = _ptformer_state(0.5)
+    old = {name: weakref.ref(arr) for name, arr in train_module._trainable_params(state).items()}
+    alive = []
+
+    class Watched(dict):
+        def __getitem__(self, name):
+            alive.append([n for n, ref in old.items() if ref() is not None])
+            return super().__getitem__(name)
+
+    monkeypatch.setattr(train_module, "adamw_step",
+                        lambda params, grads, *rest: adamw_step(params, Watched(grads), *rest))
+    _train_batch(batch, dict(zip((s.id for s in batch), mats)), state)
+    assert state.adam_t == 1
+    names = list(old)
+    assert alive == [names[k:] for k in range(len(names))]
+    assert [name for name, ref in old.items() if ref() is not None] == []
 
 
 # ---------------------------------------------------------------------------
