@@ -7,9 +7,8 @@ import dataclasses
 
 import numpy as np
 
-from secpatch import (EmbedderBackend, Modality, cross_attention,
-                      default_hyperparams, embed_patch, embed_text, fuse_forward,
-                      init_pt_former, instruction_text, self_attention, tokenize)
+from secpatch import (EmbedderBackend, Modality, default_hyperparams, embed_patch, embed_text,
+                      fuse_forward, init_pt_former, instruction_text, tokenize)
 
 hp = dataclasses.replace(default_hyperparams(), dim=16, num_heads=4, dropout=0.0)
 backend = EmbedderBackend.hashed_projection(hp.dim, seed=1)
@@ -28,14 +27,16 @@ print("modality matrix shapes:",
 pa, ex, desc, inst = (m.values for m in (e_pa, e_ex, e_desc, e_inst))
 state = init_pt_former(hp, rng_seed=0)
 
-updated, weights = self_attention(ex, state.self_attn)
+# the forward pass training and scoring run; without dropout masks it is evaluation mode
+fused, cache = fuse_forward(pa, ex, desc, inst, state)
+print(f"fused vector length = 3 * dim = {fused.shape[0]}")
+
+# the attention weights come from the pass's cache: the self-attention over the
+# explanation (one row-normalized matrix per head) and the cross-attention weights A
+updated, weights = cache["ca"][1], cache["sa_ex"][4]
 print("self-attention keeps the shape:", updated.shape,
       "| every weight row sums to", float(weights.sum(axis=-1).round(12).max()))
 
-aligned, ca_weights = cross_attention(pa, updated, state.cross_attn)
-print("cross-attention maps patch rows onto the explanation:", aligned.shape)
+ca_weights = cache["ff1"][0]
+print("cross-attention weights, patch rows x explanation rows:", ca_weights.shape)
 print("strongest explanation token per patch row:", np.argmax(ca_weights, axis=1))
-
-# the forward pass training and scoring run; without dropout masks it is evaluation mode
-fused, _ = fuse_forward(pa, ex, desc, inst, state)
-print(f"fused vector length = 3 * dim = {fused.shape[0]}")

@@ -30,7 +30,8 @@ with tempfile.TemporaryDirectory() as tmp:
     csv_path = os.path.join(tmp, "pca.csv")
     export_pca_csv(csv_path, [f"p{i}" for i in range(60)], result.coordinates,
                    ["security"] * 30 + ["non-security"] * 30)
-    print("PCA export header:", open(csv_path).readline().strip())
+    with open(csv_path, encoding="utf-8") as fh:
+        print("PCA export header:", fh.readline().strip())
 
     # The ablation grid retrains with single features switched off, same seed.
     hp = dataclasses.replace(default_hyperparams(), dim=8, num_heads=2, epochs=3,

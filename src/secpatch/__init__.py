@@ -17,8 +17,7 @@ from .experiments import (AblationRow, CrossDatasetResult, cross_dataset_eval,
 from .explain import (CacheCorrupt, ExplainerConfig, ServiceUnavailable, explain,
                       explanation_prompt, instruction_text, stub_explanation)
 from .fusion import (AttentionParams, CrossAttentionParams, FeedForwardParams, PTFormerState,
-                     cross_attention, fuse_forward, init_pt_former, named_parameters,
-                     pooled_concat, self_attention)
+                     fuse_forward, init_pt_former, named_parameters, pooled_concat)
 from .metrics import (MetricsReport, PCAResult, SingleClassError, auc_score, compute_metrics,
                       export_pca_csv, pca_project)
 from .seeding import derive_seed, substream

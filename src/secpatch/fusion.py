@@ -17,9 +17,7 @@ attention weights, for the textbook (pa @ W_q) @ (ex_hat @ W_k)ᵀ and
 dim² product becomes a patch-row × explanation-row × dim one. Dropout and
 the rectifier act on the (patch, hidden) rows of A @ (ex_hat @ W_vf) + b1.
 A caller forms the pair once per batch, or once per weight version in
-evaluation, and passes it to every pass. The public `cross_attention`
-returns A @ (ex @ W_v), its A from the fusion pass's own code; the public
-`self_attention` runs the kernel the fusion pass runs on each text.
+evaluation, and passes it to every pass.
 
 The instruction branch up to its dropout is `instruction_forward`. A caller
 whose samples hold one instruction matrix runs it once and passes the result
@@ -165,21 +163,6 @@ def _scores_backward(attn: np.ndarray, d_attn: np.ndarray, width: int) -> np.nda
 def _cross_weights(pa: np.ndarray, ex: np.ndarray, w_qk: np.ndarray) -> np.ndarray:
     """A = softmax(pa @ (W_qk @ exᵀ) / sqrt(dim)), with W_qk = W_q @ W_kᵀ."""
     return softmax(pa @ (w_qk @ ex.T) / math.sqrt(w_qk.shape[0]))
-
-
-def self_attention(x: np.ndarray, params: AttentionParams):
-    """Multi-head self-attention over x's rows: (output shaped like x, weights (heads, n, n))."""
-    out, cache = _attention_forward(x, params)
-    return out, cache[-1]
-
-
-def cross_attention(pa: np.ndarray, ex: np.ndarray, params: CrossAttentionParams):
-    """Single-head attention from patch onto explanation rows: (A @ (ex @ W_v), A), A as in
-    fuse_forward."""
-    if pa.shape[1] != ex.shape[1]:
-        raise ValueError(f"dim mismatch: patch {pa.shape[1]} vs explanation {ex.shape[1]}")
-    attn = _cross_weights(pa, ex, params.w_q @ params.w_k.T)
-    return attn @ (ex @ params.w_v), attn
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import contextlib
 import contextvars
+import copy
 import ctypes
 import json
 import math
@@ -480,6 +481,11 @@ class _Progress:
     sbcl_skipped: int
     has_ptformer: bool
 
+    def __post_init__(self):
+        for name in ("epoch", "adam_t", "sbcl_skipped"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+
 
 def load_checkpoint(path) -> TrainState:
     """Rebuild the TrainState that save_checkpoint wrote to `path`.
@@ -487,11 +493,12 @@ def load_checkpoint(path) -> TrainState:
     Raises InvalidCheckpoint for a version other than the int
     CHECKPOINT_VERSION, naming the first missing meta key, array or rng
     stream, the first rng stream whose state the generator does not take
-    as stored, the first counter that is not an int (`has_ptformer`: a bool,
-    equal to `options.use_ptformer`), the first array whose shape disagrees
-    with the stored hyperparameters and options (dim, num_heads, ff_hidden, a
-    3 * dim classifier) or, for an AdamW moment, with its parameter, and the
-    first array that is not <f8 or holds a NaN or an infinity.
+    as stored, the first counter that is not an int or is negative
+    (`has_ptformer`: a bool, equal to `options.use_ptformer`), the first
+    array whose shape disagrees with the stored hyperparameters and options
+    (dim, num_heads, ff_hidden, a 3 * dim classifier) or, for an AdamW
+    moment, with its parameter, and the first array that is not <f8 or
+    holds a NaN or an infinity.
     """
     arrays, meta = arrayio.load_arrays(path)
     if meta.get("format") != CHECKPOINT_MAGIC:
@@ -606,6 +613,10 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
                    if f.name != "epochs" and getattr(hp, f.name) != getattr(state.hp, f.name)]
         if changed:
             raise ValueError(f"cannot change {', '.join(changed)} when resuming from a state")
+        # the run steps its own moments and generators, so a copy of the state given, such
+        # as a dataclasses.replace, keeps those it holds as it keeps its weights
+        state.adam_m, state.adam_v = dict(state.adam_m), dict(state.adam_v)
+        state.rngs = {name: copy.deepcopy(gen) for name, gen in state.rngs.items()}
     options = state.options
 
     best_score = -math.inf

@@ -12,12 +12,11 @@ import numpy as np
 
 from oracles import (brute_force_triplets, central_difference, loop_confusion,
                      pair_count_auc, pca_eigh_reconstruction_error, scalar_euclidean)
-from secpatch import (ExplainerConfig, HashTokenizer, Label, TrainOptions, auc_score, bce_loss, compute_metrics, cross_attention,
-                      default_hyperparams, hashed_backends,
+from secpatch import (ExplainerConfig, HashTokenizer, Label, TrainOptions, auc_score, bce_loss,
+                      compute_metrics, default_hyperparams, hashed_backends,
                       init_train_state, load_dataset, make_synthetic_samples, mine_triplets,
                       options_for_flags, pca_project, parse_unified_diff, predict,
-                      run_ablation, sbcl_batch_loss_and_grad, self_attention,
-                      split_dataset, tokenize, train)
+                      run_ablation, sbcl_batch_loss_and_grad, split_dataset, tokenize, train)
 from secpatch.fusion import fuse_forward
 from secpatch.train import (_forward_sample, _trainable_params, batch_loss_and_grads,
                             encode_sample, sigmoid)
@@ -175,26 +174,34 @@ def test_attention_contracts():
     hp = dataclasses.replace(default_hyperparams(), dim=8, num_heads=2, dropout=0.0)
     state = init_train_state(hp).pt_former
     rng = np.random.default_rng(19)
+    filler = np.random.default_rng(20).standard_normal((2, 8))  # every modality not checked
+
+    def cache_of(pa=filler, ex=filler, desc=filler):
+        """fuse_forward's cache: self-attention is read on the description rows."""
+        return fuse_forward(pa, ex, desc, filler, state)[1]
 
     e = rng.standard_normal((3, 8))
-    base, weights = self_attention(e, state.self_attn)
+    cache = cache_of(desc=e)
+    base, weights = cache["ff2"][0], cache["sa_desc"][4]
     assert np.all(np.abs(weights.sum(axis=-1) - 1.0) <= 1e-12)
 
     for perm in itertools.permutations(range(3)):
-        shuffled, _ = self_attention(e[list(perm)], state.self_attn)
+        shuffled = cache_of(desc=e[list(perm)])["ff2"][0]
         np.testing.assert_allclose(shuffled, base[list(perm)], atol=1e-10)
 
     single = rng.standard_normal((1, 8))
-    out_single, _ = self_attention(single, state.self_attn)
+    out_single = cache_of(desc=single)["ff2"][0]
     expected = np.concatenate([single @ state.self_attn.w_v[h] for h in range(2)], axis=1)
     np.testing.assert_allclose(out_single, expected, atol=1e-12)
 
     pa = rng.standard_normal((4, 8))
     ex1 = rng.standard_normal((1, 8))
-    out_ca, weights_ca = cross_attention(pa, ex1, state.cross_attn)
+    cache = cache_of(pa=pa, ex=ex1)
+    weights_ca, (_, ex_hat, v_w1) = cache["ff1"][0], cache["ca"]
     assert np.all(np.abs(weights_ca.sum(axis=-1) - 1.0) <= 1e-12)
-    expected_row = (ex1 @ state.cross_attn.w_v)[0]
-    for row in out_ca:
+    # one key: every patch row's first-layer row is the key's value row times ff_pa_ex's w1
+    expected_row = ((ex_hat @ state.cross_attn.w_v) @ state.ff_pa_ex.w1)[0]
+    for row in weights_ca @ v_w1:
         np.testing.assert_allclose(row, expected_row, atol=1e-12)
     _passed("attention contracts (row sums, equivariance, analytic cases)")
 

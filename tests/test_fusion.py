@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from oracles import assert_grads_close, central_difference, loop_attention, rowwise_feed_forward
-from secpatch import (cross_attention, default_hyperparams, fuse_forward, init_pt_former,
-                      named_parameters, pooled_concat, self_attention)
-from secpatch.fusion import (NO_DROPOUT, dropout_keep, finish_backward, from_named_parameters,
-                             fuse_backward, parameter_specs)
+from secpatch import (default_hyperparams, fuse_forward, init_pt_former, named_parameters,
+                      pooled_concat)
+from secpatch.fusion import (NO_DROPOUT, _cross_weights, dropout_keep, finish_backward,
+                             from_named_parameters, fuse_backward, parameter_specs)
 
 
 @pytest.fixture
@@ -86,12 +86,36 @@ def test_ff_hidden_override(hp8):
 
 
 # ---------------------------------------------------------------------------
-# self-attention contracts
+# attention contracts, read from the fusion pass's cache
+
+def _cache(state, pa=None, ex=None, desc=None):
+    """The cache of an evaluation `fuse_forward` on the given rows; every modality not given
+    gets 3 rows from one fixed generator, so the given rows are the test's draws."""
+    filler = np.random.default_rng(99)
+    rows = (m if m is not None else filler.standard_normal((3, state.dim))
+            for m in (pa, ex, desc, None))
+    return fuse_forward(*rows, state)[1]
+
+
+def _self_attention(x, state):
+    """(output, weights (heads, n, n)) of the self-attention `fuse_forward` runs on the
+    description rows x."""
+    cache = _cache(state, desc=x)
+    return cache["ff2"][0], cache["sa_desc"][4]
+
+
+def _cross_attention(pa, ex, state):
+    """(the patch branch's first-layer rows A @ (ex_hat @ W_vf), the cross weights A, ex_hat)
+    as `fuse_forward` forms them on patch rows pa and explanation rows ex."""
+    cache = _cache(state, pa=pa, ex=ex)
+    attn, (_, ex_hat, v_w1) = cache["ff1"][0], cache["ca"]
+    return attn @ v_w1, attn, ex_hat
+
 
 def test_self_attention_shape_and_weight_rows(state8):
     rng = np.random.default_rng(0)
     e = rng.standard_normal((6, 8))
-    out, weights = self_attention(e, state8.self_attn)
+    out, weights = _self_attention(e, state8)
     assert out.shape == e.shape
     assert weights.shape == (2, 6, 6)
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
@@ -101,7 +125,7 @@ def test_self_attention_shape_and_weight_rows(state8):
 def test_self_attention_single_token_is_value_projection(state8):
     rng = np.random.default_rng(1)
     e = rng.standard_normal((1, 8))
-    out, _ = self_attention(e, state8.self_attn)
+    out, _ = _self_attention(e, state8)
     expected = np.concatenate([e @ state8.self_attn.w_v[h] for h in range(2)], axis=1)
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -109,32 +133,31 @@ def test_self_attention_single_token_is_value_projection(state8):
 def test_self_attention_permutation_equivariant(state8):
     rng = np.random.default_rng(2)
     e = rng.standard_normal((3, 8))
-    base, _ = self_attention(e, state8.self_attn)
+    base, _ = _self_attention(e, state8)
     for perm in itertools.permutations(range(3)):
-        out, _ = self_attention(e[list(perm)], state8.self_attn)
+        out, _ = _self_attention(e[list(perm)], state8)
         np.testing.assert_allclose(out, base[list(perm)], atol=1e-10)
 
 
 @pytest.mark.parametrize("dim,heads,rows", [(8, 2, 6), (12, 3, 9), (16, 4, 5)])
 def test_self_attention_matches_per_head_loop_oracle(dim, heads, rows):
     hp = dataclasses.replace(default_hyperparams(), dim=dim, num_heads=heads)
-    params = init_pt_former(hp, rng_seed=dim).self_attn
+    state = init_pt_former(hp, rng_seed=dim)
+    params = state.self_attn
     e = np.random.default_rng(dim + 1).standard_normal((rows, dim))
-    out, weights = self_attention(e, params)
+    out, weights = _self_attention(e, state)
     assert weights.shape == (heads, rows, rows)
     expected = loop_attention(e, e, params.w_q, params.w_k, params.w_v)
     np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# cross-attention contracts
-
 def test_cross_attention_shape_and_rows(state8):
     rng = np.random.default_rng(3)
     pa = rng.standard_normal((5, 8))
     ex = rng.standard_normal((7, 8))
-    out, weights = cross_attention(pa, ex, state8.cross_attn)
+    out, weights, _ = _cross_attention(pa, ex, state8)
     assert out.shape == (5, 8)
+    assert weights.shape == (5, 7)
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -142,8 +165,8 @@ def test_cross_attention_singleton_key(state8):
     rng = np.random.default_rng(4)
     pa = rng.standard_normal((4, 8))
     ex = rng.standard_normal((1, 8))
-    out, _ = cross_attention(pa, ex, state8.cross_attn)
-    expected_row = ex @ state8.cross_attn.w_v
+    out, _, ex_hat = _cross_attention(pa, ex, state8)
+    expected_row = (ex_hat @ state8.cross_attn.w_v) @ state8.ff_pa_ex.w1
     for row in out:
         np.testing.assert_allclose(row, expected_row[0], atol=1e-12)
 
@@ -153,8 +176,8 @@ def test_cross_attention_key_scaling_keeps_rows_normalized(state8):
     pa = rng.standard_normal((3, 8))
     ex = rng.standard_normal((4, 8))
     scaled = ex * 3.0
-    _, w_base = cross_attention(pa, ex, state8.cross_attn)
-    _, w_scaled = cross_attention(pa, scaled, state8.cross_attn)
+    _, w_base, _ = _cross_attention(pa, ex, state8)
+    _, w_scaled, _ = _cross_attention(pa, scaled, state8)
     assert not np.allclose(w_base, w_scaled)
     np.testing.assert_allclose(w_scaled.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -164,9 +187,11 @@ def test_cross_attention_identity_weights_scalar_oracle():
     params = CrossAttentionParams(w_q=np.eye(2), w_k=np.eye(2), w_v=np.eye(2))
     pa = np.array([[1.0, 0.0], [0.0, 2.0]])
     ex = np.array([[1.0, 1.0], [2.0, 0.0]])
-    out, _ = cross_attention(pa, ex, params)
+    attn = _cross_weights(pa, ex, params.w_q @ params.w_k.T)  # W_qk as fold_cross forms it
+    out = attn @ (ex @ params.w_v)
 
     expected = np.zeros((2, 2))
+    expected_weights = np.zeros((2, 2))
     for i in range(2):
         scores = [sum(pa[i][d] * ex[j][d] for d in range(2)) / math.sqrt(2)
                   for j in range(2)]
@@ -175,41 +200,32 @@ def test_cross_attention_identity_weights_scalar_oracle():
         total = sum(weights)
         weights = [w / total for w in weights]
         for j in range(2):
+            expected_weights[i][j] = weights[j]
             for d in range(2):
                 expected[i][d] += weights[j] * ex[j][d]
+    np.testing.assert_allclose(attn, expected_weights, atol=1e-12)
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim,patch_rows,ex_rows", [(8, 5, 7), (12, 9, 4)])
 def test_cross_attention_matches_per_head_loop_oracle(dim, patch_rows, ex_rows):
     hp = dataclasses.replace(default_hyperparams(), dim=dim, num_heads=2)
-    params = init_pt_former(hp, rng_seed=dim).cross_attn
+    state = init_pt_former(hp, rng_seed=dim)
+    params = state.cross_attn
     rng = np.random.default_rng(dim + 2)
     pa = rng.standard_normal((patch_rows, dim))
     ex = rng.standard_normal((ex_rows, dim))
-    out, weights = cross_attention(pa, ex, params)
+    out, weights, ex_hat = _cross_attention(pa, ex, state)
     assert weights.shape == (patch_rows, ex_rows)
-    expected = loop_attention(pa, ex, params.w_q[None], params.w_k[None], params.w_v[None])
-    np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-12)
+    expected = loop_attention(pa, ex_hat, params.w_q[None], params.w_k[None], params.w_v[None])
+    np.testing.assert_allclose(out, expected @ state.ff_pa_ex.w1, rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("dim,heads,rows", [(8, 2, (5, 4, 3, 4)), (256, 4, (9, 4, 3, 5))])
-def test_cross_attention_weights_are_the_fusion_pass_weights(dim, heads, rows):
-    # the public functions run the pipeline's code: the weights are fuse_forward's A, bit for bit
-    hp = dataclasses.replace(default_hyperparams(), dim=dim, num_heads=heads, dropout=0.0)
-    state = init_pt_former(hp, rng_seed=dim + 3)
-    pa, ex, desc, inst = _inputs(np.random.default_rng(dim + 4), dim, rows)
-    _, cache = fuse_forward(pa, ex, desc, inst, state)
-    ex_hat, _ = self_attention(ex, state.self_attn)
-    _, weights = cross_attention(pa, ex_hat, state.cross_attn)
-    assert np.array_equal(weights, cache["ff1"][0])  # A, the patch branch's feed-forward input
-
-
-def test_cross_attention_dim_mismatch():
-    from secpatch.fusion import CrossAttentionParams
-    params = CrossAttentionParams(w_q=np.eye(2), w_k=np.eye(2), w_v=np.eye(2))
+def test_cross_attention_dim_mismatch(state8):
+    rng = np.random.default_rng(14)
+    ex, desc, inst = (rng.standard_normal((2, 8)) for _ in range(3))
     with pytest.raises(ValueError, match="mismatch"):
-        cross_attention(np.ones((2, 2)), np.ones((2, 3)), params)
+        fuse_forward(np.ones((2, 3)), ex, desc, inst, state8)
 
 
 # ---------------------------------------------------------------------------

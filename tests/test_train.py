@@ -563,7 +563,8 @@ def test_a_step_a_load_or_a_new_pt_former_runs_the_instruction_branch_again(
 
 def test_a_copy_sharing_a_pt_former_keeps_its_weights_when_the_other_state_steps(
         small_hp, offline_backends, tmp_path):
-    # a step gives the stepped state new weight objects; the copy keeps the old ones
+    # a step gives the stepped state new weight objects, moments and generators; the copy
+    # keeps the old ones, so resuming it is resuming from the checkpoint of its epoch
     split, state, ckpt = _trained_without_validation(small_hp, offline_backends, tmp_path)
     other = dataclasses.replace(state)  # shares the PTFormerState and the classifier
     before = predict(split.train, other, offline_backends)  # and keeps a record for them
@@ -576,6 +577,16 @@ def test_a_copy_sharing_a_pt_former_keeps_its_weights_when_the_other_state_steps
                    offline_backends) == before
     assert predict(split.train, load_checkpoint(ckpt / "epoch_0002.ckpt"),
                    offline_backends) == after
+    resumed = []
+    for name, start in (("copy", other), ("loaded", load_checkpoint(ckpt / "epoch_0001.ckpt"))):
+        out = tmp_path / name
+        _, records = train(split, dataclasses.replace(small_hp, epochs=1), offline_backends,
+                           state=start, checkpoint_dir=str(out),
+                           run_log_path=str(tmp_path / f"{name}.jsonl"))
+        resumed.append((records, (tmp_path / f"{name}.jsonl").read_bytes(),
+                        {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert resumed[0] == resumed[1]
+    assert "epoch_0002.ckpt" in resumed[0][2]
 
 
 @pytest.mark.parametrize("name", list(parameter_specs(PTFormerState)))
@@ -1120,6 +1131,10 @@ def test_checkpoint_written_by_an_earlier_version_loads(tmp_path):
      "meta.sbcl_skipped must be int, got None"),
     (lambda arrays, meta: meta.update(epoch=1.5), "meta.epoch must be int, got 1.5"),
     (lambda arrays, meta: meta.update(epoch=True), "meta.epoch must be int, got True"),
+    (lambda arrays, meta: meta.update(epoch=-3), "meta: epoch must not be negative, got -3"),
+    (lambda arrays, meta: meta.update(adam_t=-1), "meta: adam_t must not be negative, got -1"),
+    (lambda arrays, meta: meta.update(sbcl_skipped=-2),
+     "meta: sbcl_skipped must not be negative, got -2"),
     (lambda arrays, meta: meta.update(has_ptformer="no"),
      "meta.has_ptformer must be bool, got 'no'"),
     (lambda arrays, meta: arrays.update({"classifier.bias": np.zeros(1, dtype=np.int64)}),
@@ -1146,7 +1161,8 @@ def test_checkpoint_written_by_an_earlier_version_loads(tmp_path):
      "'PCG64', 'state': {'state': 1,"),
 ], ids=["missing-array", "short-bias", "missing-meta-key", "missing-rng-stream", "hp-dim",
         "hp-num-heads", "classifier-length", "moment-shape", "adam-t-string", "sbcl-skipped-null",
-        "epoch-float", "epoch-bool", "has-ptformer-string", "parameter-dtype", "moment-dtype",
+        "epoch-float", "epoch-bool", "epoch-negative", "adam-t-negative",
+        "sbcl-skipped-negative", "has-ptformer-string", "parameter-dtype", "moment-dtype",
         "parameter-nan", "version-2", "version-string", "version-bool", "version-float",
         "missing-version", "has-ptformer-contradicts-options", "rng-key-missing",
         "rng-state-negative", "rng-state-float"])
