@@ -22,10 +22,10 @@ from .metrics import (MetricsReport, PCAResult, SingleClassError, auc_score, com
                       export_pca_csv, pca_project)
 from .seeding import derive_seed, substream
 from .synthetic import make_synthetic_samples
-from .train import (ClassifierParams, DivergenceDetected, InvalidCheckpoint, PipelineBackends,
-                    TrainOptions, TrainState, bce_loss, encode_sample, fused_embeddings,
-                    hashed_backends, head_probability, init_train_state, load_checkpoint,
-                    predict, save_checkpoint, train)
+from .train import (ClassifierParams, DivergenceDetected, InvalidCheckpoint, InvalidRunLog,
+                    PipelineBackends, TrainOptions, TrainState, bce_loss, encode_sample,
+                    fused_embeddings, hashed_backends, head_probability, init_train_state,
+                    load_checkpoint, predict, save_checkpoint, train)
 from .types import (EmbeddingMatrix, FusedEmbedding, HyperParams, Label, LengthMismatch,
                     Modality, PatchSample, config_from_dict, default_hyperparams)
 

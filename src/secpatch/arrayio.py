@@ -89,7 +89,7 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
         fh.write(meta_bytes)
         fh.write(struct.pack("<I", len(arrays)))
         for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name])
+            arr = np.asarray(arrays[name], order="C")  # a 0-d array stays 0-d
             dtype = arr.dtype.newbyteorder("<")
             if dtype.str not in _ALLOWED_DTYPES:
                 raise ValueError(f"array {name!r} has dtype {arr.dtype.str}, not one of "
@@ -104,7 +104,7 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
             fh.write(struct.pack("<B", arr.ndim))
             for size in arr.shape:
                 fh.write(struct.pack("<Q", size))
-            fh.write(arr.tobytes(order="C"))
+            fh.write(arr.data)  # the C-order bytes, without a copy
 
 
 def load_arrays(path) -> tuple[dict, dict]:

@@ -1,5 +1,6 @@
 """Token-level embedding backends: hashed random projection and precomputed files."""
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -144,7 +145,7 @@ def _token_row(seed: int, dim: int, token_id: int) -> np.ndarray:
     default_rng(SeedSequence([seed, token_id])), from the precomputed seed words."""
     rng = np.random.Generator(np.random.PCG64(_SeedWords(_seed_words(seed)[token_id])))
     row = rng.standard_normal(dim)
-    row /= np.linalg.norm(row)
+    row /= math.sqrt(row.dot(row))  # np.linalg.norm(row) for 1-D float64, without its dispatch
     row.flags.writeable = False
     return row
 

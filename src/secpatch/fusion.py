@@ -16,19 +16,19 @@ attention weights, for the textbook (pa @ W_q) @ (ex_hat @ W_k)ᵀ and
 (A @ (ex_hat @ W_v)) @ w1. Neither k nor v is formed, and every patch-row ×
 dim² product becomes a patch-row × explanation-row × dim one. Dropout and
 the rectifier act on the (patch, hidden) rows of A @ (ex_hat @ W_vf) + b1.
-A caller forms the pair once per batch, or once per weight version in
-evaluation, and passes it to every pass.
+A caller forms the pair once per weight version and passes it to every
+pass, whose cache keeps it for that pass's backward.
 
 The instruction branch up to its dropout is `instruction_forward`. A caller
-whose samples hold one instruction matrix runs it once and passes the result
-to each `fuse_forward`, which otherwise runs it itself.
+runs it once per distinct instruction matrix and passes the result to each
+`fuse_forward`, which otherwise runs it itself.
 
 Forward functions return caches consumed by exact reverse-mode backward
 functions; no autograd framework is involved. The backward pass has two
 parts. `fuse_backward` runs per sample and returns what depends on that
 sample alone (`BackwardPartials`); `finish_backward` turns the batch's summed
-partials into parameter gradients once. The per-sample part reads the folded
-pair too, so a sample pays 4 explanation-row × dim² products where the
+partials into parameter gradients once. The per-sample part reads the same
+folded pair, so a sample pays 4 explanation-row × dim² products where the
 weight pairs would pay 8.
 The instruction branch's backward runs once per shared branch on its summed
 rows, and each second layer's weight gradient is one product over the batch.
@@ -242,7 +242,7 @@ def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndar
     `keep` holds the dropout rate and the branches' masks from `dropout_keep`
     in training; the default applies no dropout (evaluation). `inst_branch`
     is `instruction_forward(inst, state)` when the caller shares one across
-    samples, and `folded` is `fold_cross(state)`; each is computed here when None.
+    samples, and `folded` is `fold_cross(state)` (cache["fold"]); each is made here when None.
     """
     rate, keep_pa_ex, keep_desc, keep_inst = keep
     if inst_branch is None:
@@ -260,7 +260,7 @@ def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndar
     vector = np.concatenate([f_pa_ex, f_desc, f_inst])
     cache = {
         "sa_ex": c_sa_ex, "sa_desc": c_sa_desc, "sa_inst": c_sa_inst,
-        "ca": (pa, ex_hat, v_w1), "ff1": c_ff1, "ff2": c_ff2, "ff3": c_ff3,
+        "ca": (pa, ex_hat, v_w1), "fold": (w_qk, w_vf), "ff1": c_ff1, "ff2": c_ff2, "ff3": c_ff3,
     }
     return vector, cache
 
@@ -305,15 +305,11 @@ class BackwardPartials:
                 self.instruction[key] = (branch_cache, d_z.copy())
 
 
-def fuse_backward(d_vector: np.ndarray, cache, state: PTFormerState,
-                  folded=None) -> BackwardPartials:
-    """One sample's gradient partials, given the gradient on its fused vector.
-
-    `folded` is `fold_cross(state)`; a caller with many samples forms it once, and it is
-    formed here when None.
-    """
+def fuse_backward(d_vector: np.ndarray, cache, state: PTFormerState) -> BackwardPartials:
+    """One sample's gradient partials, given the gradient on its fused vector; the folded
+    pair is the one its forward pass kept in `cache`."""
     dim = state.dim
-    w_qk, w_vf = fold_cross(state) if folded is None else folded
+    w_qk, w_vf = cache["fold"]
     d1, d2, d3 = d_vector[:dim], d_vector[dim:2 * dim], d_vector[2 * dim:]
     pa, ex_hat, v_w1 = cache["ca"]
     attn, desc_hat, inst_hat = cache["ff1"][0], cache["ff2"][0], cache["ff3"][0]

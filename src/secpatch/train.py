@@ -7,7 +7,7 @@ import ctypes
 import json
 import math
 import os
-from collections import Counter, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
@@ -62,6 +62,10 @@ class InvalidCheckpoint(ValueError):
     def __init__(self, path, reason: str):
         self.path = str(path)
         super().__init__(f"{path}: invalid checkpoint: {reason}")
+
+
+class InvalidRunLog(ValueError):
+    """A run log line before its last is not a record that `train` writes."""
 
 
 class _Entries(dict):
@@ -137,8 +141,8 @@ class TrainState:
     epoch: int
     rngs: dict
     sbcl_skipped: int = 0
-    # the folded cross-attention pair and evaluation-mode instruction branches of
-    # pt_former, never checkpointed (see _kept_branches)
+    # the folded cross-attention pair and instruction branches of pt_former, for training
+    # and evaluation alike, never checkpointed (see _kept_branches)
     kept_branches: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -233,35 +237,30 @@ def _forward_sample(mats, state: TrainState, inst_branch=None, folded=None) -> n
     return pooled_concat(*mats)
 
 
-def _instruction_branches(mats, state: TrainState, pool, kept: dict) -> list:
+def _instruction_branches(mats, state: TrainState, kept: dict) -> list:
     """The instruction branch each encoded sample of `mats` passes to `fuse_forward`, in
-    order: None where the sample's own pass is to run it, and for all without PT-Former.
+    order; None for all without PT-Former.
 
     Matrices are the same when their shape, dtype and bytes are (`np.array_equal`
     would also match -0.0 with 0.0). The calling thread runs `instruction_forward`
-    once for each matrix that two or more samples hold, and for every matrix when
-    there is no `pool`; one that a single sample holds stays in that sample's pass,
-    so distinct matrices still spread over the pool. Branches in `kept` are reused,
-    and on return `kept` holds those of `mats`.
+    once for each distinct matrix that `kept` does not hold; on return `kept` holds
+    the branches of `mats`.
     """
     if state.pt_former is None:
         return [None] * len(mats)
     keys = [(m[3].shape, m[3].dtype.str, m[3].tobytes()) for m in mats]
-    repeats = Counter(keys)
     earlier = kept.copy()
     kept.clear()
     for sample_mats, key in zip(mats, keys):
-        if key in earlier:
-            kept[key] = earlier[key]
-        elif key not in kept and (pool is None or repeats[key] > 1):
-            kept[key] = instruction_forward(sample_mats[3], state.pt_former)
-    return [kept.get(key) for key in keys]
+        if key not in kept:
+            kept[key] = earlier.get(key) or instruction_forward(sample_mats[3], state.pt_former)
+    return [kept[key] for key in keys]
 
 
 def _kept_branches(state: TrainState):
     """(folded pair, instruction branches) that `state` keeps for its PTFormerState: the
-    `fold_cross` result `fuse_forward` takes, and the evaluation-mode instruction branches
-    as `_instruction_branches` takes them.
+    `fold_cross` result `fuse_forward` takes, and the instruction branches up to their
+    dropout as `_instruction_branches` takes them, for training and evaluation alike.
 
     A PTFormerState is frozen and an optimizer step makes a new one, so the state object
     names its weights. A kept record holds the PTFormerState and its arrays, which it
@@ -354,18 +353,18 @@ def batch_loss_and_grads(mats, labels, state: TrainState,
     it is None. Every sample's dropout masks are drawn here first, in sample
     order, and the per-sample gradient partials are added here in sample
     order, then finished once (`fusion.finish_backward`), so the result is the
-    same bits whatever runs them. Samples with the same instruction matrix
-    share one instruction branch up to its dropout (see
-    `_instruction_branches`); each applies its own mask, and the branch's
-    backward pass runs once on the samples' summed gradient.
+    same bits whatever runs them. The passes read the folded pair and one
+    instruction branch per distinct matrix from the record `_kept_branches`
+    keeps, and locks the weights for, as evaluation does; each sample applies
+    its own mask, and a branch's backward runs once on its summed gradient.
     """
     options, hp, pt = state.options, state.hp, state.pt_former
     if pt is None:
         fused = np.stack([_forward_sample(sample_mats, state) for sample_mats in mats])
     else:
-        folded = fold_cross(pt)  # one pair for every forward and backward pass of the batch
+        folded, kept = _kept_branches(state)
         keeps = [dropout_keep(*m, pt, hp.dropout, state.rngs["dropout"]) for m in mats]
-        work = list(zip(mats, keeps, _instruction_branches(mats, state, pool, {})))
+        work = list(zip(mats, keeps, _instruction_branches(mats, state, kept)))
         vectors, caches = zip(*_in_order(
             pool, lambda m, keep, branch: fuse_forward(*m, pt, keep, branch, folded), work))
         fused = np.stack(vectors)
@@ -400,8 +399,7 @@ def batch_loss_and_grads(mats, labels, state: TrainState,
     if pt is not None:
         work = list(zip(d_fused, caches))
         del caches  # so each cache is freed once its backward pass is done
-        per_sample = _in_order(pool, lambda d_vec, cache: fuse_backward(d_vec, cache, pt, folded),
-                               work)
+        per_sample = _in_order(pool, lambda d_vec, cache: fuse_backward(d_vec, cache, pt), work)
         partials = next(per_sample)
         for sample_partials in per_sample:
             partials.add(sample_partials)
@@ -587,12 +585,13 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
 
     Runs hp.epochs epochs (on top of any epochs already in `state` when
     resuming), writes one record per epoch to the run log (emptied first on a
-    fresh run, appended to when resuming), and checkpoints every epoch plus a
-    `best.json` pointer to the best-scoring one; a resumed run repoints it
-    only for an epoch that beats the score it already holds. Deterministic for
-    a fixed seed, on any number of cores: a model at least _THREADED_MIN_DIM
-    wide runs its per-sample fusion passes, training and validation, on one
-    thread per usable core.
+    fresh run, cut back to the resumed epoch by _resume_run_log and appended to
+    when resuming), and checkpoints every epoch plus a `best.json` pointer to
+    the best-scoring one; a resumed run repoints it only for an epoch that
+    beats the score it already holds. Deterministic for a fixed seed, on any
+    number of cores: a model at least _THREADED_MIN_DIM wide runs its
+    per-sample fusion passes, training and validation, on one thread per
+    usable core.
 
     Returns (final TrainState, list of per-epoch records).
     """
@@ -617,6 +616,8 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
         # as a dataclasses.replace, keeps those it holds as it keeps its weights
         state.adam_m, state.adam_v = dict(state.adam_m), dict(state.adam_v)
         state.rngs = {name: copy.deepcopy(gen) for name, gen in state.rngs.items()}
+        if run_log_path and os.path.exists(run_log_path):
+            _resume_run_log(run_log_path, state.epoch)
     options = state.options
 
     best_score = -math.inf
@@ -700,6 +701,28 @@ def read_best_pointer(pointer_path) -> dict:
     return pointer
 
 
+def _resume_run_log(path, epoch: int) -> None:
+    """Rewrite the run log at `path`, through atomic_open, to its records up to `epoch` when
+    its last line is torn (no newline, or not a JSON object with an int epoch) or logs a
+    later epoch, as after a crash between a log write and its checkpoint; otherwise leave
+    it, so a log that each resumed run extends is never rewritten. A bad line before the
+    last raises InvalidRunLog naming the file and the line."""
+    with open(path, "rb") as fh:
+        *lines, tail = fh.read().split(b"\n")  # tail: the bytes after the last newline
+    epochs = []
+    for number, line in enumerate(lines, 1):
+        record = None
+        with contextlib.suppress(ValueError):
+            record = arrayio.json_value(line)
+        epochs.append(record.get("epoch") if isinstance(record, dict) else None)
+        if type(epochs[-1]) is not int and (number < len(lines) or tail):
+            raise InvalidRunLog(f"{path}: line {number} is not a run log record: {line[:80]!r}")
+    if tail or (epochs and (type(epochs[-1]) is not int or epochs[-1] > epoch)):
+        with arrayio.atomic_open(path) as fh:
+            fh.writelines(line + b"\n" for line, e in zip(lines, epochs)
+                          if type(e) is int and e <= epoch)
+
+
 def _train_batch(batch, encoded, state, pool=None):
     """One AdamW step on the batch's joint objective; returns its LossBreakdown.
 
@@ -747,15 +770,15 @@ def _fuse_chunks(mats, state: TrainState, pool):
 
     `mats` is drawn _WORKERS samples at a time, and the chunk is fused on
     `pool` (the calling thread when None) before the next one is drawn. The
-    chunk's shared instruction branches (see `_instruction_branches`) run
-    first, unless the state keeps them from an earlier chunk or call of the same
+    chunk's instruction branches (see `_instruction_branches`) run first, unless
+    the state keeps them from an earlier chunk, call or batch of the same
     weights; every pass reads the folded pair kept for those weights (see
     `_kept_branches`). Evaluation draws no random numbers, so every vector is the
     same bits whether a pool runs it or the calling thread.
     """
     mats, (folded, kept) = iter(mats), _kept_branches(state)
     while chunk := list(islice(mats, _WORKERS)):
-        branches = _instruction_branches(chunk, state, pool, kept)
+        branches = _instruction_branches(chunk, state, kept)
         yield from _in_order(pool, _forward_sample,
                              [(m, state, branch, folded) for m, branch in zip(chunk, branches)])
 

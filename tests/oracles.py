@@ -207,8 +207,7 @@ def serial_batch_grads(mats, labels, state, textbook=False):
     streams.
     """
     from secpatch.contrastive import InsufficientClassMembers, sbcl_batch_loss_and_grad
-    from secpatch.fusion import (finish_backward, fold_cross, fuse_backward, fuse_forward,
-                                 instruction_forward)
+    from secpatch.fusion import finish_backward, fuse_backward, fuse_forward, instruction_forward
     from secpatch.train import LossBreakdown, bce_loss, head_probability
     from secpatch.types import Label
 
@@ -251,10 +250,9 @@ def serial_batch_grads(mats, labels, state, textbook=False):
             for name, grad in textbook_fuse_backward(d_vector, cache, pt).items():
                 total[name] += grad
     else:
-        folded = fold_cross(pt)
-        partials = fuse_backward(d_fused[0], caches[0], pt, folded)
+        partials = fuse_backward(d_fused[0], caches[0], pt)
         for d_vector, cache in zip(d_fused[1:], caches[1:]):
-            partials.add(fuse_backward(d_vector, cache, pt, folded))
+            partials.add(fuse_backward(d_vector, cache, pt))
         total = finish_backward(partials, pt)
     grads |= {f"pt.{name}": grad for name, grad in total.items()}
     return loss, grads

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -91,8 +92,9 @@ def _check_full_objective_gradients(loss_blend, coeff_bce, coeff_sbcl, shared_in
                - scalar_euclidean(fused[t.anchor], fused[t.negative]) + hp.margin)
         assert abs(gap) > 1e-3, "fixture sits on a hinge kink; pick another seed"
 
-    # analytic gradients from the function every training step calls
-    loss, analytic = batch_loss_and_grads(batch, labels, state)
+    # analytic gradients from the function every training step calls, on a copy: it makes
+    # the PT-Former's arrays read-only, and the finite differences below edit them in place
+    loss, analytic = batch_loss_and_grads(batch, labels, copy.deepcopy(state))
     assert abs(loss.total - full_loss()) <= 1e-12 * abs(loss.total)
 
     arrays = _trainable_params(state)

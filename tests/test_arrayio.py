@@ -32,6 +32,16 @@ def test_round_trip_bit_exact(tmp_path):
         np.testing.assert_array_equal(loaded[name], arr)
 
 
+def test_a_0d_array_keeps_its_shape(tmp_path):
+    # an array, a numpy scalar and a big-endian scalar: each loads back 0-d, not 1-d
+    path = tmp_path / "scalars.bin"
+    arrays = {"a": np.array(2.0), "b": np.float64(3.0), "c": np.array(7, dtype=">i4")}
+    save_arrays(path, arrays)
+    loaded = load_arrays(path)[0]
+    for name, value in arrays.items():
+        assert loaded[name].shape == () and loaded[name] == value, name
+
+
 @pytest.mark.parametrize("values", [np.array([1 + 2j]), np.array([2 ** 53 + 1], dtype=np.uint64),
                                     np.array([True, False]), np.array([0.5], dtype=np.float16)],
                          ids=["complex128", "uint64", "bool", "float16"])

@@ -108,6 +108,20 @@ def test_token_rows_are_the_seed_sequence_generators_rows(dim):
         assert _token_row(seed, dim, t).tobytes() == row.tobytes(), t
 
 
+@pytest.mark.parametrize("dim", [1, 7, 256, 768])
+def test_token_rows_normalise_as_numpys_norm_without_calling_it(monkeypatch, dim):
+    # a miss divides by math.sqrt(row.dot(row)), which is numpy's 2-norm of a 1-D float64
+    # row: sampled ids give the np.linalg.norm-normalised draw bit for bit
+    seed = derive_seed(5, "embed-patch")
+    expected = {}
+    for t in np.random.default_rng(dim).integers(0, VOCAB_SIZE, 200).tolist():
+        row = np.random.default_rng(np.random.SeedSequence([seed, t])).standard_normal(dim)
+        expected[t] = row / np.linalg.norm(row)
+    monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: pytest.fail("norm called"))
+    for t, row in expected.items():
+        assert _token_row.__wrapped__(seed, dim, t).tobytes() == row.tobytes(), t
+
+
 def test_embedding_a_fresh_text_moves_the_token_row_cache():
     # the cache perfbench reads is the one _embed uses: a miss per new id, a hit per repeat
     backend = EmbedderBackend.hashed_projection(8, seed=derive_seed(12345, "fresh"))

@@ -18,7 +18,8 @@ from secpatch.dataset import SchemaError, load_dataset
 from secpatch.embed import EmbedderBackend, save_precomputed
 from secpatch.explain import (CacheCorrupt, ExplainerConfig, ServiceUnavailable, _call_service,
                               explain)
-from secpatch.train import InvalidCheckpoint, load_checkpoint, read_best_pointer
+from secpatch.train import (InvalidCheckpoint, InvalidRunLog, _resume_run_log, load_checkpoint,
+                            read_best_pointer)
 from secpatch.types import Label, PatchSample
 
 from conftest import DATA_DIR
@@ -169,6 +170,25 @@ def test_best_pointer_mutants(tmp_path, rng):
         read_best_pointer(path)
 
     loaded, raised = _checked(read, _mutants(pointer, rng, PER_READER), InvalidCheckpoint)
+    assert loaded and raised
+
+
+def test_run_log_mutants(tmp_path, rng):
+    # a resumed train reads the log it appends to: what it leaves is whole records only
+    records = [{"epoch": e, "L_BCE": 0.69, "L_SBCL": 0.25, "L": 0.94, "val_AUC": 0.5,
+                "val_F1": None, "seed": 7} for e in (1, 2, 3)]
+    first, middle, last = (json.dumps(r).encode("utf-8") + b"\n" for r in records)
+    path = tmp_path / "run_log.jsonl"
+
+    def read(data):
+        path.write_bytes(data)
+        _resume_run_log(path, 2)
+        *lines, tail = path.read_bytes().split(b"\n")
+        assert tail == b"" and all(type(json.loads(line)["epoch"]) is int for line in lines)
+
+    mutants = [first + m + b"\n" + last for m in _mutants(records[1], rng, PER_READER // 2)]
+    mutants += _mutants(first + middle + last, rng, PER_READER // 2, text_only=True)
+    loaded, raised = _checked(read, mutants, InvalidRunLog)
     assert loaded and raised
 
 

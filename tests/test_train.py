@@ -29,9 +29,9 @@ from secpatch.arrayio import load_arrays, save_arrays
 from secpatch.fusion import (PTFormerState, dropout_keep, finish_backward, fold_cross,
                              fuse_backward, fuse_forward, instruction_forward, named_parameters,
                              parameter_specs)
-from secpatch.train import (ADAM_EPS, InvalidCheckpoint, _compose_batches, _fusion_pool,
-                            _train_batch, _validation_metrics, adamw_step, batch_loss_and_grads,
-                            encode_samples)
+from secpatch.train import (ADAM_EPS, InvalidCheckpoint, InvalidRunLog, _compose_batches,
+                            _fusion_pool, _train_batch, _validation_metrics, adamw_step,
+                            batch_loss_and_grads, encode_samples)
 
 train_module = importlib.import_module("secpatch.train")  # the package re-exports train()
 fusion_module = importlib.import_module("secpatch.fusion")
@@ -235,19 +235,21 @@ def _counted_folds(monkeypatch):
 
 
 def test_a_training_batch_folds_the_cross_attention_once_for_every_pass(monkeypatch):
+    # each forward pass is handed the batch's pair, and its backward reads it from the cache
     mats, labels = _ragged_batch(5, 8, seed=9)
     state = _ptformer_state(0.5)
     folds, passed = _counted_folds(monkeypatch), []
-    for name in ("fuse_forward", "fuse_backward"):
-        def recorded(*args, original=getattr(train_module, name)):
-            passed.append(args[-1])
+    for name, pair_of in (("fuse_forward", lambda args: args[-1]),
+                          ("fuse_backward", lambda args: args[1]["fold"])):
+        def recorded(*args, pair_of=pair_of, original=getattr(train_module, name)):
+            passed.append(pair_of(args))
             return original(*args)
 
         monkeypatch.setattr(train_module, name, recorded)
     _, grads = batch_loss_and_grads(mats, labels, state)
     assert grads is not None
     assert len(folds) == 1 and len(passed) == 2 * len(mats)
-    assert all(folded is folds[0] for folded in passed)
+    assert all(a is b for folded in passed for a, b in zip(folded, folds[0], strict=True))
 
 
 def _check_batch_against_serial_oracle(monkeypatch, mats, labels, dropout):
@@ -641,8 +643,42 @@ def test_training_runs_the_instruction_branch_once_per_batch_and_validation(
     train(split, dataclasses.replace(small_hp, dropout=0.5), offline_backends)
     assert split.validation and calls.count("_validation_metrics") == small_hp.epochs
     assert calls.count("batch_loss_and_grads") >= small_hp.epochs
-    assert runs == [threading.main_thread().name] * len(calls)
-    assert len(folds) == len(calls)  # one folded pair per batch, one per validation
+    # one folded pair and branch per batch and per validation, but each epoch's first batch
+    # reads those of the validation before it: the weights have not stepped in between
+    kept_runs = len(calls) - (small_hp.epochs - 1)
+    assert runs == [threading.main_thread().name] * kept_runs
+    assert len(folds) == kept_runs
+
+
+def test_a_training_batch_reads_the_record_a_predict_call_kept(monkeypatch, tmp_path):
+    # a predict call keeps the folded pair and the instruction branch of the weights it
+    # scored; a training batch on those weights forms neither again and gets the serial
+    # oracle's bits, with the same draws, on no pool and on pools of 1 and 2 workers
+    state, backends = _threaded_eval_setup(tmp_path)
+    state.hp = dataclasses.replace(state.hp, dropout=0.5)
+    samples = _ragged_samples(5)
+    encoded = encode_samples(samples, backends, state.hp, state.options)
+    mats, labels = [encoded[s.id] for s in samples], [s.label for s in samples]
+    oracle_state = copy.deepcopy(state)
+    expected = serial_batch_grads(mats, labels, oracle_state)
+    drawn = {name: gen.bit_generator.state for name, gen in oracle_state.rngs.items()}
+    runs, folds = _counted_instruction_runs(monkeypatch), _counted_folds(monkeypatch)
+    for workers in (None, 1, 2):
+        monkeypatch.setattr(train_module, "_WORKERS", workers or 1)
+        run_state = copy.deepcopy(state)
+        predict(samples, run_state, backends)
+        assert (len(runs), len(folds)) == (1, 1)
+        runs.clear()
+        folds.clear()
+        pool = ThreadPoolExecutor(workers) if workers else None
+        try:
+            result = batch_loss_and_grads(mats, labels, run_state, pool=pool)
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        _assert_same_bits(result, expected)
+        assert {name: gen.bit_generator.state for name, gen in run_state.rngs.items()} == drawn
+        assert runs == [] and folds == []
 
 
 def _precomputed_backends(tmp_path, samples, instructions, dim: int) -> PipelineBackends:
@@ -693,22 +729,6 @@ def test_kept_instruction_branch_is_not_shared_by_negative_zero(monkeypatch, tmp
     for i in (0, 1, 1, 0):
         assert predict([samples[i]], state, backends)[0][0] == probs[i]
     assert len(runs) == 3
-
-
-def test_an_instruction_matrix_of_one_sample_runs_in_its_fusion_pass(monkeypatch, tmp_path):
-    # a precomputed embedder may give every sample its own instruction matrix: those run
-    # in the samples' own fusion passes, spread over the pool, not one by one on the caller
-    state, _ = _threaded_eval_setup(tmp_path)
-    samples = _ragged_samples(7)
-    rng = np.random.default_rng(3)
-    instructions = [rng.standard_normal((4, state.hp.dim)) for _ in samples]
-    backends = _precomputed_backends(tmp_path, samples, instructions, state.hp.dim)
-    vectors, probs = serial_evaluation(samples, state, backends)
-    runs = _counted_instruction_runs(monkeypatch)
-    monkeypatch.setattr(train_module, "_WORKERS", 2)
-    assert [p for p, _ in predict(samples, state, backends)] == probs
-    assert len(runs) == len(samples)
-    assert all(name.startswith("secpatch-fusion") for name in runs)
 
 
 def test_shared_instruction_branch_is_read_only_and_unchanged_by_backward():
@@ -998,6 +1018,71 @@ def test_resumed_run_equals_a_straight_run(small_hp, tmp_path, dim):
     assert (meta["epoch"], meta["hp"]["epochs"], resumed_meta["hp"]["epochs"]) == (4, 4, 2)
     resumed_meta["hp"]["epochs"] = 4
     assert resumed_meta == meta
+
+
+def test_a_resume_after_a_crash_between_log_and_checkpoint_logs_each_epoch_once(tmp_path):
+    # the run log's epoch-2 record is written, then saving its checkpoint fails; resuming from
+    # the epoch-1 checkpoint drops that record first, so the log is the straight run's
+    hp = dataclasses.replace(default_hyperparams(), dim=8, num_heads=2, epochs=3,
+                             learning_rate=1e-2, batch_size_train=8, seed=7)
+    split = split_dataset(make_synthetic_samples(32, seed=11), (0.8, 0.1, 0.1), seed=hp.seed)
+    backends = hashed_backends(hp)
+    straight, crashed = tmp_path / "straight", tmp_path / "crashed"
+    train(split, hp, backends, checkpoint_dir=str(straight),
+          run_log_path=str(straight / "run_log.jsonl"))
+
+    def crash_at_epoch_2(path, state):
+        if state.epoch == 2:
+            raise _Injected(path)
+        save_checkpoint(path, state)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(train_module, "save_checkpoint", crash_at_epoch_2)
+        with pytest.raises(_Injected):
+            train(split, hp, backends, checkpoint_dir=str(crashed),
+                  run_log_path=str(crashed / "run_log.jsonl"))
+    logged = (crashed / "run_log.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["epoch"] for line in logged] == [1, 2]
+    train(split, dataclasses.replace(hp, epochs=2), backends,
+          state=load_checkpoint(crashed / "epoch_0001.ckpt"), checkpoint_dir=str(crashed),
+          run_log_path=str(crashed / "run_log.jsonl"))
+    for name in ("run_log.jsonl", "best.json"):
+        assert (crashed / name).read_bytes() == (straight / name).read_bytes(), name
+    arrays, resumed = (load_arrays(d / "epoch_0003.ckpt")[0] for d in (straight, crashed))
+    assert arrays.keys() == resumed.keys()
+    assert all(np.array_equal(resumed[name], arr) for name, arr in arrays.items())
+
+
+def _log_lines(epochs) -> list[bytes]:
+    return [json.dumps({"epoch": e, "L": 0.5, "seed": 7}).encode() + b"\n" for e in epochs]
+
+
+@pytest.mark.parametrize("tail, epoch, kept, rewritten", [
+    (b"", 3, [1, 2, 3], False),                 # ends at the resumed epoch: left as it is
+    (b"", 2, [1, 2], True),                     # a later epoch's record goes
+    (b'{"epoch": 3, "L"', 3, [1, 2, 3], True),  # a torn last line goes
+    (b'{"epoch": 3}\n', 3, [1, 2, 3, 3], False),  # a whole record, even a repeat, stays
+    (b"[3]\n", 3, [1, 2, 3], True),             # a last line that is no record counts as torn
+])
+def test_resume_trims_the_run_log_to_the_resumed_epoch(tmp_path, tail, epoch, kept, rewritten):
+    path = tmp_path / "run_log.jsonl"
+    path.write_bytes(b"".join(_log_lines([1, 2, 3])) + tail)
+    inode = os.stat(path).st_ino
+    train_module._resume_run_log(path, epoch)
+    assert [json.loads(line)["epoch"] for line in path.read_bytes().splitlines()] == kept
+    assert path.read_bytes().endswith(b"\n")
+    assert (os.stat(path).st_ino != inode) == rewritten  # a rewrite renames a new file in
+
+
+@pytest.mark.parametrize("bad", [b"[2]", b'{"epoch": true}', b'{"epoch": 2', b"\xff"])
+def test_resume_rejects_a_bad_run_log_line_before_the_last(tmp_path, bad):
+    path = tmp_path / "run_log.jsonl"
+    lines = _log_lines([1, 2, 3])
+    path.write_bytes(lines[0] + bad + b"\n" + lines[2])
+    before = path.read_bytes()
+    with pytest.raises(InvalidRunLog, match=f"{re.escape(str(path))}: line 2 is not a run log"):
+        train_module._resume_run_log(path, 3)
+    assert path.read_bytes() == before
 
 
 def test_resume_repoints_best_only_when_beaten(small_hp, offline_backends, tmp_path):
