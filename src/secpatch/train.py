@@ -65,7 +65,7 @@ class InvalidCheckpoint(ValueError):
 
 
 class InvalidRunLog(ValueError):
-    """A run log line before its last is not a record that `train` writes."""
+    """A run log line is not a whole record that `train` writes, or the log is a directory."""
 
 
 class _Entries(dict):
@@ -395,8 +395,8 @@ def batch_loss_and_grads(mats, labels, state: TrainState,
         "classifier.weight": fused.T @ d_logits,
         "classifier.bias": np.array([d_logits.sum()]),
     }
-    d_fused = np.outer(d_logits, state.classifier.weight) + coeff_sbcl * d_fused_sbcl
     if pt is not None:
+        d_fused = np.outer(d_logits, state.classifier.weight) + coeff_sbcl * d_fused_sbcl
         work = list(zip(d_fused, caches))
         del caches  # so each cache is freed once its backward pass is done
         per_sample = _in_order(pool, lambda d_vec, cache: fuse_backward(d_vec, cache, pt), work)
@@ -583,15 +583,13 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
           options: TrainOptions | None = None, checkpoint_dir=None, run_log_path=None):
     """Optimize all fusion and classifier parameters with AdamW.
 
-    Runs hp.epochs epochs (on top of any epochs already in `state` when
-    resuming), writes one record per epoch to the run log (emptied first on a
-    fresh run, cut back to the resumed epoch by _resume_run_log and appended to
-    when resuming), and checkpoints every epoch plus a `best.json` pointer to
-    the best-scoring one; a resumed run repoints it only for an epoch that
-    beats the score it already holds. Deterministic for a fixed seed, on any
-    number of cores: a model at least _THREADED_MIN_DIM wide runs its
-    per-sample fusion passes, training and validation, on one thread per
-    usable core.
+    Runs hp.epochs epochs (on top of any epochs already in `state` when resuming).
+    Writes the run log whole before the first epoch (empty, or the records that
+    _resume_run_log keeps) and after each epoch's record; then the `best.json`
+    pointer to the best-scoring epoch, which a resumed run repoints only for an epoch
+    that beats its score; then, last, the epoch's checkpoint. Deterministic for a
+    fixed seed, on any number of cores: a model at least _THREADED_MIN_DIM wide runs
+    its per-sample fusion passes, training and validation, on one thread per usable core.
 
     Returns (final TrainState, list of per-epoch records).
     """
@@ -616,9 +614,8 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
         # as a dataclasses.replace, keeps those it holds as it keeps its weights
         state.adam_m, state.adam_v = dict(state.adam_m), dict(state.adam_v)
         state.rngs = {name: copy.deepcopy(gen) for name, gen in state.rngs.items()}
-        if run_log_path and os.path.exists(run_log_path):
-            _resume_run_log(run_log_path, state.epoch)
     options = state.options
+    log = _resume_run_log(run_log_path, state.epoch) if resuming and run_log_path else b""
 
     best_score = -math.inf
     if checkpoint_dir is not None:
@@ -632,10 +629,10 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
 
     records = []
     last_checkpoint = None
-    log = open(run_log_path, "a", encoding="utf-8") if run_log_path else contextlib.nullcontext()
-    with log as log_fh, _fusion_pool(state, len(train_samples)) as pool:
-        if log_fh is not None and not resuming:
-            log_fh.truncate(0)  # a rerun of the same config reproduces the log byte for byte
+    if run_log_path:  # a fresh run empties the log, so a rerun reproduces it byte for byte
+        with arrayio.atomic_open(run_log_path) as fh:
+            fh.write(log)
+    with _fusion_pool(state, len(train_samples)) as pool:
         for _ in range(hp.epochs):
             epoch = state.epoch + 1
             sums = {"bce": 0.0, "sbcl": 0.0, "total": 0.0}
@@ -662,18 +659,20 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
                 "seed": hp.seed,
             }
             records.append(record)
-            if log_fh is not None:
-                log_fh.write(json.dumps(record) + "\n")
-                log_fh.flush()
+            if run_log_path:
+                log += json.dumps(record).encode("utf-8") + b"\n"
+                with arrayio.atomic_open(run_log_path) as fh:
+                    fh.write(log)
             if checkpoint_dir is not None:
-                last_checkpoint = os.path.join(checkpoint_dir, f"epoch_{epoch:04d}.ckpt")
-                save_checkpoint(last_checkpoint, state)
+                path = os.path.join(checkpoint_dir, f"epoch_{epoch:04d}.ckpt")
                 score = val_f1 if val_f1 is not None else -record["L"]
                 if score > best_score:
                     best_score = score
                     arrayio.write_json(pointer_path, {
-                        "epoch": epoch, "path": os.path.basename(last_checkpoint),
+                        "epoch": epoch, "path": os.path.basename(path),
                         "score": score, "seed": hp.seed})
+                save_checkpoint(path, state)
+                last_checkpoint = path
     return state, records
 
 
@@ -687,6 +686,8 @@ def read_best_pointer(pointer_path) -> dict:
     try:
         with open(pointer_path, "rb") as fh:
             pointer = arrayio.json_value(fh.read())
+    except IsADirectoryError as exc:
+        raise InvalidCheckpoint(pointer_path, "pointer is a directory") from exc
     except ValueError as exc:
         raise InvalidCheckpoint(pointer_path, f"pointer is not JSON: {exc}") from exc
     name = pointer.get("path") if isinstance(pointer, dict) else None
@@ -701,26 +702,28 @@ def read_best_pointer(pointer_path) -> dict:
     return pointer
 
 
-def _resume_run_log(path, epoch: int) -> None:
-    """Rewrite the run log at `path`, through atomic_open, to its records up to `epoch` when
-    its last line is torn (no newline, or not a JSON object with an int epoch) or logs a
-    later epoch, as after a crash between a log write and its checkpoint; otherwise leave
-    it, so a log that each resumed run extends is never rewritten. A bad line before the
-    last raises InvalidRunLog naming the file and the line."""
-    with open(path, "rb") as fh:
-        *lines, tail = fh.read().split(b"\n")  # tail: the bytes after the last newline
-    epochs = []
+def _resume_run_log(path, epoch: int) -> bytes:
+    """The run log at `path` (empty if there is none) cut to its records up to `epoch`. A line
+    that is not a whole record, a JSON object with an int epoch ending in a newline, raises
+    InvalidRunLog naming the file and the line, and so does a directory at `path`."""
+    if not os.path.exists(path):
+        return b""
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.readlines()
+    except IsADirectoryError as exc:
+        raise InvalidRunLog(f"{path}: the run log is a directory") from exc
+    kept = []
     for number, line in enumerate(lines, 1):
         record = None
         with contextlib.suppress(ValueError):
             record = arrayio.json_value(line)
-        epochs.append(record.get("epoch") if isinstance(record, dict) else None)
-        if type(epochs[-1]) is not int and (number < len(lines) or tail):
+        logged = record.get("epoch") if isinstance(record, dict) else None
+        if type(logged) is not int or not line.endswith(b"\n"):
             raise InvalidRunLog(f"{path}: line {number} is not a run log record: {line[:80]!r}")
-    if tail or (epochs and (type(epochs[-1]) is not int or epochs[-1] > epoch)):
-        with arrayio.atomic_open(path) as fh:
-            fh.writelines(line + b"\n" for line, e in zip(lines, epochs)
-                          if type(e) is int and e <= epoch)
+        if logged <= epoch:
+            kept.append(line)
+    return b"".join(kept)
 
 
 def _train_batch(batch, encoded, state, pool=None):

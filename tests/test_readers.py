@@ -174,7 +174,7 @@ def test_best_pointer_mutants(tmp_path, rng):
 
 
 def test_run_log_mutants(tmp_path, rng):
-    # a resumed train reads the log it appends to: what it leaves is whole records only
+    # a resumed train reads the log it rewrites: what it keeps is whole records only
     records = [{"epoch": e, "L_BCE": 0.69, "L_SBCL": 0.25, "L": 0.94, "val_AUC": 0.5,
                 "val_F1": None, "seed": 7} for e in (1, 2, 3)]
     first, middle, last = (json.dumps(r).encode("utf-8") + b"\n" for r in records)
@@ -182,8 +182,7 @@ def test_run_log_mutants(tmp_path, rng):
 
     def read(data):
         path.write_bytes(data)
-        _resume_run_log(path, 2)
-        *lines, tail = path.read_bytes().split(b"\n")
+        *lines, tail = _resume_run_log(path, 2).split(b"\n")
         assert tail == b"" and all(type(json.loads(line)["epoch"]) is int for line in lines)
 
     mutants = [first + m + b"\n" + last for m in _mutants(records[1], rng, PER_READER // 2)]

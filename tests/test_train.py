@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -25,6 +26,7 @@ from secpatch import (ClassifierParams, DivergenceDetected, EmbedderBackend, Exp
                       fused_embeddings, hashed_backends, head_probability, init_train_state,
                       load_checkpoint, load_dataset, make_synthetic_samples, predict,
                       save_checkpoint, save_precomputed, split_dataset, train)
+from secpatch import arrayio
 from secpatch.arrayio import load_arrays, save_arrays
 from secpatch.fusion import (PTFormerState, dropout_keep, finish_backward, fold_cross,
                              fuse_backward, fuse_forward, instruction_forward, named_parameters,
@@ -1053,36 +1055,182 @@ def test_a_resume_after_a_crash_between_log_and_checkpoint_logs_each_epoch_once(
     assert all(np.array_equal(resumed[name], arr) for name, arr in arrays.items())
 
 
+def _crash_test_run():
+    """(hp, split, backends) of the 3-epoch runs the crash tests stop and resume."""
+    hp = dataclasses.replace(default_hyperparams(), dim=8, num_heads=2, epochs=3,
+                             learning_rate=1e-2, batch_size_train=8, seed=7)
+    split = split_dataset(make_synthetic_samples(32, seed=11), (0.8, 0.1, 0.1), seed=hp.seed)
+    return hp, split, hashed_backends(hp)
+
+
+def _train_into(out, hp, split, backends, state=None):
+    train(split, hp, backends, state=state, checkpoint_dir=str(out),
+          run_log_path=str(out / "run_log.jsonl"))
+
+
+def _resume_from_the_last_checkpoint(out, hp, split, backends):
+    """The documented resume: from the highest epoch_*.ckpt in `out` with the epochs left, a
+    fresh run if there is none, and no call if no epochs are left."""
+    checkpoints = sorted(out.glob("epoch_*.ckpt"))
+    state = load_checkpoint(checkpoints[-1]) if checkpoints else None
+    left = hp.epochs - (state.epoch if state else 0)
+    if left:
+        _train_into(out, dataclasses.replace(hp, epochs=left), split, backends, state)
+
+
+def _assert_same_run(out, straight, epochs):
+    """The run log and best.json of `out` are the straight run's, and so is its last
+    checkpoint but for meta.hp.epochs."""
+    for name in ("run_log.jsonl", "best.json"):
+        assert (out / name).read_bytes() == (straight / name).read_bytes(), name
+    arrays, meta = load_arrays(straight / f"epoch_{epochs:04d}.ckpt")
+    resumed_arrays, resumed_meta = load_arrays(out / f"epoch_{epochs:04d}.ckpt")
+    assert arrays.keys() == resumed_arrays.keys()
+    assert all(np.array_equal(resumed_arrays[name], arr) for name, arr in arrays.items())
+    resumed_meta["hp"]["epochs"] = meta["hp"]["epochs"]
+    assert resumed_meta == meta
+
+
+def _recording_atomic_open(targets: list, stop_at: int = 0):
+    """arrayio.atomic_open that appends each durable write's file name to `targets` and
+    raises _Injected, before writing, at the `stop_at`-th of them."""
+    real = arrayio.atomic_open
+
+    def atomic_open(path, mode="wb", *, durable=True, **open_kwargs):
+        if durable:
+            targets.append(os.path.basename(path))
+            if len(targets) == stop_at:
+                raise _Injected(f"durable write {stop_at}: {path}")
+        return real(path, mode, durable=durable, **open_kwargs)
+    return atomic_open
+
+
+def _straight_run(out, hp, split, backends) -> list:
+    """Train the whole run into `out`; return its durable writes' file names in order."""
+    targets = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arrayio, "atomic_open", _recording_atomic_open(targets))
+        _train_into(out, hp, split, backends)
+    return targets
+
+
+def test_a_stop_at_any_write_then_a_resume_gives_the_straight_run(tmp_path):
+    # every durable write of a 3-epoch run fails in turn; each epoch's writes end at its
+    # checkpoint, so a resume from the last checkpoint re-runs what the stop cut short
+    hp, split, backends = _crash_test_run()
+    straight = tmp_path / "straight"
+    writes = _straight_run(straight, hp, split, backends)
+    assert [t for t in writes if t != "best.json"] == ["run_log.jsonl"] + [
+        name for epoch in range(1, hp.epochs + 1)
+        for name in ("run_log.jsonl", f"epoch_{epoch:04d}.ckpt")]
+    assert all(writes[i + 1].endswith(".ckpt") for i, t in enumerate(writes) if t == "best.json")
+
+    for n in range(1, len(writes) + 1):
+        out = tmp_path / f"stop_{n}"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arrayio, "atomic_open", _recording_atomic_open([], n))
+            with pytest.raises(_Injected):
+                _train_into(out, hp, split, backends)
+        _resume_from_the_last_checkpoint(out, hp, split, backends)
+        _assert_same_run(out, straight, hp.epochs)
+
+
+_KILLED_RUN = """
+import contextlib, itertools, json, os, signal, sys
+from secpatch import HyperParams, arrayio, hashed_backends, make_synthetic_samples
+from secpatch import split_dataset, train
+from secpatch.types import config_from_dict
+real, count = arrayio.atomic_open, itertools.count(1)
+
+@contextlib.contextmanager
+def atomic_open(path, mode="wb", *, durable=True, **open_kwargs):
+    with real(path, mode, durable=durable, **open_kwargs) as fh:
+        yield fh
+        if durable and next(count) == int(sys.argv[2]):  # written, not yet renamed into place
+            fh.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+arrayio.atomic_open = atomic_open
+hp = config_from_dict(HyperParams, json.loads(sys.argv[3]), "hp")
+split = split_dataset(make_synthetic_samples(32, seed=11), (0.8, 0.1, 0.1), seed=hp.seed)
+train(split, hp, hashed_backends(hp), checkpoint_dir=sys.argv[1],
+      run_log_path=os.path.join(sys.argv[1], "run_log.jsonl"))
+"""
+
+
+def test_a_run_killed_mid_write_then_resumed_gives_the_straight_run(tmp_path):
+    # a child process SIGKILLs itself at a seeded durable write, its bytes in the temp file;
+    # the resume reads only renamed files, so the temp file it leaves changes nothing
+    hp, split, backends = _crash_test_run()
+    straight, killed = tmp_path / "straight", tmp_path / "killed"
+    writes = _straight_run(straight, hp, split, backends)
+    kill_at = int(np.random.default_rng(2014).integers(1, len(writes) + 1))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _KILLED_RUN, str(killed), str(kill_at),
+                           json.dumps(dataclasses.asdict(hp))],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == -signal.SIGKILL, done.stderr
+    (left,) = killed.glob("*.tmp")
+    assert left.name.startswith(writes[kill_at - 1] + ".")
+    _resume_from_the_last_checkpoint(killed, hp, split, backends)
+    _assert_same_run(killed, straight, hp.epochs)
+    assert list(killed.glob("*.tmp")) == [left]
+
+
 def _log_lines(epochs) -> list[bytes]:
     return [json.dumps({"epoch": e, "L": 0.5, "seed": 7}).encode() + b"\n" for e in epochs]
 
 
-@pytest.mark.parametrize("tail, epoch, kept, rewritten", [
-    (b"", 3, [1, 2, 3], False),                 # ends at the resumed epoch: left as it is
-    (b"", 2, [1, 2], True),                     # a later epoch's record goes
-    (b'{"epoch": 3, "L"', 3, [1, 2, 3], True),  # a torn last line goes
-    (b'{"epoch": 3}\n', 3, [1, 2, 3, 3], False),  # a whole record, even a repeat, stays
-    (b"[3]\n", 3, [1, 2, 3], True),             # a last line that is no record counts as torn
+@pytest.mark.parametrize("tail, epoch, kept", [
+    (b"", 3, [1, 2, 3]),                    # ends at the resumed epoch: kept whole
+    (b"", 2, [1, 2]),                       # a later epoch's record goes
+    (b"", 0, []),                           # a resume from epoch 0 keeps nothing
+    (b'{"epoch": 3}\n', 3, [1, 2, 3, 3]),   # a whole record, even a repeat, stays
 ])
-def test_resume_trims_the_run_log_to_the_resumed_epoch(tmp_path, tail, epoch, kept, rewritten):
+def test_resume_trims_the_run_log_to_the_resumed_epoch(tmp_path, tail, epoch, kept):
     path = tmp_path / "run_log.jsonl"
     path.write_bytes(b"".join(_log_lines([1, 2, 3])) + tail)
-    inode = os.stat(path).st_ino
-    train_module._resume_run_log(path, epoch)
-    assert [json.loads(line)["epoch"] for line in path.read_bytes().splitlines()] == kept
-    assert path.read_bytes().endswith(b"\n")
-    assert (os.stat(path).st_ino != inode) == rewritten  # a rewrite renames a new file in
+    before = path.read_bytes()
+    log = train_module._resume_run_log(path, epoch)
+    assert [json.loads(line)["epoch"] for line in log.splitlines()] == kept
+    assert before.startswith(log) and log.endswith(b"\n") == bool(kept)
+    assert path.read_bytes() == before  # the reader writes nothing; train rewrites the log
+    assert train_module._resume_run_log(tmp_path / "absent.jsonl", epoch) == b""
 
 
 @pytest.mark.parametrize("bad", [b"[2]", b'{"epoch": true}', b'{"epoch": 2', b"\xff"])
 def test_resume_rejects_a_bad_run_log_line_before_the_last(tmp_path, bad):
+    # any line: the first, a middle one and the last, which may also lack its newline
     path = tmp_path / "run_log.jsonl"
-    lines = _log_lines([1, 2, 3])
-    path.write_bytes(lines[0] + bad + b"\n" + lines[2])
-    before = path.read_bytes()
-    with pytest.raises(InvalidRunLog, match=f"{re.escape(str(path))}: line 2 is not a run log"):
+    for number, end in [(1, b"\n"), (2, b"\n"), (3, b"\n"), (3, b""), (4, b"")]:
+        lines = _log_lines([1, 2, 3])
+        lines[number - 1:number] = [bad + end]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(InvalidRunLog,
+                           match=f"{re.escape(str(path))}: line {number} is not a run log"):
+            train_module._resume_run_log(path, 3)
+    path.write_bytes(_log_lines([1])[0].rstrip(b"\n"))  # a whole record but for its newline
+    with pytest.raises(InvalidRunLog, match="line 1 is not a run log record"):
         train_module._resume_run_log(path, 3)
-    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("name, error, reason", [
+    ("best.json", InvalidCheckpoint, "invalid checkpoint: pointer is a directory"),
+    ("run_log.jsonl", InvalidRunLog, "the run log is a directory"),
+], ids=["best.json", "run_log"])
+def test_resume_names_a_directory_where_a_run_file_belongs(small_hp, offline_backends, tmp_path,
+                                                            name, error, reason):
+    split, ckpt = _tiny_split(small_hp), tmp_path / "ckpt"
+    state, _ = train(split, small_hp, offline_backends, checkpoint_dir=str(ckpt))
+    (ckpt / name).unlink(missing_ok=True)
+    (ckpt / name).mkdir()
+    before = sorted(p.name for p in ckpt.iterdir())
+    with pytest.raises(error, match=re.escape(f"{ckpt / name}: {reason}")):
+        train(split, small_hp, offline_backends, state=state, checkpoint_dir=str(ckpt),
+              run_log_path=str(ckpt / "run_log.jsonl"))
+    assert sorted(p.name for p in ckpt.iterdir()) == before  # rejected before any epoch ran
 
 
 def test_resume_repoints_best_only_when_beaten(small_hp, offline_backends, tmp_path):
