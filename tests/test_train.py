@@ -1183,19 +1183,28 @@ def _log_lines(epochs) -> list[bytes]:
     return [json.dumps({"epoch": e, "L": 0.5, "seed": 7}).encode() + b"\n" for e in epochs]
 
 
-@pytest.mark.parametrize("tail, epoch, kept", [
-    (b"", 3, [1, 2, 3]),                    # ends at the resumed epoch: kept whole
-    (b"", 2, [1, 2]),                       # a later epoch's record goes
-    (b"", 0, []),                           # a resume from epoch 0 keeps nothing
-    (b'{"epoch": 3}\n', 3, [1, 2, 3, 3]),   # a whole record, even a repeat, stays
+@pytest.mark.parametrize("tail, epoch, kept, trimmed", [
+    (b"", 3, [1, 2, 3], False),                   # ends at the resumed epoch: kept whole
+    (b"", 2, [1, 2], True),                       # a later epoch's record goes
+    (b'{"epoch": 3, "L"', 3, InvalidRunLog("line 4 is not a run log record"), True),  # torn
+    (b'{"epoch": 3}\n', 3, [1, 2, 3, 3], False),  # a whole record, even a repeat, stays
+    (b"[3]\n", 3, InvalidRunLog("line 4 is not a run log record"), True),  # no record
+    (b"", 0, [], True),                           # a resume from epoch 0 keeps nothing
 ])
-def test_resume_trims_the_run_log_to_the_resumed_epoch(tmp_path, tail, epoch, kept):
+def test_resume_trims_the_run_log_to_the_resumed_epoch(tmp_path, tail, epoch, kept, trimmed):
+    # trimmed: the file does not come back whole; kept an error: the reader raises it instead,
+    # since train's one writer cannot tear a line and so no last line is dropped as torn
     path = tmp_path / "run_log.jsonl"
     path.write_bytes(b"".join(_log_lines([1, 2, 3])) + tail)
     before = path.read_bytes()
-    log = train_module._resume_run_log(path, epoch)
-    assert [json.loads(line)["epoch"] for line in log.splitlines()] == kept
-    assert before.startswith(log) and log.endswith(b"\n") == bool(kept)
+    if isinstance(kept, InvalidRunLog):
+        with pytest.raises(InvalidRunLog, match=re.escape(f"{path}: {kept}")):
+            train_module._resume_run_log(path, epoch)
+    else:
+        log = train_module._resume_run_log(path, epoch)
+        assert [json.loads(line)["epoch"] for line in log.splitlines()] == kept
+        assert before.startswith(log) and log.endswith(b"\n") == bool(kept)
+        assert (log != before) == trimmed
     assert path.read_bytes() == before  # the reader writes nothing; train rewrites the log
     assert train_module._resume_run_log(tmp_path / "absent.jsonl", epoch) == b""
 
