@@ -16,12 +16,13 @@ attention weights, for the textbook (pa @ W_q) @ (ex_hat @ W_k)ᵀ and
 (A @ (ex_hat @ W_v)) @ w1. Neither k nor v is formed, and every patch-row ×
 dim² product becomes a patch-row × explanation-row × dim one. Dropout and
 the rectifier act on the (patch, hidden) rows of A @ (ex_hat @ W_vf) + b1.
-A caller forms the pair once per weight version and passes it to every
-pass, whose cache keeps it for that pass's backward.
+A `PTFormerState` is one weight version, read-only from construction; it forms
+the pair on first use (`state.folded`) and keeps it for every pass on it.
 
 The instruction branch up to its dropout is `instruction_forward`. A caller
-runs it once per distinct instruction matrix and passes the result to each
-`fuse_forward`, which otherwise runs it itself.
+runs it once per distinct instruction matrix, can keep it in the state's
+`instruction_branches`, and passes it to each `fuse_forward`, which otherwise
+runs it itself.
 
 Forward functions return caches consumed by exact reverse-mode backward
 functions; no autograd framework is involved. The backward pass has two
@@ -43,6 +44,7 @@ then run the forward passes in any order or on any thread.
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -89,15 +91,33 @@ class PTFormerState:
     ff_inst: FeedForwardParams
 
     def __post_init__(self):
-        """All blocks agree on dim, head count and hidden width; the heads make up dim."""
-        sizes = check_shapes(named_parameters(self), parameter_specs(PTFormerState))
+        """All blocks agree on dim, head count and hidden width; the heads make up dim. Every
+        array becomes read-only, so an edit raises instead of scoring with a stale `folded`."""
+        arrays = named_parameters(self)
+        sizes = check_shapes(arrays, parameter_specs(PTFormerState))
         if sizes["heads"] * sizes["head_dim"] != sizes["dim"]:
             raise ValueError(f"self_attn: {sizes['heads']} heads of width {sizes['head_dim']} "
                              f"do not make up dim {sizes['dim']}")
+        for arr in arrays.values():
+            arr.flags.writeable = False
+
+    def __reduce__(self):
+        """copy, deepcopy and pickle go through __init__: a copy is locked and keeps nothing."""
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def dim(self) -> int:
         return self.cross_attn.w_q.shape[0]
+
+    @cached_property
+    def folded(self):
+        """`fold_cross(self)`, formed on first use; a threaded caller forms it before dispatch."""
+        return fold_cross(self)
+
+    @cached_property
+    def instruction_branches(self) -> dict:
+        """The instruction branches a caller keeps for these weights, keyed by their matrix."""
+        return {}
 
 
 def model_sizes(hp: HyperParams, ff_hidden: int | None = None) -> dict[str, int]:
@@ -236,18 +256,18 @@ def instruction_forward(inst: np.ndarray, state: PTFormerState):
 
 
 def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndarray,
-                 state: PTFormerState, keep=NO_DROPOUT, inst_branch=None, folded=None):
+                 state: PTFormerState, keep=NO_DROPOUT, inst_branch=None):
     """Raw-array fusion; returns (vector of length 3*dim, cache for the backward pass).
 
     `keep` holds the dropout rate and the branches' masks from `dropout_keep`
     in training; the default applies no dropout (evaluation). `inst_branch`
     is `instruction_forward(inst, state)` when the caller shares one across
-    samples, and `folded` is `fold_cross(state)` (cache["fold"]); each is made here when None.
+    samples; it is made here when None.
     """
     rate, keep_pa_ex, keep_desc, keep_inst = keep
     if inst_branch is None:
         inst_branch = instruction_forward(inst, state)
-    w_qk, w_vf = fold_cross(state) if folded is None else folded
+    w_qk, w_vf = state.folded
     inst_hat, c_sa_inst, inst_hidden = inst_branch
     ex_hat, c_sa_ex = _attention_forward(ex, state.self_attn)
     desc_hat, c_sa_desc = _attention_forward(desc, state.self_attn)
@@ -260,15 +280,14 @@ def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndar
     vector = np.concatenate([f_pa_ex, f_desc, f_inst])
     cache = {
         "sa_ex": c_sa_ex, "sa_desc": c_sa_desc, "sa_inst": c_sa_inst,
-        "ca": (pa, ex_hat, v_w1), "fold": (w_qk, w_vf), "ff1": c_ff1, "ff2": c_ff2, "ff3": c_ff3,
+        "ca": (pa, ex_hat, v_w1), "ff1": c_ff1, "ff2": c_ff2, "ff3": c_ff3,
     }
     return vector, cache
 
 
 def fold_cross(state: PTFormerState):
     """(W_q @ W_kᵀ, W_v @ ff_pa_ex.w1): the products in which `fuse_forward` and
-    `fuse_backward` read the cross-attention's weights. The optimizer's step makes a new
-    PTFormerState, so a caller folds once per state."""
+    `fuse_backward` read the cross-attention's weights, once per state as `state.folded`."""
     ca = state.cross_attn
     return ca.w_q @ ca.w_k.T, ca.w_v @ state.ff_pa_ex.w1
 
@@ -306,10 +325,10 @@ class BackwardPartials:
 
 
 def fuse_backward(d_vector: np.ndarray, cache, state: PTFormerState) -> BackwardPartials:
-    """One sample's gradient partials, given the gradient on its fused vector; the folded
-    pair is the one its forward pass kept in `cache`."""
+    """One sample's gradient partials, given the gradient on its fused vector and the cache
+    of its forward pass on `state`."""
     dim = state.dim
-    w_qk, w_vf = cache["fold"]
+    w_qk, w_vf = state.folded
     d1, d2, d3 = d_vector[:dim], d_vector[dim:2 * dim], d_vector[2 * dim:]
     pa, ex_hat, v_w1 = cache["ca"]
     attn, desc_hat, inst_hat = cache["ff1"][0], cache["ff2"][0], cache["ff3"][0]

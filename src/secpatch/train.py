@@ -9,7 +9,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import islice
 
 import numpy as np
@@ -20,9 +20,9 @@ from .dataset import class_counts, tokenize
 from .embed import EmbedderBackend, embed_patch, embed_text
 from .explain import ExplainerConfig, explain, instruction_text
 from .fusion import (NO_DROPOUT, PTFormerState, check_shapes, dropout_keep, finish_backward,
-                     fold_cross, from_named_parameters, fuse_backward, fuse_forward,
-                     init_parameters, init_pt_former, instruction_forward,
-                     model_sizes, named_parameters, parameter, parameter_specs, pooled_concat)
+                     from_named_parameters, fuse_backward, fuse_forward, init_parameters,
+                     init_pt_former, instruction_forward, model_sizes, named_parameters,
+                     parameter, parameter_specs, pooled_concat)
 from .metrics import MetricsReport, compute_metrics
 from .seeding import derive_seed, substream
 from .types import (FusedEmbedding, HyperParams, Label, LengthMismatch, Modality,
@@ -141,9 +141,6 @@ class TrainState:
     epoch: int
     rngs: dict
     sbcl_skipped: int = 0
-    # the folded cross-attention pair and instruction branches of pt_former, for training
-    # and evaluation alike, never checkpointed (see _kept_branches)
-    kept_branches: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -229,55 +226,36 @@ def encode_samples(samples, backends, hp, options=TrainOptions()) -> dict:
 # ---------------------------------------------------------------------------
 # forward pass and joint objective
 
-def _forward_sample(mats, state: TrainState, inst_branch=None, folded=None) -> np.ndarray:
-    """Fused vector of one encoded sample in evaluation mode; `inst_branch` and `folded` as
-    in `fuse_forward`."""
+def _forward_sample(mats, state: TrainState, inst_branch=None) -> np.ndarray:
+    """Fused vector of one encoded sample in evaluation mode; `inst_branch` as in fuse_forward."""
     if state.pt_former is not None:
-        return fuse_forward(*mats, state.pt_former, NO_DROPOUT, inst_branch, folded)[0]
+        return fuse_forward(*mats, state.pt_former, NO_DROPOUT, inst_branch)[0]
     return pooled_concat(*mats)
 
 
-def _instruction_branches(mats, state: TrainState, kept: dict) -> list:
+def _instruction_branches(mats, state: TrainState) -> list:
     """The instruction branch each encoded sample of `mats` passes to `fuse_forward`, in
     order; None for all without PT-Former.
 
     Matrices are the same when their shape, dtype and bytes are (`np.array_equal`
-    would also match -0.0 with 0.0). The calling thread runs `instruction_forward`
-    once for each distinct matrix that `kept` does not hold; on return `kept` holds
-    the branches of `mats`.
+    would also match -0.0 with 0.0). The calling thread forms the PTFormerState's
+    `folded` before any pass reads it, and runs `instruction_forward` once for each
+    distinct matrix its `instruction_branches` lacks; on return those hold the branches
+    of `mats`. Two calls at once can lose each other's entries, never read a wrong one
+    or miss their own: each reads its branches from a dict of its own.
     """
-    if state.pt_former is None:
-        return [None] * len(mats)
-    keys = [(m[3].shape, m[3].dtype.str, m[3].tobytes()) for m in mats]
-    earlier = kept.copy()
-    kept.clear()
-    for sample_mats, key in zip(mats, keys):
-        if key not in kept:
-            kept[key] = earlier.get(key) or instruction_forward(sample_mats[3], state.pt_former)
-    return [kept[key] for key in keys]
-
-
-def _kept_branches(state: TrainState):
-    """(folded pair, instruction branches) that `state` keeps for its PTFormerState: the
-    `fold_cross` result `fuse_forward` takes, and the instruction branches up to their
-    dropout as `_instruction_branches` takes them, for training and evaluation alike.
-
-    A PTFormerState is frozen and an optimizer step makes a new one, so the state object
-    names its weights. A kept record holds the PTFormerState and its arrays, which it
-    makes read-only, so an in-place edit raises instead of scoring with a stale product.
-    A new record, with a new pair and no branches, starts for another PTFormerState and
-    when one of the arrays is writable again. Two calls at once can each start a record
-    and lose the other's entries, never read a wrong one.
-    """
-    pt, record = state.pt_former, state.kept_branches
+    pt = state.pt_former
     if pt is None:
-        return None, {}
-    if record is None or record[0] is not pt or any(a.flags.writeable for a in record[1]):
-        arrays = tuple(named_parameters(pt).values())
-        for arr in arrays:
-            arr.flags.writeable = False
-        record = state.kept_branches = (pt, arrays, fold_cross(pt), {})
-    return record[2:]
+        return [None] * len(mats)
+    pt.folded  # formed on this thread, before any pool dispatch reads it
+    kept, branches = pt.instruction_branches, {}
+    keys = [(m[3].shape, m[3].dtype.str, m[3].tobytes()) for m in mats]
+    for sample_mats, key in zip(mats, keys):
+        if key not in branches:
+            branches[key] = kept.get(key) or instruction_forward(sample_mats[3], pt)
+    kept.clear()
+    kept.update(branches)
+    return [branches[key] for key in keys]
 
 
 def _in_order(pool: ThreadPoolExecutor | None, fn, args: list):
@@ -353,20 +331,19 @@ def batch_loss_and_grads(mats, labels, state: TrainState,
     it is None. Every sample's dropout masks are drawn here first, in sample
     order, and the per-sample gradient partials are added here in sample
     order, then finished once (`fusion.finish_backward`), so the result is the
-    same bits whatever runs them. The passes read the folded pair and one
-    instruction branch per distinct matrix from the record `_kept_branches`
-    keeps, and locks the weights for, as evaluation does; each sample applies
-    its own mask, and a branch's backward runs once on its summed gradient.
+    same bits whatever runs them. The passes read the PTFormerState's folded pair
+    and one instruction branch per distinct matrix that it keeps (see
+    `_instruction_branches`), as evaluation does; each sample applies its own
+    mask, and a branch's backward runs once on its summed gradient.
     """
     options, hp, pt = state.options, state.hp, state.pt_former
     if pt is None:
         fused = np.stack([_forward_sample(sample_mats, state) for sample_mats in mats])
     else:
-        folded, kept = _kept_branches(state)
         keeps = [dropout_keep(*m, pt, hp.dropout, state.rngs["dropout"]) for m in mats]
-        work = list(zip(mats, keeps, _instruction_branches(mats, state, kept)))
+        work = list(zip(mats, keeps, _instruction_branches(mats, state)))
         vectors, caches = zip(*_in_order(
-            pool, lambda m, keep, branch: fuse_forward(*m, pt, keep, branch, folded), work))
+            pool, lambda m, keep, branch: fuse_forward(*m, pt, keep, branch), work))
         fused = np.stack(vectors)
     y = np.array([1.0 if label is Label.SECURITY else 0.0 for label in labels])
     probs = head_probability(fused, state.classifier)
@@ -374,7 +351,7 @@ def batch_loss_and_grads(mats, labels, state: TrainState,
 
     sbcl = 0.0
     skipped = False
-    d_fused_sbcl = np.zeros_like(fused)
+    d_fused_sbcl = 0.0
     if options.use_sbcl:
         try:
             sbcl, d_fused_sbcl = sbcl_batch_loss_and_grad(
@@ -731,14 +708,14 @@ def _train_batch(batch, encoded, state, pool=None):
 
     The step makes new arrays, and `state` takes new `pt_former` and `classifier` objects
     holding them. The old objects keep their weights for whatever else holds them; the
-    state lets go of them, and of its kept record, before the step, so each old array
-    nothing else holds is freed once its replacement is made."""
+    state lets go of them before the step, so each old array nothing else holds is freed
+    once its replacement is made."""
     loss, grads = batch_loss_and_grads([encoded[s.id] for s in batch], [s.label for s in batch],
                                        state, pool)
     state.sbcl_skipped += loss.sbcl_skipped
     if grads is not None:
         params, has_pt = _trainable_params(state), state.pt_former is not None
-        state.pt_former = state.classifier = state.kept_branches = None
+        state.pt_former = state.classifier = None
         state.adam_t += 1
         adamw_step(params, grads, state.adam_m, state.adam_v, state.adam_t,
                    state.hp.learning_rate, state.hp.weight_decay)
@@ -774,16 +751,15 @@ def _fuse_chunks(mats, state: TrainState, pool):
     `mats` is drawn _WORKERS samples at a time, and the chunk is fused on
     `pool` (the calling thread when None) before the next one is drawn. The
     chunk's instruction branches (see `_instruction_branches`) run first, unless
-    the state keeps them from an earlier chunk, call or batch of the same
-    weights; every pass reads the folded pair kept for those weights (see
-    `_kept_branches`). Evaluation draws no random numbers, so every vector is the
-    same bits whether a pool runs it or the calling thread.
+    the PTFormerState keeps them from an earlier chunk, call or batch; every pass
+    reads its folded pair. Evaluation draws no random numbers, so every vector is
+    the same bits whether a pool runs it or the calling thread.
     """
-    mats, (folded, kept) = iter(mats), _kept_branches(state)
+    mats = iter(mats)
     while chunk := list(islice(mats, _WORKERS)):
-        branches = _instruction_branches(chunk, state, kept)
+        branches = _instruction_branches(chunk, state)
         yield from _in_order(pool, _forward_sample,
-                             [(m, state, branch, folded) for m, branch in zip(chunk, branches)])
+                             [(m, state, branch) for m, branch in zip(chunk, branches)])
 
 
 def _fused_vectors(samples, state: TrainState, backends: PipelineBackends):

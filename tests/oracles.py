@@ -300,6 +300,16 @@ def central_difference(fn, arrays: dict, eps: float = 1e-5) -> dict:
     return grads
 
 
+def pt_former_of(arrays: dict, prefix: str = ""):
+    """A PTFormerState of copies of `arrays`, keyed like named_parameters under `prefix`:
+    a PTFormerState makes the arrays it holds read-only, and central_difference perturbs
+    `arrays` in place, so each evaluation builds a new state from copies."""
+    from secpatch.fusion import PTFormerState, from_named_parameters
+
+    return from_named_parameters(PTFormerState, {name: arr.copy() for name, arr in arrays.items()},
+                                 prefix)
+
+
 def assert_grads_close(analytic: dict, numeric: dict, rtol: float = 1e-4, atol: float = 1e-7):
     assert set(analytic) == set(numeric)
     for name in analytic:

@@ -3,7 +3,6 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
-import copy
 import dataclasses
 import itertools
 import math
@@ -12,7 +11,8 @@ import time
 import numpy as np
 
 from oracles import (brute_force_triplets, central_difference, loop_confusion,
-                     pair_count_auc, pca_eigh_reconstruction_error, scalar_euclidean)
+                     pair_count_auc, pca_eigh_reconstruction_error, pt_former_of,
+                     scalar_euclidean)
 from secpatch import (ExplainerConfig, HashTokenizer, Label, TrainOptions, auc_score, bce_loss,
                       compute_metrics, default_hyperparams, hashed_backends,
                       init_train_state, load_dataset, make_synthetic_samples, mine_triplets,
@@ -76,12 +76,16 @@ def _check_full_objective_gradients(loss_blend, coeff_bce, coeff_sbcl, shared_in
     if shared_instruction:
         batch = [(*mats[:3], batch[0][3]) for mats in batch]
 
+    # writable copies of the weights, which central_difference perturbs in place
+    arrays = {name: arr.copy() for name, arr in _trainable_params(state).items()}
+
     def fused_matrix():
-        return np.stack([fuse_forward(*mats, state.pt_former)[0] for mats in batch])
+        pt = pt_former_of(arrays, "pt.")
+        return np.stack([fuse_forward(*mats, pt)[0] for mats in batch])
 
     def full_loss():
         fused = fused_matrix()
-        probs = sigmoid(fused @ state.classifier.weight + state.classifier.bias[0])
+        probs = sigmoid(fused @ arrays["classifier.weight"] + arrays["classifier.bias"][0])
         sbcl, _ = sbcl_batch_loss_and_grad(fused, labels, hp.margin)
         return coeff_bce * bce_loss(probs, y) + coeff_sbcl * sbcl
 
@@ -92,12 +96,10 @@ def _check_full_objective_gradients(loss_blend, coeff_bce, coeff_sbcl, shared_in
                - scalar_euclidean(fused[t.anchor], fused[t.negative]) + hp.margin)
         assert abs(gap) > 1e-3, "fixture sits on a hinge kink; pick another seed"
 
-    # analytic gradients from the function every training step calls, on a copy: it makes
-    # the PT-Former's arrays read-only, and the finite differences below edit them in place
-    loss, analytic = batch_loss_and_grads(batch, labels, copy.deepcopy(state))
+    # analytic gradients from the function every training step calls
+    loss, analytic = batch_loss_and_grads(batch, labels, state)
     assert abs(loss.total - full_loss()) <= 1e-12 * abs(loss.total)
 
-    arrays = _trainable_params(state)
     assert set(analytic) == set(arrays)
     numeric = central_difference(full_loss, arrays)
     for name in arrays:

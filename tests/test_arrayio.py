@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import secpatch
 from secpatch import (CorruptContainer, Label, PatchSample, TruncatedContainer, arrayio,
                       export_pca_csv, save_dataset)
 from secpatch.arrayio import load_arrays, save_arrays, write_json
@@ -230,7 +231,14 @@ def test_new_file_mode_follows_umask(tmp_path, writer):
 # ---------------------------------------------------------------------------
 # single-writer rule: only arrayio.atomic_open opens files for writing
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "secpatch"
+SRC = Path(secpatch.__file__).resolve().parent  # the package these tests import
+
+
+def _sources() -> list[Path]:
+    """The package's modules; the AST tests below would pass unchecked on an empty list."""
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no modules under {SRC}"
+    return paths
 
 
 def _write_mode(call: ast.Call):
@@ -265,7 +273,7 @@ def _write_calls(node, func=None):
 def test_only_arrayio_opens_files_for_writing():
     # the run log too: every file the package writes is renamed into place whole
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for func, line, mode in _write_calls(tree):
             if (path.name, func) != ("arrayio.py", "atomic_open"):
@@ -289,7 +297,7 @@ def _calls_naming(node, keyword: str, func=None):
 
 def test_only_explain_cache_entries_skip_the_fsync():
     # every product keeps atomic_open's durable default
-    found = [(path.name, func, value) for path in sorted(SRC.glob("*.py"))
+    found = [(path.name, func, value) for path in _sources()
              for func, value in _calls_naming(ast.parse(path.read_text(encoding="utf-8")),
                                               "durable")]
     assert found == [("explain.py", "_write_cache_entry", "False")]
@@ -317,7 +325,7 @@ def _json_parse_sites(node, func=None):
 def test_only_json_value_parses_json():
     # one owner for "bytes or text -> a JSON value, or a ValueError"; json.dumps is free
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         for func, line, name in _json_parse_sites(ast.parse(path.read_text(encoding="utf-8"))):
             if (path.name, func) != ("arrayio.py", "json_value"):
                 found.append(f"{path.name}:{line} {func}() uses {name}")
@@ -341,10 +349,22 @@ def _unlocking_sites(tree, filename):
 
 def test_no_module_state_is_rebound_and_no_array_is_made_writable():
     # an optimizer step makes new weight arrays, so nothing unlocks a read-only array, and
-    # a kept record is checked against the objects it holds, not a module-level token
+    # what a weight version keeps lives on its PTFormerState, not a module-level token
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         found += _unlocking_sites(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert found == []
+
+
+def test_only_fusion_and_embed_lock_arrays():
+    # fusion locks the weights and the instruction branch, embed the token rows; a module
+    # that set a lock on arrays it did not make would be a second owner of their rule
+    found = [f"{path.name}:{node.lineno} sets {ast.unparse(target)}" for path in _sources()
+             if path.name not in ("fusion.py", "embed.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assign)
+             for target in node.targets
+             if isinstance(target, ast.Attribute) and target.attr == "writeable"]
     assert found == []
 
 
@@ -370,7 +390,7 @@ def _text_opens_without_utf8(tree, filename):
 def test_every_text_open_names_utf8():
     # the default encoding follows the locale, so a file could read differently per machine
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         found += _text_opens_without_utf8(ast.parse(path.read_text(encoding="utf-8")), path.name)
     assert found == []
 
@@ -381,7 +401,7 @@ def test_every_text_open_names_utf8():
 def test_package_imports_only_stdlib_and_numpy():
     allowed = set(sys.stdlib_module_names) | {"numpy", "secpatch"}
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _sources():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import assert_grads_close, central_difference, loop_attention, rowwise_feed_forward
+from oracles import (assert_grads_close, central_difference, loop_attention, pt_former_of,
+                     rowwise_feed_forward)
 from secpatch import (default_hyperparams, fuse_forward, init_pt_former, named_parameters,
                       pooled_concat)
 from secpatch.fusion import (NO_DROPOUT, _cross_weights, dropout_keep, finish_backward,
@@ -246,12 +247,23 @@ def test_fuse_length_invariant_to_seq_lengths(state8, rows):
     assert fuse_forward(*_inputs(rng, rows=rows), state8)[0].shape == (24,)
 
 
+FF_BLOCKS = ("ff_pa_ex", "ff_desc", "ff_inst")
+
+
+def _with_biases(state, biases):
+    """A copy of `state` whose feed-forward blocks, in branch order, take their (b1, b2)
+    from `biases`."""
+    return dataclasses.replace(state, **{
+        name: dataclasses.replace(getattr(state, name), b1=b1, b2=b2)
+        for name, (b1, b2) in zip(FF_BLOCKS, biases, strict=True)})
+
+
 def test_fuse_zero_inputs_equal_bias_images(hp8):
     state = init_pt_former(hp8, rng_seed=11)
     rng = np.random.default_rng(8)
-    for block in (state.ff_pa_ex, state.ff_desc, state.ff_inst):
-        block.b1[:] = rng.standard_normal(block.b1.shape)
-        block.b2[:] = rng.standard_normal(block.b2.shape)
+    state = _with_biases(state, [(rng.standard_normal(block.b1.shape),
+                                  rng.standard_normal(block.b2.shape))
+                                 for block in (getattr(state, name) for name in FF_BLOCKS)])
     out = fuse_forward(*(np.zeros((3, 8)),) * 4, state)[0]
     expected = np.concatenate([
         np.maximum(block.b1, 0.0) @ block.w2 + block.b2
@@ -311,9 +323,9 @@ def _rowwise_fused(raw, state, rate=0.0, rng=None):
 def test_fuse_forward_matches_rowwise_oracle(training, dim, heads, rows):
     hp = dataclasses.replace(default_hyperparams(), dim=dim, num_heads=heads, dropout=0.5)
     state = init_pt_former(hp, rng_seed=dim + 20)
-    for block in (state.ff_pa_ex, state.ff_desc, state.ff_inst):
-        block.b1[:] = np.linspace(-0.5, 0.5, block.b1.shape[0])
-        block.b2[:] = np.linspace(1.0, -1.0, block.b2.shape[0])
+    state = _with_biases(state, [(np.linspace(-0.5, 0.5, block.b1.shape[0]),
+                                  np.linspace(1.0, -1.0, block.b2.shape[0]))
+                                 for block in (getattr(state, name) for name in FF_BLOCKS)])
     raw = _inputs(np.random.default_rng(dim), dim, rows)
     rng, oracle_rng = (np.random.default_rng(5), np.random.default_rng(5)) if training else (None, None)
     keep = dropout_keep(*raw, state, hp.dropout, rng) if training else NO_DROPOUT
@@ -349,14 +361,15 @@ def test_fuse_backward_matches_finite_differences(hp8, rows, ff_hidden):
     rng = np.random.default_rng(14)
     raw = _inputs(rng, rows=rows)
     probe = rng.standard_normal(24)
+    arrays = {name: arr.copy() for name, arr in named_parameters(state).items()}
 
     def objective():
-        vec, _ = fuse_forward(*raw, state)
+        vec, _ = fuse_forward(*raw, pt_former_of(arrays))
         return float(vec @ probe)
 
     vec, cache = fuse_forward(*raw, state)
     analytic = _gradients(probe, cache, state)
-    numeric = central_difference(objective, named_parameters(state))
+    numeric = central_difference(objective, arrays)
     assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-7)
 
 
@@ -366,14 +379,16 @@ def test_fuse_backward_matches_finite_differences_with_dropout(hp8):
     raw = _inputs(rng)
     probe = rng.standard_normal(24)
 
-    def forward():
-        return fuse_forward(*raw, state, dropout_keep(*raw, state, 0.5, np.random.default_rng(7)))
+    arrays = {name: arr.copy() for name, arr in named_parameters(state).items()}
 
-    vec, cache = forward()
+    def forward(pt):
+        return fuse_forward(*raw, pt, dropout_keep(*raw, pt, 0.5, np.random.default_rng(7)))
+
+    vec, cache = forward(state)
     # the patch branch's mask acts on its (patch rows, hidden) units
     assert cache["ff1"][2].shape == (5, 8) and np.any(cache["ff1"][2] == 0.0)
     analytic = _gradients(probe, cache, state)
-    numeric = central_difference(lambda: float(forward()[0] @ probe), named_parameters(state))
+    numeric = central_difference(lambda: float(forward(pt_former_of(arrays))[0] @ probe), arrays)
     assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-7)
 
 

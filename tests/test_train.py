@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -29,11 +30,12 @@ from secpatch import (ClassifierParams, DivergenceDetected, EmbedderBackend, Exp
 from secpatch import arrayio
 from secpatch.arrayio import load_arrays, save_arrays
 from secpatch.fusion import (PTFormerState, dropout_keep, finish_backward, fold_cross,
-                             fuse_backward, fuse_forward, instruction_forward, named_parameters,
-                             parameter_specs)
+                             fuse_backward, fuse_forward, init_pt_former, instruction_forward,
+                             named_parameters, parameter_specs)
 from secpatch.train import (ADAM_EPS, InvalidCheckpoint, InvalidRunLog, _compose_batches,
-                            _fusion_pool, _train_batch, _validation_metrics, adamw_step,
-                            batch_loss_and_grads, encode_samples)
+                            _fusion_pool, _instruction_branches, _train_batch,
+                            _validation_metrics, adamw_step, batch_loss_and_grads,
+                            encode_samples)
 
 train_module = importlib.import_module("secpatch.train")  # the package re-exports train()
 fusion_module = importlib.import_module("secpatch.fusion")
@@ -223,35 +225,34 @@ def _counted_instruction_runs(monkeypatch):
 
 
 def _counted_folds(monkeypatch):
-    """Every `fold_cross` result from here on, whether train forms the pair or fuse_forward
-    or fuse_backward does."""
+    """Every `fold_cross` result from here on. Each is formed on the main thread: a caller
+    that runs passes on a pool forms a PTFormerState's `folded` before it dispatches them."""
     folds = []
 
     def counted(pt):
+        assert threading.current_thread() is threading.main_thread()
         folds.append(fold_cross(pt))
         return folds[-1]
 
     monkeypatch.setattr(fusion_module, "fold_cross", counted)
-    monkeypatch.setattr(train_module, "fold_cross", counted)
     return folds
 
 
 def test_a_training_batch_folds_the_cross_attention_once_for_every_pass(monkeypatch):
-    # each forward pass is handed the batch's pair, and its backward reads it from the cache
+    # each forward and backward pass reads the pair its PTFormerState formed once
     mats, labels = _ragged_batch(5, 8, seed=9)
     state = _ptformer_state(0.5)
     folds, passed = _counted_folds(monkeypatch), []
-    for name, pair_of in (("fuse_forward", lambda args: args[-1]),
-                          ("fuse_backward", lambda args: args[1]["fold"])):
-        def recorded(*args, pair_of=pair_of, original=getattr(train_module, name)):
-            passed.append(pair_of(args))
+    for name, state_at in (("fuse_forward", 4), ("fuse_backward", 2)):
+        def recorded(*args, state_at=state_at, original=getattr(train_module, name)):
+            passed.append(args[state_at])
             return original(*args)
 
         monkeypatch.setattr(train_module, name, recorded)
     _, grads = batch_loss_and_grads(mats, labels, state)
     assert grads is not None
     assert len(folds) == 1 and len(passed) == 2 * len(mats)
-    assert all(a is b for folded in passed for a, b in zip(folded, folds[0], strict=True))
+    assert all(pt is state.pt_former and pt.folded is folds[0] for pt in passed)
 
 
 def _check_batch_against_serial_oracle(monkeypatch, mats, labels, dropout):
@@ -511,10 +512,11 @@ def test_single_patch_predict_makes_no_pool(monkeypatch, tmp_path):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_evaluation_runs_the_instruction_branch_once_per_weight_version(monkeypatch, tmp_path,
                                                                         workers):
-    # on unchanged weights, every evaluation call after the first reuses the kept branch
+    # on unchanged weights, every evaluation call after the first reuses the kept branch;
+    # the oracle runs on a copy, which keeps nothing of its own for the state's weights
     state, backends = _threaded_eval_setup(tmp_path)
     samples = _ragged_samples(7)
-    vectors, probs = serial_evaluation(samples, state, backends)
+    vectors, probs = serial_evaluation(samples, copy.deepcopy(state), backends)
     expected = compute_metrics(probs, [1 if s.label is Label.SECURITY else 0 for s in samples],
                                state.options.threshold)
     encoded = encode_samples(samples, backends, state.hp, state.options)
@@ -561,7 +563,7 @@ def test_a_step_a_load_or_a_new_pt_former_runs_the_instruction_branch_again(
     assert scored(load_checkpoint(ckpt / "epoch_0002.ckpt"), 1) == after
     state.pt_former = dataclasses.replace(state.pt_former)
     assert scored(state, 1) == after
-    state.pt_former = copy.deepcopy(state.pt_former)  # writable copies of the weights
+    state.pt_former = copy.deepcopy(state.pt_former)  # a copy keeps nothing of the original
     assert scored(state, 1) == after
 
 
@@ -594,23 +596,55 @@ def test_a_copy_sharing_a_pt_former_keeps_its_weights_when_the_other_state_steps
 
 
 @pytest.mark.parametrize("name", list(parameter_specs(PTFormerState)))
-def test_a_weight_the_kept_branch_reads_cannot_be_edited_in_place(tmp_path, name):
-    state, backends = _threaded_eval_setup(tmp_path)
-    samples = _ragged_samples(2)
-    probs = predict(samples, state, backends)
+def test_a_weight_the_kept_branch_reads_cannot_be_edited_in_place(name):
+    # neither a field nor an array changes from init_pt_former on; an array made writable
+    # by hand, like object.__setattr__ on a frozen field, is outside the contract
+    pt = init_pt_former(dataclasses.replace(default_hyperparams(), dim=8, num_heads=2), 5)
     block, attr = name.split(".")
-    for obj, field_name in ((state.pt_former, block), (getattr(state.pt_former, block), attr)):
+    for obj, field_name in ((pt, block), (getattr(pt, block), attr)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, field_name, getattr(obj, field_name))
-    weight = named_parameters(state.pt_former)[name]
     with pytest.raises(ValueError, match="read-only"):
-        weight.flat[0] += 1.0
-    assert predict(samples, state, backends) == probs
-    weight.flags.writeable = True  # by hand: the kept branch is not read again
-    weight.flat[0] += 1.0
-    edited = predict(samples, state, backends)
-    assert edited != probs
-    assert predict(samples, dataclasses.replace(state), backends) == edited  # nothing kept
+        named_parameters(pt)[name].flat[0] += 1.0
+
+
+@pytest.mark.parametrize("origin", ["init_pt_former", "load_checkpoint", "training-step",
+                                    "deepcopy", "pickle"])
+def test_every_weight_is_read_only_whatever_builds_the_pt_former(tmp_path, origin):
+    # a PTFormerState locks its arrays when it is built; a copy or a pickle round trip
+    # builds a new one, which keeps none of the original's folded pair or branches
+    state = _ptformer_state(0.0)
+    mats, labels = _ragged_batch(4, 8, seed=2)
+    if origin == "load_checkpoint":
+        save_checkpoint(tmp_path / "state.ckpt", state)
+        state = load_checkpoint(tmp_path / "state.ckpt")
+    elif origin == "training-step":
+        batch = [make_sample(i, label) for i, label in enumerate(labels)]
+        _train_batch(batch, {s.id: m for s, m in zip(batch, mats)}, state)
+        assert state.adam_t == 1
+    elif origin != "init_pt_former":
+        source = state.pt_former
+        batch_loss_and_grads(mats, labels, state)  # forms the pair and keeps a branch
+        clone = copy.deepcopy if origin == "deepcopy" else lambda x: pickle.loads(pickle.dumps(x))
+        state.pt_former = clone(source)
+    for weight in named_parameters(state.pt_former).values():
+        with pytest.raises(ValueError, match="read-only"):
+            weight.flat[0] += 1.0
+    if origin in ("deepcopy", "pickle"):
+        assert source.instruction_branches and state.pt_former.instruction_branches == {}
+        assert state.pt_former.folded is not source.folded
+        assert all(np.array_equal(a, b) for a, b in zip(state.pt_former.folded, source.folded))
+
+
+def test_two_states_sharing_a_pt_former_fold_it_once(monkeypatch, tmp_path):
+    # the folded pair and the instruction branch belong to the weights, not to a TrainState
+    state, backends = _threaded_eval_setup(tmp_path)
+    other = dataclasses.replace(state)  # shares the PTFormerState
+    samples = _ragged_samples(3)
+    runs, folds = _counted_instruction_runs(monkeypatch), _counted_folds(monkeypatch)
+    probs = predict(samples, state, backends)
+    assert predict(samples, other, backends) == probs
+    assert len(folds) == 1 and len(runs) == 1
 
 
 def test_kept_branches_hold_one_chunk_of_per_sample_instructions(monkeypatch, tmp_path):
@@ -624,9 +658,9 @@ def test_kept_branches_hold_one_chunk_of_per_sample_instructions(monkeypatch, tm
     monkeypatch.setattr(train_module, "_THREADED_MIN_DIM", 10 ** 9)  # every branch on the caller
     for sample, prob in zip(samples, probs):
         assert predict([sample], state, backends)[0][0] == prob
-        assert len(state.kept_branches[-1]) == 1
+        assert len(state.pt_former.instruction_branches) == 1
     assert [p for p, _ in predict(samples, state, backends)] == probs
-    assert len(state.kept_branches[-1]) == 20 % 3  # the last chunk's
+    assert len(state.pt_former.instruction_branches) == 20 % 3  # the last chunk's
 
 
 def test_training_runs_the_instruction_branch_once_per_batch_and_validation(
@@ -731,6 +765,38 @@ def test_kept_instruction_branch_is_not_shared_by_negative_zero(monkeypatch, tmp
     for i in (0, 1, 1, 0):
         assert predict([samples[i]], state, backends)[0][0] == probs[i]
     assert len(runs) == 3
+
+
+def test_concurrent_calls_on_one_pt_former_each_get_their_own_branches():
+    # callers on one PTFormerState at once may lose each other's kept entries, but each
+    # gets the branch of every matrix it passed, as a call of its own would
+    state = _ptformer_state(0.0)
+    rng = np.random.default_rng(0)
+    sets = [[tuple(rng.standard_normal((3, 8)) for _ in range(4)) for _ in range(6)]
+            for _ in range(4)]
+    expected = [[instruction_forward(m[3], state.pt_former)[0].tobytes() for m in mats]
+                for mats in sets]
+    failures = []
+
+    def call(mats, want):
+        try:
+            for _ in range(500):
+                assert [b[0].tobytes() for b in _instruction_branches(mats, state)] == want
+        except Exception as exc:  # reported by the main thread below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=args) for args in zip(sets, expected)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 def test_shared_instruction_branch_is_read_only_and_unchanged_by_backward():
