@@ -315,6 +315,9 @@ def cmd_visualize(cfg: RunConfig, args) -> dict:
     _, state = _load_state(cfg, args)
     split_name = args.split or cfg.pca.split
     samples = _split_samples(_split(cfg), split_name, "visualization")
+    if len(samples) < components:
+        raise ConfigError(f"visualization split {split_name!r} has {len(samples)} samples, "
+                          f"fewer than the {components} components asked for")
     vectors = fused_embeddings(samples, state, _backends(cfg, state))
     result = pca_project([v.values for v in vectors], components)
     csv_path = os.path.join(cfg.output_dir, "pca.csv")

@@ -72,9 +72,10 @@ def instruction_text() -> str:
     return CLASSIFICATION_INSTRUCTION
 
 
-def cache_key(prompt: str, model_name: str) -> str:
-    payload = prompt.encode("utf-8") + b"\x00" + model_name.encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+def _cache_path(prompt: str, cfg: ExplainerConfig) -> str:
+    """The cache entry of `prompt`'s explanation, named for the prompt and cfg's model."""
+    payload = prompt.encode("utf-8") + b"\x00" + cfg.model_name.encode("utf-8")
+    return os.path.join(cfg.cache_dir, hashlib.sha256(payload).hexdigest())
 
 
 def explain(patch: PatchSample, cfg: ExplainerConfig, transport=None, sleep=time.sleep) -> str:
@@ -85,8 +86,7 @@ def explain(patch: PatchSample, cfg: ExplainerConfig, transport=None, sleep=time
     its summary purely from parsed-diff statistics and needs no network.
     """
     prompt = explanation_prompt(patch)
-    key = cache_key(prompt, cfg.model_name)
-    path = os.path.join(cfg.cache_dir, key)
+    path = _cache_path(prompt, cfg)
     if os.path.exists(path):
         return _read_cache_entry(path)
 
@@ -99,8 +99,7 @@ def explain(patch: PatchSample, cfg: ExplainerConfig, transport=None, sleep=time
 
 
 def is_cached(patch: PatchSample, cfg: ExplainerConfig) -> bool:
-    key = cache_key(explanation_prompt(patch), cfg.model_name)
-    return os.path.exists(os.path.join(cfg.cache_dir, key))
+    return os.path.exists(_cache_path(explanation_prompt(patch), cfg))
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*")

@@ -19,10 +19,10 @@ the rectifier act on the (patch, hidden) rows of A @ (ex_hat @ W_vf) + b1.
 A `PTFormerState` is one weight version, read-only from construction; it forms
 the pair on first use (`state.folded`) and keeps it for every pass on it.
 
-The instruction branch up to its dropout is `instruction_forward`. A caller
-runs it once per distinct instruction matrix, can keep it in the state's
-`instruction_branches`, and passes it to each `fuse_forward`, which otherwise
-runs it itself.
+The instruction branch up to its dropout is `instruction_forward`. A state's
+`instruction_branches(insts)` runs it once per distinct instruction matrix and
+keeps the last call's branches for the next; a caller passes each branch to
+its `fuse_forward`, which otherwise runs it itself.
 
 Forward functions return caches consumed by exact reverse-mode backward
 functions; no autograd framework is involved. The backward pass has two
@@ -111,13 +111,31 @@ class PTFormerState:
 
     @cached_property
     def folded(self):
-        """`fold_cross(self)`, formed on first use; a threaded caller forms it before dispatch."""
+        """`fold_cross(self)`, formed on first use (`instruction_branches` forms it)."""
         return fold_cross(self)
 
     @cached_property
-    def instruction_branches(self) -> dict:
-        """The instruction branches a caller keeps for these weights, keyed by their matrix."""
+    def _kept_branches(self) -> dict:
+        """The branches of the last `instruction_branches` call, keyed by their matrix."""
         return {}
+
+    def instruction_branches(self, insts) -> list:
+        """`instruction_forward(inst, self)` of each matrix of `insts`, in order.
+
+        Matrices are the same when their shape, dtype and bytes are (`np.array_equal`
+        would also match -0.0 with 0.0). The calling thread forms `folded` first, then
+        runs `instruction_forward` once per distinct matrix the last call did not keep, and
+        keeps this call's branches in place of those. Two calls at once can lose each
+        other's entries, never read a wrong one or miss their own."""
+        self.folded  # formed on this thread, before any pool dispatch reads it
+        kept, branches = self._kept_branches, {}
+        keys = [(inst.shape, inst.dtype.str, inst.tobytes()) for inst in insts]
+        for inst, key in zip(insts, keys):
+            if key not in branches:
+                branches[key] = kept.get(key) or instruction_forward(inst, self)
+        kept.clear()
+        kept.update(branches)
+        return [branches[key] for key in keys]
 
 
 def model_sizes(hp: HyperParams, ff_hidden: int | None = None) -> dict[str, int]:

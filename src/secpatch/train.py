@@ -21,8 +21,8 @@ from .embed import EmbedderBackend, embed_patch, embed_text
 from .explain import ExplainerConfig, explain, instruction_text
 from .fusion import (NO_DROPOUT, PTFormerState, check_shapes, dropout_keep, finish_backward,
                      from_named_parameters, fuse_backward, fuse_forward, init_parameters,
-                     init_pt_former, instruction_forward, model_sizes, named_parameters,
-                     parameter, parameter_specs, pooled_concat)
+                     init_pt_former, model_sizes, named_parameters, parameter,
+                     parameter_specs, pooled_concat)
 from .metrics import MetricsReport, compute_metrics
 from .seeding import derive_seed, substream
 from .types import (FusedEmbedding, HyperParams, Label, LengthMismatch, Modality,
@@ -226,38 +226,6 @@ def encode_samples(samples, backends, hp, options=TrainOptions()) -> dict:
 # ---------------------------------------------------------------------------
 # forward pass and joint objective
 
-def _forward_sample(mats, state: TrainState, inst_branch=None) -> np.ndarray:
-    """Fused vector of one encoded sample in evaluation mode; `inst_branch` as in fuse_forward."""
-    if state.pt_former is not None:
-        return fuse_forward(*mats, state.pt_former, NO_DROPOUT, inst_branch)[0]
-    return pooled_concat(*mats)
-
-
-def _instruction_branches(mats, state: TrainState) -> list:
-    """The instruction branch each encoded sample of `mats` passes to `fuse_forward`, in
-    order; None for all without PT-Former.
-
-    Matrices are the same when their shape, dtype and bytes are (`np.array_equal`
-    would also match -0.0 with 0.0). The calling thread forms the PTFormerState's
-    `folded` before any pass reads it, and runs `instruction_forward` once for each
-    distinct matrix its `instruction_branches` lacks; on return those hold the branches
-    of `mats`. Two calls at once can lose each other's entries, never read a wrong one
-    or miss their own: each reads its branches from a dict of its own.
-    """
-    pt = state.pt_former
-    if pt is None:
-        return [None] * len(mats)
-    pt.folded  # formed on this thread, before any pool dispatch reads it
-    kept, branches = pt.instruction_branches, {}
-    keys = [(m[3].shape, m[3].dtype.str, m[3].tobytes()) for m in mats]
-    for sample_mats, key in zip(mats, keys):
-        if key not in branches:
-            branches[key] = kept.get(key) or instruction_forward(sample_mats[3], pt)
-    kept.clear()
-    kept.update(branches)
-    return [branches[key] for key in keys]
-
-
 def _in_order(pool: ThreadPoolExecutor | None, fn, args: list):
     """fn(*a) for each tuple taken from the front of `args`, yielded in order.
 
@@ -332,16 +300,16 @@ def batch_loss_and_grads(mats, labels, state: TrainState,
     order, and the per-sample gradient partials are added here in sample
     order, then finished once (`fusion.finish_backward`), so the result is the
     same bits whatever runs them. The passes read the PTFormerState's folded pair
-    and one instruction branch per distinct matrix that it keeps (see
-    `_instruction_branches`), as evaluation does; each sample applies its own
-    mask, and a branch's backward runs once on its summed gradient.
+    and one instruction branch per distinct matrix
+    (`PTFormerState.instruction_branches`), as evaluation does; each sample applies
+    its own mask, and a branch's backward runs once on its summed gradient.
     """
     options, hp, pt = state.options, state.hp, state.pt_former
     if pt is None:
-        fused = np.stack([_forward_sample(sample_mats, state) for sample_mats in mats])
+        fused = np.stack([pooled_concat(*m) for m in mats])
     else:
         keeps = [dropout_keep(*m, pt, hp.dropout, state.rngs["dropout"]) for m in mats]
-        work = list(zip(mats, keeps, _instruction_branches(mats, state)))
+        work = list(zip(mats, keeps, pt.instruction_branches([m[3] for m in mats])))
         vectors, caches = zip(*_in_order(
             pool, lambda m, keep, branch: fuse_forward(*m, pt, keep, branch), work))
         fused = np.stack(vectors)
@@ -601,8 +569,7 @@ def train(split, hp: HyperParams, backends: PipelineBackends, state: TrainState 
         if resuming and os.path.exists(pointer_path):
             best_score = read_best_pointer(pointer_path)["score"]  # a resumed epoch must beat it
 
-    encoded = encode_samples(train_samples, backends, hp, options)
-    encoded.update(encode_samples(split.validation, backends, hp, options))
+    encoded = encode_samples([*train_samples, *split.validation], backends, hp, options)
 
     records = []
     last_checkpoint = None
@@ -748,18 +715,20 @@ def _score(vector, state: TrainState) -> float:
 def _fuse_chunks(mats, state: TrainState, pool):
     """Evaluation-mode fused vector of each encoded sample of the iterable `mats`, in order.
 
-    `mats` is drawn _WORKERS samples at a time, and the chunk is fused on
-    `pool` (the calling thread when None) before the next one is drawn. The
-    chunk's instruction branches (see `_instruction_branches`) run first, unless
-    the PTFormerState keeps them from an earlier chunk, call or batch; every pass
-    reads its folded pair. Evaluation draws no random numbers, so every vector is
-    the same bits whether a pool runs it or the calling thread.
+    Without PT-Former each is `pooled_concat`. Otherwise `mats` is drawn _WORKERS samples
+    at a time, and the chunk is fused on `pool` (the calling thread when None), on the
+    branches `PTFormerState.instruction_branches` gives it, before the next one is drawn.
+    Evaluation draws no random numbers, so every vector is the same bits whether a pool
+    runs it or the calling thread.
     """
-    mats = iter(mats)
+    pt, mats = state.pt_former, iter(mats)
+    if pt is None:
+        yield from (pooled_concat(*m) for m in mats)
+        return
     while chunk := list(islice(mats, _WORKERS)):
-        branches = _instruction_branches(chunk, state)
-        yield from _in_order(pool, _forward_sample,
-                             [(m, state, branch) for m, branch in zip(chunk, branches)])
+        work = list(zip(chunk, pt.instruction_branches([m[3] for m in chunk])))
+        yield from _in_order(pool, lambda m, branch: fuse_forward(*m, pt, NO_DROPOUT, branch)[0],
+                             work)
 
 
 def _fused_vectors(samples, state: TrainState, backends: PipelineBackends):

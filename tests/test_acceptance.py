@@ -14,13 +14,12 @@ from oracles import (brute_force_triplets, central_difference, loop_confusion,
                      pair_count_auc, pca_eigh_reconstruction_error, pt_former_of,
                      scalar_euclidean)
 from secpatch import (ExplainerConfig, HashTokenizer, Label, TrainOptions, auc_score, bce_loss,
-                      compute_metrics, default_hyperparams, hashed_backends,
+                      compute_metrics, default_hyperparams, fused_embeddings, hashed_backends,
                       init_train_state, load_dataset, make_synthetic_samples, mine_triplets,
                       options_for_flags, pca_project, parse_unified_diff, predict,
                       run_ablation, sbcl_batch_loss_and_grad, split_dataset, tokenize, train)
 from secpatch.fusion import fuse_forward
-from secpatch.train import (_forward_sample, _trainable_params, batch_loss_and_grads,
-                            encode_sample, sigmoid)
+from secpatch.train import _trainable_params, batch_loss_and_grads, sigmoid
 
 S, N = Label.SECURITY, Label.NON_SECURITY
 
@@ -309,7 +308,6 @@ def test_ablation_toggles(tmp_path, synthetic_path):
     options = options_for_flags(("no_ptformer",))
     state = init_train_state(hp, options)
     assert state.pt_former is None
-    mats = encode_sample(split.train[0], backends, hp, options)
-    vec = _forward_sample(mats, state)
+    vec = fused_embeddings([split.train[0]], state, backends)[0].values
     assert vec.shape == (3 * hp.dim,)
     _passed("ablation toggles (no_sbcl zero column, no_ptformer 3*dim, 4 flags complete)")

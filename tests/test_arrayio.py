@@ -368,6 +368,27 @@ def test_only_fusion_and_embed_lock_arrays():
     assert found == []
 
 
+def _kept_product_reads(tree, filename):
+    """Reads of a PTFormerState's folded pair or kept instruction branches in `tree`: `.folded`,
+    `._kept_branches`, and `.instruction_branches` other than as the method it calls."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+                node.attr in ("folded", "_kept_branches")
+                or node.attr == "instruction_branches" and id(node) not in called):
+            yield f"{filename}:{node.lineno} reads {ast.unparse(node)}"
+
+
+def test_only_fusion_reads_the_folded_pair_and_the_kept_branches():
+    # a PTFormerState keys, keeps and evicts its instruction branches and forms its folded
+    # pair; a caller asks it for branches, so no second module holds that rule
+    found = []
+    for path in _sources():
+        if path.name != "fusion.py":
+            found += _kept_product_reads(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert found == []
+
+
 def _text_opens_without_utf8(tree, filename):
     """`open()`/`atomic_open()` calls in text mode that do not pass encoding="utf-8"."""
     for call in ast.walk(tree):

@@ -517,6 +517,22 @@ def test_error_paths_exit_with_a_named_error(trained, tmp_path, capsys, argv, co
     assert not (tmp_path / "out").exists() or os.listdir(tmp_path / "out") == []
 
 
+def test_visualize_more_components_than_samples_is_a_config_error_before_fusing(
+        trained, tmp_path, capsys, monkeypatch):
+    # a split that cannot serve the command is a config error, raised before any sample fuses
+    fused = []
+    monkeypatch.setattr(importlib.import_module("secpatch.cli"), "fused_embeddings",
+                        lambda *args: fused.append(args))
+    code, _, stderr = _run(["--config", trained["config"], "--out", str(tmp_path / "out"),
+                            "visualize", "--checkpoint", trained["checkpoint"],
+                            "--components", "9"], capsys)
+    record = json.loads(stderr)
+    assert (code, record["error"]) == (2, "ConfigError"), record
+    assert ("visualization split 'test' has 6 samples, fewer than the 9 components"
+            in record["message"])
+    assert fused == [] and not (tmp_path / "out" / "pca.csv").exists()
+
+
 def test_explain_keeps_provided_explanations_and_names_failed_samples(workspace, capsys,
                                                                      monkeypatch):
     def refused(url, payload, headers, timeout):  # stands in for the network

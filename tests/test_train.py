@@ -33,9 +33,8 @@ from secpatch.fusion import (PTFormerState, dropout_keep, finish_backward, fold_
                              fuse_backward, fuse_forward, init_pt_former, instruction_forward,
                              named_parameters, parameter_specs)
 from secpatch.train import (ADAM_EPS, InvalidCheckpoint, InvalidRunLog, _compose_batches,
-                            _fusion_pool, _instruction_branches, _train_batch,
-                            _validation_metrics, adamw_step, batch_loss_and_grads,
-                            encode_samples)
+                            _fusion_pool, _train_batch, _validation_metrics, adamw_step,
+                            batch_loss_and_grads, encode_sample, encode_samples)
 
 train_module = importlib.import_module("secpatch.train")  # the package re-exports train()
 fusion_module = importlib.import_module("secpatch.fusion")
@@ -212,7 +211,7 @@ def _assert_same_bits(result, expected):
 
 def _counted_instruction_runs(monkeypatch):
     """The calling thread's name for every instruction_forward run from here on, whether
-    train shares the branch or fuse_forward runs its own."""
+    a PTFormerState's instruction_branches runs it or fuse_forward runs its own."""
     runs = []
 
     def counted(inst, pt):
@@ -220,7 +219,6 @@ def _counted_instruction_runs(monkeypatch):
         return instruction_forward(inst, pt)
 
     monkeypatch.setattr(fusion_module, "instruction_forward", counted)
-    monkeypatch.setattr(train_module, "instruction_forward", counted)
     return runs
 
 
@@ -610,7 +608,7 @@ def test_a_weight_the_kept_branch_reads_cannot_be_edited_in_place(name):
 
 @pytest.mark.parametrize("origin", ["init_pt_former", "load_checkpoint", "training-step",
                                     "deepcopy", "pickle"])
-def test_every_weight_is_read_only_whatever_builds_the_pt_former(tmp_path, origin):
+def test_every_weight_is_read_only_whatever_builds_the_pt_former(monkeypatch, tmp_path, origin):
     # a PTFormerState locks its arrays when it is built; a copy or a pickle round trip
     # builds a new one, which keeps none of the original's folded pair or branches
     state = _ptformer_state(0.0)
@@ -631,7 +629,11 @@ def test_every_weight_is_read_only_whatever_builds_the_pt_former(tmp_path, origi
         with pytest.raises(ValueError, match="read-only"):
             weight.flat[0] += 1.0
     if origin in ("deepcopy", "pickle"):
-        assert source.instruction_branches and state.pt_former.instruction_branches == {}
+        insts, runs = [m[3] for m in mats], _counted_instruction_runs(monkeypatch)
+        source.instruction_branches(insts)  # the batch's branches, kept
+        assert runs == []
+        state.pt_former.instruction_branches(insts)  # the copy kept none of them
+        assert len(runs) == len(mats)
         assert state.pt_former.folded is not source.folded
         assert all(np.array_equal(a, b) for a, b in zip(state.pt_former.folded, source.folded))
 
@@ -654,13 +656,19 @@ def test_kept_branches_hold_one_chunk_of_per_sample_instructions(monkeypatch, tm
     instructions = [rng.standard_normal((4, state.hp.dim)) for _ in samples]
     backends = _precomputed_backends(tmp_path, samples, instructions, state.hp.dim)
     _, probs = serial_evaluation(samples, state, backends)
+    insts = [encode_sample(s, backends, state.hp, state.options)[3] for s in samples]
     monkeypatch.setattr(train_module, "_WORKERS", 3)
     monkeypatch.setattr(train_module, "_THREADED_MIN_DIM", 10 ** 9)  # every branch on the caller
-    for sample, prob in zip(samples, probs):
+    runs = _counted_instruction_runs(monkeypatch)
+    for i, (sample, prob) in enumerate(zip(samples, probs)):
         assert predict([sample], state, backends)[0][0] == prob
-        assert len(state.pt_former.instruction_branches) == 1
+        runs.clear()
+        state.pt_former.instruction_branches(insts[:i + 1])  # all but this sample's run again
+        assert len(runs) == i
     assert [p for p, _ in predict(samples, state, backends)] == probs
-    assert len(state.pt_former.instruction_branches) == 20 % 3  # the last chunk's
+    runs.clear()
+    state.pt_former.instruction_branches(insts)
+    assert len(runs) == 20 - 20 % 3  # all but the last chunk's
 
 
 def test_training_runs_the_instruction_branch_once_per_batch_and_validation(
@@ -781,7 +789,8 @@ def test_concurrent_calls_on_one_pt_former_each_get_their_own_branches():
     def call(mats, want):
         try:
             for _ in range(500):
-                assert [b[0].tobytes() for b in _instruction_branches(mats, state)] == want
+                branches = state.pt_former.instruction_branches([m[3] for m in mats])
+                assert [b[0].tobytes() for b in branches] == want
         except Exception as exc:  # reported by the main thread below
             failures.append(exc)
 
