@@ -5,7 +5,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Literal, get_args
+from typing import Literal
 
 from .arrayio import json_value, write_json
 from .dataset import check_ratios, class_counts, load_dataset, save_dataset, split_dataset
@@ -96,17 +96,9 @@ class RunConfig:
         return self.dataset.ratios
 
 
-def _parsed(cls, record, section: str = ""):
-    """`config_from_dict`, with every failure reported as a ConfigError."""
-    try:
-        return config_from_dict(cls, record, section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def load_config(path: str, seed: int | None = None, out: str | None = None,
-                overrides: list[str] | None = None) -> RunConfig:
-    """Parse and validate the JSON run configuration; flags win over file values."""
+def load_config(path: str, overrides: list[str] | None = None, settings=()) -> RunConfig:
+    """Parse and validate the JSON run configuration. `overrides` are `--set` texts and
+    `settings` (dotted key, value) pairs from flags; both win over file values, flags last."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -117,18 +109,16 @@ def load_config(path: str, seed: int | None = None, out: str | None = None,
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be an object, got {raw!r}")
 
-    settings = []
+    pairs = []
     for setting in overrides or []:
         key, sep, text = setting.partition("=")
         if not sep:
             raise ConfigError(f"--set expects key=value, got {setting!r}")
         try:
-            settings.append((key, json_value(text)))
+            pairs.append((key, json_value(text)))
         except ValueError:  # a value that is not JSON is a string
-            settings.append((key, text))
-    settings += [("output_dir", out)] if out is not None else []
-    settings += [("hyperparams.seed", seed)] if seed is not None else []
-    for key, value in settings:
+            pairs.append((key, text))
+    for key, value in [*pairs, *settings]:
         *sections, leaf = key.split(".")
         node = raw
         for name in sections:
@@ -142,7 +132,10 @@ def load_config(path: str, seed: int | None = None, out: str | None = None,
     explainer = raw.setdefault("explainer", {})
     if isinstance(explainer, dict) and isinstance(raw.get("output_dir"), str):
         explainer.setdefault("cache_dir", os.path.join(raw["output_dir"], "explain_cache"))
-    cfg = _parsed(RunConfig, raw)
+    try:
+        cfg = config_from_dict(RunConfig, raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
@@ -191,9 +184,9 @@ def _training_split(cfg: RunConfig):
     return split
 
 
-def _load_state(cfg: RunConfig, args):
-    """(path, TrainState) of --checkpoint, else the configured one, else best.json's."""
-    path = args.checkpoint or cfg.checkpoint
+def _load_state(cfg: RunConfig):
+    """(path, TrainState) of the configured checkpoint, else of best.json's."""
+    path = cfg.checkpoint
     if path is None:
         pointer_path = os.path.join(cfg.output_dir, "checkpoints", BEST_POINTER)
         if not os.path.isfile(pointer_path):
@@ -267,14 +260,13 @@ def cmd_train(cfg: RunConfig, args) -> dict:
 
 
 def cmd_eval(cfg: RunConfig, args) -> dict:
-    path, state = _load_state(cfg, args)
-    split_name = args.split or cfg.eval_split
-    samples = _split_samples(_split(cfg), split_name, "evaluation")
+    path, state = _load_state(cfg)
+    samples = _split_samples(_split(cfg), cfg.eval_split, "evaluation")
     results = predict(samples, state, _backends(cfg, state))
     probs = [p for p, _ in results]
     y = [1 if s.label is Label.SECURITY else 0 for s in samples]
     report = compute_metrics(probs, y, state.options.threshold).to_record()
-    record = {"metrics": report, "split": split_name, "n": len(samples),
+    record = {"metrics": report, "split": cfg.eval_split, "n": len(samples),
               "checkpoint": path, "seed": cfg.hp.seed}
     write_json(os.path.join(cfg.output_dir, "metrics.json"), record)
     return record
@@ -284,7 +276,7 @@ def cmd_predict(cfg: RunConfig, args) -> dict:
     diff_path, sample_id = args.diff, args.id
     if (diff_path is None) == (sample_id is None):
         raise ConfigError("predict needs exactly one of --diff or --id")
-    _, state = _load_state(cfg, args)
+    _, state = _load_state(cfg)
     if diff_path is not None:
         if not os.path.isfile(diff_path):
             raise MissingArtifact(diff_path, "diff file")
@@ -309,11 +301,8 @@ def cmd_predict(cfg: RunConfig, args) -> dict:
 
 
 def cmd_visualize(cfg: RunConfig, args) -> dict:
-    components = args.components if args.components is not None else cfg.pca.components
-    if components < 1:
-        raise ConfigError(f"--components must be >= 1, got {components}")
-    _, state = _load_state(cfg, args)
-    split_name = args.split or cfg.pca.split
+    components, split_name = cfg.pca.components, cfg.pca.split
+    _, state = _load_state(cfg)
     samples = _split_samples(_split(cfg), split_name, "visualization")
     if len(samples) < components:
         raise ConfigError(f"visualization split {split_name!r} has {len(samples)} samples, "
@@ -331,11 +320,7 @@ def cmd_visualize(cfg: RunConfig, args) -> dict:
 
 
 def cmd_ablate(cfg: RunConfig, args) -> dict:
-    sets = cfg.ablation.flag_sets
-    if args.flags is not None:
-        combos = [[flag for flag in combo.split(",") if flag] for combo in args.flags]
-        sets = _parsed(AblationConfig, {"flag_sets": combos}, "ablation").flag_sets
-    rows = run_ablation(sets, _training_split(cfg), cfg.hp, _backends(cfg),
+    rows = run_ablation(cfg.ablation.flag_sets, _training_split(cfg), cfg.hp, _backends(cfg),
                         base_options=cfg.training, out_dir=os.path.join(cfg.output_dir, "ablation"))
     table = {
         "seed": cfg.hp.seed,
@@ -354,18 +339,21 @@ def cmd_ablate(cfg: RunConfig, args) -> dict:
 # argument parsing
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command surface. A flag that sets a config key stores its value under that
+    dotted key, and only when given; `main` hands those to `load_config` to check."""
     parser = argparse.ArgumentParser(
-        prog="secpatch",
+        prog="secpatch", argument_default=argparse.SUPPRESS,
         description="Security patch detection pipeline: ingest, explain, train, evaluate.")
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
-    parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
-    parser.add_argument("--out", default=None, help="override the configured output directory")
+    parser.add_argument("--seed", dest="hyperparams.seed", type=int,
+                        help="override the configured seed")
+    parser.add_argument("--out", dest="output_dir", help="override the configured output directory")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override any config key by dotted path (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run):
-        sub_parser = sub.add_parser(name)
+        sub_parser = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         sub_parser.set_defaults(run=run)
         return sub_parser
 
@@ -373,26 +361,30 @@ def build_parser() -> argparse.ArgumentParser:
     command("explain", cmd_explain)
     command("train", cmd_train)
     p_eval = command("eval", cmd_eval)
-    p_eval.add_argument("--checkpoint", default=None)
-    p_eval.add_argument("--split", default=None, choices=get_args(Split))
+    p_eval.add_argument("--checkpoint", dest="checkpoint")
+    p_eval.add_argument("--split", dest="eval_split")
     p_pred = command("predict", cmd_predict)
     p_pred.add_argument("--diff", default=None, help="path to a unified diff file")
     p_pred.add_argument("--id", default=None, help="sample id present in the dataset")
-    p_pred.add_argument("--checkpoint", default=None)
+    p_pred.add_argument("--checkpoint", dest="checkpoint")
     p_vis = command("visualize", cmd_visualize)
-    p_vis.add_argument("--checkpoint", default=None)
-    p_vis.add_argument("--split", default=None, choices=get_args(Split))
-    p_vis.add_argument("--components", type=int, default=None)
+    p_vis.add_argument("--checkpoint", dest="checkpoint")
+    p_vis.add_argument("--split", dest="pca.split")
+    p_vis.add_argument("--components", dest="pca.components", type=int)
     p_abl = command("ablate", cmd_ablate)
-    p_abl.add_argument("--flags", action="append", default=None, metavar="FLAG[,FLAG...]",
+    p_abl.add_argument("--flags", dest="ablation.flag_sets", action="append",
+                       type=lambda combo: [flag for flag in combo.split(",") if flag],
+                       metavar="FLAG[,FLAG...]",
                        help="one ablation combination per use, flags comma-separated")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    keys = {field.name for field in dataclasses.fields(RunConfig)}
+    settings = [(key, value) for key, value in vars(args).items() if key.split(".")[0] in keys]
     try:
-        cfg = load_config(args.config, seed=args.seed, out=args.out, overrides=args.set)
+        cfg = load_config(args.config, args.set, settings)
         result = args.run(cfg, args)
     except ConfigError as exc:
         _fail("ConfigError", exc)

@@ -114,11 +114,6 @@ class PTFormerState:
         """`fold_cross(self)`, formed on first use (`instruction_branches` forms it)."""
         return fold_cross(self)
 
-    @cached_property
-    def _kept_branches(self) -> dict:
-        """The branches of the last `instruction_branches` call, keyed by their matrix."""
-        return {}
-
     def instruction_branches(self, insts) -> list:
         """`instruction_forward(inst, self)` of each matrix of `insts`, in order.
 
@@ -128,13 +123,12 @@ class PTFormerState:
         keeps this call's branches in place of those. Two calls at once can lose each
         other's entries, never read a wrong one or miss their own."""
         self.folded  # formed on this thread, before any pool dispatch reads it
-        kept, branches = self._kept_branches, {}
+        kept, branches = getattr(self, "_kept_branches", {}), {}
         keys = [(inst.shape, inst.dtype.str, inst.tobytes()) for inst in insts]
         for inst, key in zip(insts, keys):
             if key not in branches:
                 branches[key] = kept.get(key) or instruction_forward(inst, self)
-        kept.clear()
-        kept.update(branches)
+        object.__setattr__(self, "_kept_branches", branches)  # a reader sees one whole dict
         return [branches[key] for key in keys]
 
 

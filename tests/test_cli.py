@@ -1,13 +1,16 @@
+import argparse
+import dataclasses
 import importlib
 import json
 import os
 import re
 import shutil
+import typing
 
 import numpy as np
 import pytest
 
-from secpatch.cli import load_config, main
+from secpatch.cli import RunConfig, build_parser, load_config, main
 from secpatch.dataset import load_dataset
 from secpatch.embed import EmbedderBackend, save_precomputed
 from secpatch.explain import ExplainerConfig
@@ -336,7 +339,7 @@ def test_visualize_components_flag_is_checked_before_work(workspace, capsys):
     assert code == 2
     record = json.loads(stderr)
     assert record["error"] == "ConfigError"
-    assert "--components must be >= 1" in record["message"]
+    assert "components must be >= 1" in record["message"]
     assert not (workspace["out"] / "pca.csv").exists()
 
 
@@ -358,7 +361,43 @@ def test_readme_configs_load(tmp_path, monkeypatch):
     for i, block in enumerate(blocks):
         path = tmp_path / f"readme_{i}.json"
         path.write_text(block, encoding="utf-8")
-        load_config(str(path), out=str(tmp_path / f"out_{i}"))
+        load_config(str(path), settings=[("output_dir", str(tmp_path / f"out_{i}"))])
+
+
+def _options(parser, command="every command"):
+    """(flag, command, dest) of each option of `parser` and of its commands' parsers."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub_parser in action.choices.items():
+                yield from _options(sub_parser, name)
+        elif action.option_strings:
+            yield max(action.option_strings, key=len), command, action.dest
+
+
+def test_readme_flag_table_is_the_parser_and_the_config():
+    # a flag sets a RunConfig key or is one of the few without one; README has a row for each
+    # key flag and no other, and each row's key names a RunConfig field
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    rows = set()
+    for line in text[text.index("| Flag | Commands | Config key |"):].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        flag, commands, key = (cell.strip() for cell in line.strip("|").split("|"))
+        names = re.findall(r"`(\w+)`", commands) or [commands]  # or "every command"
+        rows |= {(flag.strip("`"), name, key.strip("`")) for name in names}
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    options = set(_options(build_parser()))
+    settings = {option for option in options if option[2].split(".")[0] in fields}
+    assert {(flag, dest) for flag, _, dest in options - settings} == {
+        ("--help", "help"), ("--config", "config"), ("--set", "set"), ("--diff", "diff"),
+        ("--id", "id")}
+    assert settings == rows
+    for _, _, key in rows:
+        section = RunConfig
+        for name in key.split("."):
+            assert dataclasses.is_dataclass(section), key
+            section = typing.get_type_hints(section)[name]
 
 
 @pytest.fixture(scope="module")
@@ -475,6 +514,10 @@ ERROR_PATHS = [
     ("one-class-train-split-ablate",
      lambda tmp, base, ckpt: [*base, *_security_only(tmp), "ablate"],
      2, "ConfigError", "training split 'train' has no 'non-security' sample"),
+    ("eval-split-unknown", lambda tmp, base, ckpt: [*base, "eval", "--split", "bogus"],
+     2, "ConfigError", "eval_split must be one of ['train', 'validation', 'test'], got 'bogus'"),
+    ("visualize-split-unknown", lambda tmp, base, ckpt: [*base, "visualize", "--split", "bogus"],
+     2, "ConfigError", "pca.split must be one of ['train', 'validation', 'test'], got 'bogus'"),
     ("checkpoint-missing",
      lambda tmp, base, ckpt: [*base, "eval", "--checkpoint", f"{tmp}/absent.ckpt"],
      3, "MissingArtifact", "missing checkpoint: {tmp}/absent.ckpt"),
@@ -515,6 +558,68 @@ def test_error_paths_exit_with_a_named_error(trained, tmp_path, capsys, argv, co
     assert (result[0], record["error"]) == (code, kind), record
     assert message.format(tmp=tmp_path) in record["message"]
     assert not (tmp_path / "out").exists() or os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("command", [["eval"], ["predict", "--id", "syn-0000"], ["visualize"]],
+                         ids=["eval", "predict", "visualize"])
+def test_empty_checkpoint_flag_is_a_missing_checkpoint(trained, capsys, command):
+    # best.json exists, but an empty --checkpoint names no file rather than falling back to it
+    assert (trained["out"] / "checkpoints" / "best.json").is_file()
+    code, _, stderr = _run(["--config", trained["config"], *command, "--checkpoint", ""], capsys)
+    record = json.loads(stderr)
+    assert (code, record["error"], record["path"]) == (3, "MissingArtifact", ""), record
+
+
+# (flag run's argv after the config, the same command without the flag, the key the flag sets,
+# its value as --set writes it, another value of that key); "{dir}" stands for the directory
+# every run starts from a fresh copy of, "{ckpt}" for a trained checkpoint
+KEY_FLAGS = [
+    ("seed", ["--seed", "8", "ingest"], ["ingest"], "hyperparams.seed", "8", "9"),
+    ("out", ["--out", "{dir}/moved", "ingest"], ["ingest"], "output_dir", "{dir}/moved",
+     "{dir}/run"),
+    ("eval-checkpoint", ["eval", "--checkpoint", "{ckpt}"], ["eval"], "checkpoint", "{ckpt}",
+     "{dir}/absent.ckpt"),
+    ("predict-checkpoint", ["predict", "--id", "syn-0000", "--checkpoint", "{ckpt}"],
+     ["predict", "--id", "syn-0000"], "checkpoint", "{ckpt}", "{dir}/absent.ckpt"),
+    ("visualize-checkpoint", ["visualize", "--checkpoint", "{ckpt}"], ["visualize"],
+     "checkpoint", "{ckpt}", "{dir}/absent.ckpt"),
+    ("eval-split", ["eval", "--split", "train"], ["eval"], "eval_split", "train", "validation"),
+    ("visualize-split", ["visualize", "--split", "train"], ["visualize"], "pca.split", "train",
+     "validation"),
+    ("visualize-components", ["visualize", "--components", "3"], ["visualize"],
+     "pca.components", "3", "2"),
+    ("ablate-flags", ["ablate", "--flags", "no_sbcl", "--flags", "no_ptformer,no_sbcl"],
+     ["ablate"], "ablation.flag_sets", '[["no_sbcl"], ["no_ptformer", "no_sbcl"]]',
+     '[["no_ptformer"]]'),
+]
+
+
+@pytest.mark.parametrize("flagged, command, key, value, other", [case[1:] for case in KEY_FLAGS],
+                         ids=[case[0] for case in KEY_FLAGS])
+def test_each_key_flag_is_its_set_twin(trained, tmp_path, capsys, flagged, command, key, value,
+                                       other):
+    # a flag is `--set key=value` by another spelling: the same stdout record and files; given
+    # beside a --set of its key, the flag wins
+    root = tmp_path / "dirs"
+    names = {"dir": str(root), "ckpt": trained["checkpoint"]}
+    with open(trained["config"], encoding="utf-8") as fh:
+        config = json.load(fh)
+    config_path = _file(tmp_path / "config.json",
+                        json.dumps({**config, "output_dir": str(root / "run")}).encode())
+    base = ["--config", config_path, "--set", "hyperparams.epochs=1"]
+
+    def run(argv):
+        shutil.rmtree(root, ignore_errors=True)
+        for name in ("run", "moved"):
+            shutil.copytree(trained["out"], root / name)
+        code, stdout, stderr = _run([*base, *(arg.format(**names) for arg in argv)], capsys)
+        assert code == 0, stderr
+        return stdout, {path.relative_to(root): path.read_bytes()
+                        for path in sorted(root.rglob("*")) if path.is_file()}
+
+    flag_run = run(flagged)
+    assert run(["--set", f"{key}={value}", *command]) == flag_run
+    assert run(["--set", f"{key}={other}", *flagged]) == flag_run
 
 
 def test_visualize_more_components_than_samples_is_a_config_error_before_fusing(

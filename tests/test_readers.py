@@ -129,7 +129,8 @@ def test_config_file_mutants(tmp_path, rng):
 
     def read(data):
         path.write_bytes(data)
-        load_config(str(path), out=str(tmp_path / "out"))  # mutants write under tmp_path only
+        # mutants write under tmp_path only
+        load_config(str(path), settings=[("output_dir", str(tmp_path / "out"))])
 
     loaded, raised = _checked(read, _mutants(_config(tmp_path), rng, PER_READER), ConfigError)
     assert loaded and raised
@@ -142,7 +143,8 @@ def test_set_override_mutants(tmp_path):
             if p and all(isinstance(k, str) for k in p)]
 
     def read(key):
-        load_config(str(path), out=str(tmp_path / "out"), overrides=[f"{key.decode()}={DEEP}"])
+        load_config(str(path), overrides=[f"{key.decode()}={DEEP}"],
+                    settings=[("output_dir", str(tmp_path / "out"))])
 
     loaded, raised = _checked(read, [k.encode() for k in keys], ConfigError)
     assert raised  # `checkpoint` takes any string, so the nested text may load as one
