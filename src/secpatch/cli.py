@@ -96,6 +96,14 @@ class RunConfig:
         return self.dataset.ratios
 
 
+def _setting_value(text: str):
+    """A config value from command-line text: its JSON value, else the text itself."""
+    try:
+        return json_value(text)
+    except ValueError:
+        return text
+
+
 def load_config(path: str, overrides: list[str] | None = None, settings=()) -> RunConfig:
     """Parse and validate the JSON run configuration. `overrides` are `--set` texts and
     `settings` (dotted key, value) pairs from flags; both win over file values, flags last."""
@@ -114,10 +122,7 @@ def load_config(path: str, overrides: list[str] | None = None, settings=()) -> R
         key, sep, text = setting.partition("=")
         if not sep:
             raise ConfigError(f"--set expects key=value, got {setting!r}")
-        try:
-            pairs.append((key, json_value(text)))
-        except ValueError:  # a value that is not JSON is a string
-            pairs.append((key, text))
+        pairs.append((key, _setting_value(text)))
     for key, value in [*pairs, *settings]:
         *sections, leaf = key.split(".")
         node = raw
@@ -345,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="secpatch", argument_default=argparse.SUPPRESS,
         description="Security patch detection pipeline: ingest, explain, train, evaluate.")
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
-    parser.add_argument("--seed", dest="hyperparams.seed", type=int,
+    parser.add_argument("--seed", dest="hyperparams.seed", type=_setting_value,
                         help="override the configured seed")
     parser.add_argument("--out", dest="output_dir", help="override the configured output directory")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -370,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vis = command("visualize", cmd_visualize)
     p_vis.add_argument("--checkpoint", dest="checkpoint")
     p_vis.add_argument("--split", dest="pca.split")
-    p_vis.add_argument("--components", dest="pca.components", type=int)
+    p_vis.add_argument("--components", dest="pca.components", type=_setting_value)
     p_abl = command("ablate", cmd_ablate)
     p_abl.add_argument("--flags", dest="ablation.flag_sets", action="append",
                        type=lambda combo: [flag for flag in combo.split(",") if flag],

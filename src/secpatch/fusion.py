@@ -17,7 +17,7 @@ attention weights, for the textbook (pa @ W_q) @ (ex_hat @ W_k)ᵀ and
 dim² product becomes a patch-row × explanation-row × dim one. Dropout and
 the rectifier act on the (patch, hidden) rows of A @ (ex_hat @ W_vf) + b1.
 A `PTFormerState` is one weight version, read-only from construction; it forms
-the pair on first use (`state.folded`) and keeps it for every pass on it.
+the pair when it is built (`state.folded`) and keeps it for every pass on it.
 
 The instruction branch up to its dropout is `instruction_forward`. A state's
 `instruction_branches(insts)` runs it once per distinct instruction matrix and
@@ -44,7 +44,6 @@ then run the forward passes in any order or on any thread.
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -100,30 +99,26 @@ class PTFormerState:
                              f"do not make up dim {sizes['dim']}")
         for arr in arrays.values():
             arr.flags.writeable = False
+        object.__setattr__(self, "folded", fold_cross(self))
+        object.__setattr__(self, "_kept_branches", {})
 
     def __reduce__(self):
-        """copy, deepcopy and pickle go through __init__: a copy is locked and keeps nothing."""
+        """copy, deepcopy and pickle go through __init__: a copy is locked, folds its own pair
+        and keeps no branches."""
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def dim(self) -> int:
         return self.cross_attn.w_q.shape[0]
 
-    @cached_property
-    def folded(self):
-        """`fold_cross(self)`, formed on first use (`instruction_branches` forms it)."""
-        return fold_cross(self)
-
     def instruction_branches(self, insts) -> list:
         """`instruction_forward(inst, self)` of each matrix of `insts`, in order.
 
         Matrices are the same when their shape, dtype and bytes are (`np.array_equal`
-        would also match -0.0 with 0.0). The calling thread forms `folded` first, then
-        runs `instruction_forward` once per distinct matrix the last call did not keep, and
-        keeps this call's branches in place of those. Two calls at once can lose each
-        other's entries, never read a wrong one or miss their own."""
-        self.folded  # formed on this thread, before any pool dispatch reads it
-        kept, branches = getattr(self, "_kept_branches", {}), {}
+        would also match -0.0 with 0.0). It runs `instruction_forward` once per distinct matrix
+        the last call did not keep, and keeps this call's branches in place of those. Two calls
+        at once can lose each other's entries, never read a wrong one or miss their own."""
+        kept, branches = self._kept_branches, {}
         keys = [(inst.shape, inst.dtype.str, inst.tobytes()) for inst in insts]
         for inst, key in zip(insts, keys):
             if key not in branches:
@@ -298,8 +293,7 @@ def fuse_forward(pa: np.ndarray, ex: np.ndarray, desc: np.ndarray, inst: np.ndar
 
 
 def fold_cross(state: PTFormerState):
-    """(W_q @ W_kᵀ, W_v @ ff_pa_ex.w1): the products in which `fuse_forward` and
-    `fuse_backward` read the cross-attention's weights, once per state as `state.folded`."""
+    """`state.folded`, formed when the state is built: (W_q @ W_kᵀ, W_v @ ff_pa_ex.w1)."""
     ca = state.cross_attn
     return ca.w_q @ ca.w_k.T, ca.w_v @ state.ff_pa_ex.w1
 

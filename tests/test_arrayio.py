@@ -389,6 +389,27 @@ def test_only_fusion_reads_the_folded_pair_and_the_kept_branches():
     assert found == []
 
 
+def test_only_a_pt_former_being_built_calls_fold_cross():
+    # a PTFormerState forms its folded pair in __post_init__, so no pass, caller or copy
+    # forms a second one
+    calls = [(path.name, scope, node.lineno) for path in _sources()
+             for scope, node in _scoped_calls(ast.parse(path.read_text(encoding="utf-8")))
+             if getattr(node.func, "id", getattr(node.func, "attr", None)) == "fold_cross"]
+    assert [(name, scope) for name, scope, _ in calls] == [
+        ("fusion.py", "PTFormerState.__post_init__")], calls
+
+
+def _scoped_calls(tree, scope=""):
+    """(dotted name of the innermost enclosing class or function, call) for every call."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            yield scope, node
+        yield from _scoped_calls(node, inner)
+
+
 def _text_opens_without_utf8(tree, filename):
     """`open()`/`atomic_open()` calls in text mode that do not pass encoding="utf-8"."""
     for call in ast.walk(tree):

@@ -518,6 +518,13 @@ ERROR_PATHS = [
      2, "ConfigError", "eval_split must be one of ['train', 'validation', 'test'], got 'bogus'"),
     ("visualize-split-unknown", lambda tmp, base, ckpt: [*base, "visualize", "--split", "bogus"],
      2, "ConfigError", "pca.split must be one of ['train', 'validation', 'test'], got 'bogus'"),
+    # --seed and --components read their text as --set does; a numeric --checkpoint stays a path
+    ("seed-not-int", lambda tmp, base, ckpt: [*base, "--seed", "1.5", "ingest"],
+     2, "ConfigError", "hyperparams.seed must be int, got 1.5"),
+    ("components-not-int", lambda tmp, base, ckpt: [*base, "visualize", "--components", "x"],
+     2, "ConfigError", "pca.components must be int, got 'x'"),
+    ("checkpoint-numeric-path", lambda tmp, base, ckpt: [*base, "eval", "--checkpoint", "7"],
+     3, "MissingArtifact", "missing checkpoint: 7"),
     ("checkpoint-missing",
      lambda tmp, base, ckpt: [*base, "eval", "--checkpoint", f"{tmp}/absent.ckpt"],
      3, "MissingArtifact", "missing checkpoint: {tmp}/absent.ckpt"),

@@ -223,12 +223,10 @@ def _counted_instruction_runs(monkeypatch):
 
 
 def _counted_folds(monkeypatch):
-    """Every `fold_cross` result from here on. Each is formed on the main thread: a caller
-    that runs passes on a pool forms a PTFormerState's `folded` before it dispatches them."""
+    """Every `fold_cross` result from here on: one per PTFormerState built."""
     folds = []
 
     def counted(pt):
-        assert threading.current_thread() is threading.main_thread()
         folds.append(fold_cross(pt))
         return folds[-1]
 
@@ -237,10 +235,10 @@ def _counted_folds(monkeypatch):
 
 
 def test_a_training_batch_folds_the_cross_attention_once_for_every_pass(monkeypatch):
-    # each forward and backward pass reads the pair its PTFormerState formed once
+    # each forward and backward pass reads the pair its PTFormerState formed when it was built
     mats, labels = _ragged_batch(5, 8, seed=9)
-    state = _ptformer_state(0.5)
     folds, passed = _counted_folds(monkeypatch), []
+    state = _ptformer_state(0.5)
     for name, state_at in (("fuse_forward", 4), ("fuse_backward", 2)):
         def recorded(*args, state_at=state_at, original=getattr(train_module, name)):
             passed.append(args[state_at])
@@ -519,6 +517,13 @@ def test_evaluation_runs_the_instruction_branch_once_per_weight_version(monkeypa
                                state.options.threshold)
     encoded = encode_samples(samples, backends, state.hp, state.options)
     runs, folds = _counted_instruction_runs(monkeypatch), _counted_folds(monkeypatch)
+    passed = []
+
+    def recorded(*args, original=train_module.fuse_forward):
+        passed.append(args[4])
+        return original(*args)
+
+    monkeypatch.setattr(train_module, "fuse_forward", recorded)
     monkeypatch.setattr(train_module, "_WORKERS", workers)
     fused = fused_embeddings(samples, state, backends)
     assert [p for p, _ in predict(samples, state, backends)] == probs
@@ -526,7 +531,9 @@ def test_evaluation_runs_the_instruction_branch_once_per_weight_version(monkeypa
         assert _validation_metrics(samples, encoded, state, pool) == (expected.auc, expected.f1)
     assert [p for p, _ in predict(samples[:1], state, backends)] == probs[:1]
     assert runs == [threading.main_thread().name]
-    assert len(folds) == 1  # the folded cross-attention pair is kept with the branch
+    # no pass forms a pair: each reads the one the state was built with
+    assert folds == [] and len(passed) == 3 * len(samples) + 1
+    assert all(pt is state.pt_former for pt in passed)
     assert all(np.array_equal(f.values, v) for f, v in zip(fused, vectors))
 
 
@@ -606,25 +613,47 @@ def test_a_weight_the_kept_branch_reads_cannot_be_edited_in_place(name):
         named_parameters(pt)[name].flat[0] += 1.0
 
 
-@pytest.mark.parametrize("origin", ["init_pt_former", "load_checkpoint", "training-step",
-                                    "deepcopy", "pickle"])
-def test_every_weight_is_read_only_whatever_builds_the_pt_former(monkeypatch, tmp_path, origin):
-    # a PTFormerState locks its arrays when it is built; a copy or a pickle round trip
-    # builds a new one, which keeps none of the original's folded pair or branches
-    state = _ptformer_state(0.0)
+PT_FORMER_ORIGINS = ["init_pt_former", "load_checkpoint", "training-step", "deepcopy", "pickle"]
+
+
+def _built_by(origin: str, state, tmp_path):
+    """`state` holding a PTFormerState that `origin` built: init_pt_former's own, one loaded
+    from a checkpoint of it, the one a training batch steps it to, or a copy of it."""
     mats, labels = _ragged_batch(4, 8, seed=2)
     if origin == "load_checkpoint":
         save_checkpoint(tmp_path / "state.ckpt", state)
-        state = load_checkpoint(tmp_path / "state.ckpt")
-    elif origin == "training-step":
+        return load_checkpoint(tmp_path / "state.ckpt")
+    if origin == "training-step":
         batch = [make_sample(i, label) for i, label in enumerate(labels)]
         _train_batch(batch, {s.id: m for s, m in zip(batch, mats)}, state)
         assert state.adam_t == 1
     elif origin != "init_pt_former":
-        source = state.pt_former
-        batch_loss_and_grads(mats, labels, state)  # forms the pair and keeps a branch
         clone = copy.deepcopy if origin == "deepcopy" else lambda x: pickle.loads(pickle.dumps(x))
-        state.pt_former = clone(source)
+        state.pt_former = clone(state.pt_former)
+    return state
+
+
+@pytest.mark.parametrize("origin", PT_FORMER_ORIGINS)
+def test_a_pt_former_holds_its_folded_pair_once_it_is_built(tmp_path, origin):
+    # whatever builds a PTFormerState forms its pair then, before any pass reads it
+    pt = _built_by(origin, _ptformer_state(0.0), tmp_path).pt_former
+    assert "folded" in vars(pt)
+    ca = pt.cross_attn
+    expected = (ca.w_q @ ca.w_k.T, ca.w_v @ pt.ff_pa_ex.w1)
+    assert [(a.dtype, a.shape, a.tobytes()) for a in pt.folded] == [
+        (a.dtype, a.shape, a.tobytes()) for a in expected]
+
+
+@pytest.mark.parametrize("origin", PT_FORMER_ORIGINS)
+def test_every_weight_is_read_only_whatever_builds_the_pt_former(monkeypatch, tmp_path, origin):
+    # a PTFormerState locks its arrays when it is built; a copy or a pickle round trip
+    # builds a new one, which folds its own pair and keeps none of the original's branches
+    state = _ptformer_state(0.0)
+    mats, labels = _ragged_batch(4, 8, seed=2)
+    source = state.pt_former
+    if origin in ("deepcopy", "pickle"):
+        batch_loss_and_grads(mats, labels, state)  # keeps a branch
+    state = _built_by(origin, state, tmp_path)
     for weight in named_parameters(state.pt_former).values():
         with pytest.raises(ValueError, match="read-only"):
             weight.flat[0] += 1.0
@@ -640,10 +669,10 @@ def test_every_weight_is_read_only_whatever_builds_the_pt_former(monkeypatch, tm
 
 def test_two_states_sharing_a_pt_former_fold_it_once(monkeypatch, tmp_path):
     # the folded pair and the instruction branch belong to the weights, not to a TrainState
+    runs, folds = _counted_instruction_runs(monkeypatch), _counted_folds(monkeypatch)
     state, backends = _threaded_eval_setup(tmp_path)
     other = dataclasses.replace(state)  # shares the PTFormerState
     samples = _ragged_samples(3)
-    runs, folds = _counted_instruction_runs(monkeypatch), _counted_folds(monkeypatch)
     probs = predict(samples, state, backends)
     assert predict(samples, other, backends) == probs
     assert len(folds) == 1 and len(runs) == 1
